@@ -52,7 +52,6 @@ from .efield import (
     CoverageRegion,
     DirectionSet,
     EFieldGrid,
-    GridFormatError,
     SyntheticUlaSpec,
     fibonacci_directions,
     generate_ula_efield,
@@ -65,6 +64,7 @@ from .metrics import (
     composite_pattern,
     coverage_stats,
     gap_map,
+    stats_to_dict,
     upper_bound_pattern,
     write_pattern_csv,
     write_stats_json,
@@ -84,12 +84,23 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """A run config as loaded by :func:`load_run_config`, every value checked."""
+
     grids: dict[str, EFieldGrid]
     synthetic_specs: dict[str, SyntheticUlaSpec]
     algorithm: dict
     evaluation: dict
     output_dir: Path
     config_dir: Path
+    phase_spec: PhaseSpec
+    # Evaluation directions restricted to the algorithm's and to the
+    # evaluation's region, and the sorted percentiles to report (always 50).
+    design_dirs: DirectionSet
+    eval_dirs: DirectionSet
+    percentiles: list[float]
+    # Greedy selection criterion and stopping rule; None for other algorithms.
+    criterion: MeanGainCriterion | PercentileMixCriterion | None
+    stop: SizeLimit | MeanThreshold | PercentileThreshold | None
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -101,27 +112,25 @@ def _require(mapping: dict, key: str, context: str):
 def _parse_region(data) -> CoverageRegion | None:
     if data is None:
         return None
-    try:
-        theta = tuple(data.get("theta", (0.0, 180.0)))
-        phi = tuple(data.get("phi", (0.0, 360.0)))
-        return CoverageRegion(theta_range=theta, phi_range=phi)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad region spec: {exc}") from None
+    return CoverageRegion(theta_range=tuple(data.get("theta", (0.0, 180.0))),
+                          phi_range=tuple(data.get("phi", (0.0, 360.0))))
 
 
 def _parse_synthetic(block: dict) -> SyntheticUlaSpec:
-    try:
-        return SyntheticUlaSpec(
-            num_elements=int(_require(block, "elements", "synthetic array")),
-            spacing_over_lambda=float(_require(block, "spacing_lambda", "synthetic array")),
-            element_pattern_q=float(block.get("pattern_q", 0.0)),
-            sampling_factor=int(block["sampling_factor"]) if block.get("sampling_factor") is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synthetic array spec: {exc}") from None
+    return SyntheticUlaSpec(
+        num_elements=int(_require(block, "elements", "synthetic array")),
+        spacing_over_lambda=float(_require(block, "spacing_lambda", "synthetic array")),
+        element_pattern_q=float(block.get("pattern_q", 0.0)),
+        sampling_factor=int(block["sampling_factor"]) if block.get("sampling_factor") is not None else None,
+    )
 
 
 def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
+    """Read a run config, build its arrays and check every value.
+
+    This is the one validation pass: a bad value anywhere in the file is a
+    ConfigError (exit 2) here, so no later stage fails on it.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -130,58 +139,101 @@ def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     overrides = overrides or {}
     config_dir = Path(path).resolve().parent
+    try:
+        # The constructors of the domain objects reject bad values with these
+        # exceptions; GridFormatError and ConfigError are ValueErrors too.
+        grids, synth, generator_dirs = _load_arrays(_require(data, "arrays", str(path)), config_dir)
+        algorithm = dict(_require(data, "algorithm", str(path)))
+        for key in ("seed", "size", "phase_bits"):
+            if overrides.get(key) is not None:
+                algorithm[key] = overrides[key]
+        evaluation = dict(data.get("evaluation", {}))
+        settings = _check_settings(algorithm, evaluation, grids, generator_dirs)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(str(exc)) from None
+    out = overrides.get("output_dir") or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "out")
+    output_dir = Path(out)
+    if not output_dir.is_absolute() and overrides.get("output_dir") is None and "output_dir" in data:
+        output_dir = config_dir / output_dir
+    return RunConfig(grids, synth, algorithm, evaluation, output_dir, config_dir, **settings)
 
-    arrays = _require(data, "arrays", str(path))
+
+def _load_arrays(arrays, config_dir: Path):
+    """Grids and synthetic specs by array id, plus the first synthetic array's own directions."""
     if not isinstance(arrays, list) or not arrays:
-        raise ConfigError(f"{path}: 'arrays' must be a nonempty list")
+        raise ConfigError("'arrays' must be a nonempty list")
     grids: dict[str, EFieldGrid] = {}
     synth: dict[str, SyntheticUlaSpec] = {}
+    generator_dirs: DirectionSet | None = None
     for i, block in enumerate(arrays):
         array_id = str(block.get("id", f"array{i}"))
         if array_id in grids:
             raise ConfigError(f"duplicate array id '{array_id}'")
         if "synthetic" in block:
             spec = _parse_synthetic(block["synthetic"])
-            grid, _ = generate_ula_efield(spec, array_id=array_id)
+            grid, dirs = generate_ula_efield(spec, array_id=array_id)
             synth[array_id] = spec
+            generator_dirs = dirs if generator_dirs is None else generator_dirs
         elif "csv" in block:
-            csv_path = Path(block["csv"])
-            if not csv_path.is_absolute():
-                csv_path = config_dir / csv_path
+            csv_path = config_dir / block["csv"]  # an absolute path replaces config_dir
             if not csv_path.exists():
                 raise ConfigError(f"array '{array_id}': file not found: {csv_path}")
-            try:
-                grid = load_efield(csv_path, array_id=array_id)
-            except GridFormatError as exc:
-                raise ConfigError(str(exc)) from None
+            grid = load_efield(csv_path, array_id=array_id)
         else:
             raise ConfigError(f"array '{array_id}': needs either 'synthetic' or 'csv'")
         grids[array_id] = grid
+    return grids, synth, generator_dirs
 
-    algorithm = dict(_require(data, "algorithm", str(path)))
-    for key in ("seed", "size", "phase_bits"):
-        if overrides.get(key) is not None:
-            algorithm[key] = overrides[key]
+
+def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGrid],
+                    generator_dirs: DirectionSet | None) -> dict:
+    """Check the algorithm and evaluation values; returns the RunConfig fields they resolve to."""
     name = _require(algorithm, "name", "algorithm")
     if name not in ("greedy", "kmeans", "benchmark", "3c"):
         raise ConfigError(f"unknown algorithm '{name}'")
-
-    evaluation = dict(data.get("evaluation", {}))
-    out = overrides.get("output_dir") or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "out")
-    output_dir = Path(out)
-    if not output_dir.is_absolute() and overrides.get("output_dir") is None and "output_dir" in data:
-        output_dir = config_dir / output_dir
-    return RunConfig(grids, synth, algorithm, evaluation, output_dir, config_dir)
-
-
-def _phase_spec(algorithm: dict) -> PhaseSpec:
+    candidates = algorithm.get("candidates", {})
+    spec = evaluation.get("directions", {"kind": "generator" if generator_dirs is not None else "fibonacci"})
+    for block, key, minimum in ((algorithm, "size", 1), (algorithm, "seed", 0), (algorithm, "phase_bits", 1),
+                                (algorithm, "n_randomizations", 1), (algorithm, "max_iterations", 1),
+                                (algorithm, "elements", 1), (candidates, "count", 1), (spec, "count", 1)):
+        value = block.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
+            raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
+    spacing = algorithm.get("spacing_lambda")
+    if spacing is not None and (isinstance(spacing, bool) or not isinstance(spacing, (int, float)) or spacing <= 0):
+        raise ConfigError(f"'spacing_lambda' must be a positive number, got {spacing!r}")
+    if candidates.get("method", "eigen") not in ("eigen", "iterative"):
+        raise ConfigError(f"unknown candidates method '{candidates['method']}'")
     bits = algorithm.get("phase_bits")
-    if bits is None:
-        return PhaseSpec.continuous()
-    try:
-        return PhaseSpec.discrete(int(bits))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    phase_spec = PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits)
+
+    kind = spec.get("kind", "generator")
+    if kind == "generator" and generator_dirs is not None:
+        dirs = generator_dirs
+    elif kind == "generator":
+        raise ConfigError("directions kind 'generator' requires a synthetic array")
+    elif kind == "fibonacci":
+        dirs = fibonacci_directions(spec.get("count", 1800))
+    elif kind == "mesh":
+        dirs = mesh_directions(next(iter(grids.values())))
+    else:
+        raise ConfigError(f"unknown directions kind '{kind}'")
+    design_dirs, eval_dirs = (
+        dirs if region is None else restrict_region(dirs, region)
+        for region in (_parse_region(algorithm.get("region")), _parse_region(evaluation.get("region")))
+    )
+    if name == "kmeans" and algorithm.get("size", 0) > len(design_dirs):
+        raise ConfigError(f"size {algorithm['size']} exceeds the {len(design_dirs)} design directions")
+
+    percentiles = sorted({float(p) for p in evaluation.get("percentiles", [])} | {50.0})
+    if not all(0.0 < p < 100.0 for p in percentiles):
+        raise ConfigError(f"evaluation percentiles must lie in (0, 100), got {percentiles}")
+    criterion = stop = None
+    if name == "greedy":
+        criterion = _parse_criterion(algorithm.get("criterion"))
+        stop = _parse_stop(algorithm.get("stop"), _require(algorithm, "size", "algorithm"))
+    return dict(phase_spec=phase_spec, design_dirs=design_dirs, eval_dirs=eval_dirs,
+                percentiles=percentiles, criterion=criterion, stop=stop)
 
 
 def _first_synthetic(config: RunConfig, context: str) -> SyntheticUlaSpec:
@@ -197,21 +249,6 @@ def _first_synthetic(config: RunConfig, context: str) -> SyntheticUlaSpec:
     raise ConfigError(f"{context}: needs a synthetic array or an explicit 'spacing_lambda'")
 
 
-def evaluation_directions(config: RunConfig) -> DirectionSet:
-    spec = config.evaluation.get("directions", {"kind": "generator" if config.synthetic_specs else "fibonacci"})
-    kind = spec.get("kind", "generator")
-    if kind == "generator":
-        for array_id, ula in config.synthetic_specs.items():
-            _, dirs = generate_ula_efield(ula, array_id=array_id)
-            return dirs
-        raise ConfigError("directions kind 'generator' requires a synthetic array")
-    if kind == "fibonacci":
-        return fibonacci_directions(int(spec.get("count", 1800)))
-    if kind == "mesh":
-        return mesh_directions(next(iter(config.grids.values())))
-    raise ConfigError(f"unknown directions kind '{kind}'")
-
-
 def _parse_criterion(block) -> MeanGainCriterion | PercentileMixCriterion:
     if block is None:
         return MeanGainCriterion()
@@ -222,10 +259,7 @@ def _parse_criterion(block) -> MeanGainCriterion | PercentileMixCriterion:
         points = block.get("points")
         if not points:
             raise ConfigError("percentiles criterion needs 'points': [[percentile, weight], ...]")
-        try:
-            return PercentileMixCriterion(tuple((float(x), float(b)) for x, b in points))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad percentile points: {exc}") from None
+        return PercentileMixCriterion(tuple((float(x), float(b)) for x, b in points))
     raise ConfigError(f"unknown criterion kind '{kind}'")
 
 
@@ -247,14 +281,9 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     """Run the configured synthesis; returns the codebook and a log record."""
     algo = config.algorithm
     name = algo["name"]
-    phase_spec = _phase_spec(algo)
-    try:
-        size = int(_require(algo, "size", "algorithm"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad size: {exc}") from None
-    if size < 1:
-        raise ConfigError("algorithm size must be >= 1")
-    seed = int(algo.get("seed", 0))
+    phase_spec = config.phase_spec
+    size = _require(algo, "size", "algorithm")
+    seed = algo.get("seed", 0)
     log: dict = {"algorithm": name, "size": size, "seed": seed,
                  "phase_bits": phase_spec.bits, "status": "ok"}
 
@@ -267,28 +296,20 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
         L = next(iter(config.grids.values())).num_elements
         return codebook_802_15_3c(L, size, phase_spec.bits, array_ids=list(config.grids)), log
 
-    dirs = evaluation_directions(config)
-    region = _parse_region(algo.get("region"))
-    if region is not None:
-        dirs = restrict_region(dirs, region)
+    dirs = config.design_dirs
+    cand_cfg = algo.get("candidates", {})
+    n_rand = algo.get("n_randomizations", 1000)
 
     if name == "greedy":
-        cand_cfg = algo.get("candidates", {})
         candidates = generate_candidates(
             config.grids,
-            int(cand_cfg.get("count", 363)),
+            cand_cfg.get("count", 363),
             cand_cfg.get("method", "eigen"),
             phase_spec,
             seed=seed,
-            n_rand=int(algo.get("n_randomizations", 1000)),
+            n_rand=n_rand,
         )
-        result = greedy_codebook(
-            candidates,
-            config.grids,
-            _parse_criterion(algo.get("criterion")),
-            _parse_stop(algo.get("stop"), size),
-            dirs,
-        )
+        result = greedy_codebook(candidates, config.grids, config.criterion, config.stop, dirs)
         log["trace_db"] = [float(u) for u in result.utilities_db]
         log["status"] = result.stop_reason if result.stop_reason != "stopping rule satisfied" else "ok"
         return result.codebook, log
@@ -299,8 +320,7 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     if init_name == "uniform":
         init = "uniform"
     elif init_name == "greedy":
-        cand_cfg = algo.get("candidates", {})
-        init = GreedyInitSpec(int(cand_cfg.get("count", 363)), cand_cfg.get("method", "eigen"))
+        init = GreedyInitSpec(cand_cfg.get("count", 363), cand_cfg.get("method", "eigen"))
     elif init_name == "benchmark":
         n_arrays = len(config.grids)
         if size % n_arrays != 0:
@@ -314,8 +334,8 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
         direction_set=dirs,
         phase_spec=phase_spec,
         init=init,
-        n_rand=int(algo.get("n_randomizations", 1000)),
-        max_iterations=int(algo.get("max_iterations", 50)),
+        n_rand=n_rand,
+        max_iterations=algo.get("max_iterations", 50),
         seed=seed,
     )
     result = kmeans_codebook(kcfg, config.grids)
@@ -327,13 +347,7 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
 
 def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -> dict:
     """Write pattern/bound/gap CSVs plus stats JSON; returns the stats dict."""
-    dirs = evaluation_directions(config)
-    region = _parse_region(config.evaluation.get("region"))
-    if region is not None:
-        dirs = restrict_region(dirs, region)
-    percentiles = [float(p) for p in config.evaluation.get("percentiles", [50.0])]
-    if 50.0 not in percentiles:
-        percentiles.append(50.0)
+    dirs = config.eval_dirs
     out.mkdir(parents=True, exist_ok=True)
 
     bound = upper_bound_pattern(config.grids, dirs)
@@ -353,13 +367,11 @@ def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -
     pattern = composite_pattern(config.grids, codebook, dirs)
     write_pattern_csv(pattern, out / "pattern.csv")
     write_pattern_csv(gap_map(pattern, bound), out / "gap.csv")
-    stats = coverage_stats(pattern, sorted(set(percentiles)))
+    stats = coverage_stats(pattern, config.percentiles)
     write_stats_json(stats, out / "stats.json")
     (out / "summary.txt").write_text(
         codebook_summary(codebook, config.grids, dirs) + "\n", encoding="utf-8"
     )
-    from .metrics import stats_to_dict
-
     return stats_to_dict(stats)
 
 
@@ -438,14 +450,8 @@ def _cmd_compare(args) -> int:
     for path in args.configs:
         config = load_run_config(path, {"output_dir": args.output_dir})
         codebook, log = design_codebook(config)
-        dirs = evaluation_directions(config)
-        region = _parse_region(config.evaluation.get("region"))
-        if region is not None:
-            dirs = restrict_region(dirs, region)
-        pct = [float(p) for p in config.evaluation.get("percentiles", [50.0])]
-        if not percentiles:
-            percentiles = sorted(set(pct) | {50.0})
-        stats = coverage_stats(composite_pattern(config.grids, codebook, dirs), percentiles)
+        percentiles = percentiles or config.percentiles
+        stats = coverage_stats(composite_pattern(config.grids, codebook, config.eval_dirs), percentiles)
         rows.append((Path(path).stem, log["algorithm"], codebook.size, stats))
     header = ["config", "algorithm", "size", "mean_db", "median_db"] + [
         f"p{p:g}_db" for p in percentiles if p != 50.0

@@ -30,10 +30,11 @@ from .efield import (
     Direction,
     DirectionSet,
     SyntheticUlaSpec,
+    field_coherence,
     fibonacci_directions,
     snap_to_grid,
 )
-from .metrics import GAIN_FACTOR, _as_grid_map, beam_gains_linear, db_from_linear
+from .metrics import _as_grid_map, db_from_linear, entry_gains_linear, field_gains, weighted_percentiles
 
 _TWO_PI = 2.0 * math.pi
 
@@ -102,15 +103,8 @@ def load_codebook(path) -> Codebook:
 
 def codebook_summary(codebook: Codebook, grids, dirs: DirectionSet) -> str:
     """One line per beam: serving array, aim (argmax-gain direction), peak gain."""
-    grid_map = _as_grid_map(grids)
     lines = []
-    snapped: dict[str, DirectionSet] = {}
-    for k, entry in enumerate(codebook.entries):
-        grid = grid_map[entry.array_id]
-        if entry.array_id not in snapped:
-            snapped[entry.array_id] = snap_to_grid(dirs, grid)
-        ds = snapped[entry.array_id]
-        g = beam_gains_linear(grid, entry.weights.weights, ds)
+    for k, (entry, (ds, g)) in enumerate(zip(codebook.entries, entry_gains_linear(grids, codebook, dirs))):
         i = int(np.argmax(g))
         lines.append(
             f"beam {k}: array={entry.array_id} aim=(theta={ds.theta[i]:.1f}, phi={ds.phi[i]:.1f}) "
@@ -160,15 +154,11 @@ class PercentileMixCriterion:
         object.__setattr__(self, "points", pts)
 
     def value(self, gains_linear: np.ndarray, dirs: DirectionSet) -> float:
-        order = np.argsort(gains_linear, kind="stable")
-        cum = np.cumsum(dirs.weights[order])
-        cum /= cum[-1]
-        g_sorted = gains_linear[order]
+        values, _, _ = weighted_percentiles(gains_linear, dirs.weights, [x for x, _ in self.points])
         total = 0.0
         wsum = 0.0
-        for x, beta in self.points:
-            k = min(int(np.searchsorted(cum, x / 100.0)), g_sorted.size - 1)
-            total += beta * db_from_linear(float(g_sorted[k]))
+        for value, (_, beta) in zip(values, self.points):
+            total += beta * db_from_linear(float(value))
             wsum += beta
         return total / wsum
 
@@ -248,10 +238,6 @@ def _child_seed(*key: int) -> int:
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
-def _coherence_from_fields(et: np.ndarray, ep: np.ndarray) -> np.ndarray:
-    return np.outer(et, et.conj()) + np.outer(ep, ep.conj())
-
-
 def generate_candidates(
     grids,
     count_per_sphere: int,
@@ -278,7 +264,7 @@ def generate_candidates(
         snapped = snap_to_grid(fib, grid)
         et_all, ep_all = grid.fields_at(snapped)
         for i in range(len(snapped)):
-            M = _coherence_from_fields(et_all[:, i], ep_all[:, i])
+            M = field_coherence(et_all[:, i : i + 1], ep_all[:, i : i + 1])
             if method == "eigen":
                 beam = design_beam(M, phase_spec, "eigen")
             else:
@@ -313,7 +299,7 @@ def _candidate_gain_matrix(candidates: CandidateSet, grids, eval_set: DirectionS
         grid = grid_map[array_id]
         et, ep = grid.fields_at(snap_to_grid(eval_set, grid))
         W = np.stack([candidates.candidates[i].weights.weights for i in idxs])  # (n, L)
-        G[idxs, :] = GAIN_FACTOR * (np.abs(W.conj() @ et) ** 2 + np.abs(W.conj() @ ep) ** 2)
+        G[idxs, :] = field_gains(W, et, ep)
     return G
 
 
@@ -423,16 +409,12 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
         raise ValueError("num_beams must be >= 1")
     grid_map = _as_grid_map(grids)
     fib = fibonacci_directions(num_beams)
-    per_array = []
-    for array_id, grid in grid_map.items():
-        snapped = snap_to_grid(fib, grid)
-        et, ep = grid.fields_at(snapped)
-        per_array.append((array_id, et, ep))
+    per_array = [(array_id, *grid.fields_at(snap_to_grid(fib, grid))) for array_id, grid in grid_map.items()]
     entries = []
     for i in range(num_beams):
         best_lam, best = -1.0, None
         for array_id, et, ep in per_array:
-            M = _coherence_from_fields(et[:, i], ep[:, i])
+            M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
             lam = float(np.linalg.eigvalsh(M)[-1])
             if lam > best_lam:
                 best_lam, best = lam, (array_id, M)
@@ -478,16 +460,10 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
     else:
         codebook = uniform_init(K, grid_map, config.phase_spec)
 
-    fields = {
-        array_id: grid.fields_at(snap_to_grid(dirs, grid)) for array_id, grid in grid_map.items()
-    }
+    fields = {array_id: grid.fields_at(snap_to_grid(dirs, grid)) for array_id, grid in grid_map.items()}
     beams = [(e.array_id, np.array(e.weights.weights)) for e in codebook.entries]
 
-    def beam_gains(array_id: str, w: np.ndarray) -> np.ndarray:
-        et, ep = fields[array_id]
-        return GAIN_FACTOR * (np.abs(w.conj() @ et) ** 2 + np.abs(w.conj() @ ep) ** 2)
-
-    gains = np.stack([beam_gains(a, w) for a, w in beams])  # (K, N)
+    gains = np.stack([field_gains(w, *fields[a]) for a, w in beams])  # (K, N)
     mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
     trace = [mean_db]
     assignments = np.full(len(dirs), -1)
@@ -507,10 +483,7 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
             if members.size == 0:
                 continue
             et, ep = fields[array_id]
-            sq = np.sqrt(dirs.weights[members])
-            etk = et[:, members] * sq
-            epk = ep[:, members] * sq
-            Mk = etk @ etk.conj().T + epk @ epk.conj().T
+            Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
             new_beam = design_beam(
                 Mk,
                 config.phase_spec,
@@ -522,7 +495,7 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
             new_obj = new_beam.gain(Mk)
             if new_obj >= old_obj:  # keep monotone under the approximate solver
                 beams[k] = (array_id, np.array(new_beam.weights))
-                gains[k] = beam_gains(array_id, beams[k][1])
+                gains[k] = field_gains(beams[k][1], *fields[array_id])
 
         new_mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
         trace.append(new_mean_db)

@@ -87,14 +87,6 @@ class DirectionSet:
     def directions(self) -> list[Direction]:
         return list(self)
 
-    @classmethod
-    def from_directions(cls, dirs: Sequence[Direction], weights=None) -> "DirectionSet":
-        theta = np.array([d.theta for d in dirs], dtype=float)
-        phi = np.array([d.phi for d in dirs], dtype=float)
-        if weights is None:
-            weights = np.full(theta.size, 1.0 / theta.size)
-        return cls(theta, phi, np.asarray(weights, dtype=float))
-
 
 @dataclass(frozen=True)
 class CoverageRegion:
@@ -204,33 +196,58 @@ class EFieldGrid:
     def num_elements(self) -> int:
         return self.e_theta.shape[0]
 
-    def nearest_index(self, theta: float, phi: float) -> tuple[int, int]:
-        """Indices of the mesh node nearest to (theta, phi).
+    def resolve(self, theta, phi, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (it, ip) of the mesh node nearest to each direction.
 
         Theta and phi are rounded independently; phi distance wraps at
-        360.  Equidistant nodes resolve to the lower index.
+        360.  Equidistant nodes resolve to the lower index.  With ``tol``
+        the lookup is exact: the first direction farther than ``tol`` from
+        its node raises KeyError.
         """
-        it = int(np.argmin(np.abs(self.theta_axis - float(theta))))
-        dphi = np.abs(self.phi_axis - _normalize_phi(float(phi)))
-        dphi = np.minimum(dphi, 360.0 - dphi)
-        ip = int(np.argmin(dphi))
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        it, d_theta = _nearest_node(self.theta_axis, theta, circular=False)
+        ip, d_phi = _nearest_node(self.phi_axis, _normalize_phi(phi), circular=True)
+        off = (d_theta > tol) | (d_phi > tol) if tol is not None else False
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise KeyError(f"direction (theta={float(theta.flat[k])}, phi={float(phi.flat[k])}) "
+                           f"is not on the mesh of '{self.array_id}'")
         return it, ip
 
     def index_of(self, theta: float, phi: float, tol: float = 1e-9) -> tuple[int, int]:
-        """Exact mesh lookup; raises KeyError for off-mesh directions."""
-        it, ip = self.nearest_index(theta, phi)
-        dphi = abs(self.phi_axis[ip] - _normalize_phi(float(phi)))
-        dphi = min(dphi, 360.0 - dphi)
-        if abs(self.theta_axis[it] - theta) > tol or dphi > tol:
-            raise KeyError(f"direction (theta={theta}, phi={phi}) is not on the mesh of '{self.array_id}'")
-        return it, ip
+        """Exact mesh lookup of one direction; raises KeyError off the mesh."""
+        it, ip = self.resolve([theta], [phi], tol)
+        return int(it[0]), int(ip[0])
 
     def fields_at(self, dirs: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
         """Field matrices (num_elements, len(dirs)) at on-mesh directions."""
-        idx = [self.index_of(t, p) for t, p in zip(dirs.theta, dirs.phi)]
-        it = np.array([i for i, _ in idx], dtype=int)
-        ip = np.array([j for _, j in idx], dtype=int)
+        it, ip = self.resolve(dirs.theta, dirs.phi, tol=1e-9)
         return self.e_theta[:, it, ip], self.e_phi[:, it, ip]
+
+
+def _nearest_node(axis: np.ndarray, x: np.ndarray, circular: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the axis node nearest to each x (lowest on ties) and its distance.
+
+    Only the two nodes ``searchsorted`` brackets x with (wrapping round a
+    circular axis) can be nearest, so memory stays O(len(x)).
+    """
+    n = axis.size
+    j = np.searchsorted(axis, x)
+    lo, hi = ((j - 1) % n, j % n) if circular else (np.maximum(j - 1, 0), np.minimum(j, n - 1))
+    d_lo, d_hi = np.abs(axis[lo] - x), np.abs(axis[hi] - x)
+    if circular:
+        d_lo, d_hi = np.minimum(d_lo, 360.0 - d_lo), np.minimum(d_hi, 360.0 - d_hi)
+    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo))
+    return np.where(pick_hi, hi, lo), np.where(pick_hi, d_hi, d_lo)
+
+
+def field_coherence(et: np.ndarray, ep: np.ndarray, weights=None) -> np.ndarray:
+    """Sum of w_n (e_T e_T^H + e_P e_P^H) over the columns of (L, N) field matrices (w_n = 1 if None)."""
+    if weights is not None:
+        sq = np.sqrt(weights)
+        et, ep = et * sq, ep * sq
+    return et @ et.conj().T + ep @ ep.conj().T
 
 
 def coherence_matrix(grid: EFieldGrid, direction: Direction) -> np.ndarray:
@@ -239,10 +256,7 @@ def coherence_matrix(grid: EFieldGrid, direction: Direction) -> np.ndarray:
     Sum of the outer products of the two polarization field vectors at an
     on-mesh direction; rank <= 2 by construction.
     """
-    it, ip = grid.index_of(direction.theta, direction.phi)
-    et = grid.e_theta[:, it, ip]
-    ep = grid.e_phi[:, it, ip]
-    return np.outer(et, et.conj()) + np.outer(ep, ep.conj())
+    return coherence_sum(grid, [direction])
 
 
 def coherence_sum(grid: EFieldGrid, directions: Iterable[Direction], weights=None) -> np.ndarray:
@@ -252,14 +266,8 @@ def coherence_sum(grid: EFieldGrid, directions: Iterable[Direction], weights=Non
     quadrature-weighted accumulation); the plain sum is the default.
     """
     dirs = list(directions)
-    if weights is None:
-        weights = np.ones(len(dirs))
-    idx = [grid.index_of(d.theta, d.phi) for d in dirs]
-    it = np.array([i for i, _ in idx], dtype=int)
-    ip = np.array([j for _, j in idx], dtype=int)
-    et = grid.e_theta[:, it, ip] * np.sqrt(weights)
-    ep = grid.e_phi[:, it, ip] * np.sqrt(weights)
-    return et @ et.conj().T + ep @ ep.conj().T
+    it, ip = grid.resolve([d.theta for d in dirs], [d.phi for d in dirs], tol=1e-9)
+    return field_coherence(grid.e_theta[:, it, ip], grid.e_phi[:, it, ip], weights)
 
 
 def fibonacci_directions(count: int) -> DirectionSet:
@@ -298,13 +306,8 @@ def snap_to_grid(dirs: DirectionSet, grid: EFieldGrid) -> DirectionSet:
 
     Duplicates are retained so that quadrature weights keep their meaning.
     """
-    theta = np.empty(len(dirs))
-    phi = np.empty(len(dirs))
-    for k, (t, p) in enumerate(zip(dirs.theta, dirs.phi)):
-        it, ip = grid.nearest_index(t, p)
-        theta[k] = grid.theta_axis[it]
-        phi[k] = grid.phi_axis[ip]
-    return DirectionSet(theta, phi, dirs.weights.copy())
+    it, ip = grid.resolve(dirs.theta, dirs.phi)
+    return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights.copy())
 
 
 def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[EFieldGrid, DirectionSet]:
@@ -378,8 +381,8 @@ def oriented_ula_efield(
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+# One structured row per CSV line: integer element index, six float64 samples.
+_GRID_ROW = np.dtype([("elem", np.int64)] + [(name, np.float64) for name in GRID_CSV_HEADER.split(",")[1:]])
 
 
 def save_efield(grid: EFieldGrid, path) -> None:
@@ -388,26 +391,29 @@ def save_efield(grid: EFieldGrid, path) -> None:
     Values are written with full round-trip precision; ``load_efield`` of
     the result reproduces the grid bit for bit.
     """
-    lines = [GRID_CSV_HEADER]
-    for l in range(grid.num_elements):
-        for it, t in enumerate(grid.theta_axis):
-            for ip, p in enumerate(grid.phi_axis):
-                et = grid.e_theta[l, it, ip]
-                ep = grid.e_phi[l, it, ip]
-                lines.append(
-                    ",".join(
-                        [
-                            str(l),
-                            _format_float(t),
-                            _format_float(p),
-                            _format_float(et.real),
-                            _format_float(et.imag),
-                            _format_float(ep.real),
-                            _format_float(ep.imag),
-                        ]
-                    )
-                )
+    elem, it, ip = np.indices(grid.e_theta.shape).reshape(3, -1)
+    columns = [elem, grid.theta_axis[it], grid.phi_axis[ip]]
+    columns += [part.ravel() for field in (grid.e_theta, grid.e_phi) for part in (field.real, field.imag)]
+    cells = [map(repr, column.tolist()) for column in columns]
+    lines = [GRID_CSV_HEADER, *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Slow path for rows ``np.loadtxt`` rejects: parse cell by cell up to the first malformed row.
+
+    Returns the rows before that one and its (row index, message).
+    """
+    parsed = []
+    for i, line in enumerate(body):
+        parts = line.split(",")
+        if len(parts) != 7:
+            return np.array(parsed, dtype=_GRID_ROW), (i, f"malformed row; expected 7 fields, got {len(parts)}")
+        try:
+            parsed.append((int(parts[0]), *(float(v) for v in parts[1:])))
+        except ValueError as exc:
+            return np.array(parsed, dtype=_GRID_ROW), (i, f"malformed row; {exc}")
+    return np.array(parsed, dtype=_GRID_ROW), None
 
 
 def load_efield(path, array_id: str | None = None) -> EFieldGrid:
@@ -415,63 +421,62 @@ def load_efield(path, array_id: str | None = None) -> EFieldGrid:
 
     The file must contain the full Cartesian product of elements and mesh
     nodes; missing or duplicate cells and non-finite samples are rejected.
+    Of several defective lines the first one is reported.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != GRID_CSV_HEADER:
         raise GridFormatError(f"{path}:1: bad header; expected '{GRID_CSV_HEADER}'")
-    samples: dict[tuple[int, float, float], tuple[complex, complex]] = {}
-    elems: set[int] = set()
-    thetas: set[float] = set()
-    phis: set[float] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise GridFormatError(f"{path}:{lineno}: malformed row; expected 7 fields, got {len(parts)}")
-        try:
-            elem = int(parts[0])
-            values = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise GridFormatError(f"{path}:{lineno}: malformed row; {exc}") from None
-        theta, phi = values[0], values[1]
-        if not all(math.isfinite(v) for v in values):
-            raise GridFormatError(f"{path}:{lineno}: non-finite sample")
-        if elem < 0:
-            raise GridFormatError(f"{path}:{lineno}: negative element index")
-        key = (elem, theta, phi)
-        if key in samples:
-            raise GridFormatError(f"{path}:{lineno}: duplicate sample for elem={elem}, theta={theta}, phi={phi}")
-        samples[key] = (complex(values[2], values[3]), complex(values[4], values[5]))
-        elems.add(elem)
-        thetas.add(theta)
-        phis.add(phi)
-    if not samples:
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
         raise GridFormatError(f"{path}: empty grid")
-    L = max(elems) + 1
-    if elems != set(range(L)):
+    try:
+        rows, malformed = np.loadtxt(body, delimiter=",", comments=None, dtype=_GRID_ROW, ndmin=1), None
+    except ValueError:
+        rows, malformed = _parse_rows(body)
+    elem, theta, phi = rows["elem"], rows["theta_deg"], rows["phi_deg"]
+
+    # Row defects as (row, rank of the check within a row, message); the least is reported.
+    defects = [(malformed[0], 0, malformed[1])] if malformed else []
+    samples = np.column_stack([rows[name] for name in _GRID_ROW.names[1:]])
+    for rank, bad, message in (
+        (1, ~np.all(np.isfinite(samples), axis=1), "non-finite sample"),
+        (2, elem < 0, "negative element index"),
+    ):
+        if bad.any():
+            defects.append((int(np.argmax(bad)), rank, message))
+    order = np.lexsort((phi, theta, elem))
+    repeat = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in (elem, theta, phi)])
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        cell = f"elem={int(elem[i])}, theta={float(theta[i])}, phi={float(phi[i])}"
+        defects.append((i, 3, f"duplicate sample for {cell}"))
+    if defects:
+        row, _, message = min(defects)
+        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+        raise GridFormatError(f"{path}:{lineno}: {message}")
+
+    L = int(elem.max()) + 1
+    if np.unique(elem).size != L:
         raise GridFormatError(f"{path}: incomplete grid; element indices must be contiguous from 0")
-    theta_axis = np.array(sorted(thetas))
-    phi_axis = np.array(sorted(phis))
-    e_theta = np.empty((L, theta_axis.size, phi_axis.size), dtype=complex)
-    e_phi = np.empty_like(e_theta)
-    for l in range(L):
-        for it, t in enumerate(theta_axis):
-            for ip, p in enumerate(phi_axis):
-                try:
-                    et, ep = samples[(l, t, p)]
-                except KeyError:
-                    raise GridFormatError(
-                        f"{path}: incomplete grid; missing sample for elem={l}, theta={t}, phi={p}"
-                    ) from None
-                e_theta[l, it, ip] = et
-                e_phi[l, it, ip] = ep
-    return EFieldGrid(
-        array_id=array_id if array_id is not None else path.stem,
-        theta_axis=theta_axis,
-        phi_axis=phi_axis,
-        e_theta=e_theta,
-        e_phi=e_phi,
+    theta_axis, phi_axis = np.unique(theta), np.unique(phi)
+    shape = (L, theta_axis.size, phi_axis.size)
+    # Rows in (elem, theta, phi) order hold distinct cells, so the product is
+    # complete iff cell k sits at sorted position k for every k.
+    cell = np.ravel_multi_index(
+        (elem[order], np.searchsorted(theta_axis, theta[order]), np.searchsorted(phi_axis, phi[order])), shape
     )
+    misplaced = cell != np.arange(cell.size)
+    if misplaced.any() or cell.size != math.prod(shape):
+        l, it, ip = np.unravel_index(int(np.argmax(misplaced)) if misplaced.any() else cell.size, shape)
+        raise GridFormatError(
+            f"{path}: incomplete grid; missing sample for elem={int(l)}, "
+            f"theta={float(theta_axis[it])}, phi={float(phi_axis[ip])}"
+        )
+    fields = np.empty((2, *shape), dtype=complex)  # parts set apart, so every bit (and -0.0) survives
+    fields.real = np.stack([rows["re_etheta"], rows["re_ephi"]])[:, order].reshape(fields.shape)
+    fields.imag = np.stack([rows["im_etheta"], rows["im_ephi"]])[:, order].reshape(fields.shape)
+    try:
+        return EFieldGrid(array_id if array_id is not None else path.stem, theta_axis, phi_axis, *fields)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -79,29 +79,26 @@ class CoverageStats:
         return self.percentiles[50.0]
 
 
-def beam_gains_linear(grid: EFieldGrid, weights, dirs: DirectionSet) -> np.ndarray:
-    """Linear gains of one beam at every direction of an on-mesh set."""
-    if hasattr(weights, "weights"):
-        weights = weights.weights
-    et, ep = grid.fields_at(dirs)
-    w = np.asarray(weights, dtype=complex)
+def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
+    """GAIN_FACTOR * (|w^H e_T|^2 + |w^H e_P|^2) against (L, N) field matrices.
+
+    One beam (L,) gives N gains, a stack (n, L) an (n, N) matrix; every
+    realized gain of the package is computed here.
+    """
+    w = np.asarray(getattr(weights, "weights", weights), dtype=complex)
     return GAIN_FACTOR * (np.abs(w.conj() @ et) ** 2 + np.abs(w.conj() @ ep) ** 2)
 
 
 def beam_gain(grid: EFieldGrid, weights, direction) -> float:
     """Realized linear gain of one beam at one on-mesh direction."""
-    w = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=complex)
-    ds = DirectionSet(
-        np.array([direction.theta]), np.array([direction.phi]), np.array([1.0])
-    )
-    return float(beam_gains_linear(grid, w, ds)[0])
+    ds = DirectionSet(np.array([direction.theta]), np.array([direction.phi]), np.array([1.0]))
+    return float(field_gains(weights, *grid.fields_at(ds))[0])
 
 
 def beam_pattern(grid: EFieldGrid, weights, dirs: DirectionSet, label: str = "") -> GainPattern:
     """Gain pattern of a single beam over a direction set (snapped to the mesh)."""
-    w = weights.weights if hasattr(weights, "weights") else np.asarray(weights, dtype=complex)
-    snapped = snap_to_grid(dirs, grid)
-    return GainPattern(dirs, db_from_linear(beam_gains_linear(grid, w, snapped)), label)
+    gains = field_gains(weights, *grid.fields_at(snap_to_grid(dirs, grid)))
+    return GainPattern(dirs, db_from_linear(gains), label)
 
 
 def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
@@ -110,24 +107,28 @@ def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
     return grids
 
 
+def entry_gains_linear(grids, codebook, dirs: DirectionSet) -> Iterator[tuple[DirectionSet, np.ndarray]]:
+    """Per entry, the directions snapped to its array's mesh and its gains; one lookup per array."""
+    grid_map = _as_grid_map(grids)
+    resolved: dict[str, tuple[DirectionSet, np.ndarray, np.ndarray]] = {}
+    for entry in codebook.entries:
+        if entry.array_id not in resolved:
+            grid = grid_map[entry.array_id]
+            snapped = snap_to_grid(dirs, grid)
+            resolved[entry.array_id] = (snapped, *grid.fields_at(snapped))
+        snapped, et, ep = resolved[entry.array_id]
+        yield snapped, field_gains(entry.weights.weights, et, ep)
+
+
 def composite_gains_linear(grids, codebook, dirs: DirectionSet) -> np.ndarray:
     """Per-direction max gain over all codebook entries, linear scale.
 
     Each entry is evaluated on its own array's grid; directions are
     snapped to each mesh involved.
     """
-    grid_map = _as_grid_map(grids)
     if codebook.size == 0:
         raise ValueError("codebook is empty")
-    best = np.zeros(len(dirs))
-    snapped: dict[str, DirectionSet] = {}
-    for entry in codebook.entries:
-        grid = grid_map[entry.array_id]
-        if entry.array_id not in snapped:
-            snapped[entry.array_id] = snap_to_grid(dirs, grid)
-        g = beam_gains_linear(grid, entry.weights.weights, snapped[entry.array_id])
-        np.maximum(best, g, out=best)
-    return best
+    return np.max([g for _, g in entry_gains_linear(grids, codebook, dirs)], axis=0)
 
 
 def composite_pattern(grids, codebook, dirs: DirectionSet, label: str = "composite") -> GainPattern:
@@ -174,21 +175,29 @@ def gap_map(composite: GainPattern, bound: GainPattern) -> GainPattern:
     return GainPattern(composite.directions, np.maximum(diff, 0.0), label="gap to upper bound")
 
 
+def weighted_percentiles(gains: np.ndarray, weights: np.ndarray, percentiles) -> tuple[np.ndarray, ...]:
+    """(gain at each percentile, sorted gains, normalized cumulative weights) of a weighted sample.
+
+    The gain at X% is the left inverse of the CDF: the smallest gain whose
+    cumulative weight reaches X/100.
+    """
+    order = np.argsort(gains, kind="stable")
+    g_sorted = gains[order]
+    cum = np.cumsum(weights[order])
+    cum /= cum[-1]
+    k = np.minimum(np.searchsorted(cum, np.asarray(percentiles, dtype=float) / 100.0), g_sorted.size - 1)
+    return g_sorted[k], g_sorted, cum
+
+
 def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,)) -> CoverageStats:
     """Weighted mean, percentiles, and empirical CDF of a gain pattern."""
+    if any(not (0.0 < x < 100.0) for x in percentiles):
+        raise ValueError("percentiles must lie in (0, 100)")
     w = pattern.directions.weights
     g = pattern.gains_linear
-    order = np.argsort(g, kind="stable")
-    g_sorted = g[order]
-    cum = np.cumsum(w[order])
-    cum /= cum[-1]
+    values, g_sorted, cum = weighted_percentiles(g, w, percentiles)
     mean_db = db_from_linear(float(np.dot(w, g)))
-    pct: dict[float, float] = {}
-    for x in percentiles:
-        if not (0.0 < x < 100.0):
-            raise ValueError("percentiles must lie in (0, 100)")
-        k = int(np.searchsorted(cum, x / 100.0))
-        pct[float(x)] = db_from_linear(g_sorted[min(k, g_sorted.size - 1)])
+    pct = {float(x): db_from_linear(v) for x, v in zip(percentiles, values)}
     cdf = np.column_stack([db_from_linear(g_sorted), cum])
     return CoverageStats(mean_db=mean_db, percentiles=pct, cdf=cdf)
 

@@ -134,6 +134,33 @@ class TestDesign:
         assert main(["design", "--config", str(config)]) == 2
 
 
+_KMEANS = {"name": "kmeans", "size": 4, "phase_bits": 5, "seed": 1, "init": "benchmark",
+           "n_randomizations": 20}
+
+# Bad config values, each of which must be a config error (exit 2) when the
+# config is loaded, whichever command loads it.
+CONFIG_PROBES = {
+    "negative seed": {"algorithm": {**_KMEANS, "seed": -1}},
+    "non-integer seed": {"algorithm": {**_KMEANS, "seed": "x"}},
+    "zero randomizations": {"algorithm": {**_KMEANS, "n_randomizations": 0}},
+    "zero iterations": {"algorithm": {**_KMEANS, "max_iterations": 0}},
+    "size above the 241 directions": {"algorithm": {**_KMEANS, "size": 242}},
+    "empty fibonacci set": {"evaluation": {"directions": {"kind": "fibonacci", "count": 0}}},
+    "zero greedy candidates": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                             "candidates": {"count": 0}}},
+    "percentile above 100": {"evaluation": {"percentiles": [150]}},
+    "non-integer panel elements": {"algorithm": {**_KMEANS, "elements": "x", "spacing_lambda": 0.5}},
+    "zero panel spacing": {"algorithm": {**_KMEANS, "spacing_lambda": 0}},
+}
+
+
+@pytest.mark.parametrize("command", ["design", "eval"])
+@pytest.mark.parametrize("probe", CONFIG_PROBES)
+def test_bad_config_value_exits_2(tmp_path, probe, command):
+    config = write_config(tmp_path / "cfg.json", **CONFIG_PROBES[probe])
+    assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+
+
 class TestEval:
     @pytest.fixture()
     def designed(self, tmp_path):
