@@ -58,13 +58,14 @@ from .efield import (
     load_efield,
     mesh_directions,
     save_efield,
+    write_json,
 )
 from .metrics import (
     PATTERN_CSV_HEADER,
+    CoverageStats,
     composite_pattern,
     coverage_stats,
     gap_map,
-    stats_to_dict,
     upper_bound_pattern,
     write_pattern_csv,
     write_stats_json,
@@ -84,15 +85,22 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A run config as loaded by :func:`load_run_config`, every value checked."""
+    """A run config as loaded by :func:`load_run_config`: every value checked, every default applied."""
 
     grids: dict[str, EFieldGrid]
-    synthetic_specs: dict[str, SyntheticUlaSpec]
-    algorithm: dict
-    evaluation: dict
     output_dir: Path
-    config_dir: Path
+    algorithm: str
+    size: int
+    seed: int
     phase_spec: PhaseSpec
+    n_rand: int
+    max_iterations: int
+    # Greedy candidate pool, also the pool of a greedy K-Means init: (count per sphere, method).
+    candidates: tuple[int, str]
+    # K-Means init ("benchmark", "uniform" or "greedy"); None for other algorithms.
+    init: str | None
+    # The linear array the benchmark codebook or the benchmark init is built for, else None.
+    ula: SyntheticUlaSpec | None
     # Evaluation directions restricted to the algorithm's and to the
     # evaluation's region, and the sorted percentiles to report (always 50).
     design_dirs: DirectionSet
@@ -104,9 +112,21 @@ class RunConfig:
 
 
 def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if mapping.get(key) is None:
         raise ConfigError(f"{context}: missing required key '{key}'")
     return mapping[key]
+
+
+def _integer(block: dict, key: str, minimum: int, default: int | None = None) -> int | None:
+    """``block[key]``, or ``default`` when absent: a JSON integer >= ``minimum``, or None."""
+    value = block.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
+        raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _default_output_dir() -> Path:
+    return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
 
 
 def _parse_region(data) -> CoverageRegion | None:
@@ -121,15 +141,16 @@ def _parse_synthetic(block: dict) -> SyntheticUlaSpec:
         num_elements=int(_require(block, "elements", "synthetic array")),
         spacing_over_lambda=float(_require(block, "spacing_lambda", "synthetic array")),
         element_pattern_q=float(block.get("pattern_q", 0.0)),
-        sampling_factor=int(block["sampling_factor"]) if block.get("sampling_factor") is not None else None,
+        sampling_factor=_integer(block, "sampling_factor", 1),
     )
 
 
 def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
     """Read a run config, build its arrays and check every value.
 
-    This is the one validation pass: a bad value anywhere in the file is a
-    ConfigError (exit 2) here, so no later stage fails on it.
+    This is the one validation pass and the only reader of the config
+    file: a bad value anywhere in it is a ConfigError (exit 2) here, so no
+    later stage fails on it, and every default is applied here.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -142,29 +163,26 @@ def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
     try:
         # The constructors of the domain objects reject bad values with these
         # exceptions; GridFormatError and ConfigError are ValueErrors too.
-        grids, synth, generator_dirs = _load_arrays(_require(data, "arrays", str(path)), config_dir)
+        grids, synthetic = _load_arrays(_require(data, "arrays", str(path)), config_dir)
         algorithm = dict(_require(data, "algorithm", str(path)))
         for key in ("seed", "size", "phase_bits"):
             if overrides.get(key) is not None:
                 algorithm[key] = overrides[key]
-        evaluation = dict(data.get("evaluation", {}))
-        settings = _check_settings(algorithm, evaluation, grids, generator_dirs)
+        settings = _check_settings(algorithm, data.get("evaluation", {}), grids, synthetic)
+        output_dir = config_dir / data["output_dir"] if data.get("output_dir") else _default_output_dir()
+        if overrides.get("output_dir") is not None:
+            output_dir = Path(overrides["output_dir"])
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(str(exc)) from None
-    out = overrides.get("output_dir") or data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "out")
-    output_dir = Path(out)
-    if not output_dir.is_absolute() and overrides.get("output_dir") is None and "output_dir" in data:
-        output_dir = config_dir / output_dir
-    return RunConfig(grids, synth, algorithm, evaluation, output_dir, config_dir, **settings)
+    return RunConfig(grids, output_dir, **settings)
 
 
 def _load_arrays(arrays, config_dir: Path):
-    """Grids and synthetic specs by array id, plus the first synthetic array's own directions."""
+    """Grids by array id, plus the first synthetic array's spec and own directions (None without one)."""
     if not isinstance(arrays, list) or not arrays:
         raise ConfigError("'arrays' must be a nonempty list")
     grids: dict[str, EFieldGrid] = {}
-    synth: dict[str, SyntheticUlaSpec] = {}
-    generator_dirs: DirectionSet | None = None
+    synthetic: tuple[SyntheticUlaSpec, DirectionSet] | None = None
     for i, block in enumerate(arrays):
         array_id = str(block.get("id", f"array{i}"))
         if array_id in grids:
@@ -172,8 +190,7 @@ def _load_arrays(arrays, config_dir: Path):
         if "synthetic" in block:
             spec = _parse_synthetic(block["synthetic"])
             grid, dirs = generate_ula_efield(spec, array_id=array_id)
-            synth[array_id] = spec
-            generator_dirs = dirs if generator_dirs is None else generator_dirs
+            synthetic = synthetic or (spec, dirs)
         elif "csv" in block:
             csv_path = config_dir / block["csv"]  # an absolute path replaces config_dir
             if not csv_path.exists():
@@ -182,38 +199,56 @@ def _load_arrays(arrays, config_dir: Path):
         else:
             raise ConfigError(f"array '{array_id}': needs either 'synthetic' or 'csv'")
         grids[array_id] = grid
-    return grids, synth, generator_dirs
+    return grids, synthetic
 
 
 def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGrid],
-                    generator_dirs: DirectionSet | None) -> dict:
+                    synthetic: tuple[SyntheticUlaSpec, DirectionSet] | None) -> dict:
     """Check the algorithm and evaluation values; returns the RunConfig fields they resolve to."""
     name = _require(algorithm, "name", "algorithm")
     if name not in ("greedy", "kmeans", "benchmark", "3c"):
         raise ConfigError(f"unknown algorithm '{name}'")
+    _require(algorithm, "size", "algorithm")
+    size = _integer(algorithm, "size", 1)
+    bits = _integer(algorithm, "phase_bits", 1)
+    if name == "3c" and bits is None:
+        raise ConfigError("the 802.15.3c codebook requires 'phase_bits'")
     candidates = algorithm.get("candidates", {})
-    spec = evaluation.get("directions", {"kind": "generator" if generator_dirs is not None else "fibonacci"})
-    for block, key, minimum in ((algorithm, "size", 1), (algorithm, "seed", 0), (algorithm, "phase_bits", 1),
-                                (algorithm, "n_randomizations", 1), (algorithm, "max_iterations", 1),
-                                (algorithm, "elements", 1), (candidates, "count", 1), (spec, "count", 1)):
-        value = block.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
-            raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
+    count, method = _integer(candidates, "count", 1, 363), candidates.get("method", "eigen")
+    if method not in ("eigen", "iterative"):
+        raise ConfigError(f"unknown candidates method '{method}'")
+
+    init = algorithm.get("init", "benchmark") if name == "kmeans" else None
+    if name == "kmeans" and init not in ("benchmark", "uniform", "greedy"):
+        raise ConfigError(f"unknown kmeans init '{init}'")
+    if init == "greedy" and count * len(grids) < size:
+        raise ConfigError(f"greedy init needs {size} candidates, got {count} on each of {len(grids)} arrays")
+    if init == "benchmark" and size % len(grids) != 0:
+        raise ConfigError("benchmark init needs a codebook size divisible by the number of arrays")
+    # The benchmark geometry of CSV arrays, which carry no spec.
+    elements = _integer(algorithm, "elements", 1, next(iter(grids.values())).num_elements)
     spacing = algorithm.get("spacing_lambda")
     if spacing is not None and (isinstance(spacing, bool) or not isinstance(spacing, (int, float)) or spacing <= 0):
         raise ConfigError(f"'spacing_lambda' must be a positive number, got {spacing!r}")
-    if candidates.get("method", "eigen") not in ("eigen", "iterative"):
-        raise ConfigError(f"unknown candidates method '{candidates['method']}'")
-    bits = algorithm.get("phase_bits")
-    phase_spec = PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits)
+    ula = None
+    if name == "benchmark" or init == "benchmark":
+        if spacing is not None:
+            ula = SyntheticUlaSpec(num_elements=elements, spacing_over_lambda=float(spacing))
+        elif synthetic is not None:
+            ula = synthetic[0]
+        else:
+            raise ConfigError(f"benchmark {'codebook' if name == 'benchmark' else 'init'}: "
+                              "needs a synthetic array or an explicit 'spacing_lambda'")
 
-    kind = spec.get("kind", "generator")
-    if kind == "generator" and generator_dirs is not None:
-        dirs = generator_dirs
+    spec = evaluation.get("directions", {})
+    kind = spec.get("kind", "generator" if synthetic is not None else "fibonacci")
+    fibonacci_count = _integer(spec, "count", 1, 1800)
+    if kind == "generator" and synthetic is not None:
+        dirs = synthetic[1]
     elif kind == "generator":
         raise ConfigError("directions kind 'generator' requires a synthetic array")
     elif kind == "fibonacci":
-        dirs = fibonacci_directions(spec.get("count", 1800))
+        dirs = fibonacci_directions(fibonacci_count)
     elif kind == "mesh":
         dirs = mesh_directions(next(iter(grids.values())))
     else:
@@ -222,122 +257,77 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
         dirs if region is None else restrict_region(dirs, region)
         for region in (_parse_region(algorithm.get("region")), _parse_region(evaluation.get("region")))
     )
-    if name == "kmeans" and algorithm.get("size", 0) > len(design_dirs):
-        raise ConfigError(f"size {algorithm['size']} exceeds the {len(design_dirs)} design directions")
+    if name == "kmeans" and size > len(design_dirs):
+        raise ConfigError(f"size {size} exceeds the {len(design_dirs)} design directions")
 
     percentiles = sorted({float(p) for p in evaluation.get("percentiles", [])} | {50.0})
     if not all(0.0 < p < 100.0 for p in percentiles):
         raise ConfigError(f"evaluation percentiles must lie in (0, 100), got {percentiles}")
     criterion = stop = None
     if name == "greedy":
-        criterion = _parse_criterion(algorithm.get("criterion"))
-        stop = _parse_stop(algorithm.get("stop"), _require(algorithm, "size", "algorithm"))
-    return dict(phase_spec=phase_spec, design_dirs=design_dirs, eval_dirs=eval_dirs,
-                percentiles=percentiles, criterion=criterion, stop=stop)
+        criterion = _parse_criterion(algorithm.get("criterion") or {})
+        stop = _parse_stop(algorithm.get("stop") or {}, size)
+        for rule in (criterion, stop):
+            if getattr(rule, "region", None) is not None:
+                restrict_region(design_dirs, rule.region)  # raises if the region holds no design direction
+    return dict(algorithm=name, size=size, seed=_integer(algorithm, "seed", 0, 0),
+                phase_spec=PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits),
+                n_rand=_integer(algorithm, "n_randomizations", 1, 1000),
+                max_iterations=_integer(algorithm, "max_iterations", 1, 50),
+                candidates=(count, method), init=init, ula=ula, design_dirs=design_dirs,
+                eval_dirs=eval_dirs, percentiles=percentiles, criterion=criterion, stop=stop)
 
 
-def _first_synthetic(config: RunConfig, context: str) -> SyntheticUlaSpec:
-    algo = config.algorithm
-    if algo.get("spacing_lambda") is not None:
-        first = next(iter(config.grids.values()))
-        return SyntheticUlaSpec(
-            num_elements=int(algo.get("elements", first.num_elements)),
-            spacing_over_lambda=float(algo["spacing_lambda"]),
-        )
-    if config.synthetic_specs:
-        return next(iter(config.synthetic_specs.values()))
-    raise ConfigError(f"{context}: needs a synthetic array or an explicit 'spacing_lambda'")
-
-
-def _parse_criterion(block) -> MeanGainCriterion | PercentileMixCriterion:
-    if block is None:
-        return MeanGainCriterion()
+def _parse_criterion(block: dict) -> MeanGainCriterion | PercentileMixCriterion:
     kind = block.get("kind", "mean")
     if kind == "mean":
         return MeanGainCriterion(_parse_region(block.get("region")))
     if kind == "percentiles":
-        points = block.get("points")
-        if not points:
-            raise ConfigError("percentiles criterion needs 'points': [[percentile, weight], ...]")
-        return PercentileMixCriterion(tuple((float(x), float(b)) for x, b in points))
+        return PercentileMixCriterion(_require(block, "points", "percentiles criterion"))
     raise ConfigError(f"unknown criterion kind '{kind}'")
 
 
-def _parse_stop(block, size: int) -> SizeLimit | MeanThreshold | PercentileThreshold:
-    if block is None or block.get("kind", "size") == "size":
-        return SizeLimit(int((block or {}).get("size", size)))
-    kind = block["kind"]
+def _parse_stop(block: dict, size: int) -> SizeLimit | MeanThreshold | PercentileThreshold:
+    kind = block.get("kind", "size")
+    if kind == "size":
+        return SizeLimit(size)
     if kind == "mean-threshold":
         return MeanThreshold(float(_require(block, "threshold_db", "stop")), _parse_region(block.get("region")))
     if kind == "percentile-threshold":
-        return PercentileThreshold(
-            float(_require(block, "percentile", "stop")),
-            float(_require(block, "threshold_db", "stop")),
-        )
+        return PercentileThreshold(float(_require(block, "percentile", "stop")),
+                                   float(_require(block, "threshold_db", "stop")))
     raise ConfigError(f"unknown stopping rule '{kind}'")
 
 
 def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     """Run the configured synthesis; returns the codebook and a log record."""
-    algo = config.algorithm
-    name = algo["name"]
-    phase_spec = config.phase_spec
-    size = _require(algo, "size", "algorithm")
-    seed = algo.get("seed", 0)
+    name, size, seed, phase_spec = config.algorithm, config.size, config.seed, config.phase_spec
+    array_ids = list(config.grids)
     log: dict = {"algorithm": name, "size": size, "seed": seed,
                  "phase_bits": phase_spec.bits, "status": "ok"}
 
     if name == "benchmark":
-        ula = _first_synthetic(config, "benchmark codebook")
-        return benchmark_codebook(ula, size, phase_spec, array_ids=list(config.grids)), log
+        return benchmark_codebook(config.ula, size, phase_spec, array_ids=array_ids), log
     if name == "3c":
-        if not phase_spec.is_discrete:
-            raise ConfigError("the 802.15.3c codebook requires 'phase_bits'")
         L = next(iter(config.grids.values())).num_elements
-        return codebook_802_15_3c(L, size, phase_spec.bits, array_ids=list(config.grids)), log
-
-    dirs = config.design_dirs
-    cand_cfg = algo.get("candidates", {})
-    n_rand = algo.get("n_randomizations", 1000)
+        return codebook_802_15_3c(L, size, phase_spec.bits, array_ids=array_ids), log
 
     if name == "greedy":
-        candidates = generate_candidates(
-            config.grids,
-            cand_cfg.get("count", 363),
-            cand_cfg.get("method", "eigen"),
-            phase_spec,
-            seed=seed,
-            n_rand=n_rand,
-        )
-        result = greedy_codebook(candidates, config.grids, config.criterion, config.stop, dirs)
+        candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
+                                         seed=seed, n_rand=config.n_rand)
+        result = greedy_codebook(candidates, config.grids, config.criterion, config.stop, config.design_dirs)
         log["trace_db"] = [float(u) for u in result.utilities_db]
         log["status"] = result.stop_reason if result.stop_reason != "stopping rule satisfied" else "ok"
         return result.codebook, log
 
     # kmeans
-    init_name = algo.get("init", "benchmark")
-    init: str | GreedyInitSpec | Codebook
-    if init_name == "uniform":
-        init = "uniform"
-    elif init_name == "greedy":
-        init = GreedyInitSpec(cand_cfg.get("count", 363), cand_cfg.get("method", "eigen"))
-    elif init_name == "benchmark":
-        n_arrays = len(config.grids)
-        if size % n_arrays != 0:
-            raise ConfigError("benchmark init needs a codebook size divisible by the number of arrays")
-        ula = _first_synthetic(config, "benchmark init")
-        init = benchmark_codebook(ula, size // n_arrays, phase_spec, array_ids=list(config.grids))
-    else:
-        raise ConfigError(f"unknown kmeans init '{init_name}'")
-    kcfg = KMeansConfig(
-        num_beams=size,
-        direction_set=dirs,
-        phase_spec=phase_spec,
-        init=init,
-        n_rand=n_rand,
-        max_iterations=algo.get("max_iterations", 50),
-        seed=seed,
-    )
+    init: str | GreedyInitSpec | Codebook = config.init
+    if init == "greedy":
+        init = GreedyInitSpec(*config.candidates)
+    elif init == "benchmark":
+        init = benchmark_codebook(config.ula, size // len(array_ids), phase_spec, array_ids=array_ids)
+    kcfg = KMeansConfig(num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec, init=init,
+                        n_rand=config.n_rand, max_iterations=config.max_iterations, seed=seed)
     result = kmeans_codebook(kcfg, config.grids)
     log["trace_db"] = [float(u) for u in result.mean_gain_trace_db]
     log["iterations"] = result.iterations
@@ -345,25 +335,15 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     return result.codebook, log
 
 
-def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -> dict:
-    """Write pattern/bound/gap CSVs plus stats JSON; returns the stats dict."""
+def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -> CoverageStats | None:
+    """Write pattern/bound/gap CSVs and stats JSON; the codebook (None: bound only) must fit the config's arrays."""
     dirs = config.eval_dirs
     out.mkdir(parents=True, exist_ok=True)
 
     bound = upper_bound_pattern(config.grids, dirs)
     write_pattern_csv(bound, out / "bound.csv")
     if codebook is None:
-        return {}
-
-    for entry in codebook.entries:
-        if entry.array_id not in config.grids:
-            raise ConfigError(f"codebook references unknown array '{entry.array_id}'")
-        L = config.grids[entry.array_id].num_elements
-        if entry.weights.num_elements != L:
-            raise ConfigError(
-                f"codebook/array size mismatch on '{entry.array_id}': "
-                f"{entry.weights.num_elements} weights vs {L} elements"
-            )
+        return None
     pattern = composite_pattern(config.grids, codebook, dirs)
     write_pattern_csv(pattern, out / "pattern.csv")
     write_pattern_csv(gap_map(pattern, bound), out / "gap.csv")
@@ -372,7 +352,7 @@ def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -
     (out / "summary.txt").write_text(
         codebook_summary(codebook, config.grids, dirs) + "\n", encoding="utf-8"
     )
-    return stats_to_dict(stats)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +371,7 @@ def _cmd_gen_efield(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "out"))
+    out = Path(args.out) if args.out else _default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     grid, _ = generate_ula_efield(spec, array_id=args.array_id)
     csv_path = out / f"{args.name}.csv"
@@ -403,9 +383,7 @@ def _cmd_gen_efield(args) -> int:
         "sampling_factor": spec.effective_sampling_factor,
         "array_id": args.array_id,
     }
-    (out / f"{args.name}.spec.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(sidecar, out / f"{args.name}.spec.json")
     print(f"wrote {csv_path} ({grid.theta_axis.size * grid.phi_axis.size} directions)")
     return 0
 
@@ -418,9 +396,7 @@ def _cmd_design(args) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     save_codebook(codebook, out / "codebook.json")
-    (out / "design_log.json").write_text(
-        json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(log, out / "design_log.json")
     status = log["status"]
     print(f"wrote {out / 'codebook.json'} ({codebook.size} beams, status: {status})")
     if status not in ("ok",):
@@ -430,12 +406,21 @@ def _cmd_design(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = load_run_config(args.config, {"output_dir": args.output_dir})
-    codebook = load_codebook(args.codebook) if args.codebook else None
+    codebook = None
+    if args.codebook:
+        try:
+            codebook = load_codebook(args.codebook)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"codebook {args.codebook}: {exc}") from None
+        for entry in codebook.entries:
+            grid = config.grids.get(entry.array_id)
+            if grid is None or entry.weights.num_elements != grid.num_elements:
+                raise ConfigError(f"codebook {args.codebook}: a beam with {entry.weights.num_elements} weights "
+                                  f"on array '{entry.array_id}' fits no array of the config")
     out = config.output_dir
     stats = evaluate_codebook(config, codebook, out)
-    if stats:
-        print(f"wrote {out / 'stats.json'} (mean {stats['mean_db']:.2f} dB, "
-              f"median {stats['percentiles']['50']:.2f} dB)")
+    if stats is not None:
+        print(f"wrote {out / 'stats.json'} (mean {stats.mean_db:.2f} dB, median {stats.median_db:.2f} dB)")
     else:
         print(f"wrote {out / 'bound.csv'} (upper bound only)")
     return 0
@@ -461,7 +446,7 @@ def _cmd_compare(args) -> int:
         cells = [name, algo, str(size), repr(stats.mean_db), repr(stats.percentiles[50.0])]
         cells += [repr(stats.percentiles[p]) for p in percentiles if p != 50.0]
         lines.append(",".join(cells))
-    out = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "out"))
+    out = Path(args.output_dir) if args.output_dir else _default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     table = "\n".join(lines) + "\n"
     (out / "compare.csv").write_text(table, encoding="utf-8", newline="\n")
@@ -508,7 +493,7 @@ def _selfcheck_file(path: Path) -> tuple[bool, str]:
             return False, f"unknown CSV header: {first!r}"
         if path.suffix == ".json":
             data = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(data, dict) and "entries" in data and "phase_bits" in data:
+            if isinstance(data, dict) and "entries" in data:
                 load_codebook(path)
                 return True, "codebook"
             if isinstance(data, dict) and "cdf" in data:

@@ -33,6 +33,8 @@ from .efield import (
     field_coherence,
     fibonacci_directions,
     snap_to_grid,
+    top_eigenvalues,
+    write_json,
 )
 from .metrics import _as_grid_map, db_from_linear, entry_gains_linear, field_gains, weighted_percentiles
 
@@ -80,24 +82,31 @@ def codebook_to_dict(codebook: Codebook) -> dict:
     }
 
 
-def codebook_from_dict(data: dict) -> Codebook:
+def codebook_from_dict(data) -> Codebook:
+    """Inverse of :func:`codebook_to_dict`; any schema violation is a ValueError naming it."""
+    raw = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(raw, list) or not raw or "phase_bits" not in data:
+        raise ValueError("a codebook is a JSON object with 'phase_bits' and a nonempty 'entries' list")
     bits = data["phase_bits"]
-    spec = PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(int(bits))
+    if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)):
+        raise ValueError(f"'phase_bits' must be an integer or null, got {bits!r}")
+    spec = PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits)
     entries = []
-    for e in data["entries"]:
-        w = np.array([complex(re, im) for re, im in e["weights"]])
-        entries.append(CodebookEntry(str(e["array"]), BeamWeights(w, spec)))
+    for i, e in enumerate(raw):
+        try:
+            w = np.array([complex(re, im) for re, im in e["weights"]])
+            entries.append(CodebookEntry(str(e["array"]), BeamWeights(w, spec)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"entry {i}: {exc!r}") from None
     return Codebook(tuple(entries))
 
 
 def save_codebook(codebook: Codebook, path) -> None:
-    Path(path).write_text(
-        json.dumps(codebook_to_dict(codebook), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(codebook_to_dict(codebook), path)
 
 
 def load_codebook(path) -> Codebook:
+    """Read a codebook JSON file; OSError if unreadable, ValueError if malformed."""
     return codebook_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
@@ -197,6 +206,10 @@ class PercentileThreshold:
 
     percentile: float
     threshold_db: float
+
+    def __post_init__(self):
+        if not 0.0 < self.percentile < 100.0:
+            raise ValueError("percentile must lie in (0, 100)")
 
     def triggered(self, size: int, gains_linear: np.ndarray, dirs: DirectionSet) -> bool:
         if size == 0:
@@ -410,15 +423,11 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
     grid_map = _as_grid_map(grids)
     fib = fibonacci_directions(num_beams)
     per_array = [(array_id, *grid.fields_at(snap_to_grid(fib, grid))) for array_id, grid in grid_map.items()]
+    best = np.argmax([top_eigenvalues(et, ep) for _, et, ep in per_array], axis=0)  # ties -> first array
     entries = []
-    for i in range(num_beams):
-        best_lam, best = -1.0, None
-        for array_id, et, ep in per_array:
-            M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
-            lam = float(np.linalg.eigvalsh(M)[-1])
-            if lam > best_lam:
-                best_lam, best = lam, (array_id, M)
-        array_id, M = best
+    for i, a in enumerate(best):
+        array_id, et, ep = per_array[a]
+        M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
         entries.append(CodebookEntry(array_id, design_beam(M, phase_spec, "eigen")))
     return Codebook(tuple(entries))
 

@@ -10,11 +10,12 @@ linear-array generator below) is interchangeable.
 
 All angles are degrees: theta (zenith) in [0, 180], phi (azimuth) in
 [0, 360).  Grids and direction sets are immutable after construction and
-all functions here are pure.
+all functions here except the file readers and writers are pure.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,6 +251,16 @@ def field_coherence(et: np.ndarray, ep: np.ndarray, weights=None) -> np.ndarray:
     return et @ et.conj().T + ep @ ep.conj().T
 
 
+def top_eigenvalues(et: np.ndarray, ep: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of e_T e_T^H + e_P e_P^H per column of (L, N) field matrices, in closed form."""
+    ntt = np.sum(np.abs(et) ** 2, axis=0)
+    npp = np.sum(np.abs(ep) ** 2, axis=0)
+    cross = np.abs(np.sum(et.conj() * ep, axis=0)) ** 2
+    half_tr = 0.5 * (ntt + npp)
+    det = ntt * npp - cross
+    return half_tr + np.sqrt(np.maximum(half_tr**2 - det, 0.0))
+
+
 def coherence_matrix(grid: EFieldGrid, direction: Direction) -> np.ndarray:
     """Hermitian PSD matrix whose quadratic form gives the realized field power.
 
@@ -394,9 +405,19 @@ def save_efield(grid: EFieldGrid, path) -> None:
     elem, it, ip = np.indices(grid.e_theta.shape).reshape(3, -1)
     columns = [elem, grid.theta_axis[it], grid.phi_axis[ip]]
     columns += [part.ravel() for field in (grid.e_theta, grid.e_phi) for part in (field.real, field.imag)]
-    cells = [map(repr, column.tolist()) for column in columns]
-    lines = [GRID_CSV_HEADER, *map(",".join, zip(*cells))]
+    write_csv_columns(path, GRID_CSV_HEADER, columns)
+
+
+def write_csv_columns(path, header: str, columns) -> None:
+    """Write a header plus one row per index of the equal-length columns, each value as its ``repr`` (LF)."""
+    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
+    lines = [header, *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json(data, path) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys, trailing LF."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:

@@ -10,14 +10,12 @@ upper-bounds every codebook and serves as the coverage reference.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .efield import GAIN_FACTOR, DirectionSet, EFieldGrid, snap_to_grid
+from .efield import GAIN_FACTOR, DirectionSet, EFieldGrid, snap_to_grid, top_eigenvalues, write_csv_columns, write_json
 
 DB_FLOOR = -200.0
 
@@ -137,21 +135,11 @@ def composite_pattern(grids, codebook, dirs: DirectionSet, label: str = "composi
 
 
 def upper_bound_gains_linear(grids, dirs: DirectionSet) -> np.ndarray:
-    """Per-direction largest eigenvalue of the coherence matrix, max over arrays.
-
-    Uses the closed-form top eigenvalue of the rank-<=2 matrix (via its
-    2x2 polarization Gram matrix) rather than a dense eigensolve.
-    """
+    """Per-direction largest eigenvalue of the coherence matrix, max over arrays, times GAIN_FACTOR."""
     grid_map = _as_grid_map(grids)
     best = np.zeros(len(dirs))
     for grid in grid_map.values():
-        et, ep = grid.fields_at(snap_to_grid(dirs, grid))
-        ntt = np.sum(np.abs(et) ** 2, axis=0)
-        npp = np.sum(np.abs(ep) ** 2, axis=0)
-        cross = np.abs(np.sum(et.conj() * ep, axis=0)) ** 2
-        half_tr = 0.5 * (ntt + npp)
-        det = ntt * npp - cross
-        lam = half_tr + np.sqrt(np.maximum(half_tr**2 - det, 0.0))
+        lam = top_eigenvalues(*grid.fields_at(snap_to_grid(dirs, grid)))
         np.maximum(best, GAIN_FACTOR * lam, out=best)
     return best
 
@@ -203,11 +191,8 @@ def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,))
 
 
 def write_pattern_csv(pattern: GainPattern, path) -> None:
-    lines = [PATTERN_CSV_HEADER]
     d = pattern.directions
-    for t, p, w, g in zip(d.theta, d.phi, d.weights, pattern.gains_db):
-        lines.append(f"{float(t)!r},{float(p)!r},{float(w)!r},{float(g)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv_columns(path, PATTERN_CSV_HEADER, [d.theta, d.phi, d.weights, pattern.gains_db])
 
 
 def stats_to_dict(stats: CoverageStats) -> dict:
@@ -219,6 +204,4 @@ def stats_to_dict(stats: CoverageStats) -> dict:
 
 
 def write_stats_json(stats: CoverageStats, path) -> None:
-    Path(path).write_text(
-        json.dumps(stats_to_dict(stats), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(stats_to_dict(stats), path)

@@ -9,6 +9,7 @@ from beambook.cli import main
 
 
 def write_config(path, **overrides):
+    """Write the default run config with overrides; a dict override updates its block, a None value drops the key."""
     config = {
         "arrays": [
             {
@@ -27,7 +28,7 @@ def write_config(path, **overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(config.get(key), dict):
-            config[key].update(value)
+            config[key] = {k: v for k, v in {**config[key], **value}.items() if v is not None}
         else:
             config[key] = value
     path.write_text(json.dumps(config, indent=2))
@@ -136,6 +137,7 @@ class TestDesign:
 
 _KMEANS = {"name": "kmeans", "size": 4, "phase_bits": 5, "seed": 1, "init": "benchmark",
            "n_randomizations": 20}
+_ULA = {"elements": 4, "spacing_lambda": 0.65, "sampling_factor": 20}
 
 # Bad config values, each of which must be a config error (exit 2) when the
 # config is loaded, whichever command loads it.
@@ -151,14 +153,68 @@ CONFIG_PROBES = {
     "percentile above 100": {"evaluation": {"percentiles": [150]}},
     "non-integer panel elements": {"algorithm": {**_KMEANS, "elements": "x", "spacing_lambda": 0.5}},
     "zero panel spacing": {"algorithm": {**_KMEANS, "spacing_lambda": 0}},
+    "unknown kmeans init": {"algorithm": {**_KMEANS, "init": "bogus"}},
+    "3c without phase_bits": {"algorithm": {"name": "3c", "size": 4, "phase_bits": None}},
+    "benchmark init size not divisible by the arrays": {
+        "arrays": [{"id": "a", "synthetic": _ULA}, {"id": "b", "synthetic": _ULA}],
+        "algorithm": {**_KMEANS, "size": 3}},
+    "benchmark init on CSV arrays without spacing_lambda": {
+        "arrays": [{"id": "ula", "csv": "ula.csv"}], "algorithm": _KMEANS,
+        "evaluation": {"directions": {"kind": "mesh"}}},
+    "algorithm without size": {"algorithm": {**_KMEANS, "size": None}},
+    "greedy init pool below size": {"algorithm": {**_KMEANS, "init": "greedy", "candidates": {"count": 2}}},
+    "stop percentile above 100": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                                "stop": {"kind": "percentile-threshold",
+                                                         "percentile": 150, "threshold_db": 0}}},
+    "greedy criterion region without design directions": {
+        "algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                      "criterion": {"kind": "mean", "region": {"theta": [1.0, 2.0]}}}},
+    "greedy stop region without design directions": {
+        "algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                      "stop": {"kind": "mean-threshold", "threshold_db": 50, "region": {"theta": [1.0, 2.0]}}}},
+    "non-string output_dir": {"output_dir": 5},
 }
 
 
 @pytest.mark.parametrize("command", ["design", "eval"])
 @pytest.mark.parametrize("probe", CONFIG_PROBES)
 def test_bad_config_value_exits_2(tmp_path, probe, command):
+    grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.65, sampling_factor=20))
+    bb.save_efield(grid, tmp_path / "ula.csv")  # so the CSV probe fails on its config, not on a missing file
     config = write_config(tmp_path / "cfg.json", **CONFIG_PROBES[probe])
     assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+_BEAM = {"array": "ula", "weights": [[0.5, 0.0]] * 4}
+
+# Bad --codebook files: (file text or None for a missing file, whether
+# selfcheck must report the file as FAIL).  A JSON object without
+# 'entries' is not recognisably a codebook, so selfcheck passes it as metadata.
+BAD_CODEBOOKS = {
+    "no phase_bits": (json.dumps({"entries": [_BEAM]}), True),
+    "no entries": (json.dumps({"phase_bits": 5}), False),
+    "no beams": (json.dumps({"phase_bits": 5, "entries": []}), True),
+    "entry without array": (json.dumps({"phase_bits": 5, "entries": [{"weights": _BEAM["weights"]}]}), True),
+    "string phase_bits": (json.dumps({"phase_bits": "x", "entries": [_BEAM]}), True),
+    "non-unit-norm weights": (json.dumps({"phase_bits": 5, "entries": [{**_BEAM, "weights": [[1.0, 0.0]] * 4}]}), True),
+    "weights not pairs": (json.dumps({"phase_bits": 5, "entries": [{**_BEAM, "weights": [0.5] * 4}]}), True),
+    "malformed JSON": ('{"phase_bits": 5,', True),
+    "JSON list": ("[]", True),
+    "missing file": (None, None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CODEBOOKS)
+def test_bad_codebook_file_exits_2(tmp_path, case):
+    text, selfcheck_fails = BAD_CODEBOOKS[case]
+    config = write_config(tmp_path / "cfg.json")
+    path = tmp_path / "codebook.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["eval", "--config", str(config), "--codebook", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    if text is not None:
+        assert main(["selfcheck", str(path)]) == (1 if selfcheck_fails else 0)
 
 
 class TestEval:
@@ -206,8 +262,10 @@ class TestEval:
             bb.SyntheticUlaSpec(6, 0.5), 2, bb.PhaseSpec.discrete(5), array_ids=["ula"]
         )
         bb.save_codebook(other, tmp_path / "wrong.json")
-        rc = main(["eval", "--config", str(config), "--codebook", str(tmp_path / "wrong.json")])
+        rc = main(["eval", "--config", str(config), "--codebook", str(tmp_path / "wrong.json"),
+                   "--output-dir", str(tmp_path / "mismatch")])
         assert rc == 2
+        assert not (tmp_path / "mismatch").exists()  # rejected before any output is written
 
 
 class TestCompare:

@@ -271,6 +271,14 @@ class TestUniformInit:
         cb = bb.uniform_init(5, {"weak": weak, "strong": strong}, bb.PhaseSpec.discrete(5))
         assert all(e.array_id == "strong" for e in cb.entries)
 
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_ties_go_to_the_first_array(self, order):
+        grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
+        grids = {name: bb.EFieldGrid(name, grid.theta_axis, grid.phi_axis, grid.e_theta, grid.e_phi)
+                 for name in order}
+        cb = bb.uniform_init(6, grids, bb.PhaseSpec.discrete(5))
+        assert all(e.array_id == order[0] for e in cb.entries)
+
     def test_multi_array_attribution_by_eigen_bound(self):
         spec = bb.SyntheticUlaSpec(4, 0.5, element_pattern_q=2)
         theta_axis = np.arange(0.0, 180.1, 10.0)

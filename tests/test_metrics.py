@@ -202,6 +202,16 @@ class TestCoverageStats:
             bb.coverage_stats(self.constant_pattern(0.0), [0.0])
 
 
+class TestPatternCsv:
+    def test_one_repr_row_per_direction(self, tmp_path):
+        dirs = bb.fibonacci_directions(7)
+        pattern = bb.GainPattern(dirs, np.linspace(-3.3, 4.1, 7))
+        bb.write_pattern_csv(pattern, tmp_path / "p.csv")
+        rows = zip(dirs.theta.tolist(), dirs.phi.tolist(), dirs.weights.tolist(), pattern.gains_db.tolist())
+        expected = ["theta_deg,phi_deg,weight,gain_db"] + [f"{t!r},{p!r},{w!r},{g!r}" for t, p, w, g in rows]
+        assert (tmp_path / "p.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 class TestDbConversions:
     def test_round_trip(self):
         x = np.linspace(-199.0, 30.0, 1000)
