@@ -27,6 +27,7 @@ print(f"eigen bound (sum power only) ............ {eigen_bound:.6f}")
 relaxed = bb.solve_sdr(M)
 print(f"relaxation optimum (per-element power) .. {relaxed.objective:.6f} "
       f"(rank {relaxed.rank}, {relaxed.iterations} sweeps)")
+print(f"dual certificate on that optimum ........ {relaxed.bound:.6f}")
 
 spec = bb.PhaseSpec.discrete(BITS)
 rounded = bb.gaussian_randomization(relaxed, M, n_rand=1000, phase_spec=spec, seed=SEED)

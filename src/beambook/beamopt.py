@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "PhaseSpec",
     "BeamWeights",
     "SdrSolution",
+    "SdrBatch",
     "SdrConvergenceError",
     "CoordinateDescentResult",
     "quantize_phase",
@@ -135,31 +137,58 @@ class BeamWeights:
 
 @dataclass(frozen=True)
 class SdrSolution:
-    """Solution of the diagonally constrained semidefinite relaxation."""
+    """Solution of the diagonally constrained semidefinite relaxation.
+
+    ``bound`` is a dual certificate: no feasible W, and so no beam, has a
+    larger objective (up to rounding).  It sits between ``objective`` and
+    the largest eigenvalue of M.
+    """
 
     W: np.ndarray
     objective: float
     iterations: int
     residual: float
     rank: int
+    bound: float
+
+
+@dataclass(frozen=True)
+class SdrBatch:
+    """Solutions of a stack of relaxations, in stack order.
+
+    ``iterations`` is the number of sweeps the stack ran, that is, the
+    sweeps of its slowest member.
+    """
+
+    solutions: tuple[SdrSolution, ...]
+    iterations: int
 
 
 class SdrConvergenceError(RuntimeError):
-    """Relaxation solver hit its sweep cap; carries the best iterate."""
+    """Relaxation solver hit its sweep cap; carries the best iterate of every member."""
 
-    def __init__(self, message: str, solution: SdrSolution):
+    def __init__(self, message: str, solution: SdrSolution | SdrBatch):
         super().__init__(message)
         self.solution = solution
 
 
-def _check_square_hermitian(M: np.ndarray) -> np.ndarray:
+def _hermitian_stack(M) -> np.ndarray:
+    """Validate one square Hermitian matrix or a stack (B, L, L) of them; return the Hermitian part as a stack."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
+        raise ValueError("M must be square or a stack of square matrices")
+    stack = M.reshape((-1,) + M.shape[-2:])
+    H = stack.conj().transpose(0, 2, 1)
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    if np.any(np.abs(stack - H).max(axis=(1, 2)) > 1e-12 * scale):
         raise ValueError("M must be Hermitian")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (stack + H)
+
+
+def _check_square_hermitian(M: np.ndarray) -> np.ndarray:
+    if np.ndim(M) != 2:
+        raise ValueError("M must be square")
+    return _hermitian_stack(M)[0]
 
 
 def max_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -189,19 +218,95 @@ def _cophase(v: np.ndarray) -> np.ndarray:
     return np.exp(1j * phases) / math.sqrt(L)
 
 
-def _objective(M: np.ndarray, W: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,ji->", M, W)))
+def _objectives(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """tr(M W) of every member of a stack."""
+    return np.real(np.einsum("bij,bji->b", M, W))
 
 
-def _numerical_rank(psd: np.ndarray, rel_tol: float = 1e-9) -> int:
+def _numerical_ranks(psd: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     vals = np.linalg.eigvalsh(psd)
-    top = max(float(vals[-1]), 0.0)
-    if top == 0.0:
-        return 0
-    return int(np.sum(vals > rel_tol * top))
+    return np.sum(vals > rel_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
 
 
-def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSolution:
+def _dual_bounds(M: np.ndarray, W: np.ndarray, objective: np.ndarray) -> np.ndarray:
+    """Certified upper bounds on the relaxation optima of a stack.
+
+    For any y, the shifted y + t with t = max(0, -lambda_min(Diag(y) - M))
+    is dual feasible, so sum(y)/L + t bounds tr(M W) over every feasible W
+    (weak duality).  With y_i = L Re(MW)_ii, sum(y)/L is the objective and
+    t vanishes at the optimum (complementary slackness).
+    """
+    L = M.shape[-1]
+    y = L * np.real(np.einsum("bij,bji->bi", M, W))
+    lam_min = np.linalg.eigvalsh(y[:, :, None] * np.eye(L) - M)[:, 0]
+    return objective + np.maximum(0.0, -lam_min)
+
+
+# Barrier weights relative to trace(M), so the schedule is scale free; the
+# final zero stage is pure ascent.
+_BARRIER_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0])
+
+
+def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
+    """Barrier row-by-row ascent over a stack of relaxations.
+
+    Every sweep updates each row of every active member: with the other
+    rows fixed, the optimal off-diagonal row is t * B c, where B is W with
+    row and column i removed and c the off-diagonal part of column i of M;
+    t keeps the Schur complement at the barrier's optimum (or on its
+    boundary once the barrier is zero).  Zeroing row and column i of W
+    gives B c, padded with a zero at i, as one product.  A member moves to
+    its next barrier stage when a sweep improves its objective by less than
+    its stage tolerance, and leaves the stack after the last stage or at
+    the sweep cap; a member's arithmetic never involves another member.
+
+    Returns W, objective, sweeps, last improvement and stage tolerance per member.
+    """
+    B, L, _ = M.shape
+    gamma = 1.0 / L
+    W = np.broadcast_to(np.eye(L, dtype=complex) / L, (B, L, L)).copy()
+    obj = _objectives(M, W)
+    sweeps = np.zeros(B, dtype=int)
+    stage = np.zeros(B, dtype=int)
+    improvement = np.full(B, math.inf)
+    stage_tol = max(tol, 1e-14) * np.maximum(trace, 1.0) * 0.1
+    active = np.flatnonzero(sweeps < max_sweeps)
+    Ma, Wa = M[active], W[active]
+    while active.size:
+        sigma = _BARRIER_SCHEDULE[stage[active]] * trace[active]
+        sigma_gamma = sigma * gamma
+        barrier = sigma > 0.0
+        for i in range(L):
+            Wa[:, i, :] = 0.0
+            Wa[:, :, i] = 0.0
+            c = Ma[:, :, i]
+            u = (Wa @ c[:, :, None])[:, :, 0]
+            s = np.real((c.conj()[:, None, :] @ u[:, :, None])[:, 0, 0])
+            positive = s > 0.0
+            s_safe = np.where(positive, s, 1.0)
+            t = np.where(
+                barrier,
+                (-sigma_gamma + np.sqrt(sigma_gamma**2 + 4.0 * s_safe * gamma)) / (2.0 * s_safe),
+                np.sqrt(gamma / s_safe),
+            )
+            y = np.where(positive, t, 0.0)[:, None] * u
+            Wa[:, :, i] = y
+            Wa[:, i, :] = y.conj()
+            Wa[:, i, i] = gamma
+        new_obj = _objectives(Ma, Wa)
+        improvement[active] = new_obj - obj[active]
+        obj[active] = new_obj
+        sweeps[active] += 1
+        stage[active] += improvement[active] < stage_tol[active]
+        done = (stage[active] == _BARRIER_SCHEDULE.size) | (sweeps[active] >= max_sweeps)
+        if done.any():
+            W[active[done]] = Wa[done]
+            keep = ~done
+            active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+    return W, obj, sweeps, improvement, stage_tol
+
+
+def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSolution | SdrBatch:
     """Maximize tr(M W) over PSD W with every diagonal entry fixed to 1/L.
 
     Solved with a row-by-row block coordinate ascent: with all other rows
@@ -211,80 +316,71 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
     after which plain ascent polishes the solution.  Designed for the
     small dense matrices of beam design (L <= 16 or so).
 
+    ``M`` is one matrix, which gives an :class:`SdrSolution`, or a stack
+    of shape (B, L, L), which gives an :class:`SdrBatch`.  A stack runs one
+    ascent over all its members at once; each member keeps its own barrier
+    stage, sweep count and stop test, so its solution is bit for bit the
+    one it gets alone.  Every solution carries a dual certificate
+    (``bound``).
+
     Rank-one inputs short-circuit to the exact analytic optimum (the
-    co-phased rank-one W).  Raises :class:`SdrConvergenceError` if the
-    sweep budget is exhausted before the objective settles.
+    co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
+    every member's best iterate, if the sweep budget is exhausted before
+    some member's objective settles.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    M = _check_square_hermitian(M)
-    L = M.shape[0]
-    trace = float(np.real(np.trace(M)))
+    single = np.ndim(M) == 2
+    M = _hermitian_stack(M)
+    B, L, _ = M.shape
+    trace = np.real(np.trace(M, axis1=1, axis2=2))
 
     vals = np.linalg.eigvalsh(M)
-    if vals[0] < -1e-10 * max(trace, 1.0):
+    if np.any(vals[:, 0] < -1e-10 * np.maximum(trace, 1.0)):
         raise ValueError("M must be positive semidefinite")
 
-    if trace <= 0.0:
-        W = np.eye(L, dtype=complex) / L
-        return SdrSolution(W, 0.0, 0, 0.0, L)
-
+    # A zero-trace member keeps W = I/L with objective 0 and rank L.
+    W = np.broadcast_to(np.eye(L, dtype=complex) / L, (B, L, L)).copy()
+    objective = np.zeros(B)
+    sweeps = np.zeros(B, dtype=int)
+    improvement = np.zeros(B)
+    rank = np.full(B, L)
+    failed = np.zeros(B, dtype=bool)
+    live = trace > 0.0
     if L == 1:
-        W = np.ones((1, 1), dtype=complex)
-        return SdrSolution(W, trace, 0, 0.0, 1)
-
-    if vals[-2] <= 1e-12 * vals[-1]:
+        objective[live] = trace[live]
+        rank[live] = 1
+    else:
         # Rank-one M: the co-phased rank-one W attains the relaxation optimum
         # (Cauchy-Schwarz over the rows of any feasible factor).
-        _, v = max_eigenpair(M)
-        w = _cophase(v)
-        W = np.outer(w, w.conj())
-        return SdrSolution(W, _objective(M, W), 0, 0.0, 1)
+        rank_one = live & (vals[:, -2] <= 1e-12 * vals[:, -1])
+        for b in np.flatnonzero(rank_one):
+            w = _cophase(max_eigenpair(M[b])[1])
+            W[b] = np.outer(w, w.conj())
+        objective[rank_one] = _objectives(M[rank_one], W[rank_one])
+        rank[rank_one] = 1
+        ascend = live & ~rank_one
+        if ascend.any():
+            W[ascend], objective[ascend], sweeps[ascend], improvement[ascend], stage_tol = _ascend(
+                M[ascend], trace[ascend], tol, max_sweeps
+            )
+            rank[ascend] = _numerical_ranks(W[ascend])
+            failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
 
-    gamma = 1.0 / L
-    W = np.eye(L, dtype=complex) / L
-    obj = _objective(M, W)
-    sweeps = 0
-    improvement = math.inf
-    # Barrier continuation: sigma is relative to trace(M) so the schedule is
-    # scale free; the final zero stage is pure ascent.
-    stage_tol = max(tol, 1e-14) * max(trace, 1.0) * 0.1
-    for sigma_rel in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0):
-        sigma = sigma_rel * trace
-        while sweeps < max_sweeps:
-            sweeps += 1
-            for i in range(L):
-                mask = np.arange(L) != i
-                c = M[mask, i]
-                B = W[np.ix_(mask, mask)]
-                u = B @ c
-                s = float(np.real(c.conj() @ u))
-                if s <= 0.0:
-                    y = np.zeros(L - 1, dtype=complex)
-                else:
-                    if sigma > 0.0:
-                        t = (-sigma * gamma + math.sqrt((sigma * gamma) ** 2 + 4.0 * s * gamma)) / (2.0 * s)
-                    else:
-                        t = math.sqrt(gamma / s)
-                    y = t * u
-                W[mask, i] = y
-                W[i, mask] = y.conj()
-            new_obj = _objective(M, W)
-            improvement = new_obj - obj
-            obj = new_obj
-            if improvement < stage_tol:
-                break
-        if sweeps >= max_sweeps:
-            break
-
-    rank = _numerical_rank(W)
-    solution = SdrSolution(W, obj, sweeps, abs(improvement), rank)
-    if sweeps >= max_sweeps and improvement >= 10.0 * stage_tol:
+    bound = _dual_bounds(M, W, objective)
+    solutions = tuple(
+        SdrSolution(W[b], float(objective[b]), int(sweeps[b]), abs(float(improvement[b])), int(rank[b]), float(bound[b]))
+        for b in range(B)
+    )
+    result = solutions[0] if single else SdrBatch(solutions, int(sweeps.max(initial=0)))
+    if failed.any():
+        b = int(np.argmax(failed))
+        member = "" if single else f" {b} of {B}"
         raise SdrConvergenceError(
-            f"relaxation did not settle within {max_sweeps} sweeps (last improvement {improvement:.3e})",
-            solution,
+            f"relaxation{member} did not settle within {max_sweeps} sweeps (last improvement {improvement[b]:.3e})",
+            result,
         )
-    return solution
+    return result
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -330,6 +426,8 @@ def gaussian_randomization(
     if phase_spec.is_discrete:
         phases = quantize_phase(phases, phase_spec.bits)
     feas = np.exp(1j * phases) / math.sqrt(L)
+    # Keep this exact formula: lattice rotations of one beam tie up to
+    # rounding, and another summation order breaks those ties differently.
     gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M, feas))
     best = int(np.argmax(gains))
     return BeamWeights(feas[:, best], phase_spec)
@@ -394,10 +492,10 @@ def design_beam(
     M: np.ndarray,
     phase_spec: PhaseSpec,
     strategy: str = "sdr_grp_cd",
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     n_rand: int = 1000,
     sdr_tol: float = 1e-9,
-) -> BeamWeights:
+) -> BeamWeights | tuple[BeamWeights, ...]:
     """Design one beam for a coherence matrix under the given phase constraint.
 
     Strategies:
@@ -410,15 +508,30 @@ def design_beam(
 
     The result is deterministic in (M, phase_spec, strategy, seed) and is
     normalized to a zero phase on element 0.
+
+    ``M`` may also be a stack of shape (B, L, L) with one seed per member;
+    the relaxations are then solved in one stacked :func:`solve_sdr` call,
+    randomization and polishing run per member on its own seed, and the
+    result is a tuple of B beams, each equal to the beam of a single call
+    with that member and seed.
     """
     if strategy not in ("eigen", "sdr_grp", "sdr_grp_cd"):
         raise ValueError(f"unknown strategy '{strategy}'")
+    single = np.ndim(M) == 2
+    stack = _hermitian_stack(M)
+    seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
+    if len(seeds) != len(stack):
+        raise ValueError("a stack of matrices takes one seed per member")
+    beams = []
     if strategy == "eigen":
-        _, v = max_eigenpair(M)
-        beam = BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec)
+        for m in stack:
+            _, v = max_eigenpair(m)
+            beams.append(BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec))
     else:
-        solution = solve_sdr(M, tol=sdr_tol)
-        beam = gaussian_randomization(solution, M, n_rand, phase_spec, seed)
-        if strategy == "sdr_grp_cd":
-            beam = coordinate_descent(M, beam, phase_spec).weights
-    return BeamWeights(_canonical_global_phase(beam.weights), phase_spec)
+        for m, solution, member_seed in zip(stack, solve_sdr(stack, tol=sdr_tol).solutions, seeds):
+            beam = gaussian_randomization(solution, m, n_rand, phase_spec, member_seed)
+            if strategy == "sdr_grp_cd":
+                beam = coordinate_descent(m, beam, phase_spec).weights
+            beams.append(beam)
+    designed = tuple(BeamWeights(_canonical_global_phase(b.weights), phase_spec) for b in beams)
+    return designed[0] if single else designed

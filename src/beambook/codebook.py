@@ -264,7 +264,9 @@ def generate_candidates(
     For every array, ``count_per_sphere`` Fibonacci directions are snapped
     to that array's mesh and one beam is designed per direction: the
     quantized dominant eigenvector (``method='eigen'``) or the full
-    relax-randomize-polish pipeline (``method='iterative'``).
+    relax-randomize-polish pipeline (``method='iterative'``).  Each array's
+    beams come from one stacked :func:`design_beam` call, every beam on its
+    own seed.
     """
     if count_per_sphere < 1:
         raise ValueError("count_per_sphere must be >= 1")
@@ -272,18 +274,16 @@ def generate_candidates(
         raise ValueError("method must be 'eigen' or 'iterative'")
     grid_map = _as_grid_map(grids)
     fib = fibonacci_directions(count_per_sphere)
+    strategy = "eigen" if method == "eigen" else "sdr_grp_cd"
     out: list[Candidate] = []
     for a_index, (array_id, grid) in enumerate(grid_map.items()):
         snapped = snap_to_grid(fib, grid)
         et_all, ep_all = grid.fields_at(snapped)
-        for i in range(len(snapped)):
-            M = field_coherence(et_all[:, i : i + 1], ep_all[:, i : i + 1])
-            if method == "eigen":
-                beam = design_beam(M, phase_spec, "eigen")
-            else:
-                beam = design_beam(
-                    M, phase_spec, "sdr_grp_cd", seed=_child_seed(seed, a_index, i), n_rand=n_rand
-                )
+        n = len(snapped)
+        stack = np.stack([field_coherence(et_all[:, i : i + 1], ep_all[:, i : i + 1]) for i in range(n)])
+        seeds = [_child_seed(seed, a_index, i) for i in range(n)]
+        beams = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
+        for i, beam in enumerate(beams):
             out.append(Candidate(array_id, beam, Direction(float(snapped.theta[i]), float(snapped.phi[i]))))
     return CandidateSet(tuple(out), method)
 
@@ -437,12 +437,13 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
 
     Each direction joins the beam serving it best (ties to the lowest beam
     index); each beam is then re-designed for the weighted field sum of
-    its cluster on its own array, and the new beam is kept only if it does
-    not lower the cluster objective.  With that guard the weighted mean
-    composite gain never decreases, so the loop terminates: it stops when
-    assignments repeat, the mean gain improves by less than 1e-9 dB, or
-    ``max_iterations`` is hit.  Beams stay bound to the array they were
-    initialized on; an empty cluster leaves its beam untouched.
+    its cluster on its own array (one stacked :func:`design_beam` call per
+    element count, every beam on its own seed), and the new beam is kept
+    only if it does not lower the cluster objective.  With that guard the
+    weighted mean composite gain never decreases, so the loop terminates:
+    it stops when assignments repeat, the mean gain improves by less than
+    1e-9 dB, or ``max_iterations`` is hit.  Beams stay bound to the array
+    they were initialized on; an empty cluster leaves its beam untouched.
     """
     grid_map = _as_grid_map(grids)
     dirs = config.direction_set
@@ -487,19 +488,24 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
         assignments = new_assignments
         iterations += 1
 
-        for k, (array_id, w) in enumerate(beams):
+        # Every non-empty cluster's matrix, then one stacked design per element count.
+        clusters: dict[int, np.ndarray] = {}
+        by_size: dict[int, list[int]] = {}
+        for k, (array_id, _) in enumerate(beams):
             members = np.flatnonzero(assignments == k)
-            if members.size == 0:
-                continue
-            et, ep = fields[array_id]
-            Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
-            new_beam = design_beam(
-                Mk,
-                config.phase_spec,
-                "sdr_grp_cd",
-                seed=_child_seed(config.seed, iteration, k),
-                n_rand=config.n_rand,
-            )
+            if members.size:
+                et, ep = fields[array_id]
+                clusters[k] = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
+                by_size.setdefault(et.shape[0], []).append(k)
+        designed = {}
+        for ks in by_size.values():
+            stack = np.stack([clusters[k] for k in ks])
+            seeds = [_child_seed(config.seed, iteration, k) for k in ks]
+            designed.update(zip(ks, design_beam(stack, config.phase_spec, seed=seeds, n_rand=config.n_rand)))
+
+        for k, Mk in clusters.items():
+            array_id, w = beams[k]
+            new_beam = designed[k]
             old_obj = float(np.real(w.conj() @ Mk @ w))
             new_obj = new_beam.gain(Mk)
             if new_obj >= old_obj:  # keep monotone under the approximate solver

@@ -142,6 +142,41 @@ class TestSolveSdr:
         problem.solve(solver=cp.CLARABEL)
         assert abs(sol.objective - problem.value) <= 1e-5 * np.trace(M).real
 
+    @pytest.mark.parametrize(
+        "spec",
+        [RandomInstanceSpec(L, 2, seed + 500) for seed, L in ((0, 3), (1, 4), (2, 6), (3, 8))]
+        + [RandomInstanceSpec(16, 2, 60)],
+        ids=lambda spec: f"L{spec.num_elements}-seed{spec.seed}",
+    )
+    def test_dual_certificate_proves_near_optimality(self, spec):
+        # The instances of the two cvxpy reference tests, checked without cvxpy:
+        # the certified bound caps the relaxation optimum, so a small
+        # certified gap proves the objective is within the same tolerance.
+        M = random_instance(spec)
+        sol = bb.solve_sdr(M)
+        trace = np.trace(M).real
+        lam = np.linalg.eigvalsh(M)[-1]
+        assert sol.objective <= sol.bound <= lam + 1e-8 * trace
+        assert sol.bound - sol.objective <= 1e-5 * trace
+
+    def test_shortcut_certificates(self):
+        zero = bb.solve_sdr(np.zeros((3, 3)))
+        assert zero.bound == zero.objective == 0.0
+        m = np.exp(1j * np.array([0.1, 1.2, -2.0, 0.7]))
+        rank_one = bb.solve_sdr(np.outer(m, m.conj()))
+        assert rank_one.objective <= rank_one.bound <= rank_one.objective + 1e-12 * 4.0
+        single = bb.solve_sdr(np.array([[2.5]]))
+        assert single.objective == single.bound == 2.5
+
+    def test_stack_returns_batch_with_slowest_member_sweeps(self):
+        M = np.stack([random_instance(RandomInstanceSpec(5, r, 40 + r)) for r in (1, 2, 5)])
+        batch = bb.solve_sdr(M)
+        assert isinstance(batch, bb.SdrBatch) and len(batch.solutions) == 3
+        assert batch.solutions[0].iterations == 0  # rank-one shortcut
+        assert batch.iterations == max(s.iterations for s in batch.solutions) > 0
+        empty = bb.solve_sdr(np.zeros((0, 3, 3)))
+        assert empty.solutions == () and empty.iterations == 0
+
     def test_sweep_cap_raises_with_best_iterate(self):
         from beambook.beamopt import SdrConvergenceError
 
@@ -155,6 +190,14 @@ class TestSolveSdr:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bb.solve_sdr(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+        with pytest.raises(ValueError):
+            bb.solve_sdr(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))  # one member not Hermitian
+        with pytest.raises(ValueError):
+            bb.solve_sdr(np.stack([np.eye(2), -np.eye(2)]))  # one member not PSD
+        with pytest.raises(ValueError):
+            bb.solve_sdr(np.ones((2, 3)))  # not square
+        with pytest.raises(ValueError):
+            bb.solve_sdr(np.ones(3))  # neither a matrix nor a stack
         with pytest.raises(ValueError):
             bb.solve_sdr(-np.eye(2))  # not PSD
         with pytest.raises(ValueError):
@@ -275,6 +318,14 @@ class TestDesignBeam:
             beam = bb.design_beam(M, bb.PhaseSpec.discrete(2), "sdr_grp_cd", seed=seed)
             assert beam.gain(M) <= b3 + slack
             assert b3 <= sdr.objective + slack <= lam + 2 * slack
+
+    def test_stack_takes_one_seed_per_member(self):
+        M = np.stack([random_instance(RandomInstanceSpec(4, 2, seed)) for seed in (1, 2)])
+        beams = bb.design_beam(M, bb.PhaseSpec.discrete(3), seed=[7, 8], n_rand=50)
+        assert len(beams) == 2 and all(isinstance(b, bb.BeamWeights) for b in beams)
+        for seed in ([7], 7):
+            with pytest.raises(ValueError):
+                bb.design_beam(M, bb.PhaseSpec.discrete(3), seed=seed, n_rand=50)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

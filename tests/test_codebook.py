@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+import beambook.codebook as codebook_module
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,46 @@ class TestKMeans:
         )
         result = bb.kmeans_codebook(cfg, grid)
         assert result.codebook.size == 3
+
+    def test_stacked_designs_equal_per_beam_designs_on_mixed_element_counts(self, monkeypatch):
+        # Two arrays of 4 and 6 elements: one stacked design call per element
+        # count and iteration, with the same beams as one call per beam.
+        theta_axis = np.arange(0.0, 180.1, 15.0)
+        phi_axis = np.arange(0.0, 359.9, 15.0)
+        grids = {
+            f"ula{L}": bb.oriented_ula_efield(bb.SyntheticUlaSpec(L, 0.5, element_pattern_q=1), axis,
+                                              theta_axis, phi_axis, f"ula{L}")
+            for L, axis in ((4, (0, 1, 0)), (6, (1, 0, 0)))
+        }
+        bits3 = bb.PhaseSpec.discrete(3)
+        init = bb.Codebook(tuple(
+            entry
+            for L in (4, 6)
+            for entry in bb.benchmark_codebook(bb.SyntheticUlaSpec(L, 0.5), 2, bits3, [f"ula{L}"]).entries
+        ))
+        cfg = bb.KMeansConfig(num_beams=4, direction_set=bb.mesh_directions(grids["ula4"]), phase_spec=bits3,
+                              init=init, n_rand=100, seed=4)
+        design_beam = codebook_module.design_beam
+        stack_sizes = []
+
+        def spy(M, *args, **kwargs):
+            stack_sizes.append(np.shape(M)[:2])
+            return design_beam(M, *args, **kwargs)
+
+        def one_by_one(M, *args, seed, **kwargs):
+            return tuple(design_beam(m, *args, seed=s, **kwargs) for m, s in zip(M, seed))
+
+        monkeypatch.setattr(codebook_module, "design_beam", spy)
+        stacked = bb.kmeans_codebook(cfg, grids)
+        monkeypatch.setattr(codebook_module, "design_beam", one_by_one)
+        looped = bb.kmeans_codebook(cfg, grids)
+
+        assert {L for _, L in stack_sizes} == {4, 6}
+        assert len(stack_sizes) <= 2 * stacked.iterations
+        assert np.array_equal(stacked.mean_gain_trace_db, looped.mean_gain_trace_db)
+        for a, b in zip(stacked.codebook.entries, looped.codebook.entries):
+            assert a.array_id == b.array_id and np.array_equal(a.weights.weights, b.weights.weights)
+        assert np.all(np.diff(stacked.mean_gain_trace_db) >= -1e-12)
 
     def test_too_many_beams_rejected(self, iso_grid):
         grid, _ = iso_grid
