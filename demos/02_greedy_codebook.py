@@ -21,7 +21,7 @@ print(f"candidate pool: {len(candidates)} beams on a {len(dirs)}-direction sweep
 result = bb.greedy_codebook(
     candidates, grid,
     criterion=bb.MeanGainCriterion(),
-    stop=bb.SizeLimit(8),
+    size=8,
     eval_set=dirs,
 )
 

@@ -19,7 +19,7 @@ config = bb.KMeansConfig(
     num_beams=5,
     direction_set=dirs,
     phase_spec=bits5,
-    init="uniform",          # eigen beams at 5 spread-out directions
+    init=None,               # uniform_init: eigen beams at 5 spread-out directions
     n_rand=1000,
     max_iterations=50,
     seed=42,

@@ -30,13 +30,11 @@ from . import __version__
 from .beamopt import PhaseSpec
 from .codebook import (
     Codebook,
-    GreedyInitSpec,
     KMeansConfig,
     MeanGainCriterion,
-    MeanThreshold,
     PercentileMixCriterion,
-    PercentileThreshold,
-    SizeLimit,
+    SelectionCriterion,
+    _child_seed,
     benchmark_codebook,
     codebook_802_15_3c,
     codebook_summary,
@@ -106,9 +104,10 @@ class RunConfig:
     design_dirs: DirectionSet
     eval_dirs: DirectionSet
     percentiles: list[float]
-    # Greedy selection criterion and stopping rule; None for other algorithms.
-    criterion: MeanGainCriterion | PercentileMixCriterion | None
-    stop: SizeLimit | MeanThreshold | PercentileThreshold | None
+    # Greedy selection criterion (None for other algorithms) and the
+    # (criterion, threshold_db) that may stop it before "size" beams.
+    criterion: SelectionCriterion | None
+    stop: tuple[SelectionCriterion, float] | None
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -117,9 +116,15 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _get(block: dict, key: str, default=None):
+    """``block[key]``, or ``default`` when the key is absent or null."""
+    value = block.get(key)
+    return default if value is None else value
+
+
 def _integer(block: dict, key: str, minimum: int, default: int | None = None) -> int | None:
-    """``block[key]``, or ``default`` when absent: a JSON integer >= ``minimum``, or None."""
-    value = block.get(key, default)
+    """``block[key]``, or ``default`` when absent or null: a JSON integer >= ``minimum``, or None."""
+    value = _get(block, key, default)
     if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
         raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
     return value
@@ -132,15 +137,16 @@ def _default_output_dir() -> Path:
 def _parse_region(data) -> CoverageRegion | None:
     if data is None:
         return None
-    return CoverageRegion(theta_range=tuple(data.get("theta", (0.0, 180.0))),
-                          phi_range=tuple(data.get("phi", (0.0, 360.0))))
+    return CoverageRegion(theta_range=tuple(_get(data, "theta", (0.0, 180.0))),
+                          phi_range=tuple(_get(data, "phi", (0.0, 360.0))))
 
 
 def _parse_synthetic(block: dict) -> SyntheticUlaSpec:
+    _require(block, "elements", "synthetic array")
     return SyntheticUlaSpec(
-        num_elements=int(_require(block, "elements", "synthetic array")),
+        num_elements=_integer(block, "elements", 1),
         spacing_over_lambda=float(_require(block, "spacing_lambda", "synthetic array")),
-        element_pattern_q=float(block.get("pattern_q", 0.0)),
+        element_pattern_q=float(_get(block, "pattern_q", 0.0)),
         sampling_factor=_integer(block, "sampling_factor", 1),
     )
 
@@ -168,7 +174,7 @@ def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
         for key in ("seed", "size", "phase_bits"):
             if overrides.get(key) is not None:
                 algorithm[key] = overrides[key]
-        settings = _check_settings(algorithm, data.get("evaluation", {}), grids, synthetic)
+        settings = _check_settings(algorithm, _get(data, "evaluation", {}), grids, synthetic)
         output_dir = config_dir / data["output_dir"] if data.get("output_dir") else _default_output_dir()
         if overrides.get("output_dir") is not None:
             output_dir = Path(overrides["output_dir"])
@@ -184,7 +190,7 @@ def _load_arrays(arrays, config_dir: Path):
     grids: dict[str, EFieldGrid] = {}
     synthetic: tuple[SyntheticUlaSpec, DirectionSet] | None = None
     for i, block in enumerate(arrays):
-        array_id = str(block.get("id", f"array{i}"))
+        array_id = str(_get(block, "id", f"array{i}"))
         if array_id in grids:
             raise ConfigError(f"duplicate array id '{array_id}'")
         if "synthetic" in block:
@@ -213,12 +219,12 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
     bits = _integer(algorithm, "phase_bits", 1)
     if name == "3c" and bits is None:
         raise ConfigError("the 802.15.3c codebook requires 'phase_bits'")
-    candidates = algorithm.get("candidates", {})
-    count, method = _integer(candidates, "count", 1, 363), candidates.get("method", "eigen")
+    candidates = _get(algorithm, "candidates", {})
+    count, method = _integer(candidates, "count", 1, 363), _get(candidates, "method", "eigen")
     if method not in ("eigen", "iterative"):
         raise ConfigError(f"unknown candidates method '{method}'")
 
-    init = algorithm.get("init", "benchmark") if name == "kmeans" else None
+    init = _get(algorithm, "init", "benchmark") if name == "kmeans" else None
     if name == "kmeans" and init not in ("benchmark", "uniform", "greedy"):
         raise ConfigError(f"unknown kmeans init '{init}'")
     if init == "greedy" and count * len(grids) < size:
@@ -239,9 +245,12 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
         else:
             raise ConfigError(f"benchmark {'codebook' if name == 'benchmark' else 'init'}: "
                               "needs a synthetic array or an explicit 'spacing_lambda'")
+        if any(grid.num_elements != ula.num_elements for grid in grids.values()):
+            raise ConfigError(f"the benchmark geometry has {ula.num_elements} elements; "
+                              "every array must have as many")
 
-    spec = evaluation.get("directions", {})
-    kind = spec.get("kind", "generator" if synthetic is not None else "fibonacci")
+    spec = _get(evaluation, "directions", {})
+    kind = _get(spec, "kind", "generator" if synthetic is not None else "fibonacci")
     fibonacci_count = _integer(spec, "count", 1, 1800)
     if kind == "generator" and synthetic is not None:
         dirs = synthetic[1]
@@ -260,14 +269,14 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
     if name == "kmeans" and size > len(design_dirs):
         raise ConfigError(f"size {size} exceeds the {len(design_dirs)} design directions")
 
-    percentiles = sorted({float(p) for p in evaluation.get("percentiles", [])} | {50.0})
+    percentiles = sorted({float(p) for p in _get(evaluation, "percentiles", [])} | {50.0})
     if not all(0.0 < p < 100.0 for p in percentiles):
         raise ConfigError(f"evaluation percentiles must lie in (0, 100), got {percentiles}")
     criterion = stop = None
     if name == "greedy":
         criterion = _parse_criterion(algorithm.get("criterion") or {})
-        stop = _parse_stop(algorithm.get("stop") or {}, size)
-        for rule in (criterion, stop):
+        stop = _parse_stop(algorithm.get("stop") or {})
+        for rule in (criterion, stop and stop[0]):
             if getattr(rule, "region", None) is not None:
                 restrict_region(design_dirs, rule.region)  # raises if the region holds no design direction
     return dict(algorithm=name, size=size, seed=_integer(algorithm, "seed", 0, 0),
@@ -278,8 +287,8 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
                 eval_dirs=eval_dirs, percentiles=percentiles, criterion=criterion, stop=stop)
 
 
-def _parse_criterion(block: dict) -> MeanGainCriterion | PercentileMixCriterion:
-    kind = block.get("kind", "mean")
+def _parse_criterion(block: dict) -> SelectionCriterion:
+    kind = _get(block, "kind", "mean")
     if kind == "mean":
         return MeanGainCriterion(_parse_region(block.get("region")))
     if kind == "percentiles":
@@ -287,16 +296,18 @@ def _parse_criterion(block: dict) -> MeanGainCriterion | PercentileMixCriterion:
     raise ConfigError(f"unknown criterion kind '{kind}'")
 
 
-def _parse_stop(block: dict, size: int) -> SizeLimit | MeanThreshold | PercentileThreshold:
-    kind = block.get("kind", "size")
+def _parse_stop(block: dict) -> tuple[SelectionCriterion, float] | None:
+    """The (criterion, threshold_db) that stops a greedy run before "size" beams; None for kind "size"."""
+    kind = _get(block, "kind", "size")
     if kind == "size":
-        return SizeLimit(size)
+        return None
     if kind == "mean-threshold":
-        return MeanThreshold(float(_require(block, "threshold_db", "stop")), _parse_region(block.get("region")))
-    if kind == "percentile-threshold":
-        return PercentileThreshold(float(_require(block, "percentile", "stop")),
-                                   float(_require(block, "threshold_db", "stop")))
-    raise ConfigError(f"unknown stopping rule '{kind}'")
+        criterion = MeanGainCriterion(_parse_region(block.get("region")))
+    elif kind == "percentile-threshold":
+        criterion = PercentileMixCriterion(((float(_require(block, "percentile", "stop")), 1.0),))
+    else:
+        raise ConfigError(f"unknown stopping rule '{kind}'")
+    return criterion, float(_require(block, "threshold_db", "stop"))
 
 
 def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
@@ -315,16 +326,19 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     if name == "greedy":
         candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
                                          seed=seed, n_rand=config.n_rand)
-        result = greedy_codebook(candidates, config.grids, config.criterion, config.stop, config.design_dirs)
+        result = greedy_codebook(candidates, config.grids, config.criterion, size, config.design_dirs,
+                                 config.stop)
         log["trace_db"] = [float(u) for u in result.utilities_db]
         log["status"] = result.stop_reason if result.stop_reason != "stopping rule satisfied" else "ok"
         return result.codebook, log
 
     # kmeans
-    init: str | GreedyInitSpec | Codebook = config.init
-    if init == "greedy":
-        init = GreedyInitSpec(*config.candidates)
-    elif init == "benchmark":
+    init = None  # uniform
+    if config.init == "greedy":
+        candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
+                                         seed=_child_seed(seed, 0xC0DE), n_rand=config.n_rand)
+        init = greedy_codebook(candidates, config.grids, MeanGainCriterion(), size, config.design_dirs).codebook
+    elif config.init == "benchmark":
         init = benchmark_codebook(config.ula, size // len(array_ids), phase_spec, array_ids=array_ids)
     kcfg = KMeansConfig(num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec, init=init,
                         n_rand=config.n_rand, max_iterations=config.max_iterations, seed=seed)

@@ -123,7 +123,7 @@ def codebook_summary(codebook: Codebook, grids, dirs: DirectionSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Selection criteria and stopping rules
+# Selection criteria
 # ---------------------------------------------------------------------------
 
 
@@ -133,17 +133,19 @@ class MeanGainCriterion:
 
     region: CoverageRegion | None = None
 
-    def _weights(self, dirs: DirectionSet) -> np.ndarray:
-        if self.region is None:
-            return dirs.weights
-        mask = self.region.contains(dirs.theta, dirs.phi)
-        total = float(dirs.weights[mask].sum())
-        if total <= 0.0:
-            raise ValueError("region contains no sample directions")
-        return np.where(mask, dirs.weights, 0.0) / total
+    def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
+        """Linear weighted mean over the region of each (..., N) gain row."""
+        w = dirs.weights
+        if self.region is not None:
+            mask = self.region.contains(dirs.theta, dirs.phi)
+            total = float(w[mask].sum())
+            if total <= 0.0:
+                raise ValueError("region contains no sample directions of positive weight")
+            w = np.where(mask, w, 0.0) / total
+        return gains_linear @ w
 
     def value(self, gains_linear: np.ndarray, dirs: DirectionSet) -> float:
-        return db_from_linear(float(np.dot(self._weights(dirs), gains_linear)))
+        return db_from_linear(float(self.scores(gains_linear, dirs)))
 
 
 @dataclass(frozen=True)
@@ -162,63 +164,21 @@ class PercentileMixCriterion:
             raise ValueError("percentile weights must be nonnegative and not all zero")
         object.__setattr__(self, "points", pts)
 
-    def value(self, gains_linear: np.ndarray, dirs: DirectionSet) -> float:
+    def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
+        """The percentile mix in dB of each (..., N) gain row."""
         values, _, _ = weighted_percentiles(gains_linear, dirs.weights, [x for x, _ in self.points])
         total = 0.0
         wsum = 0.0
-        for value, (_, beta) in zip(values, self.points):
-            total += beta * db_from_linear(float(value))
+        for j, (_, beta) in enumerate(self.points):
+            total = total + beta * db_from_linear(values[..., j])
             wsum += beta
         return total / wsum
 
+    def value(self, gains_linear: np.ndarray, dirs: DirectionSet) -> float:
+        return float(self.scores(gains_linear, dirs))
+
 
 SelectionCriterion = Union[MeanGainCriterion, PercentileMixCriterion]
-
-
-@dataclass(frozen=True)
-class SizeLimit:
-    limit: int
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError("size limit must be >= 1")
-
-    def triggered(self, size: int, gains_linear: np.ndarray, dirs: DirectionSet) -> bool:
-        return size >= self.limit
-
-
-@dataclass(frozen=True)
-class MeanThreshold:
-    """Stop once the mean gain over the region exceeds the threshold (dB)."""
-
-    threshold_db: float
-    region: CoverageRegion | None = None
-
-    def triggered(self, size: int, gains_linear: np.ndarray, dirs: DirectionSet) -> bool:
-        if size == 0:
-            return False
-        return MeanGainCriterion(self.region).value(gains_linear, dirs) > self.threshold_db
-
-
-@dataclass(frozen=True)
-class PercentileThreshold:
-    """Stop once the gain at the given percentile exceeds the threshold (dB)."""
-
-    percentile: float
-    threshold_db: float
-
-    def __post_init__(self):
-        if not 0.0 < self.percentile < 100.0:
-            raise ValueError("percentile must lie in (0, 100)")
-
-    def triggered(self, size: int, gains_linear: np.ndarray, dirs: DirectionSet) -> bool:
-        if size == 0:
-            return False
-        value = PercentileMixCriterion(((self.percentile, 1.0),)).value(gains_linear, dirs)
-        return value > self.threshold_db
-
-
-StoppingRule = Union[SizeLimit, MeanThreshold, PercentileThreshold]
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +191,6 @@ class Candidate:
     array_id: str
     weights: BeamWeights
     aim: Direction
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    candidates: tuple[Candidate, ...]
-    method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-
-    def __len__(self) -> int:
-        return len(self.candidates)
 
 
 def _child_seed(*key: int) -> int:
@@ -258,7 +206,7 @@ def generate_candidates(
     phase_spec: PhaseSpec,
     seed: int = 0,
     n_rand: int = 1000,
-) -> CandidateSet:
+) -> tuple[Candidate, ...]:
     """Candidate beams aimed at a quasi-uniform set of on-mesh directions.
 
     For every array, ``count_per_sphere`` Fibonacci directions are snapped
@@ -285,7 +233,7 @@ def generate_candidates(
         beams = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
         for i, beam in enumerate(beams):
             out.append(Candidate(array_id, beam, Direction(float(snapped.theta[i]), float(snapped.phi[i]))))
-    return CandidateSet(tuple(out), method)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,77 +245,71 @@ def generate_candidates(
 class GreedyResult:
     codebook: Codebook
     utilities_db: np.ndarray
-    pool_exhausted: bool
     stop_reason: str
 
 
-def _candidate_gain_matrix(candidates: CandidateSet, grids, eval_set: DirectionSet) -> np.ndarray:
+def _candidate_gain_matrix(candidates: Sequence[Candidate], grids, eval_set: DirectionSet) -> np.ndarray:
     """Linear gains of every candidate at every evaluation direction."""
     grid_map = _as_grid_map(grids)
     G = np.empty((len(candidates), len(eval_set)))
     by_array: dict[str, list[int]] = {}
-    for idx, cand in enumerate(candidates.candidates):
+    for idx, cand in enumerate(candidates):
         by_array.setdefault(cand.array_id, []).append(idx)
     for array_id, idxs in by_array.items():
         grid = grid_map[array_id]
         et, ep = grid.fields_at(snap_to_grid(eval_set, grid))
-        W = np.stack([candidates.candidates[i].weights.weights for i in idxs])  # (n, L)
+        W = np.stack([candidates[i].weights.weights for i in idxs])  # (n, L)
         G[idxs, :] = field_gains(W, et, ep)
     return G
 
 
 def greedy_codebook(
-    candidates: CandidateSet,
+    candidates: Sequence[Candidate],
     grids,
     criterion: SelectionCriterion,
-    stop: StoppingRule,
+    size: int,
     eval_set: DirectionSet,
+    stop: tuple[SelectionCriterion, float] | None = None,
 ) -> GreedyResult:
-    """Grow a codebook by repeatedly adding the utility-maximizing candidate.
+    """Grow a codebook of at most ``size`` beams, adding the utility-maximizing candidate each round.
 
-    The composite gain is maintained incrementally, so each round costs one
-    pass over the remaining pool.  Ties resolve to the lowest candidate
-    index and selected candidates leave the pool.  If the pool empties
-    before the stopping rule fires, the best-so-far codebook is returned
-    with ``pool_exhausted`` set.
+    ``stop = (stop_criterion, threshold_db)`` ends the run earlier, as soon
+    as the stop criterion's value of the codebook exceeds the threshold.
+    ``stop_reason`` is ``"stopping rule satisfied"`` when the threshold, or
+    ``size`` without a threshold, ended the run; ``"size reached before the
+    stop threshold"`` when ``size`` capped a run whose threshold was never
+    exceeded; ``"pool exhausted"`` when the pool emptied first, with the
+    best-so-far codebook.  The composite gain is maintained incrementally,
+    so each round scores the remaining pool in one call.  Ties resolve to
+    the lowest candidate index and selected candidates leave the pool.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
+    if size < 1:
+        raise ValueError("size must be >= 1")
     G = _candidate_gain_matrix(candidates, grids, eval_set)
     pool = list(range(len(candidates)))
     best = np.zeros(len(eval_set))
     selected: list[int] = []
     utilities: list[float] = []
-    stop_reason = ""
-    mean_weights = criterion._weights(eval_set) if isinstance(criterion, MeanGainCriterion) else None
 
     while True:
-        if stop.triggered(len(selected), best, eval_set):
+        if stop and selected and stop[0].value(best, eval_set) > stop[1]:
             stop_reason = "stopping rule satisfied"
+            break
+        if len(selected) == size:
+            stop_reason = "size reached before the stop threshold" if stop else "stopping rule satisfied"
             break
         if not pool:
             stop_reason = "pool exhausted"
             break
-        if mean_weights is not None:
-            means = np.maximum(best[None, :], G[pool, :]) @ mean_weights
-            pick = int(np.argmax(means))
-        else:
-            values = [criterion.value(np.maximum(best, G[c]), eval_set) for c in pool]
-            pick = int(np.argmax(values))
-        chosen = pool.pop(pick)
+        chosen = pool.pop(int(np.argmax(criterion.scores(np.maximum(best, G[pool]), eval_set))))
         selected.append(chosen)
         np.maximum(best, G[chosen], out=best)
         utilities.append(criterion.value(best, eval_set))
 
-    entries = tuple(
-        CodebookEntry(candidates.candidates[i].array_id, candidates.candidates[i].weights) for i in selected
-    )
-    return GreedyResult(
-        codebook=Codebook(entries),
-        utilities_db=np.array(utilities),
-        pool_exhausted=stop_reason == "pool exhausted",
-        stop_reason=stop_reason,
-    )
+    entries = tuple(CodebookEntry(candidates[i].array_id, candidates[i].weights) for i in selected)
+    return GreedyResult(codebook=Codebook(entries), utilities_db=np.array(utilities), stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +318,11 @@ def greedy_codebook(
 
 
 @dataclass(frozen=True)
-class GreedyInitSpec:
-    """Initialize K-Means from a greedy run over a fresh candidate pool."""
-
-    candidate_count: int
-    method: str = "eigen"
-
-
-@dataclass(frozen=True)
 class KMeansConfig:
     num_beams: int
     direction_set: DirectionSet
     phase_spec: PhaseSpec
-    init: Union[str, GreedyInitSpec, Codebook] = "uniform"
+    init: Codebook | None = None  # None: uniform_init
     n_rand: int = 1000
     max_iterations: int = 50
     seed: int = 0
@@ -398,8 +332,6 @@ class KMeansConfig:
             raise ValueError("num_beams must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if isinstance(self.init, str) and self.init != "uniform":
-            raise ValueError("string init must be 'uniform'")
 
 
 @dataclass(frozen=True)
@@ -435,7 +367,8 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
 def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
     """Alternate direction-to-beam assignment and per-cluster beam updates.
 
-    Each direction joins the beam serving it best (ties to the lowest beam
+    The run starts from ``config.init``, or from :func:`uniform_init` when
+    that is None.  Each direction joins the beam serving it best (ties to the lowest beam
     index); each beam is then re-designed for the weighted field sum of
     its cluster on its own array (one stacked :func:`design_beam` call per
     element count, every beam on its own seed), and the new beam is kept
@@ -451,24 +384,9 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
     if K > len(dirs):
         raise ValueError("num_beams exceeds the number of directions")
 
-    if isinstance(config.init, Codebook):
-        codebook = config.init
-        if codebook.size != K:
-            raise ValueError("initial codebook size does not match num_beams")
-    elif isinstance(config.init, GreedyInitSpec):
-        cands = generate_candidates(
-            grid_map, config.init.candidate_count, config.init.method, config.phase_spec,
-            seed=_child_seed(config.seed, 0xC0DE), n_rand=config.n_rand,
-        )
-        codebook = greedy_codebook(
-            cands, grid_map, MeanGainCriterion(), SizeLimit(K), dirs
-        ).codebook
-        if codebook.size != K:
-            raise ValueError(
-                f"greedy init produced {codebook.size} beams; the candidate pool must hold at least {K}"
-            )
-    else:
-        codebook = uniform_init(K, grid_map, config.phase_spec)
+    codebook = uniform_init(K, grid_map, config.phase_spec) if config.init is None else config.init
+    if codebook.size != K:
+        raise ValueError("initial codebook size does not match num_beams")
 
     fields = {array_id: grid.fields_at(snap_to_grid(dirs, grid)) for array_id, grid in grid_map.items()}
     beams = [(e.array_id, np.array(e.weights.weights)) for e in codebook.entries]
@@ -608,9 +526,9 @@ def codebook_802_15_3c(
 def restrict_region(dirs: DirectionSet, region: CoverageRegion) -> DirectionSet:
     """Drop directions outside the region and renormalize the weights."""
     mask = region.contains(dirs.theta, dirs.phi)
-    if not np.any(mask):
-        raise ValueError("region contains no sample directions")
+    w = dirs.weights[mask]
+    if not w.sum() > 0.0:
+        raise ValueError("region contains no sample directions of positive weight")
     if np.all(mask):
         return dirs
-    w = dirs.weights[mask]
     return DirectionSet(dirs.theta[mask], dirs.phi[mask], w / w.sum())

@@ -42,7 +42,6 @@ class GainPattern:
 
     directions: DirectionSet
     gains_db: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.gains_db, dtype=float)
@@ -93,10 +92,10 @@ def beam_gain(grid: EFieldGrid, weights, direction) -> float:
     return float(field_gains(weights, *grid.fields_at(ds))[0])
 
 
-def beam_pattern(grid: EFieldGrid, weights, dirs: DirectionSet, label: str = "") -> GainPattern:
+def beam_pattern(grid: EFieldGrid, weights, dirs: DirectionSet) -> GainPattern:
     """Gain pattern of a single beam over a direction set (snapped to the mesh)."""
     gains = field_gains(weights, *grid.fields_at(snap_to_grid(dirs, grid)))
-    return GainPattern(dirs, db_from_linear(gains), label)
+    return GainPattern(dirs, db_from_linear(gains))
 
 
 def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
@@ -129,9 +128,9 @@ def composite_gains_linear(grids, codebook, dirs: DirectionSet) -> np.ndarray:
     return np.max([g for _, g in entry_gains_linear(grids, codebook, dirs)], axis=0)
 
 
-def composite_pattern(grids, codebook, dirs: DirectionSet, label: str = "composite") -> GainPattern:
+def composite_pattern(grids, codebook, dirs: DirectionSet) -> GainPattern:
     """Composite (max-over-beams) radiation pattern of a codebook, in dB."""
-    return GainPattern(dirs, db_from_linear(composite_gains_linear(grids, codebook, dirs)), label)
+    return GainPattern(dirs, db_from_linear(composite_gains_linear(grids, codebook, dirs)))
 
 
 def upper_bound_gains_linear(grids, dirs: DirectionSet) -> np.ndarray:
@@ -144,8 +143,8 @@ def upper_bound_gains_linear(grids, dirs: DirectionSet) -> np.ndarray:
     return best
 
 
-def upper_bound_pattern(grids, dirs: DirectionSet, label: str = "upper bound") -> GainPattern:
-    return GainPattern(dirs, db_from_linear(upper_bound_gains_linear(grids, dirs)), label)
+def upper_bound_pattern(grids, dirs: DirectionSet) -> GainPattern:
+    return GainPattern(dirs, db_from_linear(upper_bound_gains_linear(grids, dirs)))
 
 
 def gap_map(composite: GainPattern, bound: GainPattern) -> GainPattern:
@@ -160,21 +159,24 @@ def gap_map(composite: GainPattern, bound: GainPattern) -> GainPattern:
     diff = bound.gains_db - composite.gains_db
     if np.min(diff) < -1e-6:
         raise ValueError("composite exceeds the upper bound; inconsistent inputs")
-    return GainPattern(composite.directions, np.maximum(diff, 0.0), label="gap to upper bound")
+    return GainPattern(composite.directions, np.maximum(diff, 0.0))
 
 
 def weighted_percentiles(gains: np.ndarray, weights: np.ndarray, percentiles) -> tuple[np.ndarray, ...]:
-    """(gain at each percentile, sorted gains, normalized cumulative weights) of a weighted sample.
+    """(gain at each percentile, sorted gains, normalized cumulative weights) of weighted samples.
 
-    The gain at X% is the left inverse of the CDF: the smallest gain whose
-    cumulative weight reaches X/100.
+    ``gains`` is one sample (N,) or a stack (..., N) of samples sharing the
+    N weights; each row is sorted and inverted on its own.  The gain at X%
+    is the left inverse of the CDF: the smallest gain whose cumulative
+    weight reaches X/100.
     """
-    order = np.argsort(gains, kind="stable")
-    g_sorted = gains[order]
-    cum = np.cumsum(weights[order])
-    cum /= cum[-1]
-    k = np.minimum(np.searchsorted(cum, np.asarray(percentiles, dtype=float) / 100.0), g_sorted.size - 1)
-    return g_sorted[k], g_sorted, cum
+    order = np.argsort(gains, axis=-1, kind="stable")
+    g_sorted = np.take_along_axis(gains, order, axis=-1)
+    cum = np.cumsum(weights[order], axis=-1)
+    cum /= cum[..., -1:]
+    p = np.asarray(percentiles, dtype=float)[:, None] / 100.0
+    k = np.minimum(np.count_nonzero(cum[..., None, :] < p, axis=-1), gains.shape[-1] - 1)
+    return np.take_along_axis(g_sorted, k, axis=-1), g_sorted, cum
 
 
 def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,)) -> CoverageStats:

@@ -73,7 +73,7 @@ def directional_q3():
 def greedy_irregular(irregular_spacing):
     candidates = bb.generate_candidates(irregular_spacing.grid, 64, "eigen", bb.PhaseSpec.discrete(5))
     return bb.greedy_codebook(
-        candidates, irregular_spacing.grid, bb.MeanGainCriterion(), bb.SizeLimit(8), irregular_spacing.dirs
+        candidates, irregular_spacing.grid, bb.MeanGainCriterion(), 8, irregular_spacing.dirs
     )
 
 

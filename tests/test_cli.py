@@ -125,6 +125,34 @@ class TestDesign:
         assert main(["design", "--config", str(config)]) == 0
         assert bb.load_codebook(tmp_path / "out/codebook.json").size == 3
 
+    @pytest.mark.parametrize("stop", [{"kind": "mean-threshold", "threshold_db": 50},
+                                      {"kind": "percentile-threshold", "percentile": 50, "threshold_db": 50}])
+    def test_size_caps_an_unreachable_threshold(self, tmp_path, stop):
+        config = write_config(
+            tmp_path / "cfg.json",
+            algorithm={"name": "greedy", "size": 2, "phase_bits": 5, "candidates": {"count": 8}, "stop": stop},
+        )
+        for flags, beams in (([], 2), (["--size", "1"], 1)):
+            out = tmp_path / f"out{beams}"
+            assert main(["design", "--config", str(config), "--output-dir", str(out), *flags]) == 0
+            assert bb.load_codebook(out / "codebook.json").size == beams
+            log = json.loads((out / "design_log.json").read_text())
+            assert len(log["trace_db"]) == beams
+            assert log["status"] == "size reached before the stop threshold"
+
+    @pytest.mark.parametrize("key", ["seed", "n_randomizations", "max_iterations", "candidates.count"])
+    def test_null_optional_integer_designs_like_the_key_omitted(self, tmp_path, key):
+        omitted = {"name": "kmeans", "size": 3, "phase_bits": 5, "init": "greedy", "candidates": {"method": "eigen"}}
+        nulled = json.loads(json.dumps(omitted))
+        block, _, name = key.rpartition(".")
+        (nulled[block] if block else nulled)[name] = None
+        for run, algorithm in (("omitted", omitted), ("null", nulled)):
+            config = tmp_path / f"{run}.json"
+            config.write_text(json.dumps({"arrays": [{"id": "ula", "synthetic": _ULA}], "algorithm": algorithm}))
+            assert main(["design", "--config", str(config), "--output-dir", str(tmp_path / run)]) == 0
+        for artifact in ("codebook.json", "design_log.json"):
+            assert (tmp_path / "omitted" / artifact).read_bytes() == (tmp_path / "null" / artifact).read_bytes()
+
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"arrays": [], "algorithm": {"name": "kmeans", "size": 4}}))
@@ -173,6 +201,16 @@ CONFIG_PROBES = {
         "algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
                       "stop": {"kind": "mean-threshold", "threshold_db": 50, "region": {"theta": [1.0, 2.0]}}}},
     "non-string output_dir": {"output_dir": 5},
+    "boolean synthetic elements": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "elements": True}}],
+                                   "algorithm": _KMEANS},
+    "benchmark geometry with other element count than the array": {
+        "algorithm": {**_KMEANS, "elements": 6, "spacing_lambda": 0.5}},
+    # On the sin(theta)-weighted mesh the only nodes with theta <= 0.5 are the zero-weight pole.
+    "design region of zero weight": {"algorithm": {**_KMEANS, "size": 1, "init": "uniform",
+                                                   "region": {"theta": [0, 0.5]}},
+                                     "evaluation": {"directions": {"kind": "mesh"}}},
+    "evaluation region of zero weight": {"evaluation": {"directions": {"kind": "mesh"},
+                                                        "region": {"theta": [0, 0.5]}}},
 }
 
 

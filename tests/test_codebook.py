@@ -101,18 +101,18 @@ class TestCandidates:
         grids = {"a": grid, "b": grid, "c": grid}
         cands = bb.generate_candidates(grids, 11, "eigen", bb.PhaseSpec.discrete(5))
         assert len(cands) == 33
-        assert {c.array_id for c in cands.candidates} == {"a", "b", "c"}
+        assert {c.array_id for c in cands} == {"a", "b", "c"}
 
     def test_aims_on_mesh(self, iso_grid):
         grid, _ = iso_grid
         cands = bb.generate_candidates(grid, 17, "eigen", bb.PhaseSpec.discrete(5))
-        for c in cands.candidates:
+        for c in cands:
             grid.index_of(c.aim.theta, c.aim.phi)  # raises if off mesh
 
     def test_single_element_trivial_codeword(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(1, 0.5))
         cands = bb.generate_candidates(grid, 1, "iterative", bb.PhaseSpec.discrete(2), seed=0)
-        assert_allclose(cands.candidates[0].weights.weights, [1.0 + 0j], atol=1e-12)
+        assert_allclose(cands[0].weights.weights, [1.0 + 0j], atol=1e-12)
 
     def test_eigen_and_iterative_agree_on_lattice_aligned(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
@@ -143,9 +143,9 @@ class TestGreedy:
     def test_size_one_picks_best_mean_candidate(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
-        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), bb.SizeLimit(1), dirs)
+        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 1, dirs)
         means = []
-        for c in cands.candidates:
+        for c in cands:
             cb = bb.Codebook((bb.CodebookEntry(c.array_id, c.weights),))
             means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(grid, cb, dirs))))
         selected = result.codebook
@@ -155,7 +155,7 @@ class TestGreedy:
     def test_utility_strictly_increases(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 64, "eigen", bb.PhaseSpec.discrete(5))
-        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), bb.SizeLimit(5), dirs)
+        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 5, dirs)
         assert result.codebook.size == 5
         assert np.all(np.diff(result.utilities_db) > 0)
         assert result.stop_reason == "stopping rule satisfied"
@@ -164,32 +164,39 @@ class TestGreedy:
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec.discrete(5))
         bound_mean = float(np.dot(dirs.weights, bb.upper_bound_gains_linear(grid, dirs)))
-        stop = bb.MeanThreshold(bb.db_from_linear(bound_mean) + 3.0)
-        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), stop, dirs)
-        assert result.pool_exhausted
+        stop = (bb.MeanGainCriterion(), bb.db_from_linear(bound_mean) + 3.0)
+        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 9, dirs, stop)
+        assert result.stop_reason == "pool exhausted"
         assert result.codebook.size == 8
+
+    def test_size_caps_an_unreachable_threshold(self, directional_grid):
+        grid, dirs = directional_grid
+        cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec.discrete(5))
+        stop = (bb.PercentileMixCriterion(((50.0, 1.0),)), 50.0)
+        result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 3, dirs, stop)
+        assert result.codebook.size == 3
+        assert result.stop_reason == "size reached before the stop threshold"
 
     def test_threshold_stop_triggers(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 32, "eigen", bb.PhaseSpec.discrete(5))
         result = bb.greedy_codebook(
-            cands, grid, bb.MeanGainCriterion(), bb.MeanThreshold(-10.0), dirs
+            cands, grid, bb.MeanGainCriterion(), 32, dirs, (bb.MeanGainCriterion(), -10.0)
         )
-        assert not result.pool_exhausted
+        assert result.stop_reason == "stopping rule satisfied"
         assert result.codebook.size < 32
 
     def test_duplicate_candidates_tie_to_lower_index(self, iso_grid):
         grid, dirs = iso_grid
         one = bb.generate_candidates(grid, 1, "eigen", bb.PhaseSpec.discrete(5))
-        doubled = bb.CandidateSet(one.candidates + one.candidates, "eigen")
-        result = bb.greedy_codebook(doubled, grid, bb.MeanGainCriterion(), bb.SizeLimit(1), dirs)
+        result = bb.greedy_codebook(one + one, grid, bb.MeanGainCriterion(), 1, dirs)
         assert result.codebook.size == 1  # picked index 0, not 1
 
     def test_percentile_criterion_runs(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 16, "eigen", bb.PhaseSpec.discrete(5))
         crit = bb.PercentileMixCriterion(((50.0, 1.0),))
-        result = bb.greedy_codebook(cands, grid, crit, bb.SizeLimit(3), dirs)
+        result = bb.greedy_codebook(cands, grid, crit, 3, dirs)
         assert result.codebook.size == 3
         assert np.all(np.diff(result.utilities_db) >= 0)
 
@@ -208,7 +215,7 @@ class TestKMeans:
         grid, dirs = directional_grid
         cfg = bb.KMeansConfig(
             num_beams=5, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init="uniform", n_rand=200, seed=3,
+            n_rand=200, seed=3,
         )
         result = bb.kmeans_codebook(cfg, grid)
         assert result.iterations < 20
@@ -218,7 +225,7 @@ class TestKMeans:
         grid, dirs = directional_grid
         cfg = bb.KMeansConfig(
             num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init="uniform", n_rand=100, seed=1,
+            n_rand=100, seed=1,
         )
         result = bb.kmeans_codebook(cfg, grid)
         assert result.assignments.shape == (len(dirs),)
@@ -239,9 +246,11 @@ class TestKMeans:
 
     def test_greedy_init(self, directional_grid):
         grid, dirs = directional_grid
+        cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
+        init = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 3, dirs).codebook
         cfg = bb.KMeansConfig(
             num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init=bb.GreedyInitSpec(candidate_count=24), n_rand=100, seed=2,
+            init=init, n_rand=100, seed=2,
         )
         result = bb.kmeans_codebook(cfg, grid)
         assert result.codebook.size == 3

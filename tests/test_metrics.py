@@ -156,7 +156,7 @@ class TestGapDistribution:
         w = dirs.weights
 
         def covered_fraction(size):
-            cb = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), bb.SizeLimit(size), dirs).codebook
+            cb = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), size, dirs).codebook
             gap = bb.gap_map(bb.composite_pattern(grid, cb, dirs), bound).gains_db
             return float((w * ((gap < 2.0) & strong)).sum() / (w * strong).sum())
 
