@@ -20,6 +20,7 @@ the phases (:func:`coordinate_descent`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +34,7 @@ __all__ = [
     "SdrBatch",
     "SdrConvergenceError",
     "CoordinateDescentResult",
+    "CoordinateDescentBatch",
     "quantize_phase",
     "max_eigenpair",
     "solve_sdr",
@@ -89,34 +91,74 @@ def quantize_phase(phase, bits: int):
     return out
 
 
+def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
+    """Index k of the lattice point k * 2pi/2^b that :func:`quantize_phase` picks, for phases in [0, 2pi]."""
+    step = _TWO_PI / (1 << bits)
+    return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_phasors(bits: int, L: int) -> np.ndarray:
+    """Read-only table of the 2^b feasible entries exp(1j * k * 2pi/2^b) / sqrt(L).
+
+    Entry k is bit for bit the entry built from the quantized phase k * step,
+    so indexing it by :func:`_lattice_index` replaces quantize, exp and scale.
+    """
+    step = _TWO_PI / (1 << bits)
+    table = np.exp(1j * (np.arange(1 << bits) * step)) / math.sqrt(L)
+    table.setflags(write=False)
+    return table
+
+
+def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
+    """Raise unless every row of ``w`` (B, L) is a feasible beam for ``phase_spec``."""
+    magnitude = np.abs(w)
+    # Written as "not <=" so that a NaN entry fails too.
+    if not np.abs((magnitude * magnitude).sum(axis=-1) - 1.0).max() <= 1e-10:
+        raise ValueError("weights must be finite with unit norm")
+    if np.abs(magnitude - 1.0 / math.sqrt(w.shape[-1])).max() > 1e-10:
+        raise ValueError("per-element magnitude must be 1/sqrt(L)")
+    if phase_spec.is_discrete:
+        ph = np.mod(np.angle(w), _TWO_PI)
+        snapped = quantize_phase(ph, phase_spec.bits)
+        if np.abs(np.exp(1j * ph) - np.exp(1j * snapped)).max() > 1e-9:
+            raise ValueError("phases are off the discrete lattice")
+
+
 @dataclass(frozen=True)
 class BeamWeights:
     """Unit-norm analog beamforming weights with constraint metadata.
 
     Every entry has magnitude 1/sqrt(L); in discrete mode the phases sit
-    on the 2pi/2^b lattice.  Violations raise at construction.
+    on the 2pi/2^b lattice.  Violations raise at construction.  The
+    weights are a read-only copy: the caller's array is neither shared
+    nor frozen.
     """
 
     weights: np.ndarray
     phase_spec: PhaseSpec
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=complex)
+        w = np.array(self.weights, dtype=complex)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        L = w.size
-        if abs(np.linalg.norm(w) ** 2 - 1.0) > 1e-10:
-            raise ValueError("weights must have unit norm")
-        if np.max(np.abs(np.abs(w) - 1.0 / math.sqrt(L))) > 1e-10:
-            raise ValueError("per-element magnitude must be 1/sqrt(L)")
-        if self.phase_spec.is_discrete:
-            ph = np.mod(np.angle(w), _TWO_PI)
-            snapped = quantize_phase(ph, self.phase_spec.bits)
-            err = np.abs(np.exp(1j * ph) - np.exp(1j * snapped))
-            if np.max(err) > 1e-9:
-                raise ValueError("phases are off the discrete lattice")
+        _check_beams(w, self.phase_spec)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _rows(cls, W: np.ndarray, phase_spec: PhaseSpec) -> tuple["BeamWeights", ...]:
+        """One beam per row of a (B, L) stack, validated in one pass over the stack."""
+        W = np.array(W, dtype=complex)
+        _check_beams(W, phase_spec)
+        W.setflags(write=False)
+        beams = []
+        for w in W:
+            beam = object.__new__(cls)
+            object.__setattr__(beam, "weights", w)
+            object.__setattr__(beam, "phase_spec", phase_spec)
+            beams.append(beam)
+        return tuple(beams)
 
     @property
     def num_elements(self) -> int:
@@ -383,21 +425,30 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
     return result
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    # Unit-variance circular complex normals: real and imaginary parts are
-    # drawn as two consecutive standard_normal blocks at variance 1/2.
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * math.sqrt(0.5)
+def _member_seeds(seed: int | Sequence[int], members: int) -> tuple[int, ...]:
+    seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
+    if len(seeds) != members:
+        raise ValueError("a stack of matrices takes one seed per member")
+    return seeds
+
+
+def _covariances(solution) -> np.ndarray:
+    """The W of one solution (or matrix), or of every solution of a batch or sequence, as a (B, L, L) stack."""
+    if isinstance(solution, SdrBatch):
+        solution = solution.solutions
+    if isinstance(solution, (tuple, list)):
+        return np.stack([s.W for s in solution])
+    W = solution.W if isinstance(solution, SdrSolution) else np.asarray(solution, dtype=complex)
+    return W.reshape((-1,) + W.shape[-2:])
 
 
 def gaussian_randomization(
-    solution: SdrSolution | np.ndarray,
+    solution: SdrSolution | SdrBatch | Sequence[SdrSolution] | np.ndarray,
     M: np.ndarray,
     n_rand: int,
     phase_spec: PhaseSpec,
-    seed: int,
-) -> BeamWeights:
+    seed: int | Sequence[int],
+) -> BeamWeights | tuple[BeamWeights, ...]:
     """Round a relaxation solution to a feasible beam by randomized trials.
 
     Draws ``n_rand`` vectors from the zero-mean complex Gaussian with
@@ -406,31 +457,52 @@ def gaussian_randomization(
     In continuous mode a numerically rank-one W needs no randomization:
     the co-phased dominant eigenvector is already optimal.  Deterministic
     for a given seed (NumPy PCG64 stream).
+
+    ``M`` may also be a stack of shape (B, L, L), with an :class:`SdrBatch`
+    or a sequence of B solutions, and one seed per member; the result is
+    then a tuple of B beams.  The stack shares one
+    ``eigh`` and one factor product; each member keeps its own stream and
+    its own (L, n_rand) draws, so its beam is bit for bit the one it gets
+    alone.
     """
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
-    W = solution.W if isinstance(solution, SdrSolution) else np.asarray(solution, dtype=complex)
-    M = _check_square_hermitian(M)
-    L = W.shape[0]
+    single = np.ndim(M) == 2
+    M = _hermitian_stack(M)
+    W = _covariances(solution)
+    if W.shape != M.shape:
+        raise ValueError("solutions and matrices must have the same stack shape")
+    seeds = _member_seeds(seed, len(M))
+    B, L, _ = M.shape
     vals, vecs = np.linalg.eigh(W)
     vals = np.clip(vals, 0.0, None)
-
-    if not phase_spec.is_discrete and (L == 1 or vals[-2] <= 1e-9 * max(vals[-1], 1e-300)):
-        return BeamWeights(_cophase(vecs[:, -1]), phase_spec)
-
-    rng = np.random.default_rng(seed)
-    xi = _complex_gaussian(rng, (n_rand, L))
-    factor = vecs * np.sqrt(vals)[None, :]
-    cands = factor @ xi.T  # (L, n_rand)
-    phases = np.mod(np.angle(cands), _TWO_PI)
+    factors = vecs * np.sqrt(vals)[:, None, :]
     if phase_spec.is_discrete:
-        phases = quantize_phase(phases, phase_spec.bits)
-    feas = np.exp(1j * phases) / math.sqrt(L)
-    # Keep this exact formula: lattice rotations of one beam tie up to
-    # rounding, and another summation order breaks those ties differently.
-    gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M, feas))
-    best = int(np.argmax(gains))
-    return BeamWeights(feas[:, best], phase_spec)
+        phasors = _lattice_phasors(phase_spec.bits, L)
+
+    beams = np.empty((B, L), dtype=complex)
+    for b in range(B):
+        if not phase_spec.is_discrete and (L == 1 or vals[b, -2] <= 1e-9 * max(vals[b, -1], 1e-300)):
+            beams[b] = _cophase(vecs[b, :, -1])
+            continue
+        # Unit-variance circular complex normals: the real and imaginary
+        # parts are two consecutive standard_normal blocks, scaled by sqrt(1/2).
+        rng = np.random.default_rng(seeds[b])
+        xi = np.empty((n_rand, L), dtype=complex)
+        xi.real = rng.standard_normal((n_rand, L))
+        xi.imag = rng.standard_normal((n_rand, L))
+        xi *= math.sqrt(0.5)
+        phases = np.mod(np.angle(factors[b] @ xi.T), _TWO_PI)  # (L, n_rand)
+        if phase_spec.is_discrete:
+            feas = phasors[_lattice_index(phases, phase_spec.bits)]
+        else:
+            feas = np.exp(1j * phases) / math.sqrt(L)
+        # Keep this exact formula: lattice rotations of one beam tie up to
+        # rounding, and another summation order breaks those ties differently.
+        gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M[b], feas))
+        beams[b] = feas[:, int(np.argmax(gains))]
+    designed = BeamWeights._rows(beams, phase_spec)
+    return designed[0] if single else designed
 
 
 @dataclass(frozen=True)
@@ -441,7 +513,29 @@ class CoordinateDescentResult:
     objectives: np.ndarray = field(repr=False)
 
 
-def coordinate_descent(M: np.ndarray, init: BeamWeights, phase_spec: PhaseSpec) -> CoordinateDescentResult:
+@dataclass(frozen=True)
+class CoordinateDescentBatch:
+    """Polished beams of a stack, in stack order.
+
+    ``objectives`` has one row per sweep of the slowest member, plus the
+    input row, and one column per member; a member that stopped earlier
+    repeats its final objective.
+    """
+
+    results: tuple[CoordinateDescentResult, ...]
+    objectives: np.ndarray = field(repr=False)
+
+
+def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w_b^H M_b w_b of every member: the same products as w.conj() @ M @ w on one member."""
+    return np.real((w.conj()[:, None, :] @ M @ w[:, :, None])[:, 0, 0])
+
+
+def coordinate_descent(
+    M: np.ndarray,
+    init: BeamWeights | Sequence[BeamWeights],
+    phase_spec: PhaseSpec,
+) -> CoordinateDescentResult | CoordinateDescentBatch:
     """Cyclic phase updates; each step sets one phase to its conditional optimum.
 
     Element i is re-phased to align with the field contribution of the
@@ -449,43 +543,69 @@ def coordinate_descent(M: np.ndarray, init: BeamWeights, phase_spec: PhaseSpec) 
     nondecreasing step by step.  Stops when a full sweep improves the
     objective by less than 1e-12 * trace(M).  A vanishing off-diagonal
     contribution leaves that element untouched for the step.
+
+    ``M`` may also be a stack of shape (B, L, L) with one init per member;
+    the result is then a :class:`CoordinateDescentBatch`.  Each step
+    re-phases element i of every member still running; each member keeps
+    its own stop test and sweep cap, so its result is bit for bit the one
+    it gets alone.
     """
-    M = _check_square_hermitian(M)
-    L = M.shape[0]
-    if init.num_elements != L:
+    single = np.ndim(M) == 2
+    M = _hermitian_stack(M)
+    inits = (init,) if single else tuple(init)
+    B, L, _ = M.shape
+    if len(inits) != B:
+        raise ValueError("a stack of matrices takes one init per member")
+    if any(beam.num_elements != L for beam in inits):
         raise ValueError("init length does not match M")
+    W = np.stack([beam.weights for beam in inits])
     if phase_spec.is_discrete:
         # Re-validates the lattice precondition for the given resolution.
-        BeamWeights(init.weights, phase_spec)
-    w = np.array(init.weights, dtype=complex)
-    trace = float(np.real(np.trace(M)))
-    threshold = 1e-12 * max(trace, 1e-300)
+        _check_beams(W, phase_spec)
+        phasors = _lattice_phasors(phase_spec.bits, L)
+    thresholds = np.array([1e-12 * max(float(np.real(np.trace(m))), 1e-300) for m in M])
     max_sweeps = 10 * L * (1 << phase_spec.bits) if phase_spec.is_discrete else 1000
 
-    obj = float(np.real(w.conj() @ M @ w))
-    objectives = [obj]
+    obj = _quadratic_forms(M, W)
+    rows = [obj.copy()]
+    sweeps = np.zeros(B, dtype=int)
+    active = np.arange(B)
+    Ma, Wa = M, W.copy()
     for _ in range(max_sweeps):
-        for i in range(L):
-            c = M[i, :] @ w - M[i, i] * w[i]
-            if np.abs(c) == 0.0:
-                continue
-            phase = np.angle(c) % _TWO_PI
-            if phase_spec.is_discrete:
-                phase = quantize_phase(phase, phase_spec.bits)
-            w[i] = np.exp(1j * phase) / math.sqrt(L)
-        new_obj = float(np.real(w.conj() @ M @ w))
-        objectives.append(new_obj)
-        if new_obj - obj < threshold:
+        if not active.size:
             break
-        obj = new_obj
-    return CoordinateDescentResult(BeamWeights(w, phase_spec), np.array(objectives))
+        for i in range(L):
+            c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
+            moved = c != 0.0
+            phase = np.angle(c[moved]) % _TWO_PI
+            if phase_spec.is_discrete:
+                Wa[moved, i] = phasors[_lattice_index(phase, phase_spec.bits)]
+            else:
+                Wa[moved, i] = np.exp(1j * phase) / math.sqrt(L)
+        new_obj = _quadratic_forms(Ma, Wa)
+        done = new_obj - obj[active] < thresholds[active]
+        obj[active] = new_obj
+        sweeps[active] += 1
+        rows.append(obj.copy())
+        if done.any():
+            W[active[done]] = Wa[done]
+            keep = ~done
+            active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+    W[active] = Wa
+    objectives = np.array(rows)
+    beams = BeamWeights._rows(W, phase_spec)
+    results = tuple(
+        CoordinateDescentResult(beam, objectives[: sweeps[b] + 1, b].copy()) for b, beam in enumerate(beams)
+    )
+    return results[0] if single else CoordinateDescentBatch(results, objectives)
 
 
-def _canonical_global_phase(w: np.ndarray) -> np.ndarray:
-    # A beam is physically invariant to a global phase; pin element 0 to
-    # phase zero so identical designs compare equal.  In discrete mode the
-    # rotation is by a lattice phase, so lattice membership is preserved.
-    return w * np.exp(-1j * np.angle(w[0]))
+def _canonical_global_phase(W: np.ndarray) -> np.ndarray:
+    # A beam is physically invariant to a global phase; pin element 0 of
+    # every row of W (B, L) to phase zero so identical designs compare equal.
+    # In discrete mode the rotation is by a lattice phase, so lattice
+    # membership is preserved.
+    return W * np.exp(-1j * np.angle(W[:, :1]))
 
 
 def design_beam(
@@ -509,29 +629,26 @@ def design_beam(
     The result is deterministic in (M, phase_spec, strategy, seed) and is
     normalized to a zero phase on element 0.
 
-    ``M`` may also be a stack of shape (B, L, L) with one seed per member;
-    the relaxations are then solved in one stacked :func:`solve_sdr` call,
-    randomization and polishing run per member on its own seed, and the
-    result is a tuple of B beams, each equal to the beam of a single call
-    with that member and seed.
+    ``M`` may also be a stack of shape (B, L, L) with one seed per member.
+    Every stage then runs once over the whole stack: one :func:`solve_sdr`,
+    one :func:`gaussian_randomization` (each member on its own seed) and
+    one :func:`coordinate_descent` call.  The result is a tuple of B beams,
+    each equal to the beam of a single call with that member and seed.
     """
     if strategy not in ("eigen", "sdr_grp", "sdr_grp_cd"):
         raise ValueError(f"unknown strategy '{strategy}'")
     single = np.ndim(M) == 2
     stack = _hermitian_stack(M)
-    seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
-    if len(seeds) != len(stack):
-        raise ValueError("a stack of matrices takes one seed per member")
-    beams = []
+    seeds = _member_seeds(seed, len(stack))
     if strategy == "eigen":
+        beams = []
         for m in stack:
             _, v = max_eigenpair(m)
             beams.append(BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec))
     else:
-        for m, solution, member_seed in zip(stack, solve_sdr(stack, tol=sdr_tol).solutions, seeds):
-            beam = gaussian_randomization(solution, m, n_rand, phase_spec, member_seed)
-            if strategy == "sdr_grp_cd":
-                beam = coordinate_descent(m, beam, phase_spec).weights
-            beams.append(beam)
-    designed = tuple(BeamWeights(_canonical_global_phase(b.weights), phase_spec) for b in beams)
+        beams = gaussian_randomization(solve_sdr(stack, tol=sdr_tol), stack, n_rand, phase_spec, seeds)
+        if strategy == "sdr_grp_cd":
+            beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec).results]
+    W = np.stack([beam.weights for beam in beams])
+    designed = BeamWeights._rows(_canonical_global_phase(W), phase_spec)
     return designed[0] if single else designed

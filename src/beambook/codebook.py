@@ -166,7 +166,7 @@ class PercentileMixCriterion:
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """The percentile mix in dB of each (..., N) gain row."""
-        values, _, _ = weighted_percentiles(gains_linear, dirs.weights, [x for x, _ in self.points])
+        values = weighted_percentiles(gains_linear, dirs.weights, [x for x, _ in self.points])
         total = 0.0
         wsum = 0.0
         for j, (_, beta) in enumerate(self.points):
@@ -263,6 +263,17 @@ def _candidate_gain_matrix(candidates: Sequence[Candidate], grids, eval_set: Dir
     return G
 
 
+def _drop_row(C: np.ndarray, row: int, rows: int) -> None:
+    """Shift rows row+1 .. rows-1 of C up by one, in place.
+
+    One overlapping slice assignment would copy its whole source first;
+    64 rows per copy keep that temporary small.
+    """
+    for start in range(row, rows - 1, 64):
+        stop = min(start + 64, rows - 1)
+        C[start:stop] = C[start + 1 : stop + 1]
+
+
 def greedy_codebook(
     candidates: Sequence[Candidate],
     grids,
@@ -287,7 +298,9 @@ def greedy_codebook(
         raise ValueError("candidate set is empty")
     if size < 1:
         raise ValueError("size must be >= 1")
-    G = _candidate_gain_matrix(candidates, grids, eval_set)
+    # Row r of C is the composite of the codebook plus candidate pool[r]:
+    # max(best, G[pool[r]]), kept in place as best grows and picks leave.
+    C = _candidate_gain_matrix(candidates, grids, eval_set)
     pool = list(range(len(candidates)))
     best = np.zeros(len(eval_set))
     selected: list[int] = []
@@ -303,9 +316,12 @@ def greedy_codebook(
         if not pool:
             stop_reason = "pool exhausted"
             break
-        chosen = pool.pop(int(np.argmax(criterion.scores(np.maximum(best, G[pool]), eval_set))))
-        selected.append(chosen)
-        np.maximum(best, G[chosen], out=best)
+        rows = C[: len(pool)]
+        np.maximum(rows, best, out=rows)
+        row = int(np.argmax(criterion.scores(rows, eval_set)))
+        selected.append(pool.pop(row))
+        best = rows[row].copy()
+        _drop_row(C, row, rows.shape[0])
         utilities.append(criterion.value(best, eval_set))
 
     entries = tuple(CodebookEntry(candidates[i].array_id, candidates[i].weights) for i in selected)
@@ -376,7 +392,10 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
     weighted mean composite gain never decreases, so the loop terminates:
     it stops when assignments repeat, the mean gain improves by less than
     1e-9 dB, or ``max_iterations`` is hit.  Beams stay bound to the array
-    they were initialized on; an empty cluster leaves its beam untouched.
+    they were initialized on.  A cluster without field, that is an empty
+    one or one whose directions all have zero weight or zero field, gets
+    no design call and leaves its beam untouched: any beam ties its zero
+    objective, so a new design would only replace the beam at random.
     """
     grid_map = _as_grid_map(grids)
     dirs = config.direction_set
@@ -406,14 +425,16 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
         assignments = new_assignments
         iterations += 1
 
-        # Every non-empty cluster's matrix, then one stacked design per element count.
+        # Every cluster's matrix, then one stacked design per element count
+        # over the clusters with field (an empty cluster's matrix is zero).
         clusters: dict[int, np.ndarray] = {}
         by_size: dict[int, list[int]] = {}
         for k, (array_id, _) in enumerate(beams):
             members = np.flatnonzero(assignments == k)
-            if members.size:
-                et, ep = fields[array_id]
-                clusters[k] = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
+            et, ep = fields[array_id]
+            Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
+            if np.real(np.trace(Mk)) > 0.0:
+                clusters[k] = Mk
                 by_size.setdefault(et.shape[0], []).append(k)
         designed = {}
         for ks in by_size.values():

@@ -76,14 +76,28 @@ class CoverageStats:
         return self.percentiles[50.0]
 
 
+# Entries per block of the second squared magnitude in field_gains: a
+# multiple of every SIMD width, so blocking splits no vector loop differently.
+_POWER_BLOCK = 1 << 15
+
+
 def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
     """GAIN_FACTOR * (|w^H e_T|^2 + |w^H e_P|^2) against (L, N) field matrices.
 
     One beam (L,) gives N gains, a stack (n, L) an (n, N) matrix; every
-    realized gain of the package is computed here.
+    realized gain of the package is computed here.  The second squared
+    magnitude is added a block at a time, so a large stack holds one
+    complex product and no float temporary of its size.
     """
-    w = np.asarray(getattr(weights, "weights", weights), dtype=complex)
-    return GAIN_FACTOR * (np.abs(w.conj() @ et) ** 2 + np.abs(w.conj() @ ep) ** 2)
+    w = np.asarray(getattr(weights, "weights", weights), dtype=complex).conj()
+    gains = np.abs(w @ et)
+    np.square(gains, out=gains)
+    flat, field = gains.reshape(-1), (w @ ep).reshape(-1)
+    for start in range(0, flat.size, _POWER_BLOCK):
+        block = np.abs(field[start : start + _POWER_BLOCK])
+        flat[start : start + _POWER_BLOCK] += np.square(block, out=block)
+    gains *= GAIN_FACTOR
+    return gains
 
 
 def beam_gain(grid: EFieldGrid, weights, direction) -> float:
@@ -162,21 +176,43 @@ def gap_map(composite: GainPattern, bound: GainPattern) -> GainPattern:
     return GainPattern(composite.directions, np.maximum(diff, 0.0))
 
 
-def weighted_percentiles(gains: np.ndarray, weights: np.ndarray, percentiles) -> tuple[np.ndarray, ...]:
-    """(gain at each percentile, sorted gains, normalized cumulative weights) of weighted samples.
+# Rows of a stack that weighted_percentiles sorts at once: the sort order,
+# the gathered weights and their cumsum then take a few MB at any stack size.
+_PERCENTILE_CHUNK_ROWS = 128
 
-    ``gains`` is one sample (N,) or a stack (..., N) of samples sharing the
-    N weights; each row is sorted and inverted on its own.  The gain at X%
-    is the left inverse of the CDF: the smallest gain whose cumulative
-    weight reaches X/100.
-    """
+
+def _weighted_cdf(gains: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of each (..., N) row and its normalized cumulative weights."""
     order = np.argsort(gains, axis=-1, kind="stable")
-    g_sorted = np.take_along_axis(gains, order, axis=-1)
     cum = np.cumsum(weights[order], axis=-1)
     cum /= cum[..., -1:]
-    p = np.asarray(percentiles, dtype=float)[:, None] / 100.0
-    k = np.minimum(np.count_nonzero(cum[..., None, :] < p, axis=-1), gains.shape[-1] - 1)
-    return np.take_along_axis(g_sorted, k, axis=-1), g_sorted, cum
+    return order, cum
+
+
+def _percentile_ranks(cum: np.ndarray, percentiles) -> np.ndarray:
+    """Sorted position of each percentile in each row: the first cumulative weight reaching X/100."""
+    ranks = np.stack([np.count_nonzero(cum < float(x) / 100.0, axis=-1) for x in percentiles], axis=-1)
+    return np.minimum(ranks, cum.shape[-1] - 1)
+
+
+def weighted_percentiles(gains: np.ndarray, weights: np.ndarray, percentiles) -> np.ndarray:
+    """Gain at each percentile of weighted samples.
+
+    ``gains`` is one sample (N,), which gives (P,) values, or a stack
+    (..., N) of samples sharing the N weights, which gives (..., P).  Each
+    row is sorted and inverted on its own, a fixed number of rows at a
+    time.  The gain at X% is the left inverse of the CDF: the
+    smallest gain whose cumulative weight reaches X/100.
+    """
+    gains = np.asarray(gains, dtype=float)
+    rows = gains.reshape(-1, gains.shape[-1])
+    values = np.empty((rows.shape[0], len(percentiles)))
+    for start in range(0, rows.shape[0], _PERCENTILE_CHUNK_ROWS):
+        chunk = rows[start : start + _PERCENTILE_CHUNK_ROWS]
+        order, cum = _weighted_cdf(chunk, weights)
+        picks = np.take_along_axis(order, _percentile_ranks(cum, percentiles), axis=-1)
+        values[start : start + _PERCENTILE_CHUNK_ROWS] = np.take_along_axis(chunk, picks, axis=-1)
+    return values.reshape(gains.shape[:-1] + (len(percentiles),))
 
 
 def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,)) -> CoverageStats:
@@ -185,10 +221,11 @@ def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,))
         raise ValueError("percentiles must lie in (0, 100)")
     w = pattern.directions.weights
     g = pattern.gains_linear
-    values, g_sorted, cum = weighted_percentiles(g, w, percentiles)
+    order, cum = _weighted_cdf(g, w)
+    values = g[order[_percentile_ranks(cum, percentiles)]]
     mean_db = db_from_linear(float(np.dot(w, g)))
     pct = {float(x): db_from_linear(v) for x, v in zip(percentiles, values)}
-    cdf = np.column_stack([db_from_linear(g_sorted), cum])
+    cdf = np.column_stack([db_from_linear(g[order]), cum])
     return CoverageStats(mean_db=mean_db, percentiles=pct, cdf=cdf)
 
 

@@ -71,6 +71,10 @@ class TestBeamWeights:
         with pytest.raises(ValueError):
             bb.BeamWeights(np.array([1.0, 0.0], dtype=complex), bb.PhaseSpec.continuous())
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            bb.BeamWeights(np.array([np.nan, 1.0 + 0.0j]), bb.PhaseSpec.continuous())
+
     def test_rejects_off_lattice_phase(self):
         w = np.exp(1j * np.array([0.0, 0.3])) / math.sqrt(2)
         with pytest.raises(ValueError):
@@ -79,6 +83,14 @@ class TestBeamWeights:
     def test_from_phases_quantizes(self):
         beam = bb.BeamWeights.from_phases(np.array([0.0, 1.0]), bb.PhaseSpec.discrete(2))
         assert_allclose(np.angle(beam.weights), [0.0, math.pi / 2])
+
+    def test_copies_the_callers_array(self):
+        w = np.full(4, 0.5 + 0.0j)
+        beam = bb.BeamWeights(w, bb.PhaseSpec.discrete(2))
+        assert not np.shares_memory(beam.weights, w)
+        assert w.flags.writeable and not beam.weights.flags.writeable
+        w[0] = -0.5
+        assert beam.weights[0] == 0.5
 
     def test_phase_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
-"""Property tests of the stacked relaxation solver, stacked beam design and the dual certificate."""
+"""Property tests of the stacked pipeline stages, phase quantization and the dual certificate."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beambook as bb
+import beambook.beamopt as beamopt_module
 from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
 KINDS = ("zero", "rank-one", "full")
+# Continuous phases (None) and every supported bit count.
+RESOLUTIONS = (None,) + tuple(range(1, 17))
 
 
 def member(L: int, kind: str, seed: int) -> np.ndarray:
@@ -104,3 +109,87 @@ def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
         assert np.allclose(np.real(np.diag(solution.W)), 1.0 / L, atol=1e-10)
         # The certificate of an early iterate already caps the converged optimum.
         assert solution.bound >= bb.solve_sdr(m).objective - 1e-12 * np.trace(m).real
+
+
+def phase_spec(bits: int | None) -> bb.PhaseSpec:
+    return bb.PhaseSpec.continuous() if bits is None else bb.PhaseSpec.discrete(bits)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=stacks(max_elements=16, max_members=4), bits=st.sampled_from(RESOLUTIONS), seed=st.integers(0, 2**32 - 1))
+@example(case=(1, np.stack([member(1, kind, seed) for kind, seed in (("full", 1), ("zero", 0))])), bits=None, seed=0)
+@example(case=(1, np.stack([member(1, kind, seed) for kind, seed in (("full", 1), ("zero", 0))])), bits=16, seed=0)
+@example(case=(16, np.stack([member(16, kind, seed) for kind, seed in
+                             (("full", 1), ("zero", 0), ("rank-one", 2))])), bits=16, seed=3)
+def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, bits, seed):
+    _, M = case
+    spec = phase_spec(bits)
+    seeds = [seed + i for i in range(len(M))]
+    batch = bb.solve_sdr(M)
+    beams = bb.gaussian_randomization(batch, M, 30, spec, seeds)
+    assert isinstance(beams, tuple) and len(beams) == len(M)
+    from_tuple = bb.gaussian_randomization(batch.solutions, M, 30, spec, seeds)
+    for m, solution, s, beam, other in zip(M, batch.solutions, seeds, beams, from_tuple):
+        alone = bb.gaussian_randomization(solution, m, 30, spec, s)
+        assert np.array_equal(beam.weights, alone.weights) and np.array_equal(other.weights, alone.weights)
+
+    polished = bb.coordinate_descent(M, beams, spec)
+    assert isinstance(polished, bb.CoordinateDescentBatch) and len(polished.results) == len(M)
+    rows = max(result.objectives.size for result in polished.results)
+    assert polished.objectives.shape == (rows, len(M))
+    for b, (m, beam, result) in enumerate(zip(M, beams, polished.results)):
+        alone = bb.coordinate_descent(m, beam, spec)
+        assert np.array_equal(result.weights.weights, alone.weights.weights)
+        assert np.array_equal(result.objectives, alone.objectives)
+        n = alone.objectives.size
+        assert np.array_equal(polished.objectives[:n, b], alone.objectives)
+        assert np.all(polished.objectives[n:, b] == alone.objectives[-1])  # a stopped member repeats its last value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phase=st.floats(-100.0, 100.0, allow_nan=False),
+    bits=st.integers(1, 16),
+)
+@example(phase=math.pi / 4, bits=3)  # a lattice point
+@example(phase=math.pi / 8, bits=2)  # a midpoint: ties go to the lower lattice value
+@example(phase=-1e-300, bits=5)
+def test_quantize_phase_is_idempotent_and_nearest_on_the_circle(phase, bits):
+    step = 2.0 * math.pi / (1 << bits)
+    q = bb.quantize_phase(phase, bits)
+    assert 0.0 <= q < 2.0 * math.pi
+    k = round(q / step)
+    assert q == k * step  # exactly a lattice point
+    assert bb.quantize_phase(q, bits) == q
+    gap = abs(phase - q) % (2.0 * math.pi)
+    assert min(gap, 2.0 * math.pi - gap) <= step / 2.0 + 1e-12 * max(1.0, abs(phase))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=st.integers(1, 16), L=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_lattice_phasors_equal_quantize_then_exp(bits, L, seed):
+    # The table lookup must give the very floats of exp(1j * quantize_phase(.)) / sqrt(L),
+    # on random phases, on lattice midpoints and next to 2pi.
+    step = 2.0 * math.pi / (1 << bits)
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 1 << bits, 64)
+    phases = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 64), (k + 0.5) * step,
+                             [0.0, 2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0)]])
+    reference = np.exp(1j * bb.quantize_phase(phases, bits)) / math.sqrt(L)
+    table = beamopt_module._lattice_phasors(bits, L)
+    assert np.array_equal(table[beamopt_module._lattice_index(phases, bits)], reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks(max_elements=8, max_members=3), bits=st.sampled_from((None, 1, 2, 3, 5, 8)),
+       seed=st.integers(0, 2**32 - 1))
+def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
+    L, M = case
+    spec = phase_spec(bits)
+    rng = np.random.default_rng(seed)
+    inits = tuple(bb.BeamWeights.from_phases(p, spec) for p in rng.uniform(0.0, 2.0 * math.pi, (len(M), L)))
+    batch = bb.coordinate_descent(M, inits, spec)
+    for m, result in zip(M, batch.results):
+        slack = 1e-12 * max(np.trace(m).real, 1e-300)
+        assert np.all(np.diff(result.objectives) >= -slack)
+    assert np.all(np.diff(batch.objectives, axis=0) >= -1e-12 * np.maximum(np.trace(M, axis1=1, axis2=2).real, 1e-300))

@@ -236,6 +236,9 @@ BAD_CODEBOOKS = {
     "string phase_bits": (json.dumps({"phase_bits": "x", "entries": [_BEAM]}), True),
     "non-unit-norm weights": (json.dumps({"phase_bits": 5, "entries": [{**_BEAM, "weights": [[1.0, 0.0]] * 4}]}), True),
     "weights not pairs": (json.dumps({"phase_bits": 5, "entries": [{**_BEAM, "weights": [0.5] * 4}]}), True),
+    # Python's json reads NaN; the weights check must still reject it.
+    "NaN weight": (json.dumps({"phase_bits": None, "entries": [
+        {**_BEAM, "weights": [[float("nan"), 0.0]] + [[0.5, 0.0]] * 3}]}), True),
     "malformed JSON": ('{"phase_bits": 5,', True),
     "JSON list": ("[]", True),
     "missing file": (None, None),

@@ -192,6 +192,22 @@ class TestGreedy:
         result = bb.greedy_codebook(one + one, grid, bb.MeanGainCriterion(), 1, dirs)
         assert result.codebook.size == 1  # picked index 0, not 1
 
+    @pytest.mark.parametrize("criterion", [bb.MeanGainCriterion(),
+                                           bb.PercentileMixCriterion(((10.0, 1.0), (50.0, 1.0)))])
+    def test_picks_equal_rescoring_the_whole_pool_every_round(self, directional_grid, criterion):
+        # The in-place pool composite against max(best, G[pool]) rebuilt each
+        # round, on a pool of many tied candidates.
+        grid, dirs = directional_grid
+        cands = bb.generate_candidates(grid, 150, "eigen", bb.PhaseSpec.discrete(5))
+        result = bb.greedy_codebook(cands, grid, criterion, 10, dirs)
+        G = codebook_module._candidate_gain_matrix(cands, grid, dirs)
+        pool, best, picks = list(range(len(cands))), np.zeros(len(dirs)), []
+        for _ in range(10):
+            picks.append(pool.pop(int(np.argmax(criterion.scores(np.maximum(best, G[pool]), dirs)))))
+            np.maximum(best, G[picks[-1]], out=best)
+        assert result.codebook.size == len(picks)
+        assert all(entry.weights is cands[i].weights for entry, i in zip(result.codebook.entries, picks))
+
     def test_percentile_criterion_runs(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 16, "eigen", bb.PhaseSpec.discrete(5))
@@ -254,6 +270,19 @@ class TestKMeans:
         )
         result = bb.kmeans_codebook(cfg, grid)
         assert result.codebook.size == 3
+
+    def test_zero_weight_cluster_leaves_its_beam_untouched(self, iso_grid):
+        # Beam 0 serves only the zero-weight direction at 120 degrees, so its
+        # cluster matrix is zero; any beam ties that cluster's objective.
+        grid, _ = iso_grid
+        spec = bb.PhaseSpec.discrete(5)
+        init = bb.benchmark_codebook(bb.SyntheticUlaSpec(4, 0.5), 2, spec, array_ids=[grid.array_id])
+        dirs = bb.DirectionSet(np.array([60.0, 70.0, 120.0]), np.zeros(3), np.array([0.5, 0.5, 0.0]))
+        cfg = bb.KMeansConfig(num_beams=2, direction_set=dirs, phase_spec=spec, init=init,
+                              n_rand=50, max_iterations=1, seed=0)
+        result = bb.kmeans_codebook(cfg, grid)
+        assert result.assignments.tolist() == [1, 1, 0]
+        assert np.array_equal(result.codebook.entries[0].weights.weights, init.entries[0].weights.weights)
 
     def test_stacked_designs_equal_per_beam_designs_on_mixed_element_counts(self, monkeypatch):
         # Two arrays of 4 and 6 elements: one stacked design call per element

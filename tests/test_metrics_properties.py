@@ -1,11 +1,12 @@
-"""Property tests of the gain metrics: composite below the bound, stacked percentiles."""
+"""Property tests of the gain metrics: composite below the bound, stacked and chunked percentiles, blocked gains."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beambook as bb
-from beambook.metrics import weighted_percentiles
+import beambook.metrics as metrics_module
+from beambook.metrics import field_gains, weighted_percentiles
 
 THETA = np.array([0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0])
 PHI = np.array([0.0, 60.0, 120.0, 180.0, 240.0, 300.0])
@@ -61,10 +62,41 @@ def test_stacked_percentiles_equal_row_by_row_left_inverse(rows, n, levels, perc
     rng = np.random.default_rng(seed)
     gains = rng.integers(0, levels, size=(rows, n)) * rng.uniform(0.5, 2.0)
     weights = rng.uniform(0.0, 1.0, n) + 1e-3
-    values, g_sorted, cum = weighted_percentiles(gains, weights, percentiles)
+    values = weighted_percentiles(gains, weights, percentiles)
     assert values.shape == (rows, len(percentiles))
     for r in range(rows):
         assert np.array_equal(values[r], left_inverse_1d(gains[r], weights, percentiles))
-        one = weighted_percentiles(gains[r], weights, percentiles)
-        assert np.array_equal(one[0], values[r])
-        assert np.array_equal(one[1], g_sorted[r]) and np.array_equal(one[2], cum[r])
+        assert np.array_equal(weighted_percentiles(gains[r], weights, percentiles), values[r])
+
+
+def tied_pool(rows: int, n: int, seed: int) -> tuple[np.ndarray, bb.DirectionSet]:
+    """A (rows, n) gain pool with many ties, and n directions of random weight."""
+    rng = np.random.default_rng(seed)
+    gains = rng.integers(1, 6, size=(rows, n)) * rng.uniform(0.5, 2.0)
+    weights = rng.uniform(0.0, 1.0, n) + 1e-3
+    dirs = bb.DirectionSet(np.full(n, 90.0), np.zeros(n), weights / weights.sum())
+    return gains, dirs
+
+
+def test_chunked_percentile_scores_equal_one_shot_scores(monkeypatch):
+    rows = 2 * metrics_module._PERCENTILE_CHUNK_ROWS + 37  # three chunks, the last one partial
+    gains, dirs = tied_pool(rows, 61, seed=5)
+    criterion = bb.PercentileMixCriterion(((5.0, 1.0), (50.0, 2.0), (90.0, 0.5)))
+    chunked = weighted_percentiles(gains, dirs.weights, [5.0, 50.0, 90.0])
+    chunked_scores = criterion.scores(gains, dirs)
+    monkeypatch.setattr(metrics_module, "_PERCENTILE_CHUNK_ROWS", rows)
+    assert np.array_equal(chunked, weighted_percentiles(gains, dirs.weights, [5.0, 50.0, 90.0]))
+    assert np.array_equal(chunked_scores, criterion.scores(gains, dirs))
+
+
+def test_blocked_field_gains_equal_the_one_line_formula():
+    # A stack larger than one block of squared magnitudes, ending in a partial block.
+    rng = np.random.default_rng(9)
+    L, n, N = 4, 70, 1000
+    assert n * N > metrics_module._POWER_BLOCK
+    et, ep = (rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N)) for _ in "TP")
+    W = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, L))) / 2.0
+    expected = bb.GAIN_FACTOR * (np.abs(W.conj() @ et) ** 2 + np.abs(W.conj() @ ep) ** 2)
+    assert np.array_equal(field_gains(W, et, ep), expected)
+    assert np.array_equal(field_gains(W[3], et, ep), bb.GAIN_FACTOR * (np.abs(W[3].conj() @ et) ** 2
+                                                                     + np.abs(W[3].conj() @ ep) ** 2))
