@@ -91,10 +91,29 @@ def quantize_phase(phase, bits: int):
     return out
 
 
+def _phase(z) -> np.ndarray:
+    """Angle of z in [0, 2pi): bit for bit np.mod(np.angle(z), 2pi), -0.0 and +-pi included, at a fraction of its cost."""
+    a = np.angle(z)
+    return np.where(a < 0.0, a + _TWO_PI, a + 0.0)
+
+
 def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
     """Index k of the lattice point k * 2pi/2^b that :func:`quantize_phase` picks, for phases in [0, 2pi]."""
     step = _TWO_PI / (1 << bits)
     return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
+
+
+def _first_distinct_columns(index: np.ndarray, bits: int) -> np.ndarray:
+    """Column numbers, in increasing order, of the first occurrence of each distinct column of lattice indices (L, n)."""
+    L = index.shape[0]
+    if L * bits <= 63:
+        # Each column's L indices packed into the bits of one int64.
+        keys = (index.astype(np.int64, copy=False) << (bits * np.arange(L, dtype=np.int64))[:, None]).sum(axis=0)
+    else:
+        keys = np.ascontiguousarray(index.T).view(np.dtype((np.void, L * index.itemsize)))[:, 0]
+    first = np.unique(keys, return_index=True)[1]
+    first.sort()
+    return first
 
 
 @functools.lru_cache(maxsize=16)
@@ -119,7 +138,7 @@ def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
     if np.abs(magnitude - 1.0 / math.sqrt(w.shape[-1])).max() > 1e-10:
         raise ValueError("per-element magnitude must be 1/sqrt(L)")
     if phase_spec.is_discrete:
-        ph = np.mod(np.angle(w), _TWO_PI)
+        ph = _phase(w)
         snapped = quantize_phase(ph, phase_spec.bits)
         if np.abs(np.exp(1j * ph) - np.exp(1j * snapped)).max() > 1e-9:
             raise ValueError("phases are off the discrete lattice")
@@ -159,6 +178,16 @@ class BeamWeights:
             object.__setattr__(beam, "phase_spec", phase_spec)
             beams.append(beam)
         return tuple(beams)
+
+    def __eq__(self, other):
+        """Equal when the phase specs match and the weights are exactly equal, entry by entry."""
+        if not isinstance(other, BeamWeights):
+            return NotImplemented
+        return self.phase_spec == other.phase_spec and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self):
+        # Python numbers that compare equal hash equal (0.0 and -0.0 too), as array_equal needs.
+        return hash((self.phase_spec, tuple(self.weights.tolist())))
 
     @property
     def num_elements(self) -> int:
@@ -239,25 +268,32 @@ def max_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray]:
     The eigenvector's first entry of non-negligible magnitude is rotated
     to be real positive, which fixes the otherwise arbitrary global phase.
     """
-    M = _check_square_hermitian(M)
-    L = M.shape[0]
-    if np.max(np.abs(M)) == 0.0:
-        v = np.zeros(L, dtype=complex)
-        v[0] = 1.0
-        return 0.0, v
+    lam, v = _max_eigenpairs(_check_square_hermitian(M)[None])
+    return float(lam[0]), v[0]
+
+
+def _max_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`max_eigenpair` of every member of a Hermitian stack (B, L, L), from one stacked ``eigh``.
+
+    Returns the (B,) eigenvalues and the (B, L) pinned eigenvectors; a zero
+    member gets eigenvalue 0 and the first unit vector.
+    """
     vals, vecs = np.linalg.eigh(M)
-    lam = float(vals[-1])
-    v = vecs[:, -1]
-    nz = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
-    v = v * np.exp(-1j * np.angle(v[nz[0]]))
+    lam = vals[:, -1].copy()
+    v = vecs[:, :, -1]
+    magnitude = np.abs(v)
+    first = np.argmax(magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True), axis=1)
+    v = v * np.exp(-1j * np.angle(v[np.arange(len(v)), first]))[:, None]
+    zero = np.abs(M).max(axis=(1, 2)) == 0.0
+    lam[zero] = 0.0
+    v[zero] = np.eye(1, M.shape[-1], dtype=complex)
     return lam, v
 
 
 def _cophase(v: np.ndarray) -> np.ndarray:
-    """Unimodular vector aligned with the phases of v (zero entries get phase 0)."""
-    L = v.size
+    """Unimodular vectors aligned with the phases of v (..., L); zero entries get phase 0."""
     phases = np.where(np.abs(v) > 0.0, np.angle(v), 0.0)
-    return np.exp(1j * phases) / math.sqrt(L)
+    return np.exp(1j * phases) / math.sqrt(v.shape[-1])
 
 
 def _objectives(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -396,9 +432,9 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
         # Rank-one M: the co-phased rank-one W attains the relaxation optimum
         # (Cauchy-Schwarz over the rows of any feasible factor).
         rank_one = live & (vals[:, -2] <= 1e-12 * vals[:, -1])
-        for b in np.flatnonzero(rank_one):
-            w = _cophase(max_eigenpair(M[b])[1])
-            W[b] = np.outer(w, w.conj())
+        if rank_one.any():
+            w = _cophase(_max_eigenpairs(M[rank_one])[1])
+            W[rank_one] = w[:, :, None] * w.conj()[:, None, :]
         objective[rank_one] = _objectives(M[rank_one], W[rank_one])
         rank[rank_one] = 1
         ascend = live & ~rank_one
@@ -455,8 +491,10 @@ def gaussian_randomization(
     covariance W, projects each onto the feasible set (unit magnitudes,
     quantized phases in discrete mode), and keeps the best quadratic form.
     In continuous mode a numerically rank-one W needs no randomization:
-    the co-phased dominant eigenvector is already optimal.  Deterministic
-    for a given seed (NumPy PCG64 stream).
+    the co-phased dominant eigenvector is already optimal.  In discrete
+    mode each distinct beam among the draws is scored once, at its first
+    draw; the result is bit for bit the first best of all draws.
+    Deterministic for a given seed (NumPy PCG64 stream).
 
     ``M`` may also be a stack of shape (B, L, L), with an :class:`SdrBatch`
     or a sequence of B solutions, and one seed per member; the result is
@@ -479,6 +517,7 @@ def gaussian_randomization(
     factors = vecs * np.sqrt(vals)[:, None, :]
     if phase_spec.is_discrete:
         phasors = _lattice_phasors(phase_spec.bits, L)
+        distinct = np.empty((L, n_rand), dtype=complex)
 
     beams = np.empty((B, L), dtype=complex)
     for b in range(B):
@@ -492,13 +531,24 @@ def gaussian_randomization(
         xi.real = rng.standard_normal((n_rand, L))
         xi.imag = rng.standard_normal((n_rand, L))
         xi *= math.sqrt(0.5)
-        phases = np.mod(np.angle(factors[b] @ xi.T), _TWO_PI)  # (L, n_rand)
+        phases = _phase(factors[b] @ xi.T)  # (L, n_rand)
+        # The gain of a draw is einsum("ln,lk,kn->n", feas.conj(), M, feas)
+        # over the (L, n_rand) array of feasible draws, and the beam is the
+        # first draw of largest gain.  Keep that exact formula: lattice
+        # rotations of one beam tie up to rounding, and another summation
+        # order breaks those ties differently.  In discrete mode the draws
+        # repeat (a rank-one W gives at most L 2^b distinct beams), so the
+        # formula runs once per distinct beam, on its first draw, in draw
+        # order.  Those beams fill the first columns of a full (L, n_rand)
+        # buffer: NumPy orders the summation by the strides, and a compact
+        # copy changes the last bits.
         if phase_spec.is_discrete:
-            feas = phasors[_lattice_index(phases, phase_spec.bits)]
+            index = _lattice_index(phases, phase_spec.bits)
+            first = _first_distinct_columns(index, phase_spec.bits)
+            feas = distinct[:, : first.size]
+            feas[...] = phasors[index[:, first]]
         else:
             feas = np.exp(1j * phases) / math.sqrt(L)
-        # Keep this exact formula: lattice rotations of one beam tie up to
-        # rounding, and another summation order breaks those ties differently.
         gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M[b], feas))
         beams[b] = feas[:, int(np.argmax(gains))]
     designed = BeamWeights._rows(beams, phase_spec)
@@ -577,7 +627,7 @@ def coordinate_descent(
         for i in range(L):
             c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
             moved = c != 0.0
-            phase = np.angle(c[moved]) % _TWO_PI
+            phase = _phase(c[moved])
             if phase_spec.is_discrete:
                 Wa[moved, i] = phasors[_lattice_index(phase, phase_spec.bits)]
             else:
@@ -641,10 +691,8 @@ def design_beam(
     stack = _hermitian_stack(M)
     seeds = _member_seeds(seed, len(stack))
     if strategy == "eigen":
-        beams = []
-        for m in stack:
-            _, v = max_eigenpair(m)
-            beams.append(BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec))
+        _, V = _max_eigenpairs(stack)
+        beams = [BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec) for v in V]
     else:
         beams = gaussian_randomization(solve_sdr(stack, tol=sdr_tol), stack, n_rand, phase_spec, seeds)
         if strategy == "sdr_grp_cd":

@@ -92,6 +92,29 @@ class TestBeamWeights:
         w[0] = -0.5
         assert beam.weights[0] == 0.5
 
+    def test_value_equality_and_hash(self):
+        continuous = bb.PhaseSpec.continuous()
+        w = np.exp(1j * np.array([0.0, 0.4, -1.3, 2.9])) / 2.0
+        a, b = bb.BeamWeights(w, continuous), bb.BeamWeights(w.copy(), continuous)
+        assert a == b and hash(a) == hash(b)
+        nudged = w.copy()
+        nudged[2] = complex(np.nextafter(nudged[2].real, 1.0), nudged[2].imag)  # one ulp, still feasible
+        assert a != bb.BeamWeights(nudged, continuous)
+        lattice = np.full(4, 0.5 + 0.0j)
+        assert bb.BeamWeights(lattice, continuous) != bb.BeamWeights(lattice, bb.PhaseSpec.discrete(2))
+        signed_zero = bb.BeamWeights(np.full(4, complex(0.5, -0.0)), continuous)
+        assert signed_zero == bb.BeamWeights(lattice, continuous)
+        assert hash(signed_zero) == hash(bb.BeamWeights(lattice, continuous))
+        assert a != "beam"
+        assert len({a, b, bb.BeamWeights(nudged, continuous)}) == 2
+
+    def test_codebooks_compare_by_value(self):
+        spec = bb.PhaseSpec.discrete(2)
+        beam = lambda: bb.BeamWeights(np.full(4, 0.5 + 0.0j), spec)  # noqa: E731
+        assert bb.Codebook([bb.CodebookEntry("x", beam())]) == bb.Codebook([bb.CodebookEntry("x", beam())])
+        assert bb.Codebook([bb.CodebookEntry("x", beam())]) != bb.Codebook([bb.CodebookEntry("y", beam())])
+        assert len({bb.CodebookEntry("x", beam()), bb.CodebookEntry("x", beam())}) == 1
+
     def test_phase_spec_validation(self):
         with pytest.raises(ValueError):
             bb.PhaseSpec.discrete(0)

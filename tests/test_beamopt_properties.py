@@ -193,3 +193,103 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
         slack = 1e-12 * max(np.trace(m).real, 1e-300)
         assert np.all(np.diff(result.objectives) >= -slack)
     assert np.all(np.diff(batch.objectives, axis=0) >= -1e-12 * np.maximum(np.trace(M, axis1=1, axis2=2).real, 1e-300))
+
+
+def test_phase_is_mod_of_angle_bit_for_bit():
+    rng = np.random.default_rng(0)
+    special = [complex(re, im) for re in (1.0, -1.0, 0.0, -0.0) for im in (0.0, -0.0, 1e-300, -1e-300)]
+    z = np.concatenate([special, rng.standard_normal(1000) + 1j * rng.standard_normal(1000)])
+    assert beamopt_module._phase(z).tobytes() == np.mod(np.angle(z), 2.0 * math.pi).tobytes()
+
+
+def randomize_every_draw(solution: bb.SdrSolution, M: np.ndarray, n_rand: int, spec: bb.PhaseSpec, seed: int):
+    """Reference: score every one of the n_rand draws, repeats included, and keep the first best draw."""
+    M = beamopt_module._hermitian_stack(M)[0]
+    L = M.shape[0]
+    vals, vecs = np.linalg.eigh(solution.W[None])
+    vals = np.clip(vals, 0.0, None)
+    factors = (vecs * np.sqrt(vals)[:, None, :])[0]
+    vals, vecs = vals[0], vecs[0]
+    if not spec.is_discrete and (L == 1 or vals[-2] <= 1e-9 * max(vals[-1], 1e-300)):
+        return beamopt_module._cophase(vecs[:, -1])
+    rng = np.random.default_rng(seed)
+    xi = np.empty((n_rand, L), dtype=complex)
+    xi.real = rng.standard_normal((n_rand, L))
+    xi.imag = rng.standard_normal((n_rand, L))
+    xi *= math.sqrt(0.5)
+    phases = np.mod(np.angle(factors @ xi.T), 2.0 * math.pi)
+    if spec.is_discrete:
+        feas = beamopt_module._lattice_phasors(spec.bits, L)[beamopt_module._lattice_index(phases, spec.bits)]
+    else:
+        feas = np.exp(1j * phases) / math.sqrt(L)
+    gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M, feas))
+    return feas[:, int(np.argmax(gains))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    L=st.integers(1, 16),
+    kind=st.sampled_from(KINDS),
+    instance=st.integers(0, 10_000),
+    bits=st.sampled_from(RESOLUTIONS),
+    n_rand=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+# L * bits > 63: the columns are keyed by their bytes, not packed into an int64.
+@example(L=16, kind="full", instance=1, bits=4, n_rand=500, seed=5)
+@example(L=8, kind="rank-one", instance=2, bits=16, n_rand=2000, seed=6)
+@example(L=5, kind="full", instance=3, bits=13, n_rand=1, seed=7)
+# Rank-one W with n_rand far above L * 2^b: almost every draw repeats an earlier beam.
+@example(L=2, kind="rank-one", instance=4, bits=1, n_rand=2000, seed=8)
+@example(L=16, kind="rank-one", instance=5, bits=3, n_rand=2000, seed=9)
+@example(L=1, kind="full", instance=6, bits=2, n_rand=2000, seed=10)
+# A compact (L, distinct) copy of the distinct beams changes the last bits of a gain here.
+@example(L=2, kind="full", instance=44, bits=1, n_rand=7, seed=44)
+def test_randomization_equals_scoring_every_draw_bit_for_bit(L, kind, instance, bits, n_rand, seed):
+    M = member(L, kind, instance)
+    spec = phase_spec(bits)
+    solution = bb.solve_sdr(M)
+    beam = bb.gaussian_randomization(solution, M, n_rand, spec, seed)
+    assert beam.weights.tobytes() == randomize_every_draw(solution, M, n_rand, spec, seed).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(1, 16), bits=st.integers(1, 16), n=st.integers(1, 300), pool=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(L=16, bits=1, n=300, pool=20, seed=0)  # 16-bit keys
+@example(L=16, bits=4, n=300, pool=20, seed=1)  # 64 bits: byte keys
+def test_first_distinct_columns_are_the_first_occurrences(L, bits, n, pool, seed):
+    rng = np.random.default_rng(seed)
+    columns = rng.integers(0, 1 << bits, (pool, L))  # few distinct columns, so most repeat
+    index = columns[rng.integers(0, pool, n)].T.astype(np.intp)
+    seen, first = set(), []
+    for j, column in enumerate(map(tuple, index.T)):
+        if column not in seen:
+            seen.add(column)
+            first.append(j)
+    assert beamopt_module._first_distinct_columns(index, bits).tolist() == first
+
+
+def max_eigenpair_alone(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """Reference: one eigh per matrix, the eigenvector's first non-negligible entry rotated to real positive."""
+    if np.max(np.abs(M)) == 0.0:
+        return 0.0, np.eye(1, len(M), dtype=complex)[0]
+    vals, vecs = np.linalg.eigh(M)
+    v = vecs[:, -1]
+    nz = np.flatnonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))
+    return float(vals[-1]), v * np.exp(-1j * np.angle(v[nz[0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stacks(max_elements=16, max_members=6))
+# A rank-one member whose first entry is small but not negligible: the phase pin is on entry 0.
+@example(case=(3, np.stack([np.outer(v, v.conj()) for v in (np.array([1e-6, 1.0, 1j]), np.array([0.0, 2.0, 1.0 - 1j]))])))
+def test_stacked_eigenpairs_equal_one_eigh_per_matrix_bit_for_bit(case):
+    _, M = case
+    H = beamopt_module._hermitian_stack(M)
+    lam, V = beamopt_module._max_eigenpairs(H)
+    for m, lam_b, v in zip(H, lam, V):
+        lam_ref, v_ref = max_eigenpair_alone(m)
+        assert lam_b == lam_ref and v.tobytes() == v_ref.tobytes()
+        lam_one, v_one = bb.max_eigenpair(m)
+        assert lam_one == lam_ref and v_one.tobytes() == v_ref.tobytes()

@@ -389,9 +389,17 @@ class TestCodebookJson:
         bb.save_codebook(cb, path)
         back = bb.load_codebook(path)
         assert back.phase_bits == 5
-        for a, b in zip(cb.entries, back.entries):
-            assert a.array_id == b.array_id
-            assert np.array_equal(a.weights.weights, b.weights.weights)
+        assert back == cb
+
+    def test_round_trip_exact_continuous(self, iso_grid, tmp_path):
+        grid, _ = iso_grid
+        rng = np.random.default_rng(3)
+        beams = [bb.BeamWeights(np.exp(1j * rng.uniform(-math.pi, math.pi, 4)) / 2.0, bb.PhaseSpec.continuous())
+                 for _ in range(3)]
+        cb = bb.Codebook(tuple(bb.CodebookEntry(grid.array_id, w) for w in beams))
+        path = tmp_path / "cb.json"
+        bb.save_codebook(cb, path)
+        assert bb.load_codebook(path) == cb
 
     def test_continuous_phase_bits_null(self, iso_grid, tmp_path):
         grid, _ = iso_grid
