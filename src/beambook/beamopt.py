@@ -338,10 +338,19 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     its stage tolerance, and leaves the stack after the last stage or at
     the sweep cap; a member's arithmetic never involves another member.
 
+    The row update makes as few NumPy calls as it can, but each call keeps
+    the operands, and their order, of the plain formulas u = B c,
+    s = Re(c^H u), and t = (-sigma gamma + sqrt((sigma gamma)^2 + 4 s gamma)) / (2 s)
+    in a barrier stage or t = sqrt(gamma / s) in the last stage, with t = 0
+    where s <= 0.  So every member's iterates are bit for bit those of the
+    plain formulas.  The one regrouping, (4 s) gamma computed as
+    s (4 gamma), scales by a power of two and is exact.
+
     Returns W, objective, sweeps, last improvement and stage tolerance per member.
     """
     B, L, _ = M.shape
     gamma = 1.0 / L
+    four_gamma = 4.0 * gamma
     W = np.broadcast_to(np.eye(L, dtype=complex) / L, (B, L, L)).copy()
     obj = _objectives(M, W)
     sweeps = np.zeros(B, dtype=int)
@@ -350,27 +359,42 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     stage_tol = max(tol, 1e-14) * np.maximum(trace, 1.0) * 0.1
     active = np.flatnonzero(sweeps < max_sweeps)
     Ma, Wa = M[active], W[active]
+    views = None
     while active.size:
+        if views is None:
+            # Per row i: column i of every active M as a contiguous (Ba, L, 1)
+            # block and its conjugate as a (Ba, 1, L) row, then column i, row i
+            # and entry (i, i) of Wa as views.  Rebuilt when members leave.
+            columns = np.ascontiguousarray(Ma.transpose(0, 2, 1))
+            c_cols, c_rows = columns[:, :, :, None], columns.conj()[:, :, None, :]
+            views = [(c_cols[:, i], c_rows[:, i], Wa[:, :, i, None], Wa[:, i, :, None], Wa[:, i, i]) for i in range(L)]
         sigma = _BARRIER_SCHEDULE[stage[active]] * trace[active]
-        sigma_gamma = sigma * gamma
-        barrier = sigma > 0.0
-        for i in range(L):
-            Wa[:, i, :] = 0.0
-            Wa[:, :, i] = 0.0
-            c = Ma[:, :, i]
-            u = (Wa @ c[:, :, None])[:, :, 0]
-            s = np.real((c.conj()[:, None, :] @ u[:, :, None])[:, 0, 0])
-            positive = s > 0.0
-            s_safe = np.where(positive, s, 1.0)
-            t = np.where(
-                barrier,
-                (-sigma_gamma + np.sqrt(sigma_gamma**2 + 4.0 * s_safe * gamma)) / (2.0 * s_safe),
-                np.sqrt(gamma / s_safe),
-            )
-            y = np.where(positive, t, 0.0)[:, None] * u
-            Wa[:, :, i] = y
-            Wa[:, i, :] = y.conj()
-            Wa[:, i, i] = gamma
+        barrier = (sigma > 0.0)[:, None, None]
+        sigma_gamma = (sigma * gamma)[:, None, None]
+        sigma_gamma_sq, neg_sigma_gamma = sigma_gamma**2, -sigma_gamma
+        all_barrier = barrier.all()
+        mixed = not all_barrier and barrier.any()
+        for c_col, c_row, w_col, w_row, w_diag in views:
+            w_row.fill(0.0)
+            w_col.fill(0.0)
+            u = Wa @ c_col
+            s = (c_row @ u).real
+            all_positive = s.min() > 0.0
+            if not all_positive:
+                positive = s > 0.0
+                s = np.where(positive, s, 1.0)
+            if all_barrier or mixed:
+                t = (neg_sigma_gamma + np.sqrt(sigma_gamma_sq + s * four_gamma)) / (2.0 * s)
+                if mixed:
+                    t = np.where(barrier, t, np.sqrt(gamma / s))
+            else:
+                t = np.sqrt(gamma / s)
+            if not all_positive:
+                t = np.where(positive, t, 0.0)
+            y = t * u
+            w_col[...] = y
+            w_row[...] = y.conj()
+            w_diag.fill(gamma)
         new_obj = _objectives(Ma, Wa)
         improvement[active] = new_obj - obj[active]
         obj[active] = new_obj
@@ -381,6 +405,7 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
             W[active[done]] = Wa[done]
             keep = ~done
             active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+            views = None
     return W, obj, sweeps, improvement, stage_tol
 
 
@@ -404,10 +429,14 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
     Rank-one inputs short-circuit to the exact analytic optimum (the
     co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
     every member's best iterate, if the sweep budget is exhausted before
-    some member's objective settles.
+    some member's objective settles, and ``ValueError`` unless ``tol`` is
+    positive (NaN is not) and ``max_sweeps`` is at least 1.
     """
-    if tol <= 0.0:
+    # Written as "not >" so that a NaN tol fails too.
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     single = np.ndim(M) == 2
     M = _hermitian_stack(M)
     B, L, _ = M.shape

@@ -77,6 +77,20 @@ class DirectionSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __eq__(self, other):
+        """Equal when theta, phi and weights are exactly equal, entry by entry."""
+        if not isinstance(other, DirectionSet):
+            return NotImplemented
+        return (
+            np.array_equal(self.theta, other.theta)
+            and np.array_equal(self.phi, other.phi)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self):
+        # Python floats that compare equal hash equal (0.0 and -0.0 too), as array_equal needs.
+        return hash((tuple(self.theta.tolist()), tuple(self.phi.tolist()), tuple(self.weights.tolist())))
+
     def __len__(self) -> int:
         return self.theta.size
 
@@ -261,19 +275,13 @@ def top_eigenvalues(et: np.ndarray, ep: np.ndarray) -> np.ndarray:
     return half_tr + np.sqrt(np.maximum(half_tr**2 - det, 0.0))
 
 
-def coherence_matrix(grid: EFieldGrid, direction: Direction) -> np.ndarray:
-    """Hermitian PSD matrix whose quadratic form gives the realized field power.
-
-    Sum of the outer products of the two polarization field vectors at an
-    on-mesh direction; rank <= 2 by construction.
-    """
-    return coherence_sum(grid, [direction])
-
-
 def coherence_sum(grid: EFieldGrid, directions: Iterable[Direction], weights=None) -> np.ndarray:
     """Sum of coherence matrices over a set of on-mesh directions.
 
-    Optional nonnegative per-direction weights scale each term (used for
+    The coherence matrix of one direction is the sum of the outer products
+    of its two polarization field vectors: Hermitian PSD, rank <= 2, and
+    its quadratic form gives the realized field power.  Optional
+    nonnegative per-direction weights scale each term (used for
     quadrature-weighted accumulation); the plain sum is the default.
     """
     dirs = list(directions)

@@ -238,6 +238,17 @@ class TestSolveSdr:
         with pytest.raises(ValueError):
             bb.solve_sdr(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1e-9}, {"max_sweeps": 0}, {"max_sweeps": -1}])
+    def test_rejects_bad_solver_settings(self, kwargs):
+        # Unchecked, a NaN tol runs all 5000 sweeps and returns a barrier-biased W
+        # (objective 2.9802 against a bound of 3), and a cap below 1 raises
+        # SdrConvergenceError after no sweep at all.
+        M = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="tol|max_sweeps"):
+            bb.solve_sdr(M, **kwargs)
+        with pytest.raises(ValueError, match="tol|max_sweeps"):
+            bb.solve_sdr(np.stack([M, np.eye(2)]), **kwargs)
+
 
 class TestGaussianRandomization:
     def test_rank_one_continuous_reaches_cophasing(self):
@@ -321,7 +332,7 @@ class TestCoordinateDescent:
 class TestDesignBeam:
     def test_strategies_agree_on_lattice_aligned_broadside(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
-        M = bb.coherence_matrix(grid, bb.Direction(90.0, 0.0))
+        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
         spec = bb.PhaseSpec.discrete(5)
         gains = {}
         for strategy in ("eigen", "sdr_grp", "sdr_grp_cd"):

@@ -293,3 +293,100 @@ def test_stacked_eigenpairs_equal_one_eigh_per_matrix_bit_for_bit(case):
         assert lam_b == lam_ref and v.tobytes() == v_ref.tobytes()
         lam_one, v_one = bb.max_eigenpair(m)
         assert lam_one == lam_ref and v_one.tobytes() == v_ref.tobytes()
+
+
+def ascend_reference(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
+    """Reference: the barrier row-by-row ascent with one np.where per branch on every row, as first written."""
+    B, L, _ = M.shape
+    gamma = 1.0 / L
+    W = np.broadcast_to(np.eye(L, dtype=complex) / L, (B, L, L)).copy()
+    obj = np.real(np.einsum("bij,bji->b", M, W))
+    sweeps = np.zeros(B, dtype=int)
+    stage = np.zeros(B, dtype=int)
+    improvement = np.full(B, math.inf)
+    stage_tol = max(tol, 1e-14) * np.maximum(trace, 1.0) * 0.1
+    schedule = beamopt_module._BARRIER_SCHEDULE
+    active = np.flatnonzero(sweeps < max_sweeps)
+    Ma, Wa = M[active], W[active]
+    while active.size:
+        sigma = schedule[stage[active]] * trace[active]
+        sigma_gamma = sigma * gamma
+        barrier = sigma > 0.0
+        for i in range(L):
+            Wa[:, i, :] = 0.0
+            Wa[:, :, i] = 0.0
+            c = Ma[:, :, i]
+            u = (Wa @ c[:, :, None])[:, :, 0]
+            s = np.real((c.conj()[:, None, :] @ u[:, :, None])[:, 0, 0])
+            positive = s > 0.0
+            s_safe = np.where(positive, s, 1.0)
+            t = np.where(
+                barrier,
+                (-sigma_gamma + np.sqrt(sigma_gamma**2 + 4.0 * s_safe * gamma)) / (2.0 * s_safe),
+                np.sqrt(gamma / s_safe),
+            )
+            y = np.where(positive, t, 0.0)[:, None] * u
+            Wa[:, :, i] = y
+            Wa[:, i, :] = y.conj()
+            Wa[:, i, i] = gamma
+        new_obj = np.real(np.einsum("bij,bji->b", Ma, Wa))
+        improvement[active] = new_obj - obj[active]
+        obj[active] = new_obj
+        sweeps[active] += 1
+        stage[active] += improvement[active] < stage_tol[active]
+        done = (stage[active] == schedule.size) | (sweeps[active] >= max_sweeps)
+        if done.any():
+            W[active[done]] = Wa[done]
+            keep = ~done
+            active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+    return W, obj, sweeps, improvement, stage_tol
+
+
+ASCENT_KINDS = ("full", "rank-deficient", "diagonal")
+
+
+def ascent_member(L: int, kind: str, seed: int, scale_exp: int) -> np.ndarray:
+    """A full-rank, rank-deficient (rank about L/2) or diagonal PSD matrix with trace near L * 10**scale_exp."""
+    if kind == "diagonal":  # every row has s = 0: the t = 0 path
+        M = np.diag(np.random.default_rng(seed).uniform(0.5, 2.0, L)).astype(complex)
+    else:
+        M = random_instance(RandomInstanceSpec(L, L if kind == "full" else max(1, L // 2), seed))
+    return M * 10.0**scale_exp
+
+
+@st.composite
+def ascent_stacks(draw):
+    """(stack, trace) with mixed member kinds and trace scales from 1e-13 to 1e3."""
+    L = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(ASCENT_KINDS), min_size=n, max_size=n))
+    seeds = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    scales = draw(st.lists(st.integers(-13, 3), min_size=n, max_size=n))
+    return ascent_case(L, list(zip(kinds, seeds, scales)))
+
+
+def ascent_case(L: int, members) -> tuple[np.ndarray, np.ndarray]:
+    M = beamopt_module._hermitian_stack(np.stack([ascent_member(L, *m) for m in members]))
+    return M, np.real(np.trace(M, axis1=1, axis2=2))
+
+
+# A member whose trace is far below tol leaves a barrier stage after every
+# sweep and reaches the barrier-free last stage at sweep 8; a member of trace
+# about L is still in a barrier stage then.  With a loose tol every member
+# leaves a stage after every sweep.
+@settings(max_examples=80, deadline=None)
+@given(case=ascent_stacks(), tol=st.sampled_from((1e-9, 1e-3, 10.0)), max_sweeps=st.sampled_from((1, 2, 3, 10)))
+# Every sweep in a barrier stage.
+@example(case=ascent_case(4, [("full", 1, 0), ("rank-deficient", 2, 2)]), tol=1e-9, max_sweeps=3)
+# Sweeps 8 to 10 barrier-free for every member.
+@example(case=ascent_case(5, [("full", 3, 0), ("rank-deficient", 4, -2)]), tol=10.0, max_sweeps=10)
+# Sweeps 8 to 10 mix a barrier-free member with barrier members.
+@example(case=ascent_case(6, [("full", 5, 0), ("full", 6, -12), ("rank-deficient", 7, 3)]), tol=1e-9, max_sweeps=10)
+# s = 0 on every row of the diagonal member, beside members with s > 0.
+@example(case=ascent_case(3, [("diagonal", 8, 0), ("full", 9, 1)]), tol=1e-9, max_sweeps=2)
+def test_ascent_equals_the_reference_row_loop_bit_for_bit(case, tol, max_sweeps):
+    M, trace = case
+    got = beamopt_module._ascend(M, trace, tol, max_sweeps)
+    want = ascend_reference(M, trace, tol, max_sweeps)
+    for name, a, b in zip(("W", "objective", "sweeps", "improvement", "stage_tol"), got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

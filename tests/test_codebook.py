@@ -118,7 +118,7 @@ class TestCandidates:
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
         # broadside: progressive phases are all zero, exactly on any lattice
         ds = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
-        M = bb.coherence_matrix(grid, bb.Direction(90.0, 0.0))
+        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
         eig = bb.design_beam(M, bb.PhaseSpec.discrete(5), "eigen")
         it = bb.design_beam(M, bb.PhaseSpec.discrete(5), "sdr_grp_cd", seed=9)
         assert_allclose(eig.weights, it.weights, atol=1e-12)
@@ -218,6 +218,22 @@ class TestGreedy:
 
 
 class TestKMeans:
+    def test_configs_compare_by_value(self, iso_grid):
+        _, dirs = iso_grid
+        same_dirs = bb.DirectionSet(dirs.theta.copy(), dirs.phi.copy(), dirs.weights.copy())
+        beam = bb.BeamWeights.from_phases(np.zeros(4), bb.PhaseSpec.discrete(5))
+        init = bb.Codebook([bb.CodebookEntry("ula", beam)])
+
+        def make(direction_set=dirs, **kwargs):
+            return bb.KMeansConfig(num_beams=1, direction_set=direction_set, phase_spec=bb.PhaseSpec.discrete(5),
+                                   init=init, **kwargs)
+
+        a, b = make(), make(same_dirs)
+        assert a == b and hash(a) == hash(b)
+        assert make(seed=1) != a
+        assert make(bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))) != a
+        assert len({a, b, make(n_rand=10)}) == 2
+
     def test_single_beam_converges_immediately(self, iso_grid):
         grid, dirs = iso_grid
         cfg = bb.KMeansConfig(

@@ -150,7 +150,7 @@ class TestCoherence:
         phi = np.array([0.0])
         et = np.ones((2, 1, 1), dtype=complex)
         grid = bb.EFieldGrid("g", theta, phi, et, np.zeros_like(et))
-        M = bb.coherence_matrix(grid, bb.Direction(90.0, 0.0))
+        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
         assert_allclose(M, np.ones((2, 2)), atol=1e-15)
 
     def test_orthogonal_components_sum_to_identity(self):
@@ -159,24 +159,27 @@ class TestCoherence:
         et = np.array([[[1.0]], [[0.0]]], dtype=complex)
         ep = np.array([[[0.0]], [[1.0]]], dtype=complex)
         grid = bb.EFieldGrid("g", theta, phi, et, ep)
-        M = bb.coherence_matrix(grid, bb.Direction(90.0, 0.0))
+        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
         assert_allclose(M, np.eye(2), atol=1e-15)
 
     def test_synthetic_direction_is_rank_one(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.65))
-        M = bb.coherence_matrix(grid, dirs.directions[100])
+        M = bb.coherence_sum(grid, [dirs.directions[100]])
         vals = np.linalg.eigvalsh(M)
         assert vals[-2] <= 1e-9 * vals[-1]
 
     def test_off_mesh_lookup_raises(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
         with pytest.raises(KeyError):
-            bb.coherence_matrix(grid, bb.Direction(90.05, 0.0))
+            bb.coherence_sum(grid, [bb.Direction(90.05, 0.0)])
 
     def test_singleton_sum_equals_single_matrix(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(3, 0.5))
         d = dirs.directions[7]
-        assert_allclose(bb.coherence_sum(grid, [d]), bb.coherence_matrix(grid, d))
+        it, ip = grid.index_of(d.theta, d.phi)
+        et, ep = grid.e_theta[:, it, ip], grid.e_phi[:, it, ip]
+        expected = np.outer(et, et.conj()) + np.outer(ep, ep.conj())
+        assert_allclose(bb.coherence_sum(grid, [d]), expected, rtol=1e-14, atol=1e-15 * np.abs(expected).max())
 
     def test_sum_matches_bruteforce_accumulation(self):
         grid = small_grid(L=4, nt=6, np_=5, seed=3)
@@ -187,7 +190,7 @@ class TestCoherence:
         ]
         expected = np.zeros((4, 4), dtype=complex)
         for d in dirs:
-            expected = expected + bb.coherence_matrix(grid, d)
+            expected = expected + bb.coherence_sum(grid, [d])
         assert_allclose(bb.coherence_sum(grid, dirs), expected, atol=1e-12)
 
     def test_invariants_over_random_directions(self):
@@ -198,7 +201,7 @@ class TestCoherence:
                 float(grid.theta_axis[rng.integers(0, 8)]),
                 float(grid.phi_axis[rng.integers(0, 7)]),
             )
-            M = bb.coherence_matrix(grid, d)
+            M = bb.coherence_sum(grid, [d])
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * max(np.max(np.abs(M)), 1.0)
             vals = np.linalg.eigvalsh(M)
             trace = float(np.real(np.trace(M)))
@@ -212,6 +215,20 @@ class TestCoherence:
 
 
 class TestDirectionSetsAndRegions:
+    def test_value_equality_and_hash(self):
+        def make(phi0=0.0, weights=(0.25, 0.75)):
+            return bb.DirectionSet(np.array([10.0, 20.0]), np.array([phi0, 30.0]), np.array(weights))
+
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+        assert make(phi0=-0.0) == a and hash(make(phi0=-0.0)) == hash(a)
+        assert make(phi0=360.0) == a  # phi is stored modulo 360
+        assert make(phi0=np.nextafter(0.0, 1.0)) != a
+        assert make(weights=(0.75, 0.25)) != a
+        assert bb.DirectionSet(np.array([10.0]), np.array([0.0]), np.array([1.0])) != a  # another length
+        assert a != (a.theta, a.phi, a.weights)
+        assert len({a, b, make(weights=(0.5, 0.5))}) == 2
+
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
             bb.DirectionSet(np.array([10.0]), np.array([0.0]), np.array([0.5]))

@@ -41,7 +41,7 @@ class TestBeamGain:
         for _ in range(20):
             w = unimodular(rng.uniform(0, 2 * math.pi, 3))
             d = bb.Direction(float(theta[rng.integers(6)]), float(phi[rng.integers(5)]))
-            M = bb.coherence_matrix(grid, d)
+            M = bb.coherence_sum(grid, [d])
             expected = GAIN_FACTOR * float(np.real(w.weights.conj() @ M @ w.weights))
             assert_allclose(bb.beam_gain(grid, w.weights, d), expected, rtol=1e-12)
 
@@ -85,7 +85,7 @@ class TestUpperBound:
     def test_rank_one_bound_is_field_norm(self, iso_grid):
         grid, dirs = iso_grid
         d = bb.Direction(90.0, 0.0)
-        M = bb.coherence_matrix(grid, d)
+        M = bb.coherence_sum(grid, [d])
         expected = GAIN_FACTOR * np.linalg.eigvalsh(M)[-1]
         ds = bb.DirectionSet(np.array([d.theta]), np.array([d.phi]), np.array([1.0]))
         bound = bb.upper_bound_pattern(grid, ds)
@@ -100,7 +100,7 @@ class TestUpperBound:
         dirs = bb.mesh_directions(grid)
         bound = bb.upper_bound_gains_linear(grid, dirs)
         for k, d in enumerate(dirs):
-            lam = np.linalg.eigvalsh(bb.coherence_matrix(grid, d))[-1]
+            lam = np.linalg.eigvalsh(bb.coherence_sum(grid, [d]))[-1]
             assert_allclose(bound[k], GAIN_FACTOR * lam, rtol=1e-10)
 
     def test_composite_below_bound_for_random_codebooks(self, iso_grid):
@@ -119,7 +119,7 @@ class TestGapMap:
         # with equal element magnitudes, co-phasing attains the eigen bound
         grid, dirs = iso_grid
         d = list(dirs)[60]
-        M = bb.coherence_matrix(grid, d)
+        M = bb.coherence_sum(grid, [d])
         beam = bb.design_beam(M, bb.PhaseSpec.continuous(), "eigen")
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, beam),))
         gap = bb.gap_map(bb.composite_pattern(grid, cb, dirs), bb.upper_bound_pattern(grid, dirs))
