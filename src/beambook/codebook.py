@@ -505,12 +505,6 @@ def benchmark_codebook(
     return Codebook(tuple(entries))
 
 
-def benchmark_aim_degrees(size: int) -> np.ndarray:
-    """Aim angles (degrees from the array axis) of the benchmark codebook."""
-    ks = np.arange(1, size + 1)
-    return np.degrees(np.arccos(-1.0 + (2.0 * ks - 1.0) / size))
-
-
 def codebook_802_15_3c(
     num_elements: int,
     size: int,

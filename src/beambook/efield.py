@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -60,18 +61,22 @@ class DirectionSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        phi = _normalize_phi(np.asarray(self.phi, dtype=float))
-        weights = np.asarray(self.weights, dtype=float)
+        theta = np.array(self.theta, dtype=float)
+        phi = np.array(self.phi, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if not (theta.shape == phi.shape == weights.shape) or theta.ndim != 1:
             raise ValueError("theta, phi and weights must be 1-D arrays of equal length")
         if theta.size == 0:
             raise ValueError("direction set is empty")
-        if np.any(theta < 0.0) or np.any(theta > 180.0):
+        # Written as "not <=" so that NaN fails every check.
+        if not np.all((0.0 <= theta) & (theta <= 180.0)):
             raise ValueError("theta out of [0, 180]")
-        if np.any(weights < 0.0):
-            raise ValueError("negative quadrature weight")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not np.all(np.abs(phi) < np.inf):
+            raise ValueError("non-finite phi")
+        phi = _normalize_phi(phi)
+        if not np.all(weights >= 0.0):
+            raise ValueError("negative or NaN quadrature weight")
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         for name, arr in (("theta", theta), ("phi", phi), ("weights", weights)):
             arr.setflags(write=False)
@@ -101,6 +106,11 @@ class DirectionSet:
     @property
     def directions(self) -> list[Direction]:
         return list(self)
+
+    @cached_property
+    def csv_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``repr_cells`` of theta, phi and weights, formatted once per set."""
+        return repr_cells(self.theta), repr_cells(self.phi), repr_cells(self.weights)
 
 
 @dataclass(frozen=True)
@@ -326,7 +336,7 @@ def snap_to_grid(dirs: DirectionSet, grid: EFieldGrid) -> DirectionSet:
     Duplicates are retained so that quadrature weights keep their meaning.
     """
     it, ip = grid.resolve(dirs.theta, dirs.phi)
-    return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights.copy())
+    return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights)
 
 
 def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[EFieldGrid, DirectionSet]:
@@ -416,16 +426,62 @@ def save_efield(grid: EFieldGrid, path) -> None:
     write_csv_columns(path, GRID_CSV_HEADER, columns)
 
 
-def write_csv_columns(path, header: str, columns) -> None:
-    """Write a header plus one row per index of the equal-length columns, each value as its ``repr`` (LF)."""
-    cells = [map(repr, np.asarray(column).tolist()) for column in columns]
-    lines = [header, *map(",".join, zip(*cells))]
+def repr_cells(column) -> np.ndarray:
+    """The ``repr`` of each value as an object array; each distinct value is formatted once.
+
+    Floats are told apart by bit pattern, so -0.0 keeps its sign.
+    """
+    values, inverse = np.asarray(column), slice(None)
+    if values.dtype == np.float64 or values.dtype.kind in "iu":
+        keys = values.view(np.int64) if values.dtype == np.float64 else values
+        keys, inverse = np.unique(keys, return_inverse=True)
+        values = keys.view(values.dtype)
+    return np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
+
+
+def write_csv_cells(path, header: str, cells) -> None:
+    """Write a header plus one row per index of equal-length columns of formatted cells (LF)."""
+    lines = [header, *map(",".join, zip(*(column.tolist() for column in cells)))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def write_csv_columns(path, header: str, columns) -> None:
+    """Write a header plus one row per index of the equal-length columns, each value as its ``repr`` (LF)."""
+    write_csv_cells(path, header, [repr_cells(column) for column in columns])
+
+
+def _json_number_items(values, indent: str) -> list[str] | None:
+    """Item texts of a list of finite floats or of finite float pairs, by ``float.__repr__``; else None."""
+    pairs = all(isinstance(v, (list, tuple)) and len(v) == 2 for v in values)
+    flat = [x for pair in values for x in pair] if pairs else values
+    try:
+        items = list(map(float.__repr__, flat))
+    except TypeError:
+        return None
+    if not all(map(math.isfinite, flat)):
+        return None
+    if not pairs:
+        return items
+    inner, it = indent + "  ", iter(items)
+    return [f"[\n{inner}{a},\n{inner}{b}\n{indent}]" for a, b in zip(it, it)]
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` with every line after the first indented by ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        items = _json_number_items(value, inner) or [_json_text(v, inner) for v in value]
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = [f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in sorted(value.items())]
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def write_json(data, path) -> None:
-    """Write a JSON artifact: two-space indent, sorted keys, trailing LF."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    """Write a JSON artifact: ``json.dumps`` with two-space indent and sorted keys, trailing LF."""
+    Path(path).write_text(_json_text(data) + "\n", encoding="utf-8", newline="\n")
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:

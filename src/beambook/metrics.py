@@ -15,7 +15,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .efield import GAIN_FACTOR, DirectionSet, EFieldGrid, snap_to_grid, top_eigenvalues, write_csv_columns, write_json
+from .efield import (GAIN_FACTOR, DirectionSet, EFieldGrid, repr_cells, snap_to_grid, top_eigenvalues, write_csv_cells,
+                     write_json)
 
 DB_FLOOR = -200.0
 
@@ -98,18 +99,6 @@ def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
         flat[start : start + _POWER_BLOCK] += np.square(block, out=block)
     gains *= GAIN_FACTOR
     return gains
-
-
-def beam_gain(grid: EFieldGrid, weights, direction) -> float:
-    """Realized linear gain of one beam at one on-mesh direction."""
-    ds = DirectionSet(np.array([direction.theta]), np.array([direction.phi]), np.array([1.0]))
-    return float(field_gains(weights, *grid.fields_at(ds))[0])
-
-
-def beam_pattern(grid: EFieldGrid, weights, dirs: DirectionSet) -> GainPattern:
-    """Gain pattern of a single beam over a direction set (snapped to the mesh)."""
-    gains = field_gains(weights, *grid.fields_at(snap_to_grid(dirs, grid)))
-    return GainPattern(dirs, db_from_linear(gains))
 
 
 def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
@@ -230,15 +219,15 @@ def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,))
 
 
 def write_pattern_csv(pattern: GainPattern, path) -> None:
-    d = pattern.directions
-    write_csv_columns(path, PATTERN_CSV_HEADER, [d.theta, d.phi, d.weights, pattern.gains_db])
+    """One row per direction; the direction cells are formatted once per direction set."""
+    write_csv_cells(path, PATTERN_CSV_HEADER, [*pattern.directions.csv_cells, repr_cells(pattern.gains_db)])
 
 
 def stats_to_dict(stats: CoverageStats) -> dict:
     return {
         "mean_db": stats.mean_db,
         "percentiles": {f"{x:g}": v for x, v in sorted(stats.percentiles.items())},
-        "cdf": [[float(g), float(c)] for g, c in stats.cdf],
+        "cdf": stats.cdf.tolist(),
     }
 
 

@@ -233,6 +233,29 @@ class TestDirectionSetsAndRegions:
         with pytest.raises(ValueError):
             bb.DirectionSet(np.array([10.0]), np.array([0.0]), np.array([0.5]))
 
+    def test_copies_the_callers_arrays(self):
+        theta, phi, weights = np.array([10.0]), np.array([0.0]), np.array([1.0])
+        ds = bb.DirectionSet(theta, phi, weights)
+        assert theta.flags.writeable and phi.flags.writeable and weights.flags.writeable
+        theta[0], weights[0] = 20.0, 0.0
+        assert ds.theta[0] == 10.0 and ds.weights[0] == 1.0
+        with pytest.raises(ValueError):
+            ds.theta[0] = 30.0
+
+    @pytest.mark.parametrize("theta, phi, weights", [
+        ([np.nan], [0.0], [1.0]),
+        ([np.inf], [0.0], [1.0]),
+        ([10.0], [np.nan], [1.0]),
+        ([10.0], [np.inf], [1.0]),
+        ([10.0], [-np.inf], [1.0]),
+        ([10.0], [0.0], [np.nan]),
+        ([10.0, 20.0], [0.0, 0.0], [1.0, np.nan]),
+        ([10.0, 20.0], [0.0, 0.0], [np.inf, 0.0]),
+    ])
+    def test_rejects_non_finite_values(self, theta, phi, weights):
+        with pytest.raises(ValueError):
+            bb.DirectionSet(np.array(theta), np.array(phi), np.array(weights))
+
     def test_mesh_directions_sin_theta_weights(self):
         grid = small_grid(L=1, nt=5, np_=4)
         ds = bb.mesh_directions(grid)
