@@ -17,7 +17,9 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,46 +30,14 @@ import numpy as np
 
 from . import __version__
 from .beamopt import PhaseSpec
-from .codebook import (
-    Codebook,
-    KMeansConfig,
-    MeanGainCriterion,
-    PercentileMixCriterion,
-    SelectionCriterion,
-    _child_seed,
-    benchmark_codebook,
-    codebook_802_15_3c,
-    codebook_summary,
-    generate_candidates,
-    greedy_codebook,
-    kmeans_codebook,
-    load_codebook,
-    restrict_region,
-    save_codebook,
-)
-from .efield import (
-    GRID_CSV_HEADER,
-    CoverageRegion,
-    DirectionSet,
-    EFieldGrid,
-    SyntheticUlaSpec,
-    fibonacci_directions,
-    generate_ula_efield,
-    load_efield,
-    mesh_directions,
-    save_efield,
-    write_json,
-)
-from .metrics import (
-    PATTERN_CSV_HEADER,
-    CoverageStats,
-    composite_pattern,
-    coverage_stats,
-    gap_map,
-    upper_bound_pattern,
-    write_pattern_csv,
-    write_stats_json,
-)
+from .codebook import (Codebook, KMeansConfig, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion,
+                       _child_seed, benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates,
+                       greedy_codebook, kmeans_codebook, load_codebook, restrict_region, save_codebook)
+from .efield import (GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec, fibonacci_directions,
+                     generate_ula_efield, load_efield, mesh_directions, save_efield, write_json)
+from .metrics import (PATTERN_CSV_HEADER, CoverageStats, GainPattern, composite_gains_linear, composite_pattern,
+                      coverage_stats, db_from_linear, entry_gains_linear, gap_map, resolve_directions,
+                      upper_bound_gains_linear, write_pattern_csv, write_stats_json)
 
 OUTPUT_DIR_ENV = "BEAMBOOK_OUT"
 
@@ -132,6 +102,15 @@ def _integer(block: dict, key: str, minimum: int, default: int | None = None) ->
 
 def _default_output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
+
+
+def _make_output_dir(out: Path) -> Path:
+    """Create ``out`` with its parents; a path that cannot be made a directory is a ConfigError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _parse_region(data) -> CoverageRegion | None:
@@ -199,9 +178,10 @@ def _load_arrays(arrays, config_dir: Path):
             synthetic = synthetic or (spec, dirs)
         elif "csv" in block:
             csv_path = config_dir / block["csv"]  # an absolute path replaces config_dir
-            if not csv_path.exists():
-                raise ConfigError(f"array '{array_id}': file not found: {csv_path}")
-            grid = load_efield(csv_path, array_id=array_id)
+            try:
+                grid = load_efield(csv_path, array_id=array_id)
+            except OSError as exc:  # missing, a directory, unreadable
+                raise ConfigError(f"array '{array_id}': cannot read {csv_path}: {exc.strerror}") from None
         else:
             raise ConfigError(f"array '{array_id}': needs either 'synthetic' or 'csv'")
         grids[array_id] = grid
@@ -307,7 +287,10 @@ def _parse_stop(block: dict) -> tuple[SelectionCriterion, float] | None:
         criterion = PercentileMixCriterion(((float(_require(block, "percentile", "stop")), 1.0),))
     else:
         raise ConfigError(f"unknown stopping rule '{kind}'")
-    return criterion, float(_require(block, "threshold_db", "stop"))
+    threshold = float(_require(block, "threshold_db", "stop"))
+    if not math.isfinite(threshold):
+        raise ConfigError(f"stop 'threshold_db' must be finite, got {threshold!r}")
+    return criterion, threshold
 
 
 def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
@@ -350,22 +333,24 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
 
 
 def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -> CoverageStats | None:
-    """Write pattern/bound/gap CSVs and stats JSON; the codebook (None: bound only) must fit the config's arrays."""
-    dirs = config.eval_dirs
-    out.mkdir(parents=True, exist_ok=True)
+    """Write pattern/bound/gap CSVs and stats JSON; the codebook (None: bound only) must fit the config's arrays.
 
-    bound = upper_bound_pattern(config.grids, dirs)
+    One mesh lookup per array and one (K, N) gain matrix: its column max is the composite, its row argmax the summary.
+    """
+    dirs = config.eval_dirs
+    _make_output_dir(out)
+    resolved = resolve_directions(config.grids, dirs)
+    bound = GainPattern(dirs, db_from_linear(upper_bound_gains_linear(resolved)))
     write_pattern_csv(bound, out / "bound.csv")
     if codebook is None:
         return None
-    pattern = composite_pattern(config.grids, codebook, dirs)
+    gains = entry_gains_linear(resolved, codebook)
+    pattern = GainPattern(dirs, db_from_linear(composite_gains_linear(gains)))
     write_pattern_csv(pattern, out / "pattern.csv")
     write_pattern_csv(gap_map(pattern, bound), out / "gap.csv")
     stats = coverage_stats(pattern, config.percentiles)
-    write_stats_json(stats, out / "stats.json")
-    (out / "summary.txt").write_text(
-        codebook_summary(codebook, config.grids, dirs) + "\n", encoding="utf-8"
-    )
+    write_stats_json(stats, pattern, out / "stats.json")
+    (out / "summary.txt").write_text(codebook_summary(codebook, resolved, gains) + "\n", encoding="utf-8")
     return stats
 
 
@@ -385,8 +370,7 @@ def _cmd_gen_efield(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else _default_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(Path(args.out) if args.out else _default_output_dir())
     grid, _ = generate_ula_efield(spec, array_id=args.array_id)
     csv_path = out / f"{args.name}.csv"
     save_efield(grid, csv_path)
@@ -407,8 +391,7 @@ def _cmd_design(args) -> int:
                  "output_dir": args.output_dir}
     config = load_run_config(args.config, overrides)
     codebook, log = design_codebook(config)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(config.output_dir)
     save_codebook(codebook, out / "codebook.json")
     write_json(log, out / "design_log.json")
     status = log["status"]
@@ -460,8 +443,7 @@ def _cmd_compare(args) -> int:
         cells = [name, algo, str(size), repr(stats.mean_db), repr(stats.percentiles[50.0])]
         cells += [repr(stats.percentiles[p]) for p in percentiles if p != 50.0]
         lines.append(",".join(cells))
-    out = Path(args.output_dir) if args.output_dir else _default_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(Path(args.output_dir) if args.output_dir else _default_output_dir())
     table = "\n".join(lines) + "\n"
     (out / "compare.csv").write_text(table, encoding="utf-8", newline="\n")
     print(table, end="")
@@ -549,7 +531,9 @@ def _cmd_selfcheck(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="beambook", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"beambook {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

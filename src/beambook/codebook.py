@@ -25,18 +25,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .beamopt import BeamWeights, PhaseSpec, design_beam, quantize_phase
-from .efield import (
-    CoverageRegion,
-    Direction,
-    DirectionSet,
-    SyntheticUlaSpec,
-    field_coherence,
-    fibonacci_directions,
-    snap_to_grid,
-    top_eigenvalues,
-    write_json,
-)
-from .metrics import _as_grid_map, db_from_linear, entry_gains_linear, field_gains, weighted_percentiles
+from .efield import (CoverageRegion, Direction, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
+                     snap_to_grid, top_eigenvalues, write_json)
+from .metrics import _as_grid_map, db_from_linear, field_gains, resolve_directions, weighted_percentiles
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,11 +101,11 @@ def load_codebook(path) -> Codebook:
     return codebook_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def codebook_summary(codebook: Codebook, grids, dirs: DirectionSet) -> str:
-    """One line per beam: serving array, aim (argmax-gain direction), peak gain."""
+def codebook_summary(codebook: Codebook, resolved, gains: np.ndarray) -> str:
+    """Per beam: array, aim (argmax of its ``entry_gains_linear`` row on its ``resolved`` directions), peak gain."""
     lines = []
-    for k, (entry, (ds, g)) in enumerate(zip(codebook.entries, entry_gains_linear(grids, codebook, dirs))):
-        i = int(np.argmax(g))
+    for k, (entry, g) in enumerate(zip(codebook.entries, gains)):
+        ds, i = resolved[entry.array_id][0], int(np.argmax(g))
         lines.append(
             f"beam {k}: array={entry.array_id} aim=(theta={ds.theta[i]:.1f}, phi={ds.phi[i]:.1f}) "
             f"peak={db_from_linear(float(g[i])):.2f} dB"
@@ -249,17 +240,12 @@ class GreedyResult:
 
 
 def _candidate_gain_matrix(candidates: Sequence[Candidate], grids, eval_set: DirectionSet) -> np.ndarray:
-    """Linear gains of every candidate at every evaluation direction."""
-    grid_map = _as_grid_map(grids)
+    """Linear gains of every candidate at every evaluation direction, one stacked call per array."""
+    resolved = resolve_directions(grids, eval_set)
     G = np.empty((len(candidates), len(eval_set)))
-    by_array: dict[str, list[int]] = {}
-    for idx, cand in enumerate(candidates):
-        by_array.setdefault(cand.array_id, []).append(idx)
-    for array_id, idxs in by_array.items():
-        grid = grid_map[array_id]
-        et, ep = grid.fields_at(snap_to_grid(eval_set, grid))
-        W = np.stack([candidates[i].weights.weights for i in idxs])  # (n, L)
-        G[idxs, :] = field_gains(W, et, ep)
+    for array_id in dict.fromkeys(cand.array_id for cand in candidates):
+        idxs = [i for i, cand in enumerate(candidates) if cand.array_id == array_id]
+        G[idxs, :] = field_gains(np.stack([candidates[i].weights.weights for i in idxs]), *resolved[array_id][1:])
     return G
 
 
@@ -368,13 +354,11 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
     """
     if num_beams < 1:
         raise ValueError("num_beams must be >= 1")
-    grid_map = _as_grid_map(grids)
-    fib = fibonacci_directions(num_beams)
-    per_array = [(array_id, *grid.fields_at(snap_to_grid(fib, grid))) for array_id, grid in grid_map.items()]
-    best = np.argmax([top_eigenvalues(et, ep) for _, et, ep in per_array], axis=0)  # ties -> first array
+    per_array = list(resolve_directions(grids, fibonacci_directions(num_beams)).items())
+    best = np.argmax([top_eigenvalues(et, ep) for _, (_, et, ep) in per_array], axis=0)  # ties -> first array
     entries = []
     for i, a in enumerate(best):
-        array_id, et, ep = per_array[a]
+        array_id, (_, et, ep) = per_array[a]
         M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
         entries.append(CodebookEntry(array_id, design_beam(M, phase_spec, "eigen")))
     return Codebook(tuple(entries))

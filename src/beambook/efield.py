@@ -451,15 +451,21 @@ def write_csv_columns(path, header: str, columns) -> None:
 
 
 def _json_number_items(values, indent: str) -> list[str] | None:
-    """Item texts of a list of finite floats or of finite float pairs, by ``float.__repr__``; else None."""
-    pairs = all(isinstance(v, (list, tuple)) and len(v) == 2 for v in values)
-    flat = [x for pair in values for x in pair] if pairs else values
-    try:
-        items = list(map(float.__repr__, flat))
-    except TypeError:
-        return None
-    if not all(map(math.isfinite, flat)):
-        return None
+    """Item texts of a list of finite floats or of finite float pairs, by ``float.__repr__``; else None.
+
+    An object array of shape (n,) or (n, 2) holds such texts already formatted.
+    """
+    if isinstance(values, np.ndarray):
+        pairs, items = values.ndim == 2, values.ravel().tolist()
+    else:
+        pairs = all(isinstance(v, (list, tuple)) and len(v) == 2 for v in values)
+        flat = [x for pair in values for x in pair] if pairs else values
+        try:
+            items = list(map(float.__repr__, flat))
+        except TypeError:
+            return None
+        if not all(map(math.isfinite, flat)):
+            return None
     if not pairs:
         return items
     inner, it = indent + "  ", iter(items)
@@ -469,7 +475,7 @@ def _json_number_items(values, indent: str) -> list[str] | None:
 def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` with every line after the first indented by ``indent``."""
     inner = indent + "  "
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple, np.ndarray)) and len(value):
         items = _json_number_items(value, inner) or [_json_text(v, inner) for v in value]
     elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = [f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in sorted(value.items())]

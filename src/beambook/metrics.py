@@ -11,7 +11,8 @@ upper-bounds every codebook and serves as the coverage reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class GainPattern:
     def gains_linear(self) -> np.ndarray:
         return linear_from_db(self.gains_db)
 
+    @cached_property
+    def csv_cells(self) -> tuple[np.ndarray, ...]:
+        """``repr_cells`` of the theta, phi, weight and gain columns, formatted once per pattern."""
+        return *self.directions.csv_cells, repr_cells(self.gains_db)
+
 
 @dataclass(frozen=True)
 class CoverageStats:
@@ -66,11 +72,13 @@ class CoverageStats:
     CDF is the right-continuous weighted empirical step function over
     linear gains, stored as sorted (gain_db, cumulative weight) pairs;
     percentile X is its left inverse (smallest gain with coverage >= X%).
+    ``order`` is the pattern direction of each CDF row.
     """
 
     mean_db: float
     percentiles: dict[float, float]
     cdf: np.ndarray
+    order: np.ndarray
 
     @property
     def median_db(self) -> float:
@@ -107,47 +115,50 @@ def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
     return grids
 
 
-def entry_gains_linear(grids, codebook, dirs: DirectionSet) -> Iterator[tuple[DirectionSet, np.ndarray]]:
-    """Per entry, the directions snapped to its array's mesh and its gains; one lookup per array."""
-    grid_map = _as_grid_map(grids)
-    resolved: dict[str, tuple[DirectionSet, np.ndarray, np.ndarray]] = {}
-    for entry in codebook.entries:
-        if entry.array_id not in resolved:
-            grid = grid_map[entry.array_id]
-            snapped = snap_to_grid(dirs, grid)
-            resolved[entry.array_id] = (snapped, *grid.fields_at(snapped))
-        snapped, et, ep = resolved[entry.array_id]
-        yield snapped, field_gains(entry.weights.weights, et, ep)
+def resolve_directions(grids, dirs: DirectionSet) -> dict[str, tuple[DirectionSet, np.ndarray, np.ndarray]]:
+    """Per array id: the directions snapped to that array's mesh and the (L, N) fields there."""
+    resolved = {}
+    for array_id, grid in _as_grid_map(grids).items():
+        snapped = snap_to_grid(dirs, grid)
+        resolved[array_id] = (snapped, *grid.fields_at(snapped))
+    return resolved
 
 
-def composite_gains_linear(grids, codebook, dirs: DirectionSet) -> np.ndarray:
-    """Per-direction max gain over all codebook entries, linear scale.
+def entry_gains_linear(resolved, codebook) -> np.ndarray:
+    """(K, N) gains of the K codebook entries, each on its own array's ``resolve_directions`` entry.
 
-    Each entry is evaluated on its own array's grid; directions are
-    snapped to each mesh involved.
+    One ``field_gains`` call per entry: a single call on the stacked
+    weights of an array would round some gains differently.
     """
-    if codebook.size == 0:
+    gains = np.empty((codebook.size, len(next(iter(resolved.values()))[0])))
+    for k, entry in enumerate(codebook.entries):
+        gains[k] = field_gains(entry.weights.weights, *resolved[entry.array_id][1:])
+    return gains
+
+
+def composite_gains_linear(gains: np.ndarray) -> np.ndarray:
+    """Per-direction max over the rows of a (K, N) ``entry_gains_linear`` matrix."""
+    if len(gains) == 0:
         raise ValueError("codebook is empty")
-    return np.max([g for _, g in entry_gains_linear(grids, codebook, dirs)], axis=0)
+    return gains.max(axis=0)
 
 
 def composite_pattern(grids, codebook, dirs: DirectionSet) -> GainPattern:
     """Composite (max-over-beams) radiation pattern of a codebook, in dB."""
-    return GainPattern(dirs, db_from_linear(composite_gains_linear(grids, codebook, dirs)))
+    gains = entry_gains_linear(resolve_directions(grids, dirs), codebook)
+    return GainPattern(dirs, db_from_linear(composite_gains_linear(gains)))
 
 
-def upper_bound_gains_linear(grids, dirs: DirectionSet) -> np.ndarray:
-    """Per-direction largest eigenvalue of the coherence matrix, max over arrays, times GAIN_FACTOR."""
-    grid_map = _as_grid_map(grids)
-    best = np.zeros(len(dirs))
-    for grid in grid_map.values():
-        lam = top_eigenvalues(*grid.fields_at(snap_to_grid(dirs, grid)))
-        np.maximum(best, GAIN_FACTOR * lam, out=best)
+def upper_bound_gains_linear(resolved) -> np.ndarray:
+    """Per-direction largest eigenvalue of the coherence matrix, max over the resolved arrays, times GAIN_FACTOR."""
+    best = np.zeros(len(next(iter(resolved.values()))[0]))
+    for _, et, ep in resolved.values():
+        np.maximum(best, GAIN_FACTOR * top_eigenvalues(et, ep), out=best)
     return best
 
 
 def upper_bound_pattern(grids, dirs: DirectionSet) -> GainPattern:
-    return GainPattern(dirs, db_from_linear(upper_bound_gains_linear(grids, dirs)))
+    return GainPattern(dirs, db_from_linear(upper_bound_gains_linear(resolve_directions(grids, dirs))))
 
 
 def gap_map(composite: GainPattern, bound: GainPattern) -> GainPattern:
@@ -215,21 +226,34 @@ def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,))
     mean_db = db_from_linear(float(np.dot(w, g)))
     pct = {float(x): db_from_linear(v) for x, v in zip(percentiles, values)}
     cdf = np.column_stack([db_from_linear(g[order]), cum])
-    return CoverageStats(mean_db=mean_db, percentiles=pct, cdf=cdf)
+    return CoverageStats(mean_db=mean_db, percentiles=pct, cdf=cdf, order=order)
 
 
 def write_pattern_csv(pattern: GainPattern, path) -> None:
-    """One row per direction; the direction cells are formatted once per direction set."""
-    write_csv_cells(path, PATTERN_CSV_HEADER, [*pattern.directions.csv_cells, repr_cells(pattern.gains_db)])
+    """One row per direction; its cells are formatted once per direction set and once per pattern."""
+    write_csv_cells(path, PATTERN_CSV_HEADER, pattern.csv_cells)
 
 
-def stats_to_dict(stats: CoverageStats) -> dict:
+def _cdf_cells(stats: CoverageStats, pattern: GainPattern) -> np.ndarray:
+    """The CDF as (n, 2) ``float.__repr__`` cells; a gain equal bit for bit to its pattern gain reuses that cell."""
+    gains, cum = stats.cdf.T
+    shared = gains.view(np.int64) == pattern.gains_db[stats.order].view(np.int64)
+    cells = np.empty(stats.cdf.shape, dtype=object)
+    cells[shared, 0] = pattern.csv_cells[-1][stats.order[shared]]
+    cells[~shared, 0] = list(map(float.__repr__, gains[~shared].tolist()))
+    cells[:, 1] = list(map(float.__repr__, cum.tolist()))
+    return cells
+
+
+def stats_to_dict(stats: CoverageStats, pattern: GainPattern) -> dict:
+    """The JSON tree of the stats of ``pattern``; a finite CDF goes to the writer as cells, with the same bytes."""
     return {
         "mean_db": stats.mean_db,
         "percentiles": {f"{x:g}": v for x, v in sorted(stats.percentiles.items())},
-        "cdf": stats.cdf.tolist(),
+        "cdf": _cdf_cells(stats, pattern) if np.isfinite(stats.cdf).all() else stats.cdf.tolist(),
     }
 
 
-def write_stats_json(stats: CoverageStats, path) -> None:
-    write_json(stats_to_dict(stats), path)
+def write_stats_json(stats: CoverageStats, pattern: GainPattern, path) -> None:
+    """Write the stats of ``pattern`` (see :func:`coverage_stats`) as JSON."""
+    write_json(stats_to_dict(stats, pattern), path)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import beambook as bb
 from beambook.efield import GRID_CSV_HEADER, GridFormatError, write_csv_columns, write_json
-from beambook.metrics import PATTERN_CSV_HEADER, GainPattern, write_pattern_csv
+from beambook.metrics import PATTERN_CSV_HEADER, GainPattern, write_pattern_csv, write_stats_json
 
 
 def json_reference(data) -> str:
@@ -113,6 +113,29 @@ def test_pattern_csv_equals_repr_join(theta, data):
             write_pattern_csv(pattern, Path(tmp) / name)
             expected = csv_reference(PATTERN_CSV_HEADER, [dirs.theta, dirs.phi, dirs.weights, pattern.gains_db])
             assert (Path(tmp) / name).read_bytes() == expected.encode("utf-8")
+
+
+# dB gains whose linear round trip changes some bits, the floor, signed zeros,
+# and 4000 dB, whose linear gain overflows to inf (a CDF that JSON writes as Infinity).
+@settings(max_examples=100, deadline=None)
+@given(
+    gains=st.lists(st.floats(-250.0, 60.0) | st.sampled_from([-200.0, -0.0, 0.0, 3.25, 1e-7, 4000.0]),
+                   min_size=1, max_size=30),
+    written=st.booleans(),
+)
+@example(gains=[0.1 * k for k in range(-30, 30)], written=True)
+def test_stats_json_equals_json_dumps(gains, written):
+    n = len(gains)
+    pattern = GainPattern(bb.DirectionSet(np.linspace(0.0, 180.0, n), np.zeros(n), np.full(n, 1.0 / n)),
+                          np.array(gains))
+    stats = bb.coverage_stats(pattern, [20.0, 50.0])
+    expected = {"mean_db": stats.mean_db, "percentiles": {"20": stats.percentiles[20.0], "50": stats.median_db},
+                "cdf": stats.cdf.tolist()}
+    with tempfile.TemporaryDirectory() as tmp:
+        if written:  # pattern.csv first, as eval writes it: the CDF then reuses its cached gain cells
+            write_pattern_csv(pattern, Path(tmp) / "pattern.csv")
+        write_stats_json(stats, pattern, Path(tmp) / "stats.json")
+        assert (Path(tmp) / "stats.json").read_bytes() == json_reference(expected).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

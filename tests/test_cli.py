@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+import beambook.metrics as metrics_module
 from beambook.cli import main
 from beambook.metrics import field_gains
 
@@ -212,6 +214,16 @@ CONFIG_PROBES = {
                                      "evaluation": {"directions": {"kind": "mesh"}}},
     "evaluation region of zero weight": {"evaluation": {"directions": {"kind": "mesh"},
                                                         "region": {"theta": [0, 0.5]}}},
+    # The config's own directory: the path exists, but reading it as a file fails.
+    "CSV array path that is a directory": {"arrays": [{"id": "ula", "csv": "."}]},
+    # Python's json writes and reads NaN and Infinity literals.
+    "NaN stop threshold": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                         "stop": {"kind": "mean-threshold", "threshold_db": float("nan")}}},
+    "string nan stop threshold": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                                "stop": {"kind": "mean-threshold", "threshold_db": "nan"}}},
+    "infinite stop threshold": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                              "stop": {"kind": "percentile-threshold", "percentile": 50,
+                                                       "threshold_db": float("inf")}}},
 }
 
 
@@ -222,6 +234,26 @@ def test_bad_config_value_exits_2(tmp_path, probe, command):
     bb.save_efield(grid, tmp_path / "ula.csv")  # so the CSV probe fails on its config, not on a missing file
     config = write_config(tmp_path / "cfg.json", **CONFIG_PROBES[probe])
     assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["design", "eval", "compare", "gen-efield"])
+def test_output_dir_naming_a_file_exits_2(tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    config = str(write_config(tmp_path / "cfg.json"))
+    args = {"design": ["--config", config, "--output-dir"], "eval": ["--config", config, "--output-dir"],
+            "compare": ["--configs", config, config, "--output-dir"],
+            "gen-efield": ["--elements", "4", "--spacing-lambda", "0.5", "--out"]}[command]
+    assert main([command, *args, str(taken)]) == 2
+    assert main([command, *args, str(taken / "sub")]) == 2
+    assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", ["design", "eval"])
+def test_config_output_dir_naming_a_file_exits_2(tmp_path, command):
+    (tmp_path / "taken").write_text("")
+    config = write_config(tmp_path / "cfg.json", output_dir="taken")
+    assert main([command, "--config", str(config)]) == 2
 
 
 _BEAM = {"array": "ula", "weights": [[0.5, 0.0]] * 4}
@@ -291,6 +323,62 @@ class TestEval:
         assert cb.size == 1
         gains = field_gains(cb.entries[0].weights, *grid.fields_at(bb.snap_to_grid(dirs, grid)))
         assert_allclose(rows[:, 3], bb.db_from_linear(gains), atol=1e-12)
+
+    def test_two_meshes_one_lookup_each(self, tmp_path, monkeypatch):
+        # Two arrays on different meshes (and element counts), beams on both, interleaved.
+        specs = {"a": bb.SyntheticUlaSpec(4, 0.5, sampling_factor=20),
+                 "b": bb.SyntheticUlaSpec(6, 0.65, sampling_factor=31)}
+        config = write_config(
+            tmp_path / "cfg.json",
+            arrays=[{"id": k, "synthetic": {"elements": s.num_elements, "spacing_lambda": s.spacing_over_lambda,
+                                            "sampling_factor": s.sampling_factor}} for k, s in specs.items()],
+            algorithm={"name": "kmeans", "size": 2, "init": "uniform"},
+            evaluation={"directions": {"kind": "fibonacci", "count": 300}},
+        )
+        rng = np.random.default_rng(5)
+        cb = bb.Codebook(tuple(
+            bb.CodebookEntry(k, bb.BeamWeights.from_phases(rng.uniform(0, 2 * np.pi, specs[k].num_elements),
+                                                           bb.PhaseSpec.continuous()))
+            for k in "ababa"))
+        bb.save_codebook(cb, tmp_path / "cb.json")
+
+        calls = {"snap_to_grid": 0, "fields_at": 0, "field_gains": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(metrics_module, "snap_to_grid", counted("snap_to_grid", metrics_module.snap_to_grid))
+            m.setattr(bb.EFieldGrid, "fields_at", counted("fields_at", bb.EFieldGrid.fields_at))
+            m.setattr(metrics_module, "field_gains", counted("field_gains", metrics_module.field_gains))
+            assert main(["eval", "--config", str(config), "--codebook", str(tmp_path / "cb.json"),
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        assert calls == {"snap_to_grid": 2, "fields_at": 2, "field_gains": 5}
+
+        # Each beam on its own array's mesh, computed apart from the eval path.
+        dirs = bb.fibonacci_directions(300)
+        grids = {k: bb.generate_ula_efield(s, array_id=k)[0] for k, s in specs.items()}
+        per_beam = []
+        for entry in cb.entries:
+            snapped = bb.snap_to_grid(dirs, grids[entry.array_id])
+            per_beam.append((snapped, field_gains(entry.weights, *grids[entry.array_id].fields_at(snapped))))
+        rows = np.loadtxt(tmp_path / "out/pattern.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, 3], bb.db_from_linear(np.max([g for _, g in per_beam], axis=0)))
+
+        lines = (tmp_path / "out/summary.txt").read_text().splitlines()
+        assert len(lines) == cb.size
+        for line, entry, (snapped, g) in zip(lines, cb.entries, per_beam):
+            theta, phi = re.search(r"aim=\(theta=([\d.]+), phi=([\d.]+)\)", line).groups()
+            grid = grids[entry.array_id]
+            assert f"array={entry.array_id} " in line
+            assert np.min(np.abs(grid.theta_axis - float(theta))) <= 0.05
+            assert np.min(np.abs(grid.phi_axis - float(phi))) <= 0.05
+            i = int(np.argmax(g))
+            assert (theta, phi) == (f"{snapped.theta[i]:.1f}", f"{snapped.phi[i]:.1f}")
+            assert line.endswith(f"peak={bb.db_from_linear(g[i]):.2f} dB")
 
     def test_bound_only_mode(self, designed):
         config, out = designed

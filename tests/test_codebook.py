@@ -155,12 +155,13 @@ class TestGreedy:
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 1, dirs)
+        resolved = bb.resolve_directions(grid, dirs)
         means = []
         for c in cands:
             cb = bb.Codebook((bb.CodebookEntry(c.array_id, c.weights),))
-            means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(grid, cb, dirs))))
-        selected = result.codebook
-        selected_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(grid, selected, dirs)))
+            means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb)))))
+        selected = bb.entry_gains_linear(resolved, result.codebook)
+        selected_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(selected)))
         assert selected_mean == pytest.approx(max(means), rel=1e-12)
 
     def test_utility_strictly_increases(self, directional_grid):
@@ -174,7 +175,7 @@ class TestGreedy:
     def test_unreachable_threshold_exhausts_pool(self, directional_grid):
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec.discrete(5))
-        bound_mean = float(np.dot(dirs.weights, bb.upper_bound_gains_linear(grid, dirs)))
+        bound_mean = float(np.dot(dirs.weights, bb.upper_bound_gains_linear(bb.resolve_directions(grid, dirs))))
         stop = (bb.MeanGainCriterion(), bb.db_from_linear(bound_mean) + 3.0)
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 9, dirs, stop)
         assert result.stop_reason == "pool exhausted"
@@ -278,13 +279,15 @@ class TestKMeans:
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)
         init = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5), array_ids=[grid.array_id])
-        init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(grid, init, dirs)))
+        resolved = bb.resolve_directions(grid, dirs)
+        init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, init))))
         cfg = bb.KMeansConfig(
             num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
             init=init, n_rand=500, seed=5,
         )
         result = bb.kmeans_codebook(cfg, grid)
-        final_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(grid, result.codebook, dirs)))
+        final = bb.entry_gains_linear(resolved, result.codebook)
+        final_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(final)))
         assert final_mean >= init_mean - 1e-12
 
     def test_greedy_init(self, directional_grid):
@@ -401,7 +404,7 @@ class TestUniformInit:
                 ds = bb.snap_to_grid(
                     bb.DirectionSet(np.array([d.theta]), np.array([d.phi]), np.array([1.0])), grid
                 )
-                lams[name] = bb.upper_bound_gains_linear(grid, ds)[0]
+                lams[name] = bb.upper_bound_gains_linear(bb.resolve_directions(grid, ds))[0]
             best = max(lams, key=lambda n: lams[n])
             if abs(lams["x"] - lams["y"]) > 1e-9:  # skip exact ties, order-dependent
                 assert entry.array_id == best
@@ -440,6 +443,7 @@ class TestCodebookJson:
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)
         cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec.discrete(5), array_ids=[grid.array_id])
-        text = bb.codebook_summary(cb, grid, dirs)
+        resolved = bb.resolve_directions(grid, dirs)
+        text = bb.codebook_summary(cb, resolved, bb.entry_gains_linear(resolved, cb))
         assert text.count("beam ") == 2
         assert "peak=" in text and "aim=" in text

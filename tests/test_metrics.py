@@ -69,8 +69,9 @@ class TestCompositePattern:
         w2 = unimodular([0.0, -0.8, -1.6, -2.4])
         cb1 = bb.Codebook((bb.CodebookEntry(grid.array_id, w1),))
         cb2 = bb.Codebook((bb.CodebookEntry(grid.array_id, w1), bb.CodebookEntry(grid.array_id, w2)))
-        g1 = bb.composite_gains_linear(grid, cb1, dirs)
-        g2 = bb.composite_gains_linear(grid, cb2, dirs)
+        resolved = bb.resolve_directions(grid, dirs)
+        g1 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb1))
+        g2 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb2))
         assert np.all(g2 >= g1 - 1e-15)
 
     def test_empty_codebook_rejected(self, iso_grid):
@@ -101,7 +102,7 @@ class TestUpperBound:
         e = lambda: rng.standard_normal((4, 7, 4)) + 1j * rng.standard_normal((4, 7, 4))
         grid = bb.EFieldGrid("g", theta, phi, e(), e())
         dirs = bb.mesh_directions(grid)
-        bound = bb.upper_bound_gains_linear(grid, dirs)
+        bound = bb.upper_bound_gains_linear(bb.resolve_directions(grid, dirs))
         for k, d in enumerate(dirs):
             lam = np.linalg.eigvalsh(bb.coherence_sum(grid, [d]))[-1]
             assert_allclose(bound[k], GAIN_FACTOR * lam, rtol=1e-10)
@@ -228,8 +229,9 @@ class TestConservation:
     def test_x_uniform_mean_is_unit_for_random_unimodular_beams(self, iso_grid):
         grid, dirs = iso_grid
         rng = np.random.default_rng(99)
+        resolved = bb.resolve_directions(grid, dirs)
         for _ in range(50):
             w = unimodular(rng.uniform(0, 2 * math.pi, 4))
             cb = bb.Codebook((bb.CodebookEntry(grid.array_id, w),))
-            mean = float(np.dot(dirs.weights, bb.composite_gains_linear(grid, cb, dirs)))
+            mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb))))
             assert abs(mean - 1.0) <= 0.02

@@ -35,8 +35,9 @@ def test_composite_never_exceeds_the_bound(elements, beams, scale, seed):
         phases = rng.uniform(0.0, 2.0 * np.pi, grids[array_id].num_elements)
         entries.append(bb.CodebookEntry(array_id, bb.BeamWeights.from_phases(phases, bb.PhaseSpec.continuous())))
     dirs = bb.mesh_directions(grids["a0"])
-    composite = bb.composite_gains_linear(grids, bb.Codebook(tuple(entries)), dirs)
-    bound = bb.upper_bound_gains_linear(grids, dirs)
+    resolved = bb.resolve_directions(grids, dirs)
+    composite = bb.composite_gains_linear(bb.entry_gains_linear(resolved, bb.Codebook(tuple(entries))))
+    bound = bb.upper_bound_gains_linear(resolved)
     assert np.all(composite <= bound * (1.0 + 1e-12))
 
 
