@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from ._frozen import Frozen
 
 __all__ = [
     "PhaseSpec",
     "BeamWeights",
     "SdrSolution",
-    "SdrBatch",
     "SdrConvergenceError",
     "CoordinateDescentResult",
-    "CoordinateDescentBatch",
     "quantize_phase",
     "max_eigenpair",
     "solve_sdr",
@@ -46,21 +45,18 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(Frozen):
     """Phase-shifter resolution: continuous, or discrete with b bits."""
 
-    mode: str
-    bits: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("continuous", "discrete"):
+    def __init__(self, mode: str, bits: int | None = None):
+        if mode not in ("continuous", "discrete"):
             raise ValueError("mode must be 'continuous' or 'discrete'")
-        if self.mode == "discrete":
-            if self.bits is None or not (1 <= self.bits <= 16):
+        if mode == "discrete":
+            if bits is None or not (1 <= bits <= 16):
                 raise ValueError("discrete phase bits must be in 1..16")
-        elif self.bits is not None:
+        elif bits is not None:
             raise ValueError("continuous mode takes no bit count")
+        self.__dict__.update(mode=mode, bits=bits)
 
     @classmethod
     def continuous(cls) -> "PhaseSpec":
@@ -144,8 +140,7 @@ def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
             raise ValueError("phases are off the discrete lattice")
 
 
-@dataclass(frozen=True)
-class BeamWeights:
+class BeamWeights(Frozen):
     """Unit-norm analog beamforming weights with constraint metadata.
 
     Every entry has magnitude 1/sqrt(L); in discrete mode the phases sit
@@ -154,16 +149,13 @@ class BeamWeights:
     nor frozen.
     """
 
-    weights: np.ndarray
-    phase_spec: PhaseSpec
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=complex)
+    def __init__(self, weights, phase_spec: PhaseSpec):
+        w = np.array(weights, dtype=complex)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        _check_beams(w, self.phase_spec)
+        _check_beams(w, phase_spec)
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self.__dict__.update(weights=w, phase_spec=phase_spec)
 
     @classmethod
     def _rows(cls, W: np.ndarray, phase_spec: PhaseSpec) -> tuple["BeamWeights", ...]:
@@ -174,8 +166,7 @@ class BeamWeights:
         beams = []
         for w in W:
             beam = object.__new__(cls)
-            object.__setattr__(beam, "weights", w)
-            object.__setattr__(beam, "phase_spec", phase_spec)
+            beam.__dict__.update(weights=w, phase_spec=phase_spec)
             beams.append(beam)
         return tuple(beams)
 
@@ -206,8 +197,7 @@ class BeamWeights:
         return cls(w, phase_spec)
 
 
-@dataclass(frozen=True)
-class SdrSolution:
+class SdrSolution(NamedTuple):
     """Solution of the diagonally constrained semidefinite relaxation.
 
     ``bound`` is a dual certificate: no feasible W, and so no beam, has a
@@ -223,22 +213,32 @@ class SdrSolution:
     bound: float
 
 
-@dataclass(frozen=True)
-class SdrBatch:
-    """Solutions of a stack of relaxations, in stack order.
+class _Members(tuple):
+    """The per-member results of a stacked call, in stack order: a tuple in every respect.
 
-    ``iterations`` is the number of sweeps the stack ran, that is, the
-    sweeps of its slowest member.
+    ``iterations`` (the sweeps of the slowest relaxation) and ``objectives``
+    (the coordinate-descent traces, each padded with its final value to the
+    slowest member's length, one column per member) are read off the
+    members; the benchmark's tracer (``bench/tracing.py``) reads them from
+    a stacked return value.
     """
 
-    solutions: tuple[SdrSolution, ...]
-    iterations: int
+    __slots__ = ()
+
+    @property
+    def iterations(self) -> int:
+        return max((solution.iterations for solution in self), default=0)
+
+    @property
+    def objectives(self) -> np.ndarray:
+        rows = max(len(result.objectives) for result in self)
+        return np.column_stack([np.pad(r.objectives, (0, rows - len(r.objectives)), "edge") for r in self])
 
 
 class SdrConvergenceError(RuntimeError):
-    """Relaxation solver hit its sweep cap; carries the best iterate of every member."""
+    """Relaxation solver hit its sweep cap; carries the best iterate: one solution, or a tuple of one per member."""
 
-    def __init__(self, message: str, solution: SdrSolution | SdrBatch):
+    def __init__(self, message: str, solution: SdrSolution | tuple[SdrSolution, ...]):
         super().__init__(message)
         self.solution = solution
 
@@ -409,7 +409,7 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     return W, obj, sweeps, improvement, stage_tol
 
 
-def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSolution | SdrBatch:
+def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSolution | tuple[SdrSolution, ...]:
     """Maximize tr(M W) over PSD W with every diagonal entry fixed to 1/L.
 
     Solved with a row-by-row block coordinate ascent: with all other rows
@@ -420,7 +420,7 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
     small dense matrices of beam design (L <= 16 or so).
 
     ``M`` is one matrix, which gives an :class:`SdrSolution`, or a stack
-    of shape (B, L, L), which gives an :class:`SdrBatch`.  A stack runs one
+    of shape (B, L, L), which gives a tuple of B solutions.  A stack runs one
     ascent over all its members at once; each member keeps its own barrier
     stage, sweep count and stop test, so its solution is bit for bit the
     one it gets alone.  Every solution carries a dual certificate
@@ -479,7 +479,7 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
         SdrSolution(W[b], float(objective[b]), int(sweeps[b]), abs(float(improvement[b])), int(rank[b]), float(bound[b]))
         for b in range(B)
     )
-    result = solutions[0] if single else SdrBatch(solutions, int(sweeps.max(initial=0)))
+    result = solutions[0] if single else _Members(solutions)
     if failed.any():
         b = int(np.argmax(failed))
         member = "" if single else f" {b} of {B}"
@@ -498,17 +498,17 @@ def _member_seeds(seed: int | Sequence[int], members: int) -> tuple[int, ...]:
 
 
 def _covariances(solution) -> np.ndarray:
-    """The W of one solution (or matrix), or of every solution of a batch or sequence, as a (B, L, L) stack."""
-    if isinstance(solution, SdrBatch):
-        solution = solution.solutions
-    if isinstance(solution, (tuple, list)):
+    """The W of one solution (or matrix), or of every solution of a sequence, as a (B, L, L) stack."""
+    if isinstance(solution, SdrSolution):  # a tuple itself, so tested before the sequences
+        solution = solution.W
+    elif isinstance(solution, (tuple, list)):
         return np.stack([s.W for s in solution])
-    W = solution.W if isinstance(solution, SdrSolution) else np.asarray(solution, dtype=complex)
+    W = np.asarray(solution, dtype=complex)
     return W.reshape((-1,) + W.shape[-2:])
 
 
 def gaussian_randomization(
-    solution: SdrSolution | SdrBatch | Sequence[SdrSolution] | np.ndarray,
+    solution: SdrSolution | Sequence[SdrSolution] | np.ndarray,
     M: np.ndarray,
     n_rand: int,
     phase_spec: PhaseSpec,
@@ -525,8 +525,8 @@ def gaussian_randomization(
     draw; the result is bit for bit the first best of all draws.
     Deterministic for a given seed (NumPy PCG64 stream).
 
-    ``M`` may also be a stack of shape (B, L, L), with an :class:`SdrBatch`
-    or a sequence of B solutions, and one seed per member; the result is
+    ``M`` may also be a stack of shape (B, L, L), with a sequence of B
+    solutions (a stacked :func:`solve_sdr` result), and one seed per member; the result is
     then a tuple of B beams.  The stack shares one
     ``eigh`` and one factor product; each member keeps its own stream and
     its own (L, n_rand) draws, so its beam is bit for bit the one it gets
@@ -584,25 +584,11 @@ def gaussian_randomization(
     return designed[0] if single else designed
 
 
-@dataclass(frozen=True)
-class CoordinateDescentResult:
+class CoordinateDescentResult(NamedTuple):
     """Polished beam plus the per-sweep objective trace (first entry = input)."""
 
     weights: BeamWeights
-    objectives: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class CoordinateDescentBatch:
-    """Polished beams of a stack, in stack order.
-
-    ``objectives`` has one row per sweep of the slowest member, plus the
-    input row, and one column per member; a member that stopped earlier
-    repeats its final objective.
-    """
-
-    results: tuple[CoordinateDescentResult, ...]
-    objectives: np.ndarray = field(repr=False)
+    objectives: np.ndarray
 
 
 def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -614,7 +600,7 @@ def coordinate_descent(
     M: np.ndarray,
     init: BeamWeights | Sequence[BeamWeights],
     phase_spec: PhaseSpec,
-) -> CoordinateDescentResult | CoordinateDescentBatch:
+) -> CoordinateDescentResult | tuple[CoordinateDescentResult, ...]:
     """Cyclic phase updates; each step sets one phase to its conditional optimum.
 
     Element i is re-phased to align with the field contribution of the
@@ -624,7 +610,7 @@ def coordinate_descent(
     contribution leaves that element untouched for the step.
 
     ``M`` may also be a stack of shape (B, L, L) with one init per member;
-    the result is then a :class:`CoordinateDescentBatch`.  Each step
+    the result is then a tuple of B results.  Each step
     re-phases element i of every member still running; each member keeps
     its own stop test and sweep cap, so its result is bit for bit the one
     it gets alone.
@@ -676,7 +662,7 @@ def coordinate_descent(
     results = tuple(
         CoordinateDescentResult(beam, objectives[: sweeps[b] + 1, b].copy()) for b, beam in enumerate(beams)
     )
-    return results[0] if single else CoordinateDescentBatch(results, objectives)
+    return results[0] if single else _Members(results)
 
 
 def _canonical_global_phase(W: np.ndarray) -> np.ndarray:
@@ -725,7 +711,7 @@ def design_beam(
     else:
         beams = gaussian_randomization(solve_sdr(stack, tol=sdr_tol), stack, n_rand, phase_spec, seeds)
         if strategy == "sdr_grp_cd":
-            beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec).results]
+            beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
     W = np.stack([beam.weights for beam in beams])
     designed = BeamWeights._rows(_canonical_global_phase(W), phase_spec)
     return designed[0] if single else designed

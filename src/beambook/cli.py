@@ -22,9 +22,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """A run config as loaded by :func:`load_run_config`: every value checked, every default applied."""
 
     grids: dict[str, EFieldGrid]
@@ -390,8 +388,8 @@ def _cmd_design(args) -> int:
     overrides = {"seed": args.seed, "size": args.size, "phase_bits": args.phase_bits,
                  "output_dir": args.output_dir}
     config = load_run_config(args.config, overrides)
-    codebook, log = design_codebook(config)
     out = _make_output_dir(config.output_dir)
+    codebook, log = design_codebook(config)
     save_codebook(codebook, out / "codebook.json")
     write_json(log, out / "design_log.json")
     status = log["status"]
@@ -427,6 +425,7 @@ def _cmd_compare(args) -> int:
     if len(args.configs) < 2:
         print("error: compare needs at least two configs", file=sys.stderr)
         return 2
+    out = _make_output_dir(Path(args.output_dir) if args.output_dir else _default_output_dir())
     rows = []
     percentiles: list[float] = []
     for path in args.configs:
@@ -443,7 +442,6 @@ def _cmd_compare(args) -> int:
         cells = [name, algo, str(size), repr(stats.mean_db), repr(stats.percentiles[50.0])]
         cells += [repr(stats.percentiles[p]) for p in percentiles if p != 50.0]
         lines.append(",".join(cells))
-    out = _make_output_dir(Path(args.output_dir) if args.output_dir else _default_output_dir())
     table = "\n".join(lines) + "\n"
     (out / "compare.csv").write_text(table, encoding="utf-8", newline="\n")
     print(table, end="")

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
+from ._frozen import Frozen
 from .beamopt import BeamWeights, PhaseSpec, design_beam, quantize_phase
 from .efield import (CoverageRegion, Direction, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      snap_to_grid, top_eigenvalues, write_json)
@@ -32,20 +32,16 @@ from .metrics import _as_grid_map, db_from_linear, field_gains, resolve_directio
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CodebookEntry:
+class CodebookEntry(NamedTuple):
     array_id: str
     weights: BeamWeights
 
 
-@dataclass(frozen=True)
-class Codebook:
+class Codebook(Frozen):
     """Ordered beams, each tagged with the array it drives."""
 
-    entries: tuple[CodebookEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Sequence[CodebookEntry]):
+        self.__dict__.update(entries=tuple(entries))
 
     @property
     def size(self) -> int:
@@ -118,11 +114,11 @@ def codebook_summary(codebook: Codebook, resolved, gains: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanGainCriterion:
+class MeanGainCriterion(Frozen):
     """Mean composite gain (linear average, reported in dB) over a region."""
 
-    region: CoverageRegion | None = None
+    def __init__(self, region: CoverageRegion | None = None):
+        self.__dict__.update(region=region)
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """Linear weighted mean over the region of each (..., N) gain row."""
@@ -139,21 +135,18 @@ class MeanGainCriterion:
         return db_from_linear(float(self.scores(gains_linear, dirs)))
 
 
-@dataclass(frozen=True)
-class PercentileMixCriterion:
+class PercentileMixCriterion(Frozen):
     """Weighted average of gain percentiles (dB), e.g. [(50, 1.0)] for the median."""
 
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = tuple((float(x), float(b)) for x, b in self.points)
+    def __init__(self, points: Sequence[tuple[float, float]]):
+        pts = tuple((float(x), float(b)) for x, b in points)
         if not pts:
             raise ValueError("at least one percentile point required")
         if any(not (0.0 < x < 100.0) for x, _ in pts):
             raise ValueError("percentiles must lie in (0, 100)")
         if any(b < 0.0 for _, b in pts) or all(b == 0.0 for _, b in pts):
             raise ValueError("percentile weights must be nonnegative and not all zero")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(points=pts)
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """The percentile mix in dB of each (..., N) gain row."""
@@ -177,8 +170,7 @@ SelectionCriterion = Union[MeanGainCriterion, PercentileMixCriterion]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     array_id: str
     weights: BeamWeights
     aim: Direction
@@ -232,8 +224,7 @@ def generate_candidates(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     codebook: Codebook
     utilities_db: np.ndarray
     stop_reason: str
@@ -319,25 +310,20 @@ def greedy_codebook(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KMeansConfig:
-    num_beams: int
-    direction_set: DirectionSet
-    phase_spec: PhaseSpec
-    init: Codebook | None = None  # None: uniform_init
-    n_rand: int = 1000
-    max_iterations: int = 50
-    seed: int = 0
+class KMeansConfig(Frozen):
+    """A K-Means run: ``init`` None starts from :func:`uniform_init`."""
 
-    def __post_init__(self):
-        if self.num_beams < 1:
+    def __init__(self, num_beams: int, direction_set: DirectionSet, phase_spec: PhaseSpec,
+                 init: Codebook | None = None, n_rand: int = 1000, max_iterations: int = 50, seed: int = 0):
+        if num_beams < 1:
             raise ValueError("num_beams must be >= 1")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        self.__dict__.update(num_beams=num_beams, direction_set=direction_set, phase_spec=phase_spec, init=init,
+                             n_rand=n_rand, max_iterations=max_iterations, seed=seed)
 
 
-@dataclass(frozen=True)
-class KMeansResult:
+class KMeansResult(NamedTuple):
     codebook: Codebook
     mean_gain_trace_db: np.ndarray
     iterations: int

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from ._frozen import Frozen
 
 # Impedance of free space, ohms.
 FREE_SPACE_IMPEDANCE_OHMS = 376.730313668
@@ -48,22 +49,17 @@ def _normalize_phi(phi):
     return np.mod(phi, 360.0)
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(Frozen):
     """A weighted set of directions used for sphere averages.
 
     Weights are nonnegative quadrature weights summing to one; a uniform
     weighting corresponds to equal-area sampling of the sphere.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        phi = np.array(self.phi, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+    def __init__(self, theta, phi, weights):
+        theta = np.array(theta, dtype=float)
+        phi = np.array(phi, dtype=float)
+        weights = np.array(weights, dtype=float)
         if not (theta.shape == phi.shape == weights.shape) or theta.ndim != 1:
             raise ValueError("theta, phi and weights must be 1-D arrays of equal length")
         if theta.size == 0:
@@ -78,9 +74,9 @@ class DirectionSet:
             raise ValueError("negative or NaN quadrature weight")
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        for name, arr in (("theta", theta), ("phi", phi), ("weights", weights)):
+        for arr in (theta, phi, weights):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(theta=theta, phi=phi, weights=weights)
 
     def __eq__(self, other):
         """Equal when theta, phi and weights are exactly equal, entry by entry."""
@@ -113,17 +109,14 @@ class DirectionSet:
         return repr_cells(self.theta), repr_cells(self.phi), repr_cells(self.weights)
 
 
-@dataclass(frozen=True)
-class CoverageRegion:
+class CoverageRegion(Frozen):
     """A (theta, phi) box on the sphere; the phi range may wrap through 0."""
 
-    theta_range: tuple[float, float] = (0.0, 180.0)
-    phi_range: tuple[float, float] = (0.0, 360.0)
-
-    def __post_init__(self):
-        lo, hi = self.theta_range
+    def __init__(self, theta_range: tuple[float, float] = (0.0, 180.0), phi_range: tuple[float, float] = (0.0, 360.0)):
+        lo, hi = theta_range
         if not (0.0 <= lo <= hi <= 180.0):
             raise ValueError("theta_range must satisfy 0 <= lo <= hi <= 180")
+        self.__dict__.update(theta_range=theta_range, phi_range=phi_range)
 
     def contains(self, theta, phi) -> np.ndarray:
         """Vectorized membership test; phi wraparound handled."""
@@ -143,8 +136,7 @@ class CoverageRegion:
         return in_theta & in_phi
 
 
-@dataclass(frozen=True)
-class SyntheticUlaSpec:
+class SyntheticUlaSpec(Frozen):
     """Parameters of the synthetic uniform-linear-array field model.
 
     ``element_pattern_q`` is the exponent of the sin^q(theta) per-element
@@ -153,28 +145,25 @@ class SyntheticUlaSpec:
     uniform lattice over [-1, 1]; default a = 30 * num_elements.
     """
 
-    num_elements: int
-    spacing_over_lambda: float
-    element_pattern_q: float = 0.0
-    sampling_factor: int | None = None
-
-    def __post_init__(self):
-        if self.num_elements < 1:
+    def __init__(self, num_elements: int, spacing_over_lambda: float, element_pattern_q: float = 0.0,
+                 sampling_factor: int | None = None):
+        if num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if self.spacing_over_lambda <= 0.0:
+        if spacing_over_lambda <= 0.0:
             raise ValueError("spacing_over_lambda must be positive")
-        if self.element_pattern_q < 0.0:
+        if element_pattern_q < 0.0:
             raise ValueError("element_pattern_q must be >= 0")
-        if self.sampling_factor is not None and self.sampling_factor < 1:
+        if sampling_factor is not None and sampling_factor < 1:
             raise ValueError("sampling_factor must be >= 1")
+        self.__dict__.update(num_elements=num_elements, spacing_over_lambda=spacing_over_lambda,
+                             element_pattern_q=element_pattern_q, sampling_factor=sampling_factor)
 
     @property
     def effective_sampling_factor(self) -> int:
         return self.sampling_factor if self.sampling_factor is not None else 30 * self.num_elements
 
 
-@dataclass(frozen=True)
-class EFieldGrid:
+class EFieldGrid(Frozen):
     """Complex per-element E-field samples on a (theta, phi) mesh.
 
     ``e_theta`` and ``e_phi`` have shape (num_elements, len(theta_axis),
@@ -182,17 +171,11 @@ class EFieldGrid:
     (distance-normalized response for 1 W incident power).
     """
 
-    array_id: str
-    theta_axis: np.ndarray
-    phi_axis: np.ndarray
-    e_theta: np.ndarray
-    e_phi: np.ndarray
-
-    def __post_init__(self):
-        theta_axis = np.asarray(self.theta_axis, dtype=float)
-        phi_axis = np.asarray(self.phi_axis, dtype=float)
-        e_theta = np.asarray(self.e_theta, dtype=complex)
-        e_phi = np.asarray(self.e_phi, dtype=complex)
+    def __init__(self, array_id: str, theta_axis, phi_axis, e_theta, e_phi):
+        theta_axis = np.asarray(theta_axis, dtype=float)
+        phi_axis = np.asarray(phi_axis, dtype=float)
+        e_theta = np.asarray(e_theta, dtype=complex)
+        e_phi = np.asarray(e_phi, dtype=complex)
         if theta_axis.ndim != 1 or phi_axis.ndim != 1:
             raise ValueError("axes must be 1-D")
         if np.any(np.diff(theta_axis) <= 0) or np.any(np.diff(phi_axis) <= 0):
@@ -208,14 +191,9 @@ class EFieldGrid:
             raise ValueError("grid must contain at least one element")
         if not (np.all(np.isfinite(e_theta)) and np.all(np.isfinite(e_phi))):
             raise ValueError("non-finite field sample")
-        for name, arr in (
-            ("theta_axis", theta_axis),
-            ("phi_axis", phi_axis),
-            ("e_theta", e_theta),
-            ("e_phi", e_phi),
-        ):
+        for arr in (theta_axis, phi_axis, e_theta, e_phi):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(array_id=array_id, theta_axis=theta_axis, phi_axis=phi_axis, e_theta=e_theta, e_phi=e_phi)
 
     @property
     def num_elements(self) -> int:
@@ -458,7 +436,8 @@ def _json_number_items(values, indent: str) -> list[str] | None:
     if isinstance(values, np.ndarray):
         pairs, items = values.ndim == 2, values.ravel().tolist()
     else:
-        pairs = all(isinstance(v, (list, tuple)) and len(v) == 2 for v in values)
+        # Exact types: a record (NamedTuple) is a tuple too, but not a pair.
+        pairs = all(type(v) in (list, tuple) and len(v) == 2 for v in values)
         flat = [x for pair in values for x in pair] if pairs else values
         try:
             items = list(map(float.__repr__, flat))

@@ -10,12 +10,12 @@ upper-bounds every codebook and serves as the coverage reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .efield import (GAIN_FACTOR, DirectionSet, EFieldGrid, repr_cells, snap_to_grid, top_eigenvalues, write_csv_cells,
                      write_json)
 
@@ -33,26 +33,24 @@ def db_from_linear(gain):
 
 
 def linear_from_db(gain_db):
+    """10**(dB/10); a gain above about 3083 dB is ``inf``, without a warning."""
     gain_db = np.asarray(gain_db, dtype=float)
-    out = 10.0 ** (gain_db / 10.0)
+    with np.errstate(over="ignore"):
+        out = 10.0 ** (gain_db / 10.0)
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class GainPattern:
+class GainPattern(Frozen):
     """Gain in dB per direction of a weighted direction set."""
 
-    directions: DirectionSet
-    gains_db: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gains_db, dtype=float)
-        if g.shape != (len(self.directions),):
+    def __init__(self, directions: DirectionSet, gains_db):
+        g = np.asarray(gains_db, dtype=float)
+        if g.shape != (len(directions),):
             raise ValueError("gains must align with the direction set")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gain")
         g.setflags(write=False)
-        object.__setattr__(self, "gains_db", g)
+        self.__dict__.update(directions=directions, gains_db=g)
 
     @property
     def gains_linear(self) -> np.ndarray:
@@ -64,8 +62,7 @@ class GainPattern:
         return *self.directions.csv_cells, repr_cells(self.gains_db)
 
 
-@dataclass(frozen=True)
-class CoverageStats:
+class CoverageStats(NamedTuple):
     """Weighted distribution summary of a gain pattern.
 
     ``mean_db`` is the dB value of the linear-domain weighted mean.  The

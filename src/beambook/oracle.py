@@ -7,27 +7,23 @@ the synthesis pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .beamopt import BeamWeights, PhaseSpec
 
 
-@dataclass(frozen=True)
-class RandomInstanceSpec:
-    """A reproducible random Hermitian PSD quadratic-form instance."""
+class RandomInstanceSpec(Frozen):
+    """A reproducible random Hermitian PSD quadratic-form instance; ``magnitude`` is "gaussian" or "unit"."""
 
-    num_elements: int
-    rank: int
-    seed: int
-    magnitude: str = "gaussian"  # gaussian | unit
-
-    def __post_init__(self):
-        if not (1 <= self.rank <= self.num_elements):
+    def __init__(self, num_elements: int, rank: int, seed: int, magnitude: str = "gaussian"):
+        if not (1 <= rank <= num_elements):
             raise ValueError("rank must be in 1..num_elements")
-        if self.magnitude not in ("gaussian", "unit"):
+        if magnitude not in ("gaussian", "unit"):
             raise ValueError("magnitude must be 'gaussian' or 'unit'")
+        self.__dict__.update(num_elements=num_elements, rank=rank, seed=seed, magnitude=magnitude)
 
 
 def random_instance(spec: RandomInstanceSpec) -> np.ndarray:
@@ -42,8 +38,7 @@ def random_instance(spec: RandomInstanceSpec) -> np.ndarray:
     return v.conj().T @ v
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     gain: float
     weights: BeamWeights
     n_evaluated: int

@@ -10,6 +10,7 @@ import math
 import random
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def csv_reference(header: str, columns) -> str:
 # Writers
 # ---------------------------------------------------------------------------
 
+class Labelled(NamedTuple):
+    """A two-field record that is no [a, b] pair of numbers: json.dumps writes it as a list all the same."""
+
+    label: str
+    value: object
+
+
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-7, 0.1, 1e16, math.nan, math.inf, -math.inf]
 floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 json_scalars = (
@@ -55,6 +63,8 @@ json_values = st.recursive(
         | st.dictionaries(st.integers(-3, 3), children, max_size=3)
         | st.lists(floats, max_size=5)
         | st.lists(st.tuples(floats, floats) | st.lists(floats, min_size=2, max_size=2), max_size=5)
+        | st.lists(st.builds(bb.Direction, floats, floats) | st.builds(Labelled, st.text(max_size=3), children),
+                   max_size=4)
     ),
     max_leaves=30,
 )
@@ -68,6 +78,8 @@ json_values = st.recursive(
 @example(data={"entries": [{"array": "ula", "weights": [[0.5, -0.5], [0.5, 0.5]]}], "phase_bits": None})
 @example(data=[[1, 2.0], [True, 1.0], [1.0, [2.0]], [1.0, 2.0, 3.0], ["a", "b"]])
 @example(data={1: [1.0, 2.0], -2: {"x": [[1.0, 2.0]]}})
+@example(data=[bb.Direction(90.0, -0.0), bb.Direction(math.inf, 1e16)])
+@example(data=[Labelled("a", 1.0), Labelled("b", [2.0, 3.0]), (4.0, 5.0)])
 def test_write_json_equals_json_dumps(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.json"

@@ -205,12 +205,14 @@ class TestSolveSdr:
 
     def test_stack_returns_batch_with_slowest_member_sweeps(self):
         M = np.stack([random_instance(RandomInstanceSpec(5, r, 40 + r)) for r in (1, 2, 5)])
-        batch = bb.solve_sdr(M)
-        assert isinstance(batch, bb.SdrBatch) and len(batch.solutions) == 3
-        assert batch.solutions[0].iterations == 0  # rank-one shortcut
-        assert batch.iterations == max(s.iterations for s in batch.solutions) > 0
+        solutions = bb.solve_sdr(M)
+        assert isinstance(solutions, tuple) and len(solutions) == 3
+        assert all(isinstance(s, bb.SdrSolution) for s in solutions)
+        assert solutions[0].iterations == 0  # rank-one shortcut
+        # The sweeps of the slowest member, read off the members: the benchmark's tracer reads them.
+        assert solutions.iterations == max(s.iterations for s in solutions) > 0
         empty = bb.solve_sdr(np.zeros((0, 3, 3)))
-        assert empty.solutions == () and empty.iterations == 0
+        assert empty == () and empty.iterations == 0
 
     def test_sweep_cap_raises_with_best_iterate(self):
         from beambook.beamopt import SdrConvergenceError
@@ -272,6 +274,21 @@ class TestGaussianRandomization:
         a = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec.discrete(3), seed=42)
         b = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec.discrete(3), seed=42)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_one_solution_reads_as_one_and_a_tuple_as_a_stack(self):
+        # An SdrSolution is a tuple itself; it must never be read as a sequence of solutions.
+        M = np.stack([random_instance(RandomInstanceSpec(4, 2, s)) for s in (11, 12, 13)])
+        spec = bb.PhaseSpec.discrete(3)
+        solutions = bb.solve_sdr(M)
+        one = bb.gaussian_randomization(solutions[0], M[0], 200, spec, seed=42)
+        assert isinstance(one, bb.BeamWeights)
+        assert bb.gaussian_randomization(solutions[0], M[:1], 200, spec, seed=[42]) == (one,)
+        stacked = bb.gaussian_randomization(solutions, M, 200, spec, seed=[42, 43, 44])
+        assert bb.gaussian_randomization(tuple(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
+        assert stacked[0] == one
+        # Lattice indices of the beams, as the stacked call picked them before its solutions became a tuple.
+        expected = [[6, 1, 7, 4], [6, 1, 0, 2], [6, 2, 5, 7]]
+        assert stacked == tuple(bb.BeamWeights.from_phases(np.array(k) * math.pi / 4, spec) for k in expected)
 
     def test_mean_approximation_ratio(self):
         # sample-mean of achieved/SDP-objective across instances clears the

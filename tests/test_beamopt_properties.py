@@ -52,11 +52,11 @@ def solve_alone(M: np.ndarray, **kwargs) -> bb.SdrSolution:
                              (("full", 1), ("zero", 0), ("rank-one", 2), ("full", 3))])))
 def test_stacked_solve_equals_member_solves_bit_for_bit(case):
     _, M = case
-    batch = bb.solve_sdr(M)
-    assert isinstance(batch, bb.SdrBatch) and len(batch.solutions) == len(M)
-    for m, solution in zip(M, batch.solutions):
+    solutions = bb.solve_sdr(M)
+    assert isinstance(solutions, tuple) and len(solutions) == len(M)
+    for m, solution in zip(M, solutions):
         assert_same_solution(solution, bb.solve_sdr(m))
-    assert batch.iterations == max(s.iterations for s in batch.solutions)
+    assert solutions.iterations == max(s.iterations for s in solutions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,9 +102,10 @@ def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
     M = np.concatenate([M, member(L, "full", full_seed)[None]])  # at least one member needs sweeps
     with pytest.raises(bb.SdrConvergenceError) as excinfo:
         bb.solve_sdr(M, max_sweeps=1)
-    batch = excinfo.value.solution
-    assert isinstance(batch, bb.SdrBatch) and len(batch.solutions) == len(M)
-    for m, solution in zip(M, batch.solutions):
+    solutions = excinfo.value.solution
+    assert isinstance(solutions, tuple) and len(solutions) == len(M)
+    assert all(isinstance(solution, bb.SdrSolution) for solution in solutions)
+    for m, solution in zip(M, solutions):
         assert_same_solution(solution, solve_alone(m, max_sweeps=1))
         assert np.allclose(np.real(np.diag(solution.W)), 1.0 / L, atol=1e-10)
         # The certificate of an early iterate already caps the converged optimum.
@@ -125,19 +126,21 @@ def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, b
     _, M = case
     spec = phase_spec(bits)
     seeds = [seed + i for i in range(len(M))]
-    batch = bb.solve_sdr(M)
-    beams = bb.gaussian_randomization(batch, M, 30, spec, seeds)
+    solutions = bb.solve_sdr(M)
+    beams = bb.gaussian_randomization(solutions, M, 30, spec, seeds)
     assert isinstance(beams, tuple) and len(beams) == len(M)
-    from_tuple = bb.gaussian_randomization(batch.solutions, M, 30, spec, seeds)
-    for m, solution, s, beam, other in zip(M, batch.solutions, seeds, beams, from_tuple):
+    from_list = bb.gaussian_randomization(list(solutions), M, 30, spec, seeds)
+    for m, solution, s, beam, other in zip(M, solutions, seeds, beams, from_list):
         alone = bb.gaussian_randomization(solution, m, 30, spec, s)
         assert np.array_equal(beam.weights, alone.weights) and np.array_equal(other.weights, alone.weights)
 
     polished = bb.coordinate_descent(M, beams, spec)
-    assert isinstance(polished, bb.CoordinateDescentBatch) and len(polished.results) == len(M)
-    rows = max(result.objectives.size for result in polished.results)
+    assert isinstance(polished, tuple) and len(polished) == len(M)
+    assert all(isinstance(result, bb.CoordinateDescentResult) for result in polished)
+    # The traces padded to the slowest member, one column per member: the benchmark's tracer reads them.
+    rows = max(result.objectives.size for result in polished)
     assert polished.objectives.shape == (rows, len(M))
-    for b, (m, beam, result) in enumerate(zip(M, beams, polished.results)):
+    for b, (m, beam, result) in enumerate(zip(M, beams, polished)):
         alone = bb.coordinate_descent(m, beam, spec)
         assert np.array_equal(result.weights.weights, alone.weights.weights)
         assert np.array_equal(result.objectives, alone.objectives)
@@ -188,11 +191,11 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
     spec = phase_spec(bits)
     rng = np.random.default_rng(seed)
     inits = tuple(bb.BeamWeights.from_phases(p, spec) for p in rng.uniform(0.0, 2.0 * math.pi, (len(M), L)))
-    batch = bb.coordinate_descent(M, inits, spec)
-    for m, result in zip(M, batch.results):
+    results = bb.coordinate_descent(M, inits, spec)
+    for m, result in zip(M, results):
         slack = 1e-12 * max(np.trace(m).real, 1e-300)
         assert np.all(np.diff(result.objectives) >= -slack)
-    assert np.all(np.diff(batch.objectives, axis=0) >= -1e-12 * np.maximum(np.trace(M, axis1=1, axis2=2).real, 1e-300))
+    assert np.all(np.diff(results.objectives, axis=0) >= -1e-12 * np.maximum(np.trace(M, axis1=1, axis2=2).real, 1e-300))
 
 
 def test_phase_is_mod_of_angle_bit_for_bit():

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+import beambook.cli as cli_module
 import beambook.metrics as metrics_module
 from beambook.cli import main
 from beambook.metrics import field_gains
@@ -237,7 +238,9 @@ def test_bad_config_value_exits_2(tmp_path, probe, command):
 
 
 @pytest.mark.parametrize("command", ["design", "eval", "compare", "gen-efield"])
-def test_output_dir_naming_a_file_exits_2(tmp_path, command):
+def test_output_dir_naming_a_file_exits_2(tmp_path, command, monkeypatch):
+    designs = []
+    monkeypatch.setattr(cli_module, "design_codebook", lambda config: designs.append(config))
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
     config = str(write_config(tmp_path / "cfg.json"))
@@ -247,6 +250,7 @@ def test_output_dir_naming_a_file_exits_2(tmp_path, command):
     assert main([command, *args, str(taken)]) == 2
     assert main([command, *args, str(taken / "sub")]) == 2
     assert taken.read_text() == "a file\n"
+    assert designs == []  # the output path fails before any design runs
 
 
 @pytest.mark.parametrize("command", ["design", "eval"])
