@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -236,11 +237,15 @@ class _Members(tuple):
 
 
 class SdrConvergenceError(RuntimeError):
-    """Relaxation solver hit its sweep cap; carries the best iterate: one solution, or a tuple of one per member."""
+    """Relaxation solver hit its sweep cap; carries the best iterate: one solution, or a tuple of one per member.
 
-    def __init__(self, message: str, solution: SdrSolution | tuple[SdrSolution, ...]):
+    ``members`` holds the stack positions of the relaxations that did not settle.
+    """
+
+    def __init__(self, message: str, solution: SdrSolution | tuple[SdrSolution, ...], members: tuple[int, ...]):
         super().__init__(message)
         self.solution = solution
+        self.members = members
 
 
 def _hermitian_stack(M) -> np.ndarray:
@@ -486,6 +491,7 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
         raise SdrConvergenceError(
             f"relaxation{member} did not settle within {max_sweeps} sweeps (last improvement {improvement[b]:.3e})",
             result,
+            tuple(np.flatnonzero(failed).tolist()),
         )
     return result
 
@@ -699,6 +705,11 @@ def design_beam(
     one :func:`gaussian_randomization` (each member on its own seed) and
     one :func:`coordinate_descent` call.  The result is a tuple of B beams,
     each equal to the beam of a single call with that member and seed.
+
+    A relaxation that hits :func:`solve_sdr`'s sweep cap does not abort the
+    design: randomization starts from the best iterate the
+    :class:`SdrConvergenceError` carries, and a ``UserWarning`` names the
+    member and the certified gap (bound minus objective) of that iterate.
     """
     if strategy not in ("eigen", "sdr_grp", "sdr_grp_cd"):
         raise ValueError(f"unknown strategy '{strategy}'")
@@ -709,7 +720,19 @@ def design_beam(
         _, V = _max_eigenpairs(stack)
         beams = [BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec) for v in V]
     else:
-        beams = gaussian_randomization(solve_sdr(stack, tol=sdr_tol), stack, n_rand, phase_spec, seeds)
+        try:
+            relaxed = solve_sdr(stack, tol=sdr_tol)
+        except SdrConvergenceError as exc:  # a member at the sweep cap goes on from its best iterate
+            relaxed = exc.solution
+            for b in exc.members:
+                best = relaxed[b]
+                member = "" if single else f" {b} of {len(stack)}"
+                warnings.warn(
+                    f"relaxation{member} did not settle within {best.iterations} sweeps; designing from its best "
+                    f"iterate (certified gap {best.bound - best.objective:.3e})",
+                    stacklevel=2,
+                )
+        beams = gaussian_randomization(relaxed, stack, n_rand, phase_spec, seeds)
         if strategy == "sdr_grp_cd":
             beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
     W = np.stack([beam.weights for beam in beams])

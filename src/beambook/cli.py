@@ -32,8 +32,9 @@ from .beamopt import PhaseSpec
 from .codebook import (Codebook, KMeansConfig, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion,
                        _child_seed, benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates,
                        greedy_codebook, kmeans_codebook, load_codebook, restrict_region, save_codebook)
-from .efield import (GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec, fibonacci_directions,
-                     generate_ula_efield, load_efield, mesh_directions, save_efield, write_json)
+from .efield import (GRID_CACHE_DIR, GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec,
+                     _parse_grid, fibonacci_directions, generate_ula_efield, load_efield, mesh_directions, save_efield,
+                     write_json)
 from .metrics import (PATTERN_CSV_HEADER, CoverageStats, GainPattern, composite_gains_linear, composite_pattern,
                       coverage_stats, db_from_linear, entry_gains_linear, gap_map, resolve_directions,
                       upper_bound_gains_linear, write_pattern_csv, write_stats_json)
@@ -474,10 +475,10 @@ def _check_pattern_csv(lines: list[str]) -> None:
 def _selfcheck_file(path: Path) -> tuple[bool, str]:
     try:
         if path.suffix == ".csv":
-            text = path.read_text(encoding="utf-8")
+            text = path.read_bytes().decode("utf-8")
             first = text.splitlines()[0].strip() if text else ""
             if first == GRID_CSV_HEADER:
-                load_efield(path)
+                _parse_grid(path, text, path.stem)  # the file itself: no grid cache is read or written
                 return True, "efield grid"
             if first == PATTERN_CSV_HEADER:
                 _check_pattern_csv(text.splitlines())
@@ -509,7 +510,9 @@ def _cmd_selfcheck(args) -> int:
     for raw in args.paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(q for q in p.rglob("*") if q.is_file()))
+            # The grid caches that load_efield keeps beside CSVs are not artifacts.
+            found = (q for q in p.rglob("*") if GRID_CACHE_DIR not in q.relative_to(p).parts)
+            files.extend(sorted(q for q in found if q.is_file()))
         elif p.exists():
             files.append(p)
         else:

@@ -15,8 +15,10 @@ all functions here except the file readers and writers are pure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -486,15 +488,72 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
     return np.array(parsed, dtype=_GRID_ROW), None
 
 
+# Parsed grids are kept in this directory beside their CSV, one ``<csv name>.npz``
+# each, stamped with this format tag and the SHA-256 of the CSV's bytes.  A hit
+# skips the reader, so the tag is bumped whenever the reader changes (a test pins
+# each tag to the reader's source).
+GRID_CACHE_DIR = ".beambook-cache"
+_GRID_CACHE_FORMAT = "beambook-grid-1"
+_GRID_ARRAYS = ("theta_axis", "phi_axis", "e_theta", "e_phi")
+
+
 def load_efield(path, array_id: str | None = None) -> EFieldGrid:
     """Read a grid CSV; raises GridFormatError naming the offending line.
 
     The file must contain the full Cartesian product of elements and mesh
     nodes; missing or duplicate cells and non-finite samples are rejected.
     Of several defective lines the first one is reported.
+
+    A successful parse is cached in ``GRID_CACHE_DIR`` beside the file and
+    reused while the file's bytes keep the same SHA-256; a cache that
+    cannot be read is ignored, and one that cannot be written is skipped.
     """
+    import hashlib  # only grid files pay for the import
+
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    data = path.read_bytes()
+    key = f"{_GRID_CACHE_FORMAT} {hashlib.sha256(data).hexdigest()}"
+    cache = path.parent / GRID_CACHE_DIR / f"{path.name}.npz"
+    array_id = array_id if array_id is not None else path.stem
+    try:
+        # Opened here, so that the file is closed also when np.load fails on a damaged archive.
+        with open(cache, "rb") as file, np.load(file, allow_pickle=False) as stored:
+            if str(stored["key"]) == key:
+                return EFieldGrid(array_id, *(stored[name] for name in _GRID_ARRAYS))
+    except Exception:  # noqa: BLE001 - a missing, truncated or foreign cache is a miss
+        pass
+    grid = _parse_grid(path, data.decode("utf-8"), array_id)
+    _write_grid_cache(cache, key, grid, path)
+    return grid
+
+
+def _write_grid_cache(cache: Path, key: str, grid: EFieldGrid, source: Path) -> None:
+    """Store the grid parsed from ``source`` at ``cache`` through a temp file and a rename.
+
+    The cache gets the read and write permissions of ``source``, as a
+    ``__pycache__`` file gets those of its module.  Any OSError skips the
+    write and leaves no temp file behind.
+    """
+    import tempfile
+
+    try:
+        cache.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=cache.name, suffix=".tmp", dir=cache.parent)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as file:
+            np.savez(file, key=np.array(key), **{name: getattr(grid, name) for name in _GRID_ARRAYS})
+        os.chmod(tmp, source.stat().st_mode & 0o666)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _parse_grid(path: Path, text: str, array_id: str) -> EFieldGrid:
+    """The grid written in ``text``, the decoded content of the CSV at ``path``."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != GRID_CSV_HEADER:
         raise GridFormatError(f"{path}:1: bad header; expected '{GRID_CSV_HEADER}'")
     body = [line for line in lines[1:] if line.strip()]
@@ -547,6 +606,6 @@ def load_efield(path, array_id: str | None = None) -> EFieldGrid:
     fields.real = np.stack([rows["re_etheta"], rows["re_ephi"]])[:, order].reshape(fields.shape)
     fields.imag = np.stack([rows["im_etheta"], rows["im_ephi"]])[:, order].reshape(fields.shape)
     try:
-        return EFieldGrid(array_id if array_id is not None else path.stem, theta_axis, phi_axis, *fields)
+        return EFieldGrid(array_id, theta_axis, phi_axis, *fields)
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from None

@@ -394,6 +394,36 @@ class TestDesignBeam:
         with pytest.raises(ValueError):
             bb.design_beam(np.eye(2), bb.PhaseSpec.continuous(), "annealing")
 
+    @pytest.mark.parametrize("strategy", ["sdr_grp", "sdr_grp_cd"])
+    def test_relaxation_at_the_sweep_cap_degrades_instead_of_aborting(self, strategy):
+        # This instance's relaxation is still improving by 1.4e-08 per sweep at the 5000-sweep cap.
+        capped = random_instance(RandomInstanceSpec(3, 3, 238))
+        with pytest.raises(bb.SdrConvergenceError) as excinfo:
+            bb.solve_sdr(capped)
+        best = excinfo.value.solution
+        assert best.iterations == 5000 and 0.0 < best.bound - best.objective < 1e-4
+        assert excinfo.value.members == (0,)
+        spec = bb.PhaseSpec.discrete(3)
+        gap = f"certified gap {best.bound - best.objective:.3e}"
+        with pytest.warns(UserWarning) as fallbacks:
+            beam = bb.design_beam(capped, spec, strategy, seed=5)
+        assert [str(w.message) for w in fallbacks] == [
+            f"relaxation did not settle within 5000 sweeps; designing from its best iterate ({gap})"
+        ]
+        assert beam.gain(capped) <= best.bound
+        if strategy == "sdr_grp_cd":
+            assert beam.gain(capped) == pytest.approx(brute_force_b3(capped, 3).gain, rel=1e-12)
+        # Inside a stack the capped member gets the same beam, and every other member its single-call beam.
+        others = [random_instance(RandomInstanceSpec(3, rank, seed)) for rank, seed in ((1, 1), (3, 2), (2, 3))]
+        with pytest.warns(UserWarning) as fallbacks:
+            stacked = bb.design_beam(np.stack([others[0], capped, *others[1:]]), spec, strategy, seed=[1, 5, 2, 3])
+        assert [str(w.message) for w in fallbacks] == [
+            f"relaxation 1 of 4 did not settle within 5000 sweeps; designing from its best iterate ({gap})"
+        ]
+        assert stacked[1] == beam
+        for member, seed, got in zip(others, (1, 2, 3), (stacked[0], *stacked[2:])):
+            assert got == bb.design_beam(member, spec, strategy, seed=seed)
+
     def test_canonical_global_phase(self):
         M = random_instance(RandomInstanceSpec(4, 2, 77))
         beam = bb.design_beam(M, bb.PhaseSpec.discrete(3), "sdr_grp_cd", seed=5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -443,6 +444,32 @@ class TestSelfcheck:
         main(["eval", "--config", str(config), "--codebook", str(tmp_path / "out/codebook.json")])
         main(["gen-efield", "--elements", "2", "--spacing-lambda", "0.5", "--out", str(tmp_path / "out")])
         assert main(["selfcheck", str(tmp_path / "out")]) == 0
+
+    def test_skips_grid_caches(self, tmp_path, capsys):
+        main(["gen-efield", "--elements", "2", "--spacing-lambda", "0.5", "--out", str(tmp_path / "out")])
+        bb.load_efield(next((tmp_path / "out").glob("*.csv")))  # caches the grid
+        assert list((tmp_path / "out" / bb.efield.GRID_CACHE_DIR).iterdir())
+        capsys.readouterr()
+        assert main(["selfcheck", str(tmp_path)]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert len(checked) == 2 and not any(bb.efield.GRID_CACHE_DIR in line for line in checked)
+
+    def test_parses_grids_without_the_grid_cache(self, tmp_path, capsys):
+        main(["gen-efield", "--elements", "2", "--spacing-lambda", "0.5", "--out", str(tmp_path / "out")])
+        assert main(["selfcheck", str(tmp_path)]) == 0
+        assert not list(tmp_path.rglob(bb.efield.GRID_CACHE_DIR))  # checking writes no cache
+        # A grid CSV the reader rejects, with a cache entry for its very bytes (say, from an older reader):
+        # load_efield trusts the entry, selfcheck reads the file.
+        grid = next((tmp_path / "out").glob("*.csv"))
+        good = bb.load_efield(grid)
+        lines = grid.read_text(encoding="utf-8").splitlines(keepends=True)
+        grid.write_text("".join(lines + lines[-1:]), encoding="utf-8", newline="")
+        key = f"{bb.efield._GRID_CACHE_FORMAT} {hashlib.sha256(grid.read_bytes()).hexdigest()}"
+        bb.efield._write_grid_cache(grid.parent / bb.efield.GRID_CACHE_DIR / f"{grid.name}.npz", key, good, grid)
+        assert np.array_equal(bb.load_efield(grid).e_theta, good.e_theta)
+        capsys.readouterr()
+        assert main(["selfcheck", str(grid)]) == 1
+        assert f"{grid}:{len(lines) + 1}: duplicate sample" in capsys.readouterr().out
 
     def test_detects_corruption(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
