@@ -100,15 +100,28 @@ def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
     return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _column_weights(bits: int, L: int, draw_bits: int) -> np.ndarray:
+    """Read-only int64 weights 2^(b l + draw_bits): ``weights @ index`` packs each column above ``draw_bits`` free bits."""
+    weights = np.left_shift(1, bits * np.arange(L, dtype=np.int64) + draw_bits)
+    weights.setflags(write=False)
+    return weights
+
+
 def _first_distinct_columns(index: np.ndarray, bits: int) -> np.ndarray:
     """Column numbers, in increasing order, of the first occurrence of each distinct column of lattice indices (L, n)."""
-    L = index.shape[0]
-    if L * bits <= 63:
-        # Each column's L indices packed into the bits of one int64.
-        keys = (index.astype(np.int64, copy=False) << (bits * np.arange(L, dtype=np.int64))[:, None]).sum(axis=0)
-    else:
+    L, n = index.shape
+    draw_bits = (n - 1).bit_length()
+    if L * bits + draw_bits > 63:
         keys = np.ascontiguousarray(index.T).view(np.dtype((np.void, L * index.itemsize)))[:, 0]
-    first = np.unique(keys, return_index=True)[1]
+        first = np.unique(keys, return_index=True)[1]
+    else:
+        # Column above, draw number below: after one sort the head of each
+        # run of equal columns is its first draw.
+        keys = _column_weights(bits, L, draw_bits) @ index | np.arange(n)
+        keys.sort()
+        column = keys >> draw_bits
+        first = np.concatenate((keys[:1], keys[1:][column[1:] != column[:-1]])) & ((1 << draw_bits) - 1)
     first.sort()
     return first
 
@@ -337,8 +350,9 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     rows fixed, the optimal off-diagonal row is t * B c, where B is W with
     row and column i removed and c the off-diagonal part of column i of M;
     t keeps the Schur complement at the barrier's optimum (or on its
-    boundary once the barrier is zero).  Zeroing row and column i of W
-    gives B c, padded with a zero at i, as one product.  A member moves to
+    boundary once the barrier is zero).  With entry i of c zeroed, one
+    product W c gives B c in every entry but i, whose leftover value the
+    reset of the diagonal to 1/L overwrites.  A member moves to
     its next barrier stage when a sweep improves its objective by less than
     its stage tolerance, and leaves the stack after the last stage or at
     the sweep cap; a member's arithmetic never involves another member.
@@ -367,10 +381,11 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     views = None
     while active.size:
         if views is None:
-            # Per row i: column i of every active M as a contiguous (Ba, L, 1)
-            # block and its conjugate as a (Ba, 1, L) row, then column i, row i
-            # and entry (i, i) of Wa as views.  Rebuilt when members leave.
-            columns = np.ascontiguousarray(Ma.transpose(0, 2, 1))
+            # Per row i: column i of every active M, entry i zeroed, as a contiguous
+            # (Ba, L, 1) block and its conjugate as a (Ba, 1, L) row, then column i,
+            # row i and entry (i, i) of Wa as views.  Rebuilt when members leave.
+            columns = Ma.transpose(0, 2, 1).copy()
+            columns[:, range(L), range(L)] = 0.0
             c_cols, c_rows = columns[:, :, :, None], columns.conj()[:, :, None, :]
             views = [(c_cols[:, i], c_rows[:, i], Wa[:, :, i, None], Wa[:, i, :, None], Wa[:, i, i]) for i in range(L)]
         sigma = _BARRIER_SCHEDULE[stage[active]] * trace[active]
@@ -380,8 +395,6 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
         all_barrier = barrier.all()
         mixed = not all_barrier and barrier.any()
         for c_col, c_row, w_col, w_row, w_diag in views:
-            w_row.fill(0.0)
-            w_col.fill(0.0)
             u = Wa @ c_col
             s = (c_row @ u).real
             all_positive = s.min() > 0.0
@@ -555,6 +568,7 @@ def gaussian_randomization(
         distinct = np.empty((L, n_rand), dtype=complex)
 
     beams = np.empty((B, L), dtype=complex)
+    xi = np.empty((n_rand, L), dtype=complex)
     for b in range(B):
         if not phase_spec.is_discrete and (L == 1 or vals[b, -2] <= 1e-9 * max(vals[b, -1], 1e-300)):
             beams[b] = _cophase(vecs[b, :, -1])
@@ -562,7 +576,6 @@ def gaussian_randomization(
         # Unit-variance circular complex normals: the real and imaginary
         # parts are two consecutive standard_normal blocks, scaled by sqrt(1/2).
         rng = np.random.default_rng(seeds[b])
-        xi = np.empty((n_rand, L), dtype=complex)
         xi.real = rng.standard_normal((n_rand, L))
         xi.imag = rng.standard_normal((n_rand, L))
         xi *= math.sqrt(0.5)

@@ -213,8 +213,9 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
     # The benchmark geometry of CSV arrays, which carry no spec.
     elements = _integer(algorithm, "elements", 1, next(iter(grids.values())).num_elements)
     spacing = algorithm.get("spacing_lambda")
-    if spacing is not None and (isinstance(spacing, bool) or not isinstance(spacing, (int, float)) or spacing <= 0):
-        raise ConfigError(f"'spacing_lambda' must be a positive number, got {spacing!r}")
+    if spacing is not None and (isinstance(spacing, bool) or not isinstance(spacing, (int, float))
+                                or not (0.0 < spacing < math.inf)):
+        raise ConfigError(f"'spacing_lambda' must be a positive finite number, got {spacing!r}")
     ula = None
     if name == "benchmark" or init == "benchmark":
         if spacing is not None:

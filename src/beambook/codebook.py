@@ -144,8 +144,9 @@ class PercentileMixCriterion(Frozen):
             raise ValueError("at least one percentile point required")
         if any(not (0.0 < x < 100.0) for x, _ in pts):
             raise ValueError("percentiles must lie in (0, 100)")
-        if any(b < 0.0 for _, b in pts) or all(b == 0.0 for _, b in pts):
-            raise ValueError("percentile weights must be nonnegative and not all zero")
+        # Written as "not <" so that a NaN weight fails too.
+        if any(not (0.0 <= b < math.inf) for _, b in pts) or all(b == 0.0 for _, b in pts):
+            raise ValueError("percentile weights must be finite, nonnegative and not all zero")
         self.__dict__.update(points=pts)
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:

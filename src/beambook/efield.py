@@ -118,6 +118,8 @@ class CoverageRegion(Frozen):
         lo, hi = theta_range
         if not (0.0 <= lo <= hi <= 180.0):
             raise ValueError("theta_range must satisfy 0 <= lo <= hi <= 180")
+        if not all(-math.inf < bound < math.inf for bound in phi_range):
+            raise ValueError("phi_range bounds must be finite")
         self.__dict__.update(theta_range=theta_range, phi_range=phi_range)
 
     def contains(self, theta, phi) -> np.ndarray:
@@ -151,9 +153,10 @@ class SyntheticUlaSpec(Frozen):
                  sampling_factor: int | None = None):
         if num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if spacing_over_lambda <= 0.0:
-            raise ValueError("spacing_over_lambda must be positive")
-        if element_pattern_q < 0.0:
+        # Written as "not <" and "not >=" so that NaN fails too.
+        if not (0.0 < spacing_over_lambda < math.inf):
+            raise ValueError("spacing_over_lambda must be positive and finite")
+        if not (element_pattern_q >= 0.0):
             raise ValueError("element_pattern_q must be >= 0")
         if sampling_factor is not None and sampling_factor < 1:
             raise ValueError("sampling_factor must be >= 1")

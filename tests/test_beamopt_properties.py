@@ -259,8 +259,14 @@ def test_randomization_equals_scoring_every_draw_bit_for_bit(L, kind, instance, 
 @settings(max_examples=100, deadline=None)
 @given(L=st.integers(1, 16), bits=st.integers(1, 16), n=st.integers(1, 300), pool=st.integers(1, 20),
        seed=st.integers(0, 2**32 - 1))
-@example(L=16, bits=1, n=300, pool=20, seed=0)  # 16-bit keys
-@example(L=16, bits=4, n=300, pool=20, seed=1)  # 64 bits: byte keys
+@example(L=16, bits=1, n=300, pool=20, seed=0)  # 16-bit columns
+@example(L=16, bits=4, n=300, pool=20, seed=1)  # 64-bit columns: byte keys
+# Packed while L * bits plus the ceil(log2 n) bits of a draw number is at most 63.
+@example(L=6, bits=9, n=512, pool=20, seed=2)  # 54 + 9 = 63 bits: packed
+@example(L=6, bits=9, n=513, pool=20, seed=3)  # 54 + 10 = 64 bits: byte keys
+@example(L=16, bits=3, n=1, pool=1, seed=4)  # no draw bits
+@example(L=4, bits=5, n=256, pool=300, seed=5)  # n = 2^8: 8 draw bits
+@example(L=4, bits=5, n=257, pool=300, seed=6)  # n = 2^8 + 1: 9 draw bits
 def test_first_distinct_columns_are_the_first_occurrences(L, bits, n, pool, seed):
     rng = np.random.default_rng(seed)
     columns = rng.integers(0, 1 << bits, (pool, L))  # few distinct columns, so most repeat
@@ -270,7 +276,14 @@ def test_first_distinct_columns_are_the_first_occurrences(L, bits, n, pool, seed
         if column not in seen:
             seen.add(column)
             first.append(j)
+    weights = beamopt_module._column_weights
+    weights.cache_clear()
     assert beamopt_module._first_distinct_columns(index, bits).tolist() == first
+    draw_bits = (n - 1).bit_length()
+    packed = L * bits + draw_bits <= 63
+    assert weights.cache_info().currsize == packed
+    if packed:
+        assert not weights(bits, L, draw_bits).flags.writeable
 
 
 def max_eigenpair_alone(M: np.ndarray) -> tuple[float, np.ndarray]:

@@ -226,6 +226,19 @@ CONFIG_PROBES = {
     "infinite stop threshold": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
                                               "stop": {"kind": "percentile-threshold", "percentile": 50,
                                                        "threshold_db": float("inf")}}},
+    "NaN percentile weight": {"algorithm": {"name": "greedy", "size": 2, "phase_bits": 5,
+                                            "criterion": {"kind": "percentiles", "points": [[50, float("nan")]]}}},
+    "infinite percentile weight": {"algorithm": {"name": "greedy", "size": 2, "phase_bits": 5,
+                                                 "criterion": {"kind": "percentiles",
+                                                               "points": [[50, float("inf")], [20, 1]]}}},
+    "NaN panel spacing": {"algorithm": {**_KMEANS, "spacing_lambda": float("nan")}},
+    "infinite panel spacing, unused": {"algorithm": {**_KMEANS, "init": "uniform", "spacing_lambda": float("inf")}},
+    "NaN synthetic spacing": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "spacing_lambda": float("nan")}}]},
+    "infinite synthetic spacing": {"arrays": [{"id": "ula",
+                                               "synthetic": {**_ULA, "spacing_lambda": float("inf")}}]},
+    "NaN synthetic pattern_q": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "pattern_q": float("nan")}}]},
+    "NaN design phi bound": {"algorithm": {**_KMEANS, "region": {"phi": [float("nan"), 90]}}},
+    "infinite evaluation phi bound": {"evaluation": {"region": {"phi": [0, float("inf")]}}},
 }
 
 

@@ -269,6 +269,16 @@ class TestDirectionSetsAndRegions:
         assert not region.contains(45.0, 180.0)
         assert not region.contains(120.0, 30.0)
 
+    @pytest.mark.parametrize("phi_range", [(np.nan, 90.0), (0.0, np.nan), (-np.inf, 90.0), (0.0, np.inf)])
+    def test_region_rejects_non_finite_phi(self, phi_range):
+        with pytest.raises(ValueError, match="phi_range bounds must be finite"):
+            bb.CoverageRegion(phi_range=phi_range)
+
+    @pytest.mark.parametrize("spacing, q", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan)])
+    def test_ula_spec_rejects_non_finite_geometry(self, spacing, q):
+        with pytest.raises(ValueError):
+            bb.SyntheticUlaSpec(4, spacing, element_pattern_q=q)
+
     def test_grid_is_immutable(self):
         grid = small_grid()
         with pytest.raises(ValueError):
