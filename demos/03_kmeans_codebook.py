@@ -15,8 +15,10 @@ spec = bb.SyntheticUlaSpec(num_elements=4, spacing_over_lambda=0.5, element_patt
 grid, dirs = bb.generate_ula_efield(spec)
 bits5 = bb.PhaseSpec.discrete(5)
 
-config = bb.KMeansConfig(
-    num_beams=5,
+num_beams = 5
+result = bb.kmeans_codebook(
+    grid,
+    num_beams=num_beams,
     direction_set=dirs,
     phase_spec=bits5,
     init=None,               # uniform_init: eigen beams at 5 spread-out directions
@@ -24,14 +26,13 @@ config = bb.KMeansConfig(
     max_iterations=50,
     seed=42,
 )
-result = bb.kmeans_codebook(config, grid)
 
 print("iteration  mean composite gain")
 for i, mean in enumerate(result.mean_gain_trace_db):
     print(f"{i:>9}  {mean:>7.3f} dB")
 print(f"\nstopped after {result.iterations} iterations: {result.stop_reason}")
 
-sizes = np.bincount(result.assignments, minlength=config.num_beams)
+sizes = np.bincount(result.assignments, minlength=num_beams)
 print("cluster sizes:", sizes.tolist())
 
 stats = bb.coverage_stats(bb.composite_pattern(grid, result.codebook, dirs), [20, 50, 80])

@@ -17,11 +17,8 @@ def compare(spacing: float, q: float) -> dict[str, float]:
 
     benchmark = bb.benchmark_codebook(spec, 4, bits5)
     classic = bb.codebook_802_15_3c(4, 4, 5)
-    refined = bb.kmeans_codebook(
-        bb.KMeansConfig(num_beams=4, direction_set=dirs, phase_spec=bits5,
-                        init=benchmark, n_rand=1000, seed=12345),
-        grid,
-    ).codebook
+    refined = bb.kmeans_codebook(grid, num_beams=4, direction_set=dirs, phase_spec=bits5,
+                                 init=benchmark, n_rand=1000, seed=12345).codebook
 
     def median(cb):
         return bb.coverage_stats(bb.composite_pattern(grid, cb, dirs)).median_db

@@ -25,11 +25,8 @@ dirs = bb.mesh_directions(grids["left"])
 bits5 = bb.PhaseSpec.discrete(5)
 
 replicated = bb.benchmark_codebook(spec, 4, bits5, array_ids=list(grids))
-joint = bb.kmeans_codebook(
-    bb.KMeansConfig(num_beams=12, direction_set=dirs, phase_spec=bits5,
-                    init=replicated, n_rand=1000, seed=7),
-    grids,
-)
+joint = bb.kmeans_codebook(grids, num_beams=12, direction_set=dirs, phase_spec=bits5,
+                           init=replicated, n_rand=1000, seed=7)
 
 
 def stats(cb):

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .beamopt import PhaseSpec
-from .codebook import (Codebook, KMeansConfig, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion,
-                       _child_seed, benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates,
-                       greedy_codebook, kmeans_codebook, load_codebook, restrict_region, save_codebook)
+from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _child_seed,
+                       benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates, greedy_codebook,
+                       kmeans_codebook, load_codebook, restrict_region, save_codebook)
 from .efield import (GRID_CACHE_DIR, GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec,
                      _parse_grid, fibonacci_directions, generate_ula_efield, load_efield, mesh_directions, save_efield,
                      write_json)
@@ -99,6 +99,15 @@ def _integer(block: dict, key: str, minimum: int, default: int | None = None) ->
     return value
 
 
+def _real(value, key: str) -> float | None:
+    """A config value as a float (None stays None): a JSON number, not a boolean or a string, that a float holds."""
+    if value is None or isinstance(value, float):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int) or abs(value) > sys.float_info.max:
+        raise ConfigError(f"'{key}' must be a number within the float range, got {value!r}")
+    return float(value)
+
+
 def _default_output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "out"))
 
@@ -115,16 +124,16 @@ def _make_output_dir(out: Path) -> Path:
 def _parse_region(data) -> CoverageRegion | None:
     if data is None:
         return None
-    return CoverageRegion(theta_range=tuple(_get(data, "theta", (0.0, 180.0))),
-                          phi_range=tuple(_get(data, "phi", (0.0, 360.0))))
+    return CoverageRegion(theta_range=tuple(_real(v, "theta") for v in _get(data, "theta", (0.0, 180.0))),
+                          phi_range=tuple(_real(v, "phi") for v in _get(data, "phi", (0.0, 360.0))))
 
 
 def _parse_synthetic(block: dict) -> SyntheticUlaSpec:
     _require(block, "elements", "synthetic array")
     return SyntheticUlaSpec(
         num_elements=_integer(block, "elements", 1),
-        spacing_over_lambda=float(_require(block, "spacing_lambda", "synthetic array")),
-        element_pattern_q=float(_get(block, "pattern_q", 0.0)),
+        spacing_over_lambda=_real(_require(block, "spacing_lambda", "synthetic array"), "spacing_lambda"),
+        element_pattern_q=_real(_get(block, "pattern_q", 0.0), "pattern_q"),
         sampling_factor=_integer(block, "sampling_factor", 1),
     )
 
@@ -212,14 +221,13 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
         raise ConfigError("benchmark init needs a codebook size divisible by the number of arrays")
     # The benchmark geometry of CSV arrays, which carry no spec.
     elements = _integer(algorithm, "elements", 1, next(iter(grids.values())).num_elements)
-    spacing = algorithm.get("spacing_lambda")
-    if spacing is not None and (isinstance(spacing, bool) or not isinstance(spacing, (int, float))
-                                or not (0.0 < spacing < math.inf)):
+    spacing = _real(algorithm.get("spacing_lambda"), "spacing_lambda")
+    if spacing is not None and not (0.0 < spacing < math.inf):
         raise ConfigError(f"'spacing_lambda' must be a positive finite number, got {spacing!r}")
     ula = None
     if name == "benchmark" or init == "benchmark":
         if spacing is not None:
-            ula = SyntheticUlaSpec(num_elements=elements, spacing_over_lambda=float(spacing))
+            ula = SyntheticUlaSpec(num_elements=elements, spacing_over_lambda=spacing)
         elif synthetic is not None:
             ula = synthetic[0]
         else:
@@ -249,7 +257,7 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
     if name == "kmeans" and size > len(design_dirs):
         raise ConfigError(f"size {size} exceeds the {len(design_dirs)} design directions")
 
-    percentiles = sorted({float(p) for p in _get(evaluation, "percentiles", [])} | {50.0})
+    percentiles = sorted({_real(p, "percentiles") for p in _get(evaluation, "percentiles", [])} | {50.0})
     if not all(0.0 < p < 100.0 for p in percentiles):
         raise ConfigError(f"evaluation percentiles must lie in (0, 100), got {percentiles}")
     criterion = stop = None
@@ -272,7 +280,8 @@ def _parse_criterion(block: dict) -> SelectionCriterion:
     if kind == "mean":
         return MeanGainCriterion(_parse_region(block.get("region")))
     if kind == "percentiles":
-        return PercentileMixCriterion(_require(block, "points", "percentiles criterion"))
+        points = _require(block, "points", "percentiles criterion")
+        return PercentileMixCriterion([(_real(x, "points"), _real(beta, "points")) for x, beta in points])
     raise ConfigError(f"unknown criterion kind '{kind}'")
 
 
@@ -284,10 +293,10 @@ def _parse_stop(block: dict) -> tuple[SelectionCriterion, float] | None:
     if kind == "mean-threshold":
         criterion = MeanGainCriterion(_parse_region(block.get("region")))
     elif kind == "percentile-threshold":
-        criterion = PercentileMixCriterion(((float(_require(block, "percentile", "stop")), 1.0),))
+        criterion = PercentileMixCriterion(((_real(_require(block, "percentile", "stop"), "percentile"), 1.0),))
     else:
         raise ConfigError(f"unknown stopping rule '{kind}'")
-    threshold = float(_require(block, "threshold_db", "stop"))
+    threshold = _real(_require(block, "threshold_db", "stop"), "threshold_db")
     if not math.isfinite(threshold):
         raise ConfigError(f"stop 'threshold_db' must be finite, got {threshold!r}")
     return criterion, threshold
@@ -323,9 +332,8 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
         init = greedy_codebook(candidates, config.grids, MeanGainCriterion(), size, config.design_dirs).codebook
     elif config.init == "benchmark":
         init = benchmark_codebook(config.ula, size // len(array_ids), phase_spec, array_ids=array_ids)
-    kcfg = KMeansConfig(num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec, init=init,
-                        n_rand=config.n_rand, max_iterations=config.max_iterations, seed=seed)
-    result = kmeans_codebook(kcfg, config.grids)
+    result = kmeans_codebook(config.grids, num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec,
+                             init=init, n_rand=config.n_rand, max_iterations=config.max_iterations, seed=seed)
     log["trace_db"] = [float(u) for u in result.mean_gain_trace_db]
     log["iterations"] = result.iterations
     log["status"] = "ok" if result.stop_reason != "max iterations" else "max iterations"

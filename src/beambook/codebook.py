@@ -25,8 +25,8 @@ import numpy as np
 
 from ._frozen import Frozen
 from .beamopt import BeamWeights, PhaseSpec, design_beam, quantize_phase
-from .efield import (CoverageRegion, Direction, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
-                     snap_to_grid, top_eigenvalues, write_json)
+from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions, snap_to_grid,
+                     top_eigenvalues, write_json)
 from .metrics import _as_grid_map, db_from_linear, field_gains, resolve_directions, weighted_percentiles
 
 _TWO_PI = 2.0 * math.pi
@@ -41,7 +41,10 @@ class Codebook(Frozen):
     """Ordered beams, each tagged with the array it drives."""
 
     def __init__(self, entries: Sequence[CodebookEntry]):
-        self.__dict__.update(entries=tuple(entries))
+        entries = tuple(entries)
+        if not entries:
+            raise ValueError("a codebook needs at least one beam")
+        self.__dict__.update(entries=entries)
 
     @property
     def size(self) -> int:
@@ -85,7 +88,7 @@ def codebook_from_dict(data) -> Codebook:
             entries.append(CodebookEntry(str(e["array"]), BeamWeights(w, spec)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"entry {i}: {exc!r}") from None
-    return Codebook(tuple(entries))
+    return Codebook(entries)
 
 
 def save_codebook(codebook: Codebook, path) -> None:
@@ -167,14 +170,8 @@ SelectionCriterion = Union[MeanGainCriterion, PercentileMixCriterion]
 
 
 # ---------------------------------------------------------------------------
-# Candidate generation
+# Pools of candidate beams
 # ---------------------------------------------------------------------------
-
-
-class Candidate(NamedTuple):
-    array_id: str
-    weights: BeamWeights
-    aim: Direction
 
 
 def _child_seed(*key: int) -> int:
@@ -190,8 +187,8 @@ def generate_candidates(
     phase_spec: PhaseSpec,
     seed: int = 0,
     n_rand: int = 1000,
-) -> tuple[Candidate, ...]:
-    """Candidate beams aimed at a quasi-uniform set of on-mesh directions.
+) -> tuple[CodebookEntry, ...]:
+    """A pool of candidate beams aimed at a quasi-uniform set of on-mesh directions.
 
     For every array, ``count_per_sphere`` Fibonacci directions are snapped
     to that array's mesh and one beam is designed per direction: the
@@ -207,7 +204,7 @@ def generate_candidates(
     grid_map = _as_grid_map(grids)
     fib = fibonacci_directions(count_per_sphere)
     strategy = "eigen" if method == "eigen" else "sdr_grp_cd"
-    out: list[Candidate] = []
+    out: list[CodebookEntry] = []
     for a_index, (array_id, grid) in enumerate(grid_map.items()):
         snapped = snap_to_grid(fib, grid)
         et_all, ep_all = grid.fields_at(snapped)
@@ -215,8 +212,7 @@ def generate_candidates(
         stack = np.stack([field_coherence(et_all[:, i : i + 1], ep_all[:, i : i + 1]) for i in range(n)])
         seeds = [_child_seed(seed, a_index, i) for i in range(n)]
         beams = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
-        for i, beam in enumerate(beams):
-            out.append(Candidate(array_id, beam, Direction(float(snapped.theta[i]), float(snapped.phi[i]))))
+        out += (CodebookEntry(array_id, beam) for beam in beams)
     return tuple(out)
 
 
@@ -231,7 +227,7 @@ class GreedyResult(NamedTuple):
     stop_reason: str
 
 
-def _candidate_gain_matrix(candidates: Sequence[Candidate], grids, eval_set: DirectionSet) -> np.ndarray:
+def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet) -> np.ndarray:
     """Linear gains of every candidate at every evaluation direction, one stacked call per array."""
     resolved = resolve_directions(grids, eval_set)
     G = np.empty((len(candidates), len(eval_set)))
@@ -253,7 +249,7 @@ def _drop_row(C: np.ndarray, row: int, rows: int) -> None:
 
 
 def greedy_codebook(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[CodebookEntry],
     grids,
     criterion: SelectionCriterion,
     size: int,
@@ -302,26 +298,12 @@ def greedy_codebook(
         _drop_row(C, row, rows.shape[0])
         utilities.append(criterion.value(best, eval_set))
 
-    entries = tuple(CodebookEntry(candidates[i].array_id, candidates[i].weights) for i in selected)
-    return GreedyResult(codebook=Codebook(entries), utilities_db=np.array(utilities), stop_reason=stop_reason)
+    return GreedyResult(Codebook(candidates[i] for i in selected), np.array(utilities), stop_reason)
 
 
 # ---------------------------------------------------------------------------
 # K-Means synthesis
 # ---------------------------------------------------------------------------
-
-
-class KMeansConfig(Frozen):
-    """A K-Means run: ``init`` None starts from :func:`uniform_init`."""
-
-    def __init__(self, num_beams: int, direction_set: DirectionSet, phase_spec: PhaseSpec,
-                 init: Codebook | None = None, n_rand: int = 1000, max_iterations: int = 50, seed: int = 0):
-        if num_beams < 1:
-            raise ValueError("num_beams must be >= 1")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        self.__dict__.update(num_beams=num_beams, direction_set=direction_set, phase_spec=phase_spec, init=init,
-                             n_rand=n_rand, max_iterations=max_iterations, seed=seed)
 
 
 class KMeansResult(NamedTuple):
@@ -348,14 +330,24 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
         array_id, (_, et, ep) = per_array[a]
         M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
         entries.append(CodebookEntry(array_id, design_beam(M, phase_spec, "eigen")))
-    return Codebook(tuple(entries))
+    return Codebook(entries)
 
 
-def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
+def kmeans_codebook(
+    grids,
+    num_beams: int,
+    direction_set: DirectionSet,
+    phase_spec: PhaseSpec,
+    init: Codebook | None = None,
+    n_rand: int = 1000,
+    max_iterations: int = 50,
+    seed: int = 0,
+) -> KMeansResult:
     """Alternate direction-to-beam assignment and per-cluster beam updates.
 
-    The run starts from ``config.init``, or from :func:`uniform_init` when
-    that is None.  Each direction joins the beam serving it best (ties to the lowest beam
+    The run starts from ``init``, a codebook of ``num_beams`` beams on the
+    ``phase_spec`` lattice, or from :func:`uniform_init` when that is None.
+    Each direction joins the beam serving it best (ties to the lowest beam
     index); each beam is then re-designed for the weighted field sum of
     its cluster on its own array (one stacked :func:`design_beam` call per
     element count, every beam on its own seed), and the new beam is kept
@@ -368,27 +360,30 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
     no design call and leaves its beam untouched: any beam ties its zero
     objective, so a new design would only replace the beam at random.
     """
+    if num_beams < 1:
+        raise ValueError("num_beams must be >= 1")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     grid_map = _as_grid_map(grids)
-    dirs = config.direction_set
-    K = config.num_beams
-    if K > len(dirs):
+    dirs = direction_set
+    if num_beams > len(dirs):
         raise ValueError("num_beams exceeds the number of directions")
 
-    codebook = uniform_init(K, grid_map, config.phase_spec) if config.init is None else config.init
-    if codebook.size != K:
+    codebook = uniform_init(num_beams, grid_map, phase_spec) if init is None else init
+    if codebook.size != num_beams:
         raise ValueError("initial codebook size does not match num_beams")
+    # Every beam on the run's lattice from the start (raises if one is off it).
+    entries = [CodebookEntry(e.array_id, BeamWeights(e.weights.weights, phase_spec)) for e in codebook.entries]
 
     fields = {array_id: grid.fields_at(snap_to_grid(dirs, grid)) for array_id, grid in grid_map.items()}
-    beams = [(e.array_id, np.array(e.weights.weights)) for e in codebook.entries]
-
-    gains = np.stack([field_gains(w, *fields[a]) for a, w in beams])  # (K, N)
+    gains = np.stack([field_gains(e.weights.weights, *fields[e.array_id]) for e in entries])  # (K, N)
     mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
     trace = [mean_db]
     assignments = np.full(len(dirs), -1)
     stop_reason = "max iterations"
     iterations = 0
 
-    for iteration in range(config.max_iterations):
+    for iteration in range(max_iterations):
         new_assignments = np.argmax(gains, axis=0)  # ties -> lowest beam index
         if np.array_equal(new_assignments, assignments):
             stop_reason = "assignments unchanged"
@@ -400,9 +395,9 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
         # over the clusters with field (an empty cluster's matrix is zero).
         clusters: dict[int, np.ndarray] = {}
         by_size: dict[int, list[int]] = {}
-        for k, (array_id, _) in enumerate(beams):
+        for k, entry in enumerate(entries):
             members = np.flatnonzero(assignments == k)
-            et, ep = fields[array_id]
+            et, ep = fields[entry.array_id]
             Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
             if np.real(np.trace(Mk)) > 0.0:
                 clusters[k] = Mk
@@ -410,17 +405,15 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
         designed = {}
         for ks in by_size.values():
             stack = np.stack([clusters[k] for k in ks])
-            seeds = [_child_seed(config.seed, iteration, k) for k in ks]
-            designed.update(zip(ks, design_beam(stack, config.phase_spec, seed=seeds, n_rand=config.n_rand)))
+            seeds = [_child_seed(seed, iteration, k) for k in ks]
+            designed.update(zip(ks, design_beam(stack, phase_spec, seed=seeds, n_rand=n_rand)))
 
         for k, Mk in clusters.items():
-            array_id, w = beams[k]
+            array_id, old_beam = entries[k]
             new_beam = designed[k]
-            old_obj = float(np.real(w.conj() @ Mk @ w))
-            new_obj = new_beam.gain(Mk)
-            if new_obj >= old_obj:  # keep monotone under the approximate solver
-                beams[k] = (array_id, np.array(new_beam.weights))
-                gains[k] = field_gains(beams[k][1], *fields[array_id])
+            if new_beam.gain(Mk) >= old_beam.gain(Mk):  # keep monotone under the approximate solver
+                entries[k] = CodebookEntry(array_id, new_beam)
+                gains[k] = field_gains(new_beam.weights, *fields[array_id])
 
         new_mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
         trace.append(new_mean_db)
@@ -430,16 +423,7 @@ def kmeans_codebook(config: KMeansConfig, grids) -> KMeansResult:
             break
         mean_db = new_mean_db
 
-    entries = tuple(
-        CodebookEntry(array_id, BeamWeights(w, config.phase_spec)) for array_id, w in beams
-    )
-    return KMeansResult(
-        codebook=Codebook(entries),
-        mean_gain_trace_db=np.array(trace),
-        iterations=iterations,
-        stop_reason=stop_reason,
-        assignments=assignments,
-    )
+    return KMeansResult(Codebook(entries), np.array(trace), iterations, stop_reason, assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +453,7 @@ def benchmark_codebook(
     phases = np.mod(_TWO_PI * ula.spacing_over_lambda * ell[None, :] * x[:, None], _TWO_PI)
     if phase_spec.is_discrete:
         phases = quantize_phase(phases, phase_spec.bits)
-    entries = []
-    for array_id in array_ids:
-        for k in range(size):
-            entries.append(CodebookEntry(array_id, BeamWeights.from_phases(phases[k], phase_spec)))
-    return Codebook(tuple(entries))
+    return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, phase_spec)) for a in array_ids for p in phases)
 
 
 def codebook_802_15_3c(
@@ -497,16 +477,12 @@ def codebook_802_15_3c(
     spec = PhaseSpec.discrete(bits)
     n_states = 1 << bits
     ell = np.arange(1, num_elements + 1)
-    entries = []
     phases_all = []
     for k in range(1, size + 1):
         m = math.fmod(k - 1 + size / 2.0, size)
         phases = (_TWO_PI / n_states) * np.floor((ell - 1) * m / (size / n_states))
         phases_all.append(np.mod(phases, _TWO_PI))
-    for array_id in array_ids:
-        for phases in phases_all:
-            entries.append(CodebookEntry(array_id, BeamWeights.from_phases(phases, spec)))
-    return Codebook(tuple(entries))
+    return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, spec)) for a in array_ids for p in phases_all)
 
 
 def restrict_region(dirs: DirectionSet, region: CoverageRegion) -> DirectionSet:

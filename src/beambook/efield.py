@@ -21,7 +21,7 @@ import math
 import os
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +38,6 @@ GRID_CSV_HEADER = "elem,theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"
 
 class GridFormatError(ValueError):
     """Raised when an E-field CSV file does not conform to the grid schema."""
-
-
-class Direction(NamedTuple):
-    """A single far-field direction, degrees."""
-
-    theta: float
-    phi: float
 
 
 def _normalize_phi(phi):
@@ -96,14 +89,6 @@ class DirectionSet(Frozen):
 
     def __len__(self) -> int:
         return self.theta.size
-
-    def __iter__(self) -> Iterator[Direction]:
-        for t, p in zip(self.theta, self.phi):
-            yield Direction(float(t), float(p))
-
-    @property
-    def directions(self) -> list[Direction]:
-        return list(self)
 
     @cached_property
     def csv_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,11 +208,6 @@ class EFieldGrid(Frozen):
                            f"is not on the mesh of '{self.array_id}'")
         return it, ip
 
-    def index_of(self, theta: float, phi: float, tol: float = 1e-9) -> tuple[int, int]:
-        """Exact mesh lookup of one direction; raises KeyError off the mesh."""
-        it, ip = self.resolve([theta], [phi], tol)
-        return int(it[0]), int(ip[0])
-
     def fields_at(self, dirs: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
         """Field matrices (num_elements, len(dirs)) at on-mesh directions."""
         it, ip = self.resolve(dirs.theta, dirs.phi, tol=1e-9)
@@ -266,20 +246,6 @@ def top_eigenvalues(et: np.ndarray, ep: np.ndarray) -> np.ndarray:
     half_tr = 0.5 * (ntt + npp)
     det = ntt * npp - cross
     return half_tr + np.sqrt(np.maximum(half_tr**2 - det, 0.0))
-
-
-def coherence_sum(grid: EFieldGrid, directions: Iterable[Direction], weights=None) -> np.ndarray:
-    """Sum of coherence matrices over a set of on-mesh directions.
-
-    The coherence matrix of one direction is the sum of the outer products
-    of its two polarization field vectors: Hermitian PSD, rank <= 2, and
-    its quadratic form gives the realized field power.  Optional
-    nonnegative per-direction weights scale each term (used for
-    quadrature-weighted accumulation); the plain sum is the default.
-    """
-    dirs = list(directions)
-    it, ip = grid.resolve([d.theta for d in dirs], [d.phi for d in dirs], tol=1e-9)
-    return field_coherence(grid.e_theta[:, it, ip], grid.e_phi[:, it, ip], weights)
 
 
 def fibonacci_directions(count: int) -> DirectionSet:

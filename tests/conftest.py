@@ -29,11 +29,8 @@ def _reproduction(spacing: float, q: float, seed: int) -> SimpleNamespace:
     c3 = bb.codebook_802_15_3c(4, 4, 5)
     t0 = time.perf_counter()
     result = bb.kmeans_codebook(
-        bb.KMeansConfig(
-            num_beams=4, direction_set=dirs, phase_spec=bits5,
-            init=bench, n_rand=1000, max_iterations=50, seed=12345,
-        ),
-        grid,
+        grid, num_beams=4, direction_set=dirs, phase_spec=bits5,
+        init=bench, n_rand=1000, max_iterations=50, seed=12345,
     )
     design_seconds = time.perf_counter() - t0
 
@@ -90,11 +87,8 @@ def standin3():
     dirs = bb.mesh_directions(grids["left"])
     bench = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5), array_ids=list(grids))
     result = bb.kmeans_codebook(
-        bb.KMeansConfig(
-            num_beams=12, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init=bench, n_rand=1000, max_iterations=50, seed=7,
-        ),
-        grids,
+        grids, num_beams=12, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
+        init=bench, n_rand=1000, max_iterations=50, seed=7,
     )
 
     def mean_db(cb):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+from beambook.efield import field_coherence
 from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
 
@@ -349,7 +350,7 @@ class TestCoordinateDescent:
 class TestDesignBeam:
     def test_strategies_agree_on_lattice_aligned_broadside(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
-        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
+        M = field_coherence(*grid.fields_at(bb.DirectionSet([90.0], [0.0], [1.0])))
         spec = bb.PhaseSpec.discrete(5)
         gains = {}
         for strategy in ("eigen", "sdr_grp", "sdr_grp_cd"):

@@ -239,6 +239,19 @@ CONFIG_PROBES = {
     "NaN synthetic pattern_q": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "pattern_q": float("nan")}}]},
     "NaN design phi bound": {"algorithm": {**_KMEANS, "region": {"phi": [float("nan"), 90]}}},
     "infinite evaluation phi bound": {"evaluation": {"region": {"phi": [0, float("inf")]}}},
+    # A real-valued key takes a JSON number: not a boolean, not a numeric string.
+    "boolean synthetic spacing": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "spacing_lambda": True}}]},
+    "string synthetic spacing": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "spacing_lambda": "0.5"}}]},
+    "boolean synthetic pattern_q": {"arrays": [{"id": "ula", "synthetic": {**_ULA, "pattern_q": True}}]},
+    "boolean percentile": {"evaluation": {"percentiles": [True]}},
+    "string stop threshold": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                            "stop": {"kind": "mean-threshold", "threshold_db": "3"}}},
+    "boolean percentile points": {"algorithm": {"name": "greedy", "size": 2, "phase_bits": 5,
+                                                "criterion": {"kind": "percentiles", "points": [[True, True]]}}},
+    "boolean design theta bound": {"algorithm": {**_KMEANS, "region": {"theta": [False, 180]}}},
+    # An integer literal that no float holds.
+    "synthetic spacing beyond the float range": {
+        "arrays": [{"id": "ula", "synthetic": {**_ULA, "spacing_lambda": 10**400}}]},
 }
 
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import beambook as bb
 import beambook.codebook as codebook_module
+from beambook.efield import field_coherence
 from beambook.metrics import field_gains
 
 
@@ -112,13 +113,8 @@ class TestCandidates:
         grids = {"a": grid, "b": grid, "c": grid}
         cands = bb.generate_candidates(grids, 11, "eigen", bb.PhaseSpec.discrete(5))
         assert len(cands) == 33
+        assert type(cands) is tuple and all(type(c) is bb.CodebookEntry for c in cands)
         assert {c.array_id for c in cands} == {"a", "b", "c"}
-
-    def test_aims_on_mesh(self, iso_grid):
-        grid, _ = iso_grid
-        cands = bb.generate_candidates(grid, 17, "eigen", bb.PhaseSpec.discrete(5))
-        for c in cands:
-            grid.index_of(c.aim.theta, c.aim.phi)  # raises if off mesh
 
     def test_single_element_trivial_codeword(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(1, 0.5))
@@ -129,7 +125,7 @@ class TestCandidates:
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
         # broadside: progressive phases are all zero, exactly on any lattice
         ds = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
-        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
+        M = field_coherence(*grid.fields_at(ds))
         eig = bb.design_beam(M, bb.PhaseSpec.discrete(5), "eigen")
         it = bb.design_beam(M, bb.PhaseSpec.discrete(5), "sdr_grp_cd", seed=9)
         assert_allclose(eig.weights, it.weights, atol=1e-12)
@@ -158,7 +154,7 @@ class TestGreedy:
         resolved = bb.resolve_directions(grid, dirs)
         means = []
         for c in cands:
-            cb = bb.Codebook((bb.CodebookEntry(c.array_id, c.weights),))
+            cb = bb.Codebook((c,))
             means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb)))))
         selected = bb.entry_gains_linear(resolved, result.codebook)
         selected_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(selected)))
@@ -230,48 +226,25 @@ class TestGreedy:
 
 
 class TestKMeans:
-    def test_configs_compare_by_value(self, iso_grid):
-        _, dirs = iso_grid
-        same_dirs = bb.DirectionSet(dirs.theta.copy(), dirs.phi.copy(), dirs.weights.copy())
-        beam = bb.BeamWeights.from_phases(np.zeros(4), bb.PhaseSpec.discrete(5))
-        init = bb.Codebook([bb.CodebookEntry("ula", beam)])
-
-        def make(direction_set=dirs, **kwargs):
-            return bb.KMeansConfig(num_beams=1, direction_set=direction_set, phase_spec=bb.PhaseSpec.discrete(5),
-                                   init=init, **kwargs)
-
-        a, b = make(), make(same_dirs)
-        assert a == b and hash(a) == hash(b)
-        assert make(seed=1) != a
-        assert make(bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))) != a
-        assert len({a, b, make(n_rand=10)}) == 2
-
     def test_single_beam_converges_immediately(self, iso_grid):
         grid, dirs = iso_grid
-        cfg = bb.KMeansConfig(
-            num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), seed=0
-        )
-        result = bb.kmeans_codebook(cfg, grid)
+        result = bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), seed=0)
         assert result.iterations <= 2
         assert np.all(result.assignments == 0)
 
     def test_uniform_init_monotone_and_fast(self, directional_grid):
         grid, dirs = directional_grid
-        cfg = bb.KMeansConfig(
-            num_beams=5, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            n_rand=200, seed=3,
+        result = bb.kmeans_codebook(
+            grid, num_beams=5, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), n_rand=200, seed=3
         )
-        result = bb.kmeans_codebook(cfg, grid)
         assert result.iterations < 20
         assert np.all(np.diff(result.mean_gain_trace_db) >= -1e-12)
 
     def test_assignment_partitions_directions(self, directional_grid):
         grid, dirs = directional_grid
-        cfg = bb.KMeansConfig(
-            num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            n_rand=100, seed=1,
+        result = bb.kmeans_codebook(
+            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), n_rand=100, seed=1
         )
-        result = bb.kmeans_codebook(cfg, grid)
         assert result.assignments.shape == (len(dirs),)
         assert set(np.unique(result.assignments)).issubset(set(range(3)))
 
@@ -281,11 +254,9 @@ class TestKMeans:
         init = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5), array_ids=[grid.array_id])
         resolved = bb.resolve_directions(grid, dirs)
         init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, init))))
-        cfg = bb.KMeansConfig(
-            num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init=init, n_rand=500, seed=5,
+        result = bb.kmeans_codebook(
+            grid, num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), init=init, n_rand=500, seed=5
         )
-        result = bb.kmeans_codebook(cfg, grid)
         final = bb.entry_gains_linear(resolved, result.codebook)
         final_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(final)))
         assert final_mean >= init_mean - 1e-12
@@ -294,11 +265,9 @@ class TestKMeans:
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
         init = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 3, dirs).codebook
-        cfg = bb.KMeansConfig(
-            num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
-            init=init, n_rand=100, seed=2,
+        result = bb.kmeans_codebook(
+            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), init=init, n_rand=100, seed=2
         )
-        result = bb.kmeans_codebook(cfg, grid)
         assert result.codebook.size == 3
 
     def test_zero_weight_cluster_leaves_its_beam_untouched(self, iso_grid):
@@ -308,9 +277,8 @@ class TestKMeans:
         spec = bb.PhaseSpec.discrete(5)
         init = bb.benchmark_codebook(bb.SyntheticUlaSpec(4, 0.5), 2, spec, array_ids=[grid.array_id])
         dirs = bb.DirectionSet(np.array([60.0, 70.0, 120.0]), np.zeros(3), np.array([0.5, 0.5, 0.0]))
-        cfg = bb.KMeansConfig(num_beams=2, direction_set=dirs, phase_spec=spec, init=init,
-                              n_rand=50, max_iterations=1, seed=0)
-        result = bb.kmeans_codebook(cfg, grid)
+        result = bb.kmeans_codebook(grid, num_beams=2, direction_set=dirs, phase_spec=spec, init=init,
+                                    n_rand=50, max_iterations=1, seed=0)
         assert result.assignments.tolist() == [1, 1, 0]
         assert np.array_equal(result.codebook.entries[0].weights.weights, init.entries[0].weights.weights)
 
@@ -330,8 +298,8 @@ class TestKMeans:
             for L in (4, 6)
             for entry in bb.benchmark_codebook(bb.SyntheticUlaSpec(L, 0.5), 2, bits3, [f"ula{L}"]).entries
         ))
-        cfg = bb.KMeansConfig(num_beams=4, direction_set=bb.mesh_directions(grids["ula4"]), phase_spec=bits3,
-                              init=init, n_rand=100, seed=4)
+        run = dict(num_beams=4, direction_set=bb.mesh_directions(grids["ula4"]), phase_spec=bits3,
+                   init=init, n_rand=100, seed=4)
         design_beam = codebook_module.design_beam
         stack_sizes = []
 
@@ -343,9 +311,9 @@ class TestKMeans:
             return tuple(design_beam(m, *args, seed=s, **kwargs) for m, s in zip(M, seed))
 
         monkeypatch.setattr(codebook_module, "design_beam", spy)
-        stacked = bb.kmeans_codebook(cfg, grids)
+        stacked = bb.kmeans_codebook(grids, **run)
         monkeypatch.setattr(codebook_module, "design_beam", one_by_one)
-        looped = bb.kmeans_codebook(cfg, grids)
+        looped = bb.kmeans_codebook(grids, **run)
 
         assert {L for _, L in stack_sizes} == {4, 6}
         assert len(stack_sizes) <= 2 * stacked.iterations
@@ -357,9 +325,29 @@ class TestKMeans:
     def test_too_many_beams_rejected(self, iso_grid):
         grid, _ = iso_grid
         tiny = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
-        cfg = bb.KMeansConfig(num_beams=2, direction_set=tiny, phase_spec=bb.PhaseSpec.discrete(5))
-        with pytest.raises(ValueError):
-            bb.kmeans_codebook(cfg, grid)
+        with pytest.raises(ValueError, match="num_beams exceeds the number of directions"):
+            bb.kmeans_codebook(grid, num_beams=2, direction_set=tiny, phase_spec=bb.PhaseSpec.discrete(5))
+
+    @pytest.mark.parametrize("bad, message", [({"num_beams": 0}, "num_beams must be >= 1"),
+                                              ({"max_iterations": 0}, "max_iterations must be >= 1")])
+    def test_nonpositive_counts_rejected(self, iso_grid, bad, message):
+        grid, dirs = iso_grid
+        run = {"num_beams": 1, "direction_set": dirs, "phase_spec": bb.PhaseSpec.discrete(5), **bad}
+        with pytest.raises(ValueError, match=message):
+            bb.kmeans_codebook(grid, **run)
+
+    def test_start_off_the_phase_lattice_rejected_before_any_design(self, iso_grid, monkeypatch):
+        # A continuous start whose phases miss the 2-bit lattice: K-Means would
+        # replace this lone beam, so only an up-front check catches it.
+        grid, dirs = iso_grid
+        init = bb.Codebook([bb.CodebookEntry(grid.array_id, bb.BeamWeights.from_phases(
+            np.array([0.0, 0.3, 0.6, 0.9]), bb.PhaseSpec.continuous()))])
+        design_beam, designs = codebook_module.design_beam, []
+        monkeypatch.setattr(codebook_module, "design_beam",
+                            lambda *args, **kwargs: designs.append(args) or design_beam(*args, **kwargs))
+        with pytest.raises(ValueError, match="lattice"):
+            bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(2), init=init)
+        assert designs == []
 
 
 class TestUniformInit:
@@ -398,12 +386,10 @@ class TestUniformInit:
         }
         cb = bb.uniform_init(12, grids, bb.PhaseSpec.discrete(5))
         fib = bb.fibonacci_directions(12)
-        for entry, d in zip(cb.entries, fib):
+        for entry, theta, phi in zip(cb.entries, fib.theta, fib.phi):
             lams = {}
             for name, grid in grids.items():
-                ds = bb.snap_to_grid(
-                    bb.DirectionSet(np.array([d.theta]), np.array([d.phi]), np.array([1.0])), grid
-                )
+                ds = bb.snap_to_grid(bb.DirectionSet([theta], [phi], [1.0]), grid)
                 lams[name] = bb.upper_bound_gains_linear(bb.resolve_directions(grid, ds))[0]
             best = max(lams, key=lambda n: lams[n])
             if abs(lams["x"] - lams["y"]) > 1e-9:  # skip exact ties, order-dependent
@@ -411,6 +397,12 @@ class TestUniformInit:
 
 
 class TestCodebookJson:
+    def test_codebook_without_beams_rejected(self):
+        with pytest.raises(ValueError, match="at least one beam"):
+            bb.Codebook(())
+        with pytest.raises(ValueError, match="at least one beam"):
+            bb.Codebook(iter([]))
+
     def test_round_trip_exact(self, iso_grid, tmp_path):
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
-from beambook.efield import GAIN_FACTOR, GridFormatError
+from beambook.efield import GAIN_FACTOR, GridFormatError, field_coherence
 
 
 def small_grid(L=2, nt=3, np_=3, seed=0):
@@ -60,7 +60,7 @@ class TestGridCsv:
 class TestSyntheticUla:
     def test_broadside_phases_and_magnitudes(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
-        it, ip = grid.index_of(90.0, 0.0)
+        it, ip = grid.resolve(90.0, 0.0, tol=1e-9)
         e = grid.e_theta[:, it, ip]
         # per-element realized gain is the element pattern (1 for isotropic)
         assert_allclose(GAIN_FACTOR * np.abs(e) ** 2, [1.0, 1.0], atol=1e-12)
@@ -68,7 +68,7 @@ class TestSyntheticUla:
 
     def test_endfire_half_wavelength_is_antiphase(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
-        it, ip = grid.index_of(0.0, 0.0)
+        it, ip = grid.resolve(0.0, 0.0, tol=1e-9)
         e = grid.e_theta[:, it, ip]
         ratio = e[1] / e[0]
         assert_allclose(ratio, -1.0, atol=1e-12)
@@ -150,7 +150,7 @@ class TestCoherence:
         phi = np.array([0.0])
         et = np.ones((2, 1, 1), dtype=complex)
         grid = bb.EFieldGrid("g", theta, phi, et, np.zeros_like(et))
-        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
+        M = field_coherence(*grid.fields_at(bb.DirectionSet([90.0], [0.0], [1.0])))
         assert_allclose(M, np.ones((2, 2)), atol=1e-15)
 
     def test_orthogonal_components_sum_to_identity(self):
@@ -159,55 +159,52 @@ class TestCoherence:
         et = np.array([[[1.0]], [[0.0]]], dtype=complex)
         ep = np.array([[[0.0]], [[1.0]]], dtype=complex)
         grid = bb.EFieldGrid("g", theta, phi, et, ep)
-        M = bb.coherence_sum(grid, [bb.Direction(90.0, 0.0)])
+        M = field_coherence(*grid.fields_at(bb.DirectionSet([90.0], [0.0], [1.0])))
         assert_allclose(M, np.eye(2), atol=1e-15)
 
     def test_synthetic_direction_is_rank_one(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.65))
-        M = bb.coherence_sum(grid, [dirs.directions[100]])
+        et, ep = grid.fields_at(dirs)
+        M = field_coherence(et[:, 100:101], ep[:, 100:101])
         vals = np.linalg.eigvalsh(M)
         assert vals[-2] <= 1e-9 * vals[-1]
 
     def test_off_mesh_lookup_raises(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
         with pytest.raises(KeyError):
-            bb.coherence_sum(grid, [bb.Direction(90.05, 0.0)])
+            grid.fields_at(bb.DirectionSet([90.05], [0.0], [1.0]))
 
     def test_singleton_sum_equals_single_matrix(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(3, 0.5))
-        d = dirs.directions[7]
-        it, ip = grid.index_of(d.theta, d.phi)
+        it, ip = grid.resolve(dirs.theta[7], dirs.phi[7], tol=1e-9)
         et, ep = grid.e_theta[:, it, ip], grid.e_phi[:, it, ip]
         expected = np.outer(et, et.conj()) + np.outer(ep, ep.conj())
-        assert_allclose(bb.coherence_sum(grid, [d]), expected, rtol=1e-14, atol=1e-15 * np.abs(expected).max())
+        M = field_coherence(*grid.fields_at(bb.DirectionSet([dirs.theta[7]], [dirs.phi[7]], [1.0])))
+        assert_allclose(M, expected, rtol=1e-14, atol=1e-15 * np.abs(expected).max())
 
     def test_sum_matches_bruteforce_accumulation(self):
         grid = small_grid(L=4, nt=6, np_=5, seed=3)
         rng = np.random.default_rng(1)
-        dirs = [
-            bb.Direction(float(grid.theta_axis[i]), float(grid.phi_axis[j]))
-            for i, j in zip(rng.integers(0, 6, 10), rng.integers(0, 5, 10))
-        ]
+        it, ip = rng.integers(0, 6, 10), rng.integers(0, 5, 10)
+        dirs = bb.DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], np.full(10, 0.1))
         expected = np.zeros((4, 4), dtype=complex)
-        for d in dirs:
-            expected = expected + bb.coherence_sum(grid, [d])
-        assert_allclose(bb.coherence_sum(grid, dirs), expected, atol=1e-12)
+        for i, j in zip(it, ip):
+            et, ep = grid.e_theta[:, i, j], grid.e_phi[:, i, j]
+            expected = expected + np.outer(et, et.conj()) + np.outer(ep, ep.conj())
+        assert_allclose(field_coherence(*grid.fields_at(dirs)), expected, atol=1e-12)
 
     def test_invariants_over_random_directions(self):
         grid = small_grid(L=5, nt=8, np_=7, seed=9)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            d = bb.Direction(
-                float(grid.theta_axis[rng.integers(0, 8)]),
-                float(grid.phi_axis[rng.integers(0, 7)]),
-            )
-            M = bb.coherence_sum(grid, [d])
+            theta, phi = float(grid.theta_axis[rng.integers(0, 8)]), float(grid.phi_axis[rng.integers(0, 7)])
+            M = field_coherence(*grid.fields_at(bb.DirectionSet([theta], [phi], [1.0])))
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * max(np.max(np.abs(M)), 1.0)
             vals = np.linalg.eigvalsh(M)
             trace = float(np.real(np.trace(M)))
             assert vals[0] >= -1e-10 * trace
             assert np.sum(vals > 1e-9 * vals[-1]) <= 2
-            it, ip = grid.index_of(d.theta, d.phi)
+            it, ip = grid.resolve(theta, phi, tol=1e-9)
             expected_trace = np.sum(np.abs(grid.e_theta[:, it, ip]) ** 2) + np.sum(
                 np.abs(grid.e_phi[:, it, ip]) ** 2
             )

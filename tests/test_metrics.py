@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
-from beambook.efield import GAIN_FACTOR
+from beambook.efield import GAIN_FACTOR, field_coherence
 from beambook.metrics import db_from_linear, field_gains, linear_from_db
 
 
@@ -13,9 +13,9 @@ def unimodular(phases):
     return bb.BeamWeights(np.exp(1j * np.asarray(phases)) / math.sqrt(len(phases)), bb.PhaseSpec.continuous())
 
 
-def gain_at(grid, weights, d):
+def gain_at(grid, weights, theta, phi):
     """Realized linear gain of one beam at one on-mesh direction."""
-    return float(field_gains(weights, *grid.fields_at(bb.DirectionSet([d.theta], [d.phi], [1.0])))[0])
+    return float(field_gains(weights, *grid.fields_at(bb.DirectionSet([theta], [phi], [1.0])))[0])
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ class TestBeamGain:
     def test_cophased_coherent_combining(self, iso_grid):
         grid, _ = iso_grid
         w = unimodular([0.0, 0.0, 0.0, 0.0])
-        assert_allclose(gain_at(grid, w, bb.Direction(90.0, 0.0)), 4.0, rtol=1e-10)
+        assert_allclose(gain_at(grid, w, 90.0, 0.0), 4.0, rtol=1e-10)
 
     def test_two_path_consistency(self):
         # production path (field superposition) against the explicit
@@ -44,15 +44,15 @@ class TestBeamGain:
         grid = bb.EFieldGrid("g", theta, phi, e(), e())
         for _ in range(20):
             w = unimodular(rng.uniform(0, 2 * math.pi, 3))
-            d = bb.Direction(float(theta[rng.integers(6)]), float(phi[rng.integers(5)]))
-            M = bb.coherence_sum(grid, [d])
+            t, p = float(theta[rng.integers(6)]), float(phi[rng.integers(5)])
+            M = field_coherence(*grid.fields_at(bb.DirectionSet([t], [p], [1.0])))
             expected = GAIN_FACTOR * float(np.real(w.weights.conj() @ M @ w.weights))
-            assert_allclose(gain_at(grid, w.weights, d), expected, rtol=1e-12)
+            assert_allclose(gain_at(grid, w.weights, t, p), expected, rtol=1e-12)
 
     def test_off_mesh_raises(self, iso_grid):
         grid, _ = iso_grid
         with pytest.raises(KeyError):
-            gain_at(grid, unimodular([0, 0, 0, 0]), bb.Direction(90.01, 0.0))
+            gain_at(grid, unimodular([0, 0, 0, 0]), 90.01, 0.0)
 
 
 class TestCompositePattern:
@@ -88,10 +88,9 @@ class TestUpperBound:
 
     def test_rank_one_bound_is_field_norm(self, iso_grid):
         grid, dirs = iso_grid
-        d = bb.Direction(90.0, 0.0)
-        M = bb.coherence_sum(grid, [d])
+        ds = bb.DirectionSet([90.0], [0.0], [1.0])
+        M = field_coherence(*grid.fields_at(ds))
         expected = GAIN_FACTOR * np.linalg.eigvalsh(M)[-1]
-        ds = bb.DirectionSet(np.array([d.theta]), np.array([d.phi]), np.array([1.0]))
         bound = bb.upper_bound_pattern(grid, ds)
         assert_allclose(linear_from_db(bound.gains_db[0]), expected, rtol=1e-12)
 
@@ -103,8 +102,9 @@ class TestUpperBound:
         grid = bb.EFieldGrid("g", theta, phi, e(), e())
         dirs = bb.mesh_directions(grid)
         bound = bb.upper_bound_gains_linear(bb.resolve_directions(grid, dirs))
-        for k, d in enumerate(dirs):
-            lam = np.linalg.eigvalsh(bb.coherence_sum(grid, [d]))[-1]
+        et, ep = grid.fields_at(dirs)
+        for k in range(len(dirs)):
+            lam = np.linalg.eigvalsh(field_coherence(et[:, k : k + 1], ep[:, k : k + 1]))[-1]
             assert_allclose(bound[k], GAIN_FACTOR * lam, rtol=1e-10)
 
     def test_composite_below_bound_for_random_codebooks(self, iso_grid):
@@ -122,8 +122,8 @@ class TestGapMap:
     def test_zero_gap_at_achieved_aims(self, iso_grid):
         # with equal element magnitudes, co-phasing attains the eigen bound
         grid, dirs = iso_grid
-        d = list(dirs)[60]
-        M = bb.coherence_sum(grid, [d])
+        et, ep = grid.fields_at(dirs)
+        M = field_coherence(et[:, 60:61], ep[:, 60:61])
         beam = bb.design_beam(M, bb.PhaseSpec.continuous(), "eigen")
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, beam),))
         gap = bb.gap_map(bb.composite_pattern(grid, cb, dirs), bb.upper_bound_pattern(grid, dirs))

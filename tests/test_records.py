@@ -23,15 +23,14 @@ def values(tmp_path):
     pattern = bb.composite_pattern(grid, codebook, dirs)
     M = bb.random_instance(bb.RandomInstanceSpec(4, 2, 1))
     candidates = bb.generate_candidates(grid, 2, "eigen", spec)
-    kmeans = bb.KMeansConfig(num_beams=1, direction_set=dirs, phase_spec=spec, init=codebook, max_iterations=1)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"arrays": [{"synthetic": {"elements": 4, "spacing_lambda": 0.5}}],
                                   "algorithm": {"name": "greedy", "size": 1}}))
     return [
         spec, beam, bb.solve_sdr(M), bb.coordinate_descent(M, beam, spec), codebook, codebook.entries[0],
         bb.MeanGainCriterion(), bb.PercentileMixCriterion([(50.0, 1.0)]), candidates[0],
-        bb.greedy_codebook(candidates, grid, bb.MeanGainCriterion(), 1, dirs), kmeans,
-        bb.kmeans_codebook(kmeans, grid), dirs, bb.CoverageRegion(), ula, grid, pattern, bb.coverage_stats(pattern),
+        bb.greedy_codebook(candidates, grid, bb.MeanGainCriterion(), 1, dirs),
+        bb.kmeans_codebook(grid, 1, dirs, spec, init=codebook, max_iterations=1), dirs, bb.CoverageRegion(), ula, grid, pattern, bb.coverage_stats(pattern),
         bb.RandomInstanceSpec(4, 2, 1), bb.brute_force_b3(M, 1), load_run_config(config),
     ]
 
