@@ -25,9 +25,9 @@ import numpy as np
 
 from ._frozen import Frozen
 from .beamopt import BeamWeights, PhaseSpec, design_beam, quantize_phase
-from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions, snap_to_grid,
+from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
-from .metrics import _as_grid_map, db_from_linear, field_gains, resolve_directions, weighted_percentiles
+from .metrics import db_from_linear, entry_gains_linear, field_gains, resolve_directions, weighted_percentiles
 
 _TWO_PI = 2.0 * math.pi
 
@@ -180,6 +180,13 @@ def _child_seed(*key: int) -> int:
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
+def _check_fit(entries: Sequence[CodebookEntry], resolved, what: str) -> None:
+    """Raise a ValueError naming the first beam whose array is not in ``resolved`` or has another element count."""
+    for k, (array_id, beam) in enumerate(entries):
+        if array_id not in resolved or len(resolved[array_id][1]) != beam.num_elements:
+            raise ValueError(f"{what} {k}: a beam with {beam.num_elements} weights on array '{array_id}' fits no array")
+
+
 def generate_candidates(
     grids,
     count_per_sphere: int,
@@ -201,16 +208,12 @@ def generate_candidates(
         raise ValueError("count_per_sphere must be >= 1")
     if method not in ("eigen", "iterative"):
         raise ValueError("method must be 'eigen' or 'iterative'")
-    grid_map = _as_grid_map(grids)
-    fib = fibonacci_directions(count_per_sphere)
     strategy = "eigen" if method == "eigen" else "sdr_grp_cd"
     out: list[CodebookEntry] = []
-    for a_index, (array_id, grid) in enumerate(grid_map.items()):
-        snapped = snap_to_grid(fib, grid)
-        et_all, ep_all = grid.fields_at(snapped)
-        n = len(snapped)
-        stack = np.stack([field_coherence(et_all[:, i : i + 1], ep_all[:, i : i + 1]) for i in range(n)])
-        seeds = [_child_seed(seed, a_index, i) for i in range(n)]
+    resolved = resolve_directions(grids, fibonacci_directions(count_per_sphere))
+    for a_index, (array_id, (_, et, ep)) in enumerate(resolved.items()):
+        stack = field_coherence(et.T[:, :, None], ep.T[:, :, None])  # one (L, L) matrix per direction
+        seeds = [_child_seed(seed, a_index, i) for i in range(len(stack))]
         beams = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
         out += (CodebookEntry(array_id, beam) for beam in beams)
     return tuple(out)
@@ -230,6 +233,7 @@ class GreedyResult(NamedTuple):
 def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet) -> np.ndarray:
     """Linear gains of every candidate at every evaluation direction, one stacked call per array."""
     resolved = resolve_directions(grids, eval_set)
+    _check_fit(candidates, resolved, "candidate")
     G = np.empty((len(candidates), len(eval_set)))
     for array_id in dict.fromkeys(cand.array_id for cand in candidates):
         idxs = [i for i, cand in enumerate(candidates) if cand.array_id == array_id]
@@ -364,19 +368,18 @@ def kmeans_codebook(
         raise ValueError("num_beams must be >= 1")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    grid_map = _as_grid_map(grids)
     dirs = direction_set
     if num_beams > len(dirs):
         raise ValueError("num_beams exceeds the number of directions")
 
-    codebook = uniform_init(num_beams, grid_map, phase_spec) if init is None else init
+    codebook = uniform_init(num_beams, grids, phase_spec) if init is None else init
     if codebook.size != num_beams:
         raise ValueError("initial codebook size does not match num_beams")
+    resolved = resolve_directions(grids, dirs)
+    _check_fit(codebook.entries, resolved, "initial beam")
     # Every beam on the run's lattice from the start (raises if one is off it).
     entries = [CodebookEntry(e.array_id, BeamWeights(e.weights.weights, phase_spec)) for e in codebook.entries]
-
-    fields = {array_id: grid.fields_at(snap_to_grid(dirs, grid)) for array_id, grid in grid_map.items()}
-    gains = np.stack([field_gains(e.weights.weights, *fields[e.array_id]) for e in entries])  # (K, N)
+    gains = entry_gains_linear(resolved, Codebook(entries))  # (K, N)
     mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
     trace = [mean_db]
     assignments = np.full(len(dirs), -1)
@@ -397,7 +400,7 @@ def kmeans_codebook(
         by_size: dict[int, list[int]] = {}
         for k, entry in enumerate(entries):
             members = np.flatnonzero(assignments == k)
-            et, ep = fields[entry.array_id]
+            _, et, ep = resolved[entry.array_id]
             Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
             if np.real(np.trace(Mk)) > 0.0:
                 clusters[k] = Mk
@@ -413,7 +416,7 @@ def kmeans_codebook(
             new_beam = designed[k]
             if new_beam.gain(Mk) >= old_beam.gain(Mk):  # keep monotone under the approximate solver
                 entries[k] = CodebookEntry(array_id, new_beam)
-                gains[k] = field_gains(new_beam.weights, *fields[array_id])
+                gains[k] = field_gains(new_beam.weights, *resolved[array_id][1:])
 
         new_mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
         trace.append(new_mean_db)

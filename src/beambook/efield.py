@@ -231,11 +231,11 @@ def _nearest_node(axis: np.ndarray, x: np.ndarray, circular: bool) -> tuple[np.n
 
 
 def field_coherence(et: np.ndarray, ep: np.ndarray, weights=None) -> np.ndarray:
-    """Sum of w_n (e_T e_T^H + e_P e_P^H) over the columns of (L, N) field matrices (w_n = 1 if None)."""
+    """Sum of w_n (e_T e_T^H + e_P e_P^H) over the columns of (L, N) fields, or of each (..., L, N) stack entry."""
     if weights is not None:
         sq = np.sqrt(weights)
         et, ep = et * sq, ep * sq
-    return et @ et.conj().T + ep @ ep.conj().T
+    return et @ np.swapaxes(et.conj(), -1, -2) + ep @ np.swapaxes(ep.conj(), -1, -2)
 
 
 def top_eigenvalues(et: np.ndarray, ep: np.ndarray) -> np.ndarray:

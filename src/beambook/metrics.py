@@ -11,7 +11,7 @@ upper-bounds every codebook and serves as the coverage reference.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,16 +106,10 @@ def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _as_grid_map(grids) -> Mapping[str, EFieldGrid]:
-    if isinstance(grids, EFieldGrid):
-        return {grids.array_id: grids}
-    return grids
-
-
 def resolve_directions(grids, dirs: DirectionSet) -> dict[str, tuple[DirectionSet, np.ndarray, np.ndarray]]:
-    """Per array id: the directions snapped to that array's mesh and the (L, N) fields there."""
+    """Per array id of ``grids`` (a grid or a mapping): the directions snapped to its mesh, its (L, N) fields there."""
     resolved = {}
-    for array_id, grid in _as_grid_map(grids).items():
+    for array_id, grid in ({grids.array_id: grids} if isinstance(grids, EFieldGrid) else grids).items():
         snapped = snap_to_grid(dirs, grid)
         resolved[array_id] = (snapped, *grid.fields_at(snapped))
     return resolved

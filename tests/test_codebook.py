@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import beambook as bb
 import beambook.codebook as codebook_module
+import beambook.metrics as metrics_module
 from beambook.efield import field_coherence
 from beambook.metrics import field_gains
 
@@ -27,6 +28,33 @@ def benchmark_aims(size):
     cb = bb.benchmark_codebook(spec, size, bb.PhaseSpec.continuous())
     gains = field_gains(np.array([e.weights.weights for e in cb.entries]), *grid.fields_at(dirs))
     return dirs.theta[np.argmax(gains, axis=1)]
+
+
+@pytest.fixture
+def two_meshes():
+    """Two arrays on different meshes and element counts, with two 3-bit benchmark beams on each."""
+    specs = {"a": bb.SyntheticUlaSpec(4, 0.5, sampling_factor=20),
+             "b": bb.SyntheticUlaSpec(6, 0.65, sampling_factor=31)}
+    grids = {k: bb.generate_ula_efield(s, array_id=k)[0] for k, s in specs.items()}
+    init = bb.Codebook(tuple(entry for k, s in specs.items()
+                             for entry in bb.benchmark_codebook(s, 2, bb.PhaseSpec.discrete(3), [k]).entries))
+    return grids, init
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts of mesh snaps and field lookups made while the test runs."""
+    calls = {"snap_to_grid": 0, "fields_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics_module, "snap_to_grid", counted("snap_to_grid", metrics_module.snap_to_grid))
+    monkeypatch.setattr(bb.EFieldGrid, "fields_at", counted("fields_at", bb.EFieldGrid.fields_at))
+    return calls
 
 
 class TestBenchmarkCodebook:
@@ -115,6 +143,12 @@ class TestCandidates:
         assert len(cands) == 33
         assert type(cands) is tuple and all(type(c) is bb.CodebookEntry for c in cands)
         assert {c.array_id for c in cands} == {"a", "b", "c"}
+
+    def test_one_lookup_per_array(self, two_meshes, lookups):
+        grids, _ = two_meshes
+        cands = bb.generate_candidates(grids, 12, "eigen", bb.PhaseSpec.discrete(3))
+        assert len(cands) == 24
+        assert lookups == {"snap_to_grid": 2, "fields_at": 2}
 
     def test_single_element_trivial_codeword(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(1, 0.5))
@@ -215,6 +249,15 @@ class TestGreedy:
             np.maximum(best, G[picks[-1]], out=best)
         assert result.codebook.size == len(picks)
         assert all(entry.weights is cands[i].weights for entry, i in zip(result.codebook.entries, picks))
+
+    @pytest.mark.parametrize("array_id, elements", [("ula", 8), ("other", 4)])
+    def test_candidate_that_fits_no_array_rejected(self, iso_grid, array_id, elements):
+        grid, dirs = iso_grid
+        cands = bb.generate_candidates(grid, 3, "eigen", bb.PhaseSpec.discrete(3))
+        misfit = bb.CodebookEntry(array_id, bb.BeamWeights(np.ones(elements) / np.sqrt(elements),
+                                                           bb.PhaseSpec.discrete(3)))
+        with pytest.raises(ValueError, match=f"candidate 3: a beam with {elements} weights on array '{array_id}'"):
+            bb.greedy_codebook(cands + (misfit,), grid, bb.MeanGainCriterion(), 2, dirs)
 
     def test_percentile_criterion_runs(self, directional_grid):
         grid, dirs = directional_grid
@@ -335,6 +378,23 @@ class TestKMeans:
         run = {"num_beams": 1, "direction_set": dirs, "phase_spec": bb.PhaseSpec.discrete(5), **bad}
         with pytest.raises(ValueError, match=message):
             bb.kmeans_codebook(grid, **run)
+
+    @pytest.mark.parametrize("given_init, lookups_per_array", [(True, 1), (False, 2)])
+    def test_lookups_per_array(self, two_meshes, lookups, given_init, lookups_per_array):
+        # One lookup per array for the run's directions, and one more for uniform_init's.
+        grids, init = two_meshes
+        bb.kmeans_codebook(grids, num_beams=4, direction_set=bb.fibonacci_directions(60),
+                           phase_spec=bb.PhaseSpec.discrete(3), init=init if given_init else None, n_rand=20, seed=1)
+        assert lookups == {"snap_to_grid": 2 * lookups_per_array, "fields_at": 2 * lookups_per_array}
+
+    @pytest.mark.parametrize("array_id, elements", [("ula", 8), ("other", 4)])
+    def test_start_that_fits_no_array_rejected(self, iso_grid, array_id, elements):
+        grid, dirs = iso_grid
+        init = bb.Codebook([bb.CodebookEntry("ula", bb.BeamWeights(np.full(4, 0.5), bb.PhaseSpec.discrete(2))),
+                            bb.CodebookEntry(array_id, bb.BeamWeights(np.ones(elements) / np.sqrt(elements),
+                                                                      bb.PhaseSpec.discrete(2)))])
+        with pytest.raises(ValueError, match=f"initial beam 1: a beam with {elements} weights on array '{array_id}'"):
+            bb.kmeans_codebook(grid, num_beams=2, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(2), init=init)
 
     def test_start_off_the_phase_lattice_rejected_before_any_design(self, iso_grid, monkeypatch):
         # A continuous start whose phases miss the 2-bit lattice: K-Means would

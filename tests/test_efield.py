@@ -193,6 +193,15 @@ class TestCoherence:
             expected = expected + np.outer(et, et.conj()) + np.outer(ep, ep.conj())
         assert_allclose(field_coherence(*grid.fields_at(dirs)), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("L", [1, 4, 16])
+    def test_column_stack_equals_per_column_calls_bit_for_bit(self, L):
+        rng = np.random.default_rng(L)
+        et, ep = (rng.normal(size=(L, 50)) + 1j * rng.normal(size=(L, 50)) for _ in range(2))
+        stacked = field_coherence(et.T[:, :, None], ep.T[:, :, None])
+        looped = np.stack([field_coherence(et[:, i : i + 1], ep[:, i : i + 1]) for i in range(50)])
+        assert stacked.shape == (50, L, L)
+        assert np.array_equal(stacked.view(np.int64), looped.view(np.int64))
+
     def test_invariants_over_random_directions(self):
         grid = small_grid(L=5, nt=8, np_=7, seed=9)
         rng = np.random.default_rng(2)
