@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import zlib
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -38,10 +39,6 @@ GRID_CSV_HEADER = "elem,theta_deg,phi_deg,re_etheta,im_etheta,re_ephi,im_ephi"
 
 class GridFormatError(ValueError):
     """Raised when an E-field CSV file does not conform to the grid schema."""
-
-
-def _normalize_phi(phi):
-    return np.mod(phi, 360.0)
 
 
 class DirectionSet(Frozen):
@@ -64,7 +61,7 @@ class DirectionSet(Frozen):
             raise ValueError("theta out of [0, 180]")
         if not np.all(np.abs(phi) < np.inf):
             raise ValueError("non-finite phi")
-        phi = _normalize_phi(phi)
+        phi = np.mod(phi, 360.0)
         if not np.all(weights >= 0.0):
             raise ValueError("negative or NaN quadrature weight")
         if not abs(weights.sum() - 1.0) <= 1e-12:
@@ -110,7 +107,7 @@ class CoverageRegion(Frozen):
     def contains(self, theta, phi) -> np.ndarray:
         """Vectorized membership test; phi wraparound handled."""
         theta = np.asarray(theta, dtype=float)
-        phi = _normalize_phi(np.asarray(phi, dtype=float))
+        phi = np.mod(np.asarray(phi, dtype=float), 360.0)
         tlo, thi = self.theta_range
         in_theta = (theta >= tlo) & (theta <= thi)
         plo, phi_hi = self.phi_range
@@ -193,14 +190,15 @@ class EFieldGrid(Frozen):
         """Index arrays (it, ip) of the mesh node nearest to each direction.
 
         Theta and phi are rounded independently; phi distance wraps at
-        360.  Equidistant nodes resolve to the lower index.  With ``tol``
-        the lookup is exact: the first direction farther than ``tol`` from
-        its node raises KeyError.
+        360.  Equidistant nodes resolve to the lower index.  Where every
+        value is a node (a snapped set) an axis costs one ``searchsorted``.
+        With ``tol`` the lookup is exact: the first direction farther than
+        ``tol`` from its node raises KeyError.
         """
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         it, d_theta = _nearest_node(self.theta_axis, theta, circular=False)
-        ip, d_phi = _nearest_node(self.phi_axis, _normalize_phi(phi), circular=True)
+        ip, d_phi = _nearest_node(self.phi_axis, np.mod(phi, 360.0), circular=True)
         off = (d_theta > tol) | (d_phi > tol) if tol is not None else False
         if np.any(off):
             k = int(np.argmax(off))
@@ -222,7 +220,10 @@ def _nearest_node(axis: np.ndarray, x: np.ndarray, circular: bool) -> tuple[np.n
     """
     n = axis.size
     j = np.searchsorted(axis, x)
-    lo, hi = ((j - 1) % n, j % n) if circular else (np.maximum(j - 1, 0), np.minimum(j, n - 1))
+    on = np.minimum(j, n - 1)
+    if np.array_equal(axis[on], x):  # every x a node: on a strictly increasing axis it is its own nearest
+        return on, np.zeros(x.shape)
+    lo, hi = ((j - 1) % n, j % n) if circular else (np.maximum(j - 1, 0), on)
     d_lo, d_hi = np.abs(axis[lo] - x), np.abs(axis[hi] - x)
     if circular:
         d_lo, d_hi = np.minimum(d_lo, 360.0 - d_lo), np.minimum(d_hi, 360.0 - d_hi)
@@ -457,13 +458,14 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
     return np.array(parsed, dtype=_GRID_ROW), None
 
 
-# Parsed grids are kept in this directory beside their CSV, one ``<csv name>.npz``
-# each, stamped with this format tag and the SHA-256 of the CSV's bytes.  A hit
-# skips the reader, so the tag is bumped whenever the reader changes (a test pins
-# each tag to the reader's source).
+# Parsed grids are kept in this directory beside their CSV, one ``<csv name>.grid`` record
+# each: a header line ``<format tag> <SHA-256 of the CSV's bytes> <CRC-32> <L> <T> <P>``, padded
+# with spaces to a multiple of 8 bytes, then the bytes of _GRID_ARRAYS; the CRC-32 covers
+# ``<L> <T> <P>`` and those bytes.  A hit skips the reader, so the tag is bumped whenever the
+# reader changes (a test pins each tag to the reader's source).
 GRID_CACHE_DIR = ".beambook-cache"
-_GRID_CACHE_FORMAT = "beambook-grid-1"
-_GRID_ARRAYS = ("theta_axis", "phi_axis", "e_theta", "e_phi")
+_GRID_CACHE_FORMAT = "beambook-grid-2"
+_GRID_ARRAYS = (("theta_axis", "<f8"), ("phi_axis", "<f8"), ("e_theta", "<c16"), ("e_phi", "<c16"))
 
 
 def load_efield(path, array_id: str | None = None) -> EFieldGrid:
@@ -482,13 +484,18 @@ def load_efield(path, array_id: str | None = None) -> EFieldGrid:
     path = Path(path)
     data = path.read_bytes()
     key = f"{_GRID_CACHE_FORMAT} {hashlib.sha256(data).hexdigest()}"
-    cache = path.parent / GRID_CACHE_DIR / f"{path.name}.npz"
+    cache = path.parent / GRID_CACHE_DIR / f"{path.name}.grid"
     array_id = array_id if array_id is not None else path.stem
     try:
-        # Opened here, so that the file is closed also when np.load fails on a damaged archive.
-        with open(cache, "rb") as file, np.load(file, allow_pickle=False) as stored:
-            if str(stored["key"]) == key:
-                return EFieldGrid(array_id, *(stored[name] for name in _GRID_ARRAYS))
+        record = cache.read_bytes()
+        start = record.index(b"\n") + 1
+        tag, digest, crc, *dims = record[:start].split()
+        L, T, P = map(int, dims)
+        if (b"%s %s" % (tag, digest) == key.encode() and len(record) - start == 8 * (T + P + 4 * L * T * P)
+                and int(crc) == zlib.crc32(memoryview(record)[start:], zlib.crc32(b" ".join(dims)))):
+            fields = np.frombuffer(record, "<c16", 2 * L * T * P, start + 8 * (T + P)).reshape(2, L, T, P)
+            axes = np.frombuffer(record, "<f8", T + P, start)
+            return EFieldGrid(array_id, axes[:T], axes[T:], *fields)
     except Exception:  # noqa: BLE001 - a missing, truncated or foreign cache is a miss
         pass
     grid = _parse_grid(path, data.decode("utf-8"), array_id)
@@ -505,6 +512,9 @@ def _write_grid_cache(cache: Path, key: str, grid: EFieldGrid, source: Path) -> 
     """
     import tempfile
 
+    dims = " ".join(map(str, grid.e_theta.shape)).encode()
+    body = b"".join(np.ascontiguousarray(getattr(grid, name), dtype) for name, dtype in _GRID_ARRAYS)
+    head = f"{key} {zlib.crc32(body, zlib.crc32(dims))} ".encode() + dims
     try:
         cache.parent.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=cache.name, suffix=".tmp", dir=cache.parent)
@@ -512,7 +522,7 @@ def _write_grid_cache(cache: Path, key: str, grid: EFieldGrid, source: Path) -> 
         return
     try:
         with os.fdopen(fd, "wb") as file:
-            np.savez(file, key=np.array(key), **{name: getattr(grid, name) for name in _GRID_ARRAYS})
+            file.writelines((head.ljust(len(head) | 7) + b"\n", body))
         os.chmod(tmp, source.stat().st_mode & 0o666)
         os.replace(tmp, cache)
     except OSError:

@@ -491,7 +491,7 @@ class TestSelfcheck:
         lines = grid.read_text(encoding="utf-8").splitlines(keepends=True)
         grid.write_text("".join(lines + lines[-1:]), encoding="utf-8", newline="")
         key = f"{bb.efield._GRID_CACHE_FORMAT} {hashlib.sha256(grid.read_bytes()).hexdigest()}"
-        bb.efield._write_grid_cache(grid.parent / bb.efield.GRID_CACHE_DIR / f"{grid.name}.npz", key, good, grid)
+        bb.efield._write_grid_cache(grid.parent / bb.efield.GRID_CACHE_DIR / f"{grid.name}.grid", key, good, grid)
         assert np.array_equal(bb.load_efield(grid).e_theta, good.e_theta)
         capsys.readouterr()
         assert main(["selfcheck", str(grid)]) == 1

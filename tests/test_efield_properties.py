@@ -1,5 +1,6 @@
 """Property tests of the vectorised mesh resolve and the grid CSV reader/writer."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -88,6 +89,62 @@ def test_fields_at_names_the_first_off_mesh_direction():
         grid.fields_at(dirs)
 
 
+def brute_distance(axis: np.ndarray, x: np.ndarray, circular: bool) -> np.ndarray:
+    d = np.abs(axis[None, :] - x[:, None])
+    return np.min(np.minimum(d, 360.0 - d) if circular else d, axis=1)
+
+
+# One query: a theta node and a phi node (indices taken modulo the axis length), the form phi node 0.0 is
+# given in, a nudge off the theta node (0: none; 2e-9 and 1e-6 are off the mesh but within np.isclose of
+# the node), and an off-node theta and phi that replace the nodes where their flag is set.
+QUERY = st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from([0.0, -0.0, 360.0]),
+                  st.sampled_from([0.0, 0.0, 0.0, 2e-9, -2e-9, 1e-6]),
+                  st.booleans(), st.floats(0.0, 180.0), st.booleans(), st.floats(0.0, 360.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta_axis=axis_strategy(180.0, closed=True),
+    phi_axis=axis_strategy(360.0, closed=False),
+    queries=st.lists(QUERY, min_size=1, max_size=20),
+)
+@example(theta_axis=np.array([0.0, 90.0]), phi_axis=np.array([0.0, 270.0]),
+         queries=[(0, 0, -0.0, 0.0, False, 0.0, False, 0.0), (1, 0, 360.0, 0.0, False, 0.0, False, 0.0),
+                  (0, 1, 0.0, 0.0, False, 0.0, False, 0.0)])
+@example(theta_axis=np.array([0.0, 90.0]), phi_axis=np.array([0.0, 270.0]),
+         queries=[(1, 1, 0.0, 0.0, False, 0.0, False, 0.0), (0, 0, 360.0, 0.0, False, 0.0, True, 359.0)])
+@example(theta_axis=np.array([0.0, 90.0]), phi_axis=np.array([0.0, 270.0]),
+         queries=[(1, 1, 0.0, 1e-6, False, 0.0, False, 0.0)])
+def test_exact_node_lookup_equals_brute_force(theta_axis, phi_axis, queries):
+    """All-node queries, which take the one-``searchsorted`` path, and node/off-node mixes, which do not.
+
+    Node 0.0 is given as theta -0.0 and as phi 0.0, -0.0 or 360.0 (each 0.0 once normalized).
+    """
+    it_node, ip_node, zero, nudge, theta_off, theta_value, phi_off, phi_value = (np.array(c) for c in zip(*queries))
+    theta = theta_axis[it_node % theta_axis.size]
+    theta = np.where(nudge != 0.0, np.clip(theta + nudge, 0.0, 180.0), np.where(theta == 0.0, -0.0, theta))
+    theta = np.where(theta_off, theta_value, theta)
+    phi = phi_axis[ip_node % phi_axis.size]
+    phi = np.where(phi_off, phi_value, np.where(phi == 0.0, zero, phi))
+    shape = (2, theta_axis.size, phi_axis.size)
+    e = np.arange(np.prod(shape)).reshape(shape) * (1 + 1j)
+    grid = bb.EFieldGrid("g", theta_axis, phi_axis, e, -e)
+
+    it, ip = grid.resolve(theta, phi)
+    assert np.array_equal(it, brute_nearest(theta_axis, theta, circular=False))
+    assert np.array_equal(ip, brute_nearest(phi_axis, np.mod(phi, 360.0), circular=True))
+    dirs = bb.DirectionSet(theta, phi, np.full(theta.size, 1.0 / theta.size))
+    far = (brute_distance(theta_axis, dirs.theta, False) > 1e-9) | (brute_distance(phi_axis, dirs.phi, True) > 1e-9)
+    if far.any():
+        k = int(np.argmax(far))
+        named = re.escape(f"(theta={float(dirs.theta[k])}, phi={float(dirs.phi[k])})")
+        with pytest.raises(KeyError, match=named):
+            grid.fields_at(dirs)
+    else:
+        et, ep = grid.fields_at(dirs)
+        assert np.array_equal(et, e[:, it, ip]) and np.array_equal(ep, -e[:, it, ip])
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -111,11 +168,10 @@ def test_save_load_round_trip_is_bit_exact(num_elements, theta_axis, phi_axis, d
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.csv"
         bb.save_efield(grid, path)
-        back = bb.load_efield(path, array_id="g")
-    for name in ("theta_axis", "phi_axis"):
-        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
-    for name in ("e_theta", "e_phi"):
-        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+        loads = [bb.load_efield(path, array_id="g") for _ in range(2)]  # a parse, then the cached record
+    for back in loads:
+        for name in ("theta_axis", "phi_axis", "e_theta", "e_phi"):
+            assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
 
 
 # Each defect rewrites one data line of a valid grid CSV.

@@ -1,17 +1,19 @@
 """The parsed-grid cache of ``load_efield``: hits are bit for bit a parse, and no cache state breaks a load.
 
-A successful parse of ``<dir>/<name>.csv`` is stored in
-``<dir>/.beambook-cache/<name>.csv.npz`` with the SHA-256 of the CSV's bytes;
-a later load of the same bytes, in any process, reads it back instead of
-parsing.
+A successful parse of ``<dir>/<name>.csv`` is stored in the record
+``<dir>/.beambook-cache/<name>.csv.grid``, stamped with the SHA-256 of the
+CSV's bytes and guarded by a CRC-32; a later load of the same bytes, in any
+process, reads it back instead of parsing.
 """
 
 import hashlib
 import inspect
+import io
 import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,16 +47,28 @@ def write_grid(path: Path, text: str = GRID_TEXT, line_end: str = "\n") -> Path:
 
 
 def cache_of(path: Path) -> Path:
-    return path.parent / GRID_CACHE_DIR / f"{path.name}.npz"
+    return path.parent / GRID_CACHE_DIR / f"{path.name}.grid"
 
 
 def grid_bytes(grid) -> tuple[bytes, ...]:
     return tuple(getattr(grid, name).tobytes() for name in ARRAYS)
 
 
+def header_of(path: Path) -> list[str]:
+    """The fields of the record's header line: tag, SHA-256, CRC-32, L, T, P."""
+    return cache_of(path).read_bytes().split(b"\n", 1)[0].decode("ascii").split()
+
+
 def stored_key(path: Path) -> str:
-    with np.load(cache_of(path), allow_pickle=False) as stored:
-        return str(stored["key"])
+    return " ".join(header_of(path)[:2])
+
+
+def write_record(cache: Path, key: str, theta_axis, phi_axis, e_theta, e_phi) -> None:
+    """Write an unpadded record as the format describes it, with a valid CRC-32."""
+    dims = " ".join(map(str, np.shape(e_theta)))
+    body = b"".join(np.asarray(a, dtype).tobytes() for a, dtype in
+                    ((theta_axis, "<f8"), (phi_axis, "<f8"), (e_theta, "<c16"), (e_phi, "<c16")))
+    cache.write_bytes(f"{key} {zlib.crc32(dims.encode() + body)} {dims}\n".encode() + body)
 
 
 def refuse_to_parse(monkeypatch):
@@ -115,11 +129,15 @@ def test_content_change_is_a_miss_and_rewrites_the_cache(tmp_path, monkeypatch):
     assert grid_bytes(bb.load_efield(path)) == grid_bytes(new)
 
 
+# The record of GRID_TEXT is a header of under 128 bytes and a body of 288.
 DAMAGE = {
     "truncated": lambda data: data[: len(data) // 2],
-    "garbage": lambda data: b"not a zip archive\n" * 40,
+    "garbage": lambda data: b"not a grid record\n" * 40,
     "empty": lambda data: b"",
-    "bytes flipped": lambda data: data[:100] + bytes(b ^ 0xFF for b in data[100:400]) + data[400:],
+    "bytes flipped": lambda data: data[:-200] + bytes(b ^ 0xFF for b in data[-200:-100]) + data[-100:],
+    # Turns e_phi[1, 1, 1] from 7 - 8j into 7 + 8j, a grid the constructor accepts: only the CRC-32 sees it.
+    "sign bit flipped": lambda data: data[:-1] + bytes([data[-1] ^ 0x80]),
+    "wrong format tag": lambda data: data.replace(b"beambook-grid-2 ", b"beambook-grid-1 ", 1),
     "a plain .npy": lambda data: b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (0,), }"
                                  + b" " * 50 + b"\n",
 }
@@ -130,17 +148,76 @@ def test_damaged_cache_is_a_miss_and_is_rewritten(tmp_path, monkeypatch, damage)
     path = write_grid(tmp_path / "panel.csv")
     parsed = bb.load_efield(path)
     cache_of(path).write_bytes(DAMAGE[damage](cache_of(path).read_bytes()))
+    assert_miss_rewrites_the_record(path, parsed, monkeypatch)
+
+
+def assert_miss_rewrites_the_record(path: Path, parsed, monkeypatch):
+    record = cache_of(path).read_bytes()
     assert grid_bytes(bb.load_efield(path)) == grid_bytes(parsed)
+    assert cache_of(path).read_bytes() != record
     refuse_to_parse(monkeypatch)
     assert grid_bytes(bb.load_efield(path)) == grid_bytes(parsed)
 
 
-def test_cache_with_arrays_the_grid_rejects_is_a_miss(tmp_path):
+def test_record_layout(tmp_path, monkeypatch):
     path = write_grid(tmp_path / "panel.csv")
     parsed = bb.load_efield(path)
-    key = stored_key(path)
-    np.savez(cache_of(path), key=np.array(key), theta_axis=[90.0, 0.0], phi_axis=parsed.phi_axis,
-             e_theta=parsed.e_theta, e_phi=parsed.e_phi)
+    record = cache_of(path).read_bytes()
+    start = record.index(b"\n") + 1
+    tag, digest, crc, *dims = header_of(path)
+    assert tag == efield._GRID_CACHE_FORMAT == "beambook-grid-2"
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert dims == ["2", "2", "2"] and start % 8 == 0
+    body = record[start:]
+    assert body == b"".join(grid_bytes(parsed)) and len(body) == 8 * (2 + 2 + 4 * 8)
+    assert int(crc) == zlib.crc32(" ".join(dims).encode() + body)
+    write_record(tmp_path / "copy.grid", stored_key(path), *(getattr(parsed, name) for name in ARRAYS))
+    assert (tmp_path / "copy.grid").read_bytes() == record[:start].rstrip() + b"\n" + body
+    # Padded so that the body starts 3 bytes past an 8-byte boundary: still a hit.
+    head = record[:start].rstrip()
+    head += b" " * ((2 - len(head)) % 8) + b"\n"
+    assert len(head) % 8 == 3
+    cache_of(path).write_bytes(head + body)
+    refuse_to_parse(monkeypatch)
+    assert grid_bytes(bb.load_efield(path)) == grid_bytes(parsed)
+
+
+def test_cache_with_arrays_the_grid_rejects_is_a_miss(tmp_path, monkeypatch):
+    path = write_grid(tmp_path / "panel.csv")
+    parsed = bb.load_efield(path)
+    write_record(cache_of(path), stored_key(path), [90.0, 0.0], parsed.phi_axis, parsed.e_theta, parsed.e_phi)
+    assert_miss_rewrites_the_record(path, parsed, monkeypatch)
+
+
+def test_dims_edited_to_the_same_body_length_is_a_miss(tmp_path, monkeypatch):
+    """T and P swapped keep 8(T + P + 4LTP) bytes, and the swapped grid is one the constructor accepts."""
+    shape = (1, 3, 2)
+    grid = bb.EFieldGrid("odd", [0.0, 10.0, 20.0], [30.0, 40.0], np.arange(6).reshape(shape) + 1j,
+                         np.full(shape, 2.0 + 0j))
+    path = tmp_path / "odd.csv"
+    bb.save_efield(grid, path)
+    parsed = bb.load_efield(path)
+    record = cache_of(path).read_bytes()
+    start = record.index(b"\n") + 1
+    head = record[:start].replace(b" 1 3 2", b" 1 2 3")
+    assert head != record[:start]
+    cache_of(path).write_bytes(head + record[start:])
+    assert_miss_rewrites_the_record(path, parsed, monkeypatch)
+    assert header_of(path)[3:] == ["1", "3", "2"]
+
+
+def test_grid_1_archive_is_ignored(tmp_path, monkeypatch):
+    """An older reader's ``<name>.csv.npz`` is never read, even with a key for these bytes: the record goes beside it."""
+    path = write_grid(tmp_path / "panel.csv")
+    parsed = bb.load_efield(path)
+    old = cache_of(path).with_suffix(".npz")
+    np.savez(old, key=np.array(f"beambook-grid-1 {hashlib.sha256(path.read_bytes()).hexdigest()}"),
+             theta_axis=parsed.theta_axis, phi_axis=parsed.phi_axis, e_theta=2 * parsed.e_theta, e_phi=parsed.e_phi)
+    archive = old.read_bytes()
+    cache_of(path).unlink()
+    assert grid_bytes(bb.load_efield(path)) == grid_bytes(parsed)
+    assert cache_of(path).is_file() and old.read_bytes() == archive
+    refuse_to_parse(monkeypatch)
     assert grid_bytes(bb.load_efield(path)) == grid_bytes(parsed)
 
 
@@ -177,16 +254,19 @@ def _fail(*args, **kwargs):
     raise PermissionError(13, "Permission denied")
 
 
-def _fail_mid_write(file, **arrays):
-    file.write(b"PK\x03\x04 partial")
-    raise OSError(28, "No space left on device")
+class _DiskFullFile(io.FileIO):
+    """A file on a disk that fills up after the first 16 bytes of a write."""
+
+    def write(self, data):
+        super().write(bytes(data)[:16])
+        raise OSError(28, "No space left on device")
 
 
 # Each step of the cache write, failed as an unwritable or full disk fails it.
 WRITE_FAULTS = {
     "mkdir": (Path, "mkdir", _fail),
     "mkstemp": (tempfile, "mkstemp", _fail),
-    "savez": (np, "savez", _fail_mid_write),
+    "write": (os, "fdopen", _DiskFullFile),
     "chmod": (os, "chmod", _fail),
     "replace": (os, "replace", _fail),
 }
@@ -256,6 +336,7 @@ def test_bad_content_under_a_good_cache_still_fails(tmp_path):
 # every old cache a miss) and the new tag is pinned.
 READER_DIGESTS = {
     "beambook-grid-1": "50b1c570e5e7f0b039e136be9144bf27f94b83d24c70d4d6bf28b475c56e72a5",
+    "beambook-grid-2": "da5b399a9cddd511b96e2e00a7193ca05bd2814062afc9c5ca72ddd91d277c7e",
 }
 
 
