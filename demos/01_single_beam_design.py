@@ -20,7 +20,7 @@ from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 L, BITS, SEED = 4, 3, 2024
 
 M = random_instance(RandomInstanceSpec(num_elements=L, rank=2, seed=SEED))
-eigen_bound, eigen_vec = bb.max_eigenpair(M)
+eigen_bound = np.linalg.eigvalsh(M)[-1]
 print(f"instance: {L} elements, rank 2, trace {np.trace(M).real:.3f}")
 print(f"eigen bound (sum power only) ............ {eigen_bound:.6f}")
 

@@ -36,7 +36,6 @@ __all__ = [
     "SdrConvergenceError",
     "CoordinateDescentResult",
     "quantize_phase",
-    "max_eigenpair",
     "solve_sdr",
     "gaussian_randomization",
     "coordinate_descent",
@@ -274,26 +273,12 @@ def _hermitian_stack(M) -> np.ndarray:
     return 0.5 * (stack + H)
 
 
-def _check_square_hermitian(M: np.ndarray) -> np.ndarray:
-    if np.ndim(M) != 2:
-        raise ValueError("M must be square")
-    return _hermitian_stack(M)[0]
-
-
-def max_eigenpair(M: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit eigenvector of a Hermitian PSD matrix.
-
-    The eigenvector's first entry of non-negligible magnitude is rotated
-    to be real positive, which fixes the otherwise arbitrary global phase.
-    """
-    lam, v = _max_eigenpairs(_check_square_hermitian(M)[None])
-    return float(lam[0]), v[0]
-
-
 def _max_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`max_eigenpair` of every member of a Hermitian stack (B, L, L), from one stacked ``eigh``.
+    """Largest eigenvalue and unit eigenvector of every member of a Hermitian stack (B, L, L), from one ``eigh``.
 
-    Returns the (B,) eigenvalues and the (B, L) pinned eigenvectors; a zero
+    Returns the (B,) eigenvalues and the (B, L) eigenvectors.  Each
+    eigenvector's first entry of non-negligible magnitude is rotated to be
+    real positive, which fixes the otherwise arbitrary global phase; a zero
     member gets eigenvalue 0 and the first unit vector.
     """
     vals, vecs = np.linalg.eigh(M)
@@ -698,7 +683,6 @@ def design_beam(
     strategy: str = "sdr_grp_cd",
     seed: int | Sequence[int] = 0,
     n_rand: int = 1000,
-    sdr_tol: float = 1e-9,
 ) -> BeamWeights | tuple[BeamWeights, ...]:
     """Design one beam for a coherence matrix under the given phase constraint.
 
@@ -734,7 +718,7 @@ def design_beam(
         beams = [BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec) for v in V]
     else:
         try:
-            relaxed = solve_sdr(stack, tol=sdr_tol)
+            relaxed = solve_sdr(stack)
         except SdrConvergenceError as exc:  # a member at the sweep cap goes on from its best iterate
             relaxed = exc.solution
             for b in exc.members:

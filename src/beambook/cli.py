@@ -34,7 +34,7 @@ from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, Sele
                        kmeans_codebook, load_codebook, restrict_region, save_codebook)
 from .efield import (GRID_CACHE_DIR, GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec,
                      _parse_grid, fibonacci_directions, generate_ula_efield, load_efield, mesh_directions, save_efield,
-                     write_json)
+                     write_csv_cells, write_json, write_text)
 from .metrics import (PATTERN_CSV_HEADER, CoverageStats, GainPattern, composite_gains_linear, composite_pattern,
                       coverage_stats, db_from_linear, entry_gains_linear, gap_map, resolve_directions,
                       upper_bound_gains_linear, write_pattern_csv, write_stats_json)
@@ -358,7 +358,7 @@ def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -
     write_pattern_csv(gap_map(pattern, bound), out / "gap.csv")
     stats = coverage_stats(pattern, config.percentiles)
     write_stats_json(stats, pattern, out / "stats.json")
-    (out / "summary.txt").write_text(codebook_summary(codebook, resolved, gains) + "\n", encoding="utf-8")
+    write_text(out / "summary.txt", codebook_summary(codebook, resolved, gains) + "\n")
     return stats
 
 
@@ -443,18 +443,11 @@ def _cmd_compare(args) -> int:
         codebook, log = design_codebook(config)
         percentiles = percentiles or config.percentiles
         stats = coverage_stats(composite_pattern(config.grids, codebook, config.eval_dirs), percentiles)
-        rows.append((Path(path).stem, log["algorithm"], codebook.size, stats))
-    header = ["config", "algorithm", "size", "mean_db", "median_db"] + [
-        f"p{p:g}_db" for p in percentiles if p != 50.0
-    ]
-    lines = [",".join(header)]
-    for name, algo, size, stats in rows:
-        cells = [name, algo, str(size), repr(stats.mean_db), repr(stats.percentiles[50.0])]
-        cells += [repr(stats.percentiles[p]) for p in percentiles if p != 50.0]
-        lines.append(",".join(cells))
-    table = "\n".join(lines) + "\n"
-    (out / "compare.csv").write_text(table, encoding="utf-8", newline="\n")
-    print(table, end="")
+        numbers = [stats.mean_db, stats.median_db] + [stats.percentiles[p] for p in percentiles if p != 50.0]
+        rows.append([Path(path).stem, log["algorithm"], str(codebook.size), *map(repr, numbers)])
+    header = ",".join(["config", "algorithm", "size", "mean_db", "median_db"]
+                      + [f"p{p:g}_db" for p in percentiles if p != 50.0])
+    print(write_csv_cells(out / "compare.csv", header, np.array(rows, dtype=object).T), end="")
     return 0
 
 

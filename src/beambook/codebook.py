@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._frozen import Frozen
-from .beamopt import BeamWeights, PhaseSpec, design_beam, quantize_phase
+from .beamopt import BeamWeights, PhaseSpec, design_beam
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
 from .metrics import db_from_linear, entry_gains_linear, field_gains, resolve_directions, weighted_percentiles
@@ -454,8 +454,6 @@ def benchmark_codebook(
     x = -1.0 + (2.0 * ks - 1.0) / size
     ell = np.arange(L)
     phases = np.mod(_TWO_PI * ula.spacing_over_lambda * ell[None, :] * x[:, None], _TWO_PI)
-    if phase_spec.is_discrete:
-        phases = quantize_phase(phases, phase_spec.bits)
     return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, phase_spec)) for a in array_ids for p in phases)
 
 

@@ -389,10 +389,16 @@ def repr_cells(column) -> np.ndarray:
     return np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
 
 
-def write_csv_cells(path, header: str, cells) -> None:
-    """Write a header plus one row per index of equal-length columns of formatted cells (LF)."""
-    lines = [header, *map(",".join, zip(*(column.tolist() for column in cells)))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_text(path, text: str) -> None:
+    """Write an artifact's text as UTF-8 with LF line ends, on every platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_csv_cells(path, header: str, cells) -> str:
+    """Write a header plus one row per index of equal-length columns of formatted cells (LF); return the text."""
+    text = "\n".join([header, *map(",".join, zip(*(column.tolist() for column in cells)))]) + "\n"
+    write_text(path, text)
+    return text
 
 
 def write_csv_columns(path, header: str, columns) -> None:
@@ -438,7 +444,7 @@ def _json_text(value, indent: str = "") -> str:
 
 def write_json(data, path) -> None:
     """Write a JSON artifact: ``json.dumps`` with two-space indent and sorted keys, trailing LF."""
-    Path(path).write_text(_json_text(data) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, _json_text(data) + "\n")
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:

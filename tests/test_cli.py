@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import beambook as bb
 import beambook.cli as cli_module
 import beambook.metrics as metrics_module
-from beambook.cli import main
+from beambook.cli import design_codebook, main
 from beambook.metrics import field_gains
 
 
@@ -411,6 +412,22 @@ class TestEval:
             assert (theta, phi) == (f"{snapped.theta[i]:.1f}", f"{snapped.phi[i]:.1f}")
             assert line.endswith(f"peak={bb.db_from_linear(g[i]):.2f} dB")
 
+    def test_every_text_artifact_is_written_with_lf(self, designed, tmp_path, monkeypatch):
+        config, designed_out = designed
+        newlines = {}
+        write_text = Path.write_text
+
+        def recording(self, data, encoding=None, errors=None, newline=None):
+            newlines[self.name] = newline
+            return write_text(self, data, encoding, errors, newline)
+
+        monkeypatch.setattr(Path, "write_text", recording)
+        out = tmp_path / "lf"
+        assert main(["eval", "--config", str(config), "--codebook", str(designed_out / "codebook.json"),
+                     "--output-dir", str(out)]) == 0
+        assert sorted(newlines) == sorted(path.name for path in out.iterdir())
+        assert "summary.txt" in newlines and set(newlines.values()) == {"\n"}
+
     def test_bound_only_mode(self, designed):
         config, out = designed
         rc = main(["eval", "--config", str(config), "--output-dir", str(out / "bound_only")])
@@ -431,7 +448,7 @@ class TestEval:
 
 
 class TestCompare:
-    def test_three_codebooks_ordered_rows(self, tmp_path):
+    def test_three_codebooks_ordered_rows(self, tmp_path, monkeypatch, capsys):
         bench = write_config(tmp_path / "bench.json")
         c3 = write_config(tmp_path / "c3.json", algorithm={"name": "3c", "size": 4, "phase_bits": 5})
         km = write_config(
@@ -439,6 +456,14 @@ class TestCompare:
             algorithm={"name": "kmeans", "size": 4, "phase_bits": 5, "seed": 12345,
                        "init": "benchmark", "n_randomizations": 300},
         )
+        designed = []
+
+        def recording(config):
+            codebook, log = design_codebook(config)
+            designed.append((config, codebook, log))
+            return codebook, log
+
+        monkeypatch.setattr(cli_module, "design_codebook", recording)
         out = tmp_path / "cmp"
         rc = main(["compare", "--configs", str(bench), str(c3), str(km), "--output-dir", str(out)])
         assert rc == 0
@@ -449,6 +474,14 @@ class TestCompare:
         assert names == ["bench", "c3", "km"]
         medians = [float(line.split(",")[4]) for line in lines[1:]]
         assert medians[0] < medians[1] < medians[2]
+        rows = ["config,algorithm,size,mean_db,median_db,p20_db"]
+        for name, (config, codebook, log) in zip(names, designed, strict=True):
+            stats = bb.coverage_stats(bb.composite_pattern(config.grids, codebook, config.eval_dirs), [20.0, 50.0])
+            rows.append(f"{name},{log['algorithm']},{codebook.size},"
+                        f"{stats.mean_db!r},{stats.median_db!r},{stats.percentiles[20.0]!r}")
+        expected = "\n".join(rows) + "\n"
+        assert (out / "compare.csv").read_bytes() == expected.encode("utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_identical_configs_identical_rows(self, tmp_path):
         a = write_config(tmp_path / "a.json")

@@ -11,6 +11,7 @@ import pytest
 
 import beambook as bb
 from beambook.cli import load_run_config
+from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
 
 def values(tmp_path):
@@ -21,7 +22,7 @@ def values(tmp_path):
     grid, dirs = bb.generate_ula_efield(ula)
     codebook = bb.Codebook([bb.CodebookEntry("ula", beam)])
     pattern = bb.composite_pattern(grid, codebook, dirs)
-    M = bb.random_instance(bb.RandomInstanceSpec(4, 2, 1))
+    M = random_instance(RandomInstanceSpec(4, 2, 1))
     candidates = bb.generate_candidates(grid, 2, "eigen", spec)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"arrays": [{"synthetic": {"elements": 4, "spacing_lambda": 0.5}}],
@@ -31,7 +32,7 @@ def values(tmp_path):
         bb.MeanGainCriterion(), bb.PercentileMixCriterion([(50.0, 1.0)]), candidates[0],
         bb.greedy_codebook(candidates, grid, bb.MeanGainCriterion(), 1, dirs),
         bb.kmeans_codebook(grid, 1, dirs, spec, init=codebook, max_iterations=1), dirs, bb.CoverageRegion(), ula, grid, pattern, bb.coverage_stats(pattern),
-        bb.RandomInstanceSpec(4, 2, 1), bb.brute_force_b3(M, 1), load_run_config(config),
+        RandomInstanceSpec(4, 2, 1), brute_force_b3(M, 1), load_run_config(config),
     ]
 
 
@@ -62,6 +63,13 @@ def test_value_types_compare_and_hash_by_value():
     assert bb.SyntheticUlaSpec(4, 0.5) != bb.SyntheticUlaSpec(4, 0.65)
     assert bb.PhaseSpec.continuous() != ("continuous", None)
     assert repr(bb.PhaseSpec.discrete(3)) == "PhaseSpec(mode='discrete', bits=3)"
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    src = Path(bb.__file__).resolve().parents[1]
+    code = ("import sys, beambook.cli; assert 'beambook.oracle' not in sys.modules; "
+            "from beambook.oracle import random_instance, brute_force_b3, RandomInstanceSpec")
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, check=True)
 
 
 def test_cli_import_starts_clean_without_dataclasses():
