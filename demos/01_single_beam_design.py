@@ -29,7 +29,7 @@ print(f"relaxation optimum (per-element power) .. {relaxed.objective:.6f} "
       f"(rank {relaxed.rank}, {relaxed.iterations} sweeps)")
 print(f"dual certificate on that optimum ........ {relaxed.bound:.6f}")
 
-spec = bb.PhaseSpec.discrete(BITS)
+spec = bb.PhaseSpec(BITS)
 rounded = bb.gaussian_randomization(relaxed, M, n_rand=1000, phase_spec=spec, seed=SEED)
 print(f"best of 1000 randomized roundings ....... {rounded.gain(M):.6f}")
 

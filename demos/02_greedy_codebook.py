@@ -13,7 +13,7 @@ import beambook as bb
 
 spec = bb.SyntheticUlaSpec(num_elements=4, spacing_over_lambda=0.5, element_pattern_q=2)
 grid, dirs = bb.generate_ula_efield(spec)
-bits5 = bb.PhaseSpec.discrete(5)
+bits5 = bb.PhaseSpec(5)
 
 candidates = bb.generate_candidates(grid, count_per_sphere=64, method="eigen", phase_spec=bits5)
 print(f"candidate pool: {len(candidates)} beams on a {len(dirs)}-direction sweep\n")

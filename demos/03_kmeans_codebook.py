@@ -13,7 +13,7 @@ import beambook as bb
 
 spec = bb.SyntheticUlaSpec(num_elements=4, spacing_over_lambda=0.5, element_pattern_q=2)
 grid, dirs = bb.generate_ula_efield(spec)
-bits5 = bb.PhaseSpec.discrete(5)
+bits5 = bb.PhaseSpec(5)
 
 num_beams = 5
 result = bb.kmeans_codebook(

@@ -13,7 +13,7 @@ import beambook as bb
 def compare(spacing: float, q: float) -> dict[str, float]:
     spec = bb.SyntheticUlaSpec(4, spacing, element_pattern_q=q, sampling_factor=120)
     grid, dirs = bb.generate_ula_efield(spec)
-    bits5 = bb.PhaseSpec.discrete(5)
+    bits5 = bb.PhaseSpec(5)
 
     benchmark = bb.benchmark_codebook(spec, 4, bits5)
     classic = bb.codebook_802_15_3c(4, 4, 5)

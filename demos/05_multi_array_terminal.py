@@ -22,7 +22,7 @@ panels = {
 grids = {name: bb.oriented_ula_efield(spec, axis, theta_axis, phi_axis, name)
          for name, axis in panels.items()}
 dirs = bb.mesh_directions(grids["left"])
-bits5 = bb.PhaseSpec.discrete(5)
+bits5 = bb.PhaseSpec(5)
 
 replicated = bb.benchmark_codebook(spec, 4, bits5, array_ids=list(grids))
 joint = bb.kmeans_codebook(grids, num_beams=12, direction_set=dirs, phase_spec=bits5,

@@ -46,29 +46,16 @@ _TWO_PI = 2.0 * math.pi
 
 
 class PhaseSpec(Frozen):
-    """Phase-shifter resolution: continuous, or discrete with b bits."""
+    """Phase-shifter resolution: ``bits``-bit phase shifters, or continuous ones when ``bits`` is None."""
 
-    def __init__(self, mode: str, bits: int | None = None):
-        if mode not in ("continuous", "discrete"):
-            raise ValueError("mode must be 'continuous' or 'discrete'")
-        if mode == "discrete":
-            if bits is None or not (1 <= bits <= 16):
-                raise ValueError("discrete phase bits must be in 1..16")
-        elif bits is not None:
-            raise ValueError("continuous mode takes no bit count")
-        self.__dict__.update(mode=mode, bits=bits)
-
-    @classmethod
-    def continuous(cls) -> "PhaseSpec":
-        return cls("continuous")
-
-    @classmethod
-    def discrete(cls, bits: int) -> "PhaseSpec":
-        return cls("discrete", bits)
+    def __init__(self, bits: int | None = None):
+        if bits is not None and not (1 <= bits <= 16):
+            raise ValueError("discrete phase bits must be in 1..16")
+        self.__dict__.update(bits=bits)
 
     @property
     def is_discrete(self) -> bool:
-        return self.mode == "discrete"
+        return self.bits is not None
 
 
 def quantize_phase(phase, bits: int):
@@ -163,12 +150,10 @@ class BeamWeights(Frozen):
     """
 
     def __init__(self, weights, phase_spec: PhaseSpec):
-        w = np.array(weights, dtype=complex)
+        w = np.asarray(weights, dtype=complex)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        _check_beams(w, phase_spec)
-        w.setflags(write=False)
-        self.__dict__.update(weights=w, phase_spec=phase_spec)
+        self.__dict__.update(vars(self._rows(w[None], phase_spec)[0]))
 
     @classmethod
     def _rows(cls, W: np.ndarray, phase_spec: PhaseSpec) -> tuple["BeamWeights", ...]:
@@ -502,17 +487,14 @@ def _member_seeds(seed: int | Sequence[int], members: int) -> tuple[int, ...]:
 
 
 def _covariances(solution) -> np.ndarray:
-    """The W of one solution (or matrix), or of every solution of a sequence, as a (B, L, L) stack."""
+    """The W of one solution, or of every solution of a sequence, as a (B, L, L) stack."""
     if isinstance(solution, SdrSolution):  # a tuple itself, so tested before the sequences
-        solution = solution.W
-    elif isinstance(solution, (tuple, list)):
-        return np.stack([s.W for s in solution])
-    W = np.asarray(solution, dtype=complex)
-    return W.reshape((-1,) + W.shape[-2:])
+        return solution.W[None]
+    return np.stack([s.W for s in solution])
 
 
 def gaussian_randomization(
-    solution: SdrSolution | Sequence[SdrSolution] | np.ndarray,
+    solution: SdrSolution | Sequence[SdrSolution],
     M: np.ndarray,
     n_rand: int,
     phase_spec: PhaseSpec,

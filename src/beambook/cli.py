@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .beamopt import PhaseSpec
-from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _child_seed,
+from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _check_fit, _child_seed,
                        benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates, greedy_codebook,
                        kmeans_codebook, load_codebook, restrict_region, save_codebook)
 from .efield import (GRID_CACHE_DIR, GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec,
@@ -268,7 +268,7 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
             if getattr(rule, "region", None) is not None:
                 restrict_region(design_dirs, rule.region)  # raises if the region holds no design direction
     return dict(algorithm=name, size=size, seed=_integer(algorithm, "seed", 0, 0),
-                phase_spec=PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits),
+                phase_spec=PhaseSpec(bits),
                 n_rand=_integer(algorithm, "n_randomizations", 1, 1000),
                 max_iterations=_integer(algorithm, "max_iterations", 1, 50),
                 candidates=(count, method), init=init, ula=ula, design_dirs=design_dirs,
@@ -415,13 +415,9 @@ def _cmd_eval(args) -> int:
     if args.codebook:
         try:
             codebook = load_codebook(args.codebook)
+            _check_fit(codebook.entries, {a: grid.num_elements for a, grid in config.grids.items()}, "beam")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"codebook {args.codebook}: {exc}") from None
-        for entry in codebook.entries:
-            grid = config.grids.get(entry.array_id)
-            if grid is None or entry.weights.num_elements != grid.num_elements:
-                raise ConfigError(f"codebook {args.codebook}: a beam with {entry.weights.num_elements} weights "
-                                  f"on array '{entry.array_id}' fits no array of the config")
     out = config.output_dir
     stats = evaluate_codebook(config, codebook, out)
     if stats is not None:
@@ -435,13 +431,16 @@ def _cmd_compare(args) -> int:
     if len(args.configs) < 2:
         print("error: compare needs at least two configs", file=sys.stderr)
         return 2
+    configs = [load_run_config(path, {"output_dir": args.output_dir}) for path in args.configs]
+    percentiles = configs[0].percentiles
+    for path, config in zip(args.configs[1:], configs[1:]):
+        if config.percentiles != percentiles:
+            raise ConfigError(f"compare needs the same evaluation percentiles in every config: {args.configs[0]} "
+                              f"reports {percentiles}, {path} reports {config.percentiles}")
     out = _make_output_dir(Path(args.output_dir) if args.output_dir else _default_output_dir())
     rows = []
-    percentiles: list[float] = []
-    for path in args.configs:
-        config = load_run_config(path, {"output_dir": args.output_dir})
+    for path, config in zip(args.configs, configs):
         codebook, log = design_codebook(config)
-        percentiles = percentiles or config.percentiles
         stats = coverage_stats(composite_pattern(config.grids, codebook, config.eval_dirs), percentiles)
         numbers = [stats.mean_db, stats.median_db] + [stats.percentiles[p] for p in percentiles if p != 50.0]
         rows.append([Path(path).stem, log["algorithm"], str(codebook.size), *map(repr, numbers)])

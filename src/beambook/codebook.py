@@ -80,7 +80,7 @@ def codebook_from_dict(data) -> Codebook:
     bits = data["phase_bits"]
     if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)):
         raise ValueError(f"'phase_bits' must be an integer or null, got {bits!r}")
-    spec = PhaseSpec.continuous() if bits is None else PhaseSpec.discrete(bits)
+    spec = PhaseSpec(bits)
     entries = []
     for i, e in enumerate(raw):
         try:
@@ -180,10 +180,10 @@ def _child_seed(*key: int) -> int:
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
-def _check_fit(entries: Sequence[CodebookEntry], resolved, what: str) -> None:
-    """Raise a ValueError naming the first beam whose array is not in ``resolved`` or has another element count."""
+def _check_fit(entries: Sequence[CodebookEntry], elements: dict[str, int], what: str) -> None:
+    """Raise a ValueError naming the first beam on an array id missing from ``elements`` or with another element count."""
     for k, (array_id, beam) in enumerate(entries):
-        if array_id not in resolved or len(resolved[array_id][1]) != beam.num_elements:
+        if elements.get(array_id) != beam.num_elements:
             raise ValueError(f"{what} {k}: a beam with {beam.num_elements} weights on array '{array_id}' fits no array")
 
 
@@ -233,7 +233,7 @@ class GreedyResult(NamedTuple):
 def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet) -> np.ndarray:
     """Linear gains of every candidate at every evaluation direction, one stacked call per array."""
     resolved = resolve_directions(grids, eval_set)
-    _check_fit(candidates, resolved, "candidate")
+    _check_fit(candidates, {a: len(et) for a, (_, et, _) in resolved.items()}, "candidate")
     G = np.empty((len(candidates), len(eval_set)))
     for array_id in dict.fromkeys(cand.array_id for cand in candidates):
         idxs = [i for i, cand in enumerate(candidates) if cand.array_id == array_id]
@@ -376,7 +376,7 @@ def kmeans_codebook(
     if codebook.size != num_beams:
         raise ValueError("initial codebook size does not match num_beams")
     resolved = resolve_directions(grids, dirs)
-    _check_fit(codebook.entries, resolved, "initial beam")
+    _check_fit(codebook.entries, {a: len(et) for a, (_, et, _) in resolved.items()}, "initial beam")
     # Every beam on the run's lattice from the start (raises if one is off it).
     entries = [CodebookEntry(e.array_id, BeamWeights(e.weights.weights, phase_spec)) for e in codebook.entries]
     gains = entry_gains_linear(resolved, Codebook(entries))  # (K, N)
@@ -475,7 +475,9 @@ def codebook_802_15_3c(
         raise ValueError("size must be >= 1")
     if num_elements < 1:
         raise ValueError("num_elements must be >= 1")
-    spec = PhaseSpec.discrete(bits)
+    if bits is None:
+        raise ValueError("the 802.15.3c codebook needs a phase bit count")
+    spec = PhaseSpec(bits)
     n_states = 1 << bits
     ell = np.arange(1, num_elements + 1)
     phases_all = []

@@ -79,5 +79,5 @@ def brute_force_b3(M: np.ndarray, bits: int, max_search_bits: int = 20) -> Brute
             best_gain = float(gains[j])
             best_digits = digits[j]
     phases = np.concatenate([[0.0], best_digits * step])
-    weights = BeamWeights.from_phases(phases, PhaseSpec.discrete(bits))
+    weights = BeamWeights.from_phases(phases, PhaseSpec(bits))
     return BruteForceResult(best_gain, weights, n)

@@ -24,7 +24,7 @@ def _reproduction(spacing: float, q: float, seed: int) -> SimpleNamespace:
     """Benchmark/802.15.3c/K-Means trio on a 4-element array, b=5, a=120."""
     spec = bb.SyntheticUlaSpec(4, spacing, element_pattern_q=q, sampling_factor=120)
     grid, dirs = bb.generate_ula_efield(spec)
-    bits5 = bb.PhaseSpec.discrete(5)
+    bits5 = bb.PhaseSpec(5)
     bench = bb.benchmark_codebook(spec, 4, bits5)
     c3 = bb.codebook_802_15_3c(4, 4, 5)
     t0 = time.perf_counter()
@@ -68,7 +68,7 @@ def directional_q3():
 
 @pytest.fixture(scope="session")
 def greedy_irregular(irregular_spacing):
-    candidates = bb.generate_candidates(irregular_spacing.grid, 64, "eigen", bb.PhaseSpec.discrete(5))
+    candidates = bb.generate_candidates(irregular_spacing.grid, 64, "eigen", bb.PhaseSpec(5))
     return bb.greedy_codebook(
         candidates, irregular_spacing.grid, bb.MeanGainCriterion(), 8, irregular_spacing.dirs
     )
@@ -85,9 +85,9 @@ def standin3():
         for name, axis in (("left", (0, -1, 0)), ("right", (0, 1, 0)), ("back", (-1, 0, 0)))
     }
     dirs = bb.mesh_directions(grids["left"])
-    bench = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5), array_ids=list(grids))
+    bench = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5), array_ids=list(grids))
     result = bb.kmeans_codebook(
-        grids, num_beams=12, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5),
+        grids, num_beams=12, direction_set=dirs, phase_spec=bb.PhaseSpec(5),
         init=bench, n_rand=1000, max_iterations=50, seed=7,
     )
 

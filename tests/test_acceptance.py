@@ -59,7 +59,7 @@ def test_criterion_2_directional_elements(directional_q1, directional_q3):
 def test_criterion_3_oracle_equivalence():
     t0 = time.perf_counter()
     bits = 2
-    spec = bb.PhaseSpec.discrete(bits)
+    spec = bb.PhaseSpec(bits)
     hits = 0
     worst_ratio = 1.0
     sdr_ratios = []
@@ -102,9 +102,9 @@ def test_criterion_4_bound_chain():
                 assert sdr.objective <= lam + slack
                 init = bb.BeamWeights(
                     np.exp(1j * np.where(np.abs(v) > 0, np.angle(v), 0.0)) / math.sqrt(L),
-                    bb.PhaseSpec.continuous(),
+                    bb.PhaseSpec(),
                 )
-                cd = bb.coordinate_descent(M, init, bb.PhaseSpec.continuous())
+                cd = bb.coordinate_descent(M, init, bb.PhaseSpec())
                 assert np.all(np.diff(cd.objectives) >= -1e-12 * max(trace, 1.0))
                 assert b3 <= cd.objectives[-1] + slack <= lam + 2 * slack
                 if rank == 1:
@@ -152,7 +152,7 @@ def test_criterion_7_conservation():
     worst = 0.0
     resolved = bb.resolve_directions(grid, dirs)
     for _ in range(50):
-        w = bb.BeamWeights(np.exp(1j * rng.uniform(0, 2 * math.pi, 4)) / 2.0, bb.PhaseSpec.continuous())
+        w = bb.BeamWeights(np.exp(1j * rng.uniform(0, 2 * math.pi, 4)) / 2.0, bb.PhaseSpec())
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, w),))
         mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb))))
         worst = max(worst, abs(mean - 1.0))

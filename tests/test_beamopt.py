@@ -77,31 +77,31 @@ class TestMaxEigenpair:
 class TestBeamWeights:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
-            bb.BeamWeights(np.array([1.0, 0.0], dtype=complex), bb.PhaseSpec.continuous())
+            bb.BeamWeights(np.array([1.0, 0.0], dtype=complex), bb.PhaseSpec())
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            bb.BeamWeights(np.array([np.nan, 1.0 + 0.0j]), bb.PhaseSpec.continuous())
+            bb.BeamWeights(np.array([np.nan, 1.0 + 0.0j]), bb.PhaseSpec())
 
     def test_rejects_off_lattice_phase(self):
         w = np.exp(1j * np.array([0.0, 0.3])) / math.sqrt(2)
         with pytest.raises(ValueError):
-            bb.BeamWeights(w, bb.PhaseSpec.discrete(2))
+            bb.BeamWeights(w, bb.PhaseSpec(2))
 
     def test_from_phases_quantizes(self):
-        beam = bb.BeamWeights.from_phases(np.array([0.0, 1.0]), bb.PhaseSpec.discrete(2))
+        beam = bb.BeamWeights.from_phases(np.array([0.0, 1.0]), bb.PhaseSpec(2))
         assert_allclose(np.angle(beam.weights), [0.0, math.pi / 2])
 
     def test_copies_the_callers_array(self):
         w = np.full(4, 0.5 + 0.0j)
-        beam = bb.BeamWeights(w, bb.PhaseSpec.discrete(2))
+        beam = bb.BeamWeights(w, bb.PhaseSpec(2))
         assert not np.shares_memory(beam.weights, w)
         assert w.flags.writeable and not beam.weights.flags.writeable
         w[0] = -0.5
         assert beam.weights[0] == 0.5
 
     def test_value_equality_and_hash(self):
-        continuous = bb.PhaseSpec.continuous()
+        continuous = bb.PhaseSpec()
         w = np.exp(1j * np.array([0.0, 0.4, -1.3, 2.9])) / 2.0
         a, b = bb.BeamWeights(w, continuous), bb.BeamWeights(w.copy(), continuous)
         assert a == b and hash(a) == hash(b)
@@ -109,7 +109,7 @@ class TestBeamWeights:
         nudged[2] = complex(np.nextafter(nudged[2].real, 1.0), nudged[2].imag)  # one ulp, still feasible
         assert a != bb.BeamWeights(nudged, continuous)
         lattice = np.full(4, 0.5 + 0.0j)
-        assert bb.BeamWeights(lattice, continuous) != bb.BeamWeights(lattice, bb.PhaseSpec.discrete(2))
+        assert bb.BeamWeights(lattice, continuous) != bb.BeamWeights(lattice, bb.PhaseSpec(2))
         signed_zero = bb.BeamWeights(np.full(4, complex(0.5, -0.0)), continuous)
         assert signed_zero == bb.BeamWeights(lattice, continuous)
         assert hash(signed_zero) == hash(bb.BeamWeights(lattice, continuous))
@@ -117,7 +117,7 @@ class TestBeamWeights:
         assert len({a, b, bb.BeamWeights(nudged, continuous)}) == 2
 
     def test_codebooks_compare_by_value(self):
-        spec = bb.PhaseSpec.discrete(2)
+        spec = bb.PhaseSpec(2)
         beam = lambda: bb.BeamWeights(np.full(4, 0.5 + 0.0j), spec)  # noqa: E731
         assert bb.Codebook([bb.CodebookEntry("x", beam())]) == bb.Codebook([bb.CodebookEntry("x", beam())])
         assert bb.Codebook([bb.CodebookEntry("x", beam())]) != bb.Codebook([bb.CodebookEntry("y", beam())])
@@ -125,11 +125,9 @@ class TestBeamWeights:
 
     def test_phase_spec_validation(self):
         with pytest.raises(ValueError):
-            bb.PhaseSpec.discrete(0)
+            bb.PhaseSpec(0)
         with pytest.raises(ValueError):
-            bb.PhaseSpec.discrete(17)
-        with pytest.raises(ValueError):
-            bb.PhaseSpec("discrete")
+            bb.PhaseSpec(17)
 
 
 class TestSolveSdr:
@@ -266,27 +264,27 @@ class TestGaussianRandomization:
         m = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
         M = np.outer(m, m.conj())
         sol = bb.solve_sdr(M)
-        beam = bb.gaussian_randomization(sol, M, 100, bb.PhaseSpec.continuous(), seed=0)
+        beam = bb.gaussian_randomization(sol, M, 100, bb.PhaseSpec(), seed=0)
         assert_allclose(beam.gain(M), cophased_gain_bound(M), rtol=1e-12)
 
     def test_lattice_aligned_discrete_is_exact(self):
         m = np.array([1.0, 1.0j, -1.0, -1.0j])
         M = np.outer(m, m.conj())
         sol = bb.solve_sdr(M)
-        beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec.discrete(2), seed=1)
+        beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec(2), seed=1)
         assert_allclose(beam.gain(M), 4.0, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
         M = random_instance(RandomInstanceSpec(4, 2, 11))
         sol = bb.solve_sdr(M)
-        a = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec.discrete(3), seed=42)
-        b = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec.discrete(3), seed=42)
+        a = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=42)
+        b = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=42)
         assert np.array_equal(a.weights, b.weights)
 
     def test_one_solution_reads_as_one_and_a_tuple_as_a_stack(self):
         # An SdrSolution is a tuple itself; it must never be read as a sequence of solutions.
         M = np.stack([random_instance(RandomInstanceSpec(4, 2, s)) for s in (11, 12, 13)])
-        spec = bb.PhaseSpec.discrete(3)
+        spec = bb.PhaseSpec(3)
         solutions = bb.solve_sdr(M)
         one = bb.gaussian_randomization(solutions[0], M[0], 200, spec, seed=42)
         assert isinstance(one, bb.BeamWeights)
@@ -307,7 +305,7 @@ class TestGaussianRandomization:
         for seed in range(40):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 900))
             sol = bb.solve_sdr(M)
-            beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec.discrete(bits), seed=seed)
+            beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec(bits), seed=seed)
             ratios.append(beam.gain(M) / sol.objective)
         assert np.mean(ratios) >= ratio_bound
 
@@ -318,16 +316,16 @@ class TestCoordinateDescent:
         m = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
         M = np.outer(m, m.conj())
         _, v = top_eigenpair(M)
-        init = bb.BeamWeights(np.exp(1j * np.angle(v)) / math.sqrt(5), bb.PhaseSpec.continuous())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec.continuous())
+        init = bb.BeamWeights(np.exp(1j * np.angle(v)) / math.sqrt(5), bb.PhaseSpec())
+        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
         assert_allclose(result.objectives[-1], cophased_gain_bound(M), rtol=1e-12)
 
     def test_optimal_input_is_fixed_point(self):
         m = np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]))
         M = np.outer(m, m.conj())
         w = m / 2.0
-        init = bb.BeamWeights(w, bb.PhaseSpec.continuous())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec.continuous())
+        init = bb.BeamWeights(w, bb.PhaseSpec())
+        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
         assert_allclose(result.weights.weights, w, atol=1e-12)
         assert result.objectives.size == 2  # one sweep confirms convergence
 
@@ -335,22 +333,22 @@ class TestCoordinateDescent:
         for seed in range(20):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 100))
             _, v = top_eigenpair(M)
-            init = bb.BeamWeights(np.exp(1j * np.angle(v)) / 2.0, bb.PhaseSpec.continuous())
-            result = bb.coordinate_descent(M, init, bb.PhaseSpec.continuous())
+            init = bb.BeamWeights(np.exp(1j * np.angle(v)) / 2.0, bb.PhaseSpec())
+            result = bb.coordinate_descent(M, init, bb.PhaseSpec())
             assert np.all(np.diff(result.objectives) >= -1e-12 * np.trace(M).real)
             assert result.objectives[-1] >= result.objectives[0]
             assert result.objectives[-1] <= np.linalg.eigvalsh(M)[-1] + 1e-8
 
     def test_discrete_requires_lattice_init(self):
         M = random_instance(RandomInstanceSpec(3, 2, 0))
-        init = bb.BeamWeights(np.exp(1j * np.array([0.0, 0.3, 0.9])) / math.sqrt(3), bb.PhaseSpec.continuous())
+        init = bb.BeamWeights(np.exp(1j * np.array([0.0, 0.3, 0.9])) / math.sqrt(3), bb.PhaseSpec())
         with pytest.raises(ValueError):
-            bb.coordinate_descent(M, init, bb.PhaseSpec.discrete(2))
+            bb.coordinate_descent(M, init, bb.PhaseSpec(2))
 
     def test_zero_coupling_leaves_element_unchanged(self):
         M = np.diag([1.0, 2.0]).astype(complex)  # off-diagonal contributions vanish
-        init = bb.BeamWeights(np.exp(1j * np.array([0.4, 1.1])) / math.sqrt(2), bb.PhaseSpec.continuous())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec.continuous())
+        init = bb.BeamWeights(np.exp(1j * np.array([0.4, 1.1])) / math.sqrt(2), bb.PhaseSpec())
+        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
         assert np.array_equal(result.weights.weights, init.weights)
 
 
@@ -358,7 +356,7 @@ class TestDesignBeam:
     def test_strategies_agree_on_lattice_aligned_broadside(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
         M = field_coherence(*grid.fields_at(bb.DirectionSet([90.0], [0.0], [1.0])))
-        spec = bb.PhaseSpec.discrete(5)
+        spec = bb.PhaseSpec(5)
         gains = {}
         for strategy in ("eigen", "sdr_grp", "sdr_grp_cd"):
             beam = bb.design_beam(M, spec, strategy, seed=3)
@@ -370,7 +368,7 @@ class TestDesignBeam:
             assert_allclose(g, 4.0, rtol=1e-10)
 
     def test_eigen_never_beats_full_pipeline(self):
-        spec = bb.PhaseSpec.discrete(2)
+        spec = bb.PhaseSpec(2)
         for seed in range(60):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 300))
             slack = 1e-8 * np.trace(M).real
@@ -386,21 +384,21 @@ class TestDesignBeam:
             lam = np.linalg.eigvalsh(M)[-1]
             sdr = bb.solve_sdr(M)
             b3 = brute_force_b3(M, 2).gain
-            beam = bb.design_beam(M, bb.PhaseSpec.discrete(2), "sdr_grp_cd", seed=seed)
+            beam = bb.design_beam(M, bb.PhaseSpec(2), "sdr_grp_cd", seed=seed)
             assert beam.gain(M) <= b3 + slack
             assert b3 <= sdr.objective + slack <= lam + 2 * slack
 
     def test_stack_takes_one_seed_per_member(self):
         M = np.stack([random_instance(RandomInstanceSpec(4, 2, seed)) for seed in (1, 2)])
-        beams = bb.design_beam(M, bb.PhaseSpec.discrete(3), seed=[7, 8], n_rand=50)
+        beams = bb.design_beam(M, bb.PhaseSpec(3), seed=[7, 8], n_rand=50)
         assert len(beams) == 2 and all(isinstance(b, bb.BeamWeights) for b in beams)
         for seed in ([7], 7):
             with pytest.raises(ValueError):
-                bb.design_beam(M, bb.PhaseSpec.discrete(3), seed=seed, n_rand=50)
+                bb.design_beam(M, bb.PhaseSpec(3), seed=seed, n_rand=50)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            bb.design_beam(np.eye(2), bb.PhaseSpec.continuous(), "annealing")
+            bb.design_beam(np.eye(2), bb.PhaseSpec(), "annealing")
 
     @pytest.mark.parametrize("strategy", ["sdr_grp", "sdr_grp_cd"])
     def test_relaxation_at_the_sweep_cap_degrades_instead_of_aborting(self, strategy):
@@ -411,7 +409,7 @@ class TestDesignBeam:
         best = excinfo.value.solution
         assert best.iterations == 5000 and 0.0 < best.bound - best.objective < 1e-4
         assert excinfo.value.members == (0,)
-        spec = bb.PhaseSpec.discrete(3)
+        spec = bb.PhaseSpec(3)
         gap = f"certified gap {best.bound - best.objective:.3e}"
         with pytest.warns(UserWarning) as fallbacks:
             beam = bb.design_beam(capped, spec, strategy, seed=5)
@@ -434,5 +432,5 @@ class TestDesignBeam:
 
     def test_canonical_global_phase(self):
         M = random_instance(RandomInstanceSpec(4, 2, 77))
-        beam = bb.design_beam(M, bb.PhaseSpec.discrete(3), "sdr_grp_cd", seed=5)
+        beam = bb.design_beam(M, bb.PhaseSpec(3), "sdr_grp_cd", seed=5)
         assert abs(np.angle(beam.weights[0])) < 1e-12

@@ -68,7 +68,7 @@ def test_stacked_solve_equals_member_solves_bit_for_bit(case):
 )
 def test_stacked_design_equals_member_designs_bit_for_bit(case, strategy, bits, seed):
     _, M = case
-    spec = bb.PhaseSpec.continuous() if bits is None else bb.PhaseSpec.discrete(bits)
+    spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
     seeds = [seed + i for i in range(len(M))]
     beams = bb.design_beam(M, spec, strategy, seed=seeds, n_rand=40)
     assert len(beams) == len(M)
@@ -120,7 +120,7 @@ def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
 
 
 def phase_spec(bits: int | None) -> bb.PhaseSpec:
-    return bb.PhaseSpec.continuous() if bits is None else bb.PhaseSpec.discrete(bits)
+    return bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
 
 
 @settings(max_examples=50, deadline=None)

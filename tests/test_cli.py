@@ -78,7 +78,7 @@ class TestDesign:
         cb = bb.load_codebook(tmp_path / "out" / "codebook.json")
         assert cb.size == 4 and cb.phase_bits == 5
         expected = bb.benchmark_codebook(
-            bb.SyntheticUlaSpec(4, 0.65), 4, bb.PhaseSpec.discrete(5), array_ids=["ula"]
+            bb.SyntheticUlaSpec(4, 0.65), 4, bb.PhaseSpec(5), array_ids=["ula"]
         )
         for a, b in zip(cb.entries, expected.entries):
             assert np.array_equal(a.weights.weights, b.weights.weights)
@@ -304,6 +304,10 @@ BAD_CODEBOOKS = {
     # Python's json reads NaN; the weights check must still reject it.
     "NaN weight": (json.dumps({"phase_bits": None, "entries": [
         {**_BEAM, "weights": [[float("nan"), 0.0]] + [[0.5, 0.0]] * 3}]}), True),
+    # Valid codebooks on their own, which fit no array of the config.
+    "beam on an unknown array": (json.dumps({"phase_bits": 5, "entries": [_BEAM, {**_BEAM, "array": "upa"}]}), False),
+    "3 weights on the 4-element ula": (json.dumps({"phase_bits": 5, "entries": [
+        {**_BEAM, "weights": [[3 ** -0.5, 0.0]] * 3}]}), False),
     "malformed JSON": ('{"phase_bits": 5,', True),
     "JSON list": ("[]", True),
     "missing file": (None, None),
@@ -370,7 +374,7 @@ class TestEval:
         rng = np.random.default_rng(5)
         cb = bb.Codebook(tuple(
             bb.CodebookEntry(k, bb.BeamWeights.from_phases(rng.uniform(0, 2 * np.pi, specs[k].num_elements),
-                                                           bb.PhaseSpec.continuous()))
+                                                           bb.PhaseSpec()))
             for k in "ababa"))
         bb.save_codebook(cb, tmp_path / "cb.json")
 
@@ -438,7 +442,7 @@ class TestEval:
     def test_size_mismatch_exits_2(self, tmp_path, designed):
         config, out = designed
         other = bb.benchmark_codebook(
-            bb.SyntheticUlaSpec(6, 0.5), 2, bb.PhaseSpec.discrete(5), array_ids=["ula"]
+            bb.SyntheticUlaSpec(6, 0.5), 2, bb.PhaseSpec(5), array_ids=["ula"]
         )
         bb.save_codebook(other, tmp_path / "wrong.json")
         rc = main(["eval", "--config", str(config), "--codebook", str(tmp_path / "wrong.json"),
@@ -494,6 +498,17 @@ class TestCompare:
     def test_single_config_exits_2(self, tmp_path):
         a = write_config(tmp_path / "a.json")
         assert main(["compare", "--configs", str(a)]) == 2
+
+    def test_different_percentiles_exit_2_before_any_design(self, tmp_path, monkeypatch, capsys):
+        p50 = write_config(tmp_path / "p50.json", evaluation={"percentiles": [50]})
+        p5 = write_config(tmp_path / "p5.json", evaluation={"percentiles": [5, 50]})
+        designs = []
+        monkeypatch.setattr(cli_module, "design_codebook", lambda config: designs.append(config))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", str(p50), str(p5), "--output-dir", str(out)]) == 2
+        assert designs == [] and not (out / "compare.csv").exists()
+        err = capsys.readouterr().err
+        assert str(p50) in err and str(p5) in err
 
 
 class TestSelfcheck:

@@ -25,7 +25,7 @@ def benchmark_aims(size):
     """Peak-gain theta of each continuous-phase benchmark beam on the 4-element half-wavelength sweep."""
     spec = bb.SyntheticUlaSpec(4, 0.5)
     grid, dirs = bb.generate_ula_efield(spec)
-    cb = bb.benchmark_codebook(spec, size, bb.PhaseSpec.continuous())
+    cb = bb.benchmark_codebook(spec, size, bb.PhaseSpec())
     gains = field_gains(np.array([e.weights.weights for e in cb.entries]), *grid.fields_at(dirs))
     return dirs.theta[np.argmax(gains, axis=1)]
 
@@ -37,7 +37,7 @@ def two_meshes():
              "b": bb.SyntheticUlaSpec(6, 0.65, sampling_factor=31)}
     grids = {k: bb.generate_ula_efield(s, array_id=k)[0] for k, s in specs.items()}
     init = bb.Codebook(tuple(entry for k, s in specs.items()
-                             for entry in bb.benchmark_codebook(s, 2, bb.PhaseSpec.discrete(3), [k]).entries))
+                             for entry in bb.benchmark_codebook(s, 2, bb.PhaseSpec(3), [k]).entries))
     return grids, init
 
 
@@ -64,27 +64,27 @@ class TestBenchmarkCodebook:
 
     def test_single_beam_is_broadside_all_zero_phases(self):
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        cb = bb.benchmark_codebook(spec, 1, bb.PhaseSpec.discrete(5))
+        cb = bb.benchmark_codebook(spec, 1, bb.PhaseSpec(5))
         assert_allclose(benchmark_aims(1), [90.0])
         assert_allclose(np.angle(cb.entries[0].weights.weights), 0.0, atol=1e-12)
 
     def test_first_beam_phases_match_formula(self):
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5))
+        cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         expected = bb.quantize_phase(np.mod(2 * math.pi * 0.5 * np.arange(4) * -0.75, 2 * math.pi), 5)
         assert_allclose(np.mod(np.angle(cb.entries[0].weights.weights), 2 * math.pi), expected, atol=1e-12)
 
     def test_replication_across_arrays(self):
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec.discrete(5), array_ids=["a", "b"])
+        cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec(5), array_ids=["a", "b"])
         assert cb.size == 4
         assert [e.array_id for e in cb.entries] == ["a", "a", "b", "b"]
         assert np.array_equal(cb.entries[0].weights.weights, cb.entries[2].weights.weights)
 
     def test_deterministic(self):
         spec = bb.SyntheticUlaSpec(4, 0.65)
-        a = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5))
-        b = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5))
+        a = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
+        b = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         assert bb.codebook_to_dict(a) == bb.codebook_to_dict(b)
 
 
@@ -114,6 +114,10 @@ class Test802153c:
         for ea, eb in zip(a.entries, b.entries):
             assert_allclose(ea.weights.weights, eb.weights.weights, atol=1e-12)
 
+    def test_continuous_phases_rejected(self):
+        with pytest.raises(ValueError):
+            bb.codebook_802_15_3c(4, 4, None)
+
 
 class TestRestrictRegion:
     def test_full_sphere_identity(self):
@@ -139,20 +143,20 @@ class TestCandidates:
     def test_count_per_array(self, iso_grid):
         grid, _ = iso_grid
         grids = {"a": grid, "b": grid, "c": grid}
-        cands = bb.generate_candidates(grids, 11, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grids, 11, "eigen", bb.PhaseSpec(5))
         assert len(cands) == 33
         assert type(cands) is tuple and all(type(c) is bb.CodebookEntry for c in cands)
         assert {c.array_id for c in cands} == {"a", "b", "c"}
 
     def test_one_lookup_per_array(self, two_meshes, lookups):
         grids, _ = two_meshes
-        cands = bb.generate_candidates(grids, 12, "eigen", bb.PhaseSpec.discrete(3))
+        cands = bb.generate_candidates(grids, 12, "eigen", bb.PhaseSpec(3))
         assert len(cands) == 24
         assert lookups == {"snap_to_grid": 2, "fields_at": 2}
 
     def test_single_element_trivial_codeword(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(1, 0.5))
-        cands = bb.generate_candidates(grid, 1, "iterative", bb.PhaseSpec.discrete(2), seed=0)
+        cands = bb.generate_candidates(grid, 1, "iterative", bb.PhaseSpec(2), seed=0)
         assert_allclose(cands[0].weights.weights, [1.0 + 0j], atol=1e-12)
 
     def test_eigen_and_iterative_agree_on_lattice_aligned(self):
@@ -160,8 +164,8 @@ class TestCandidates:
         # broadside: progressive phases are all zero, exactly on any lattice
         ds = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
         M = field_coherence(*grid.fields_at(ds))
-        eig = bb.design_beam(M, bb.PhaseSpec.discrete(5), "eigen")
-        it = bb.design_beam(M, bb.PhaseSpec.discrete(5), "sdr_grp_cd", seed=9)
+        eig = bb.design_beam(M, bb.PhaseSpec(5), "eigen")
+        it = bb.design_beam(M, bb.PhaseSpec(5), "sdr_grp_cd", seed=9)
         assert_allclose(eig.weights, it.weights, atol=1e-12)
 
     def test_quasi_uniform_spacing(self):
@@ -183,7 +187,7 @@ class TestCandidates:
 class TestGreedy:
     def test_size_one_picks_best_mean_candidate(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 1, dirs)
         resolved = bb.resolve_directions(grid, dirs)
         means = []
@@ -196,7 +200,7 @@ class TestGreedy:
 
     def test_utility_strictly_increases(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 64, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 64, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 5, dirs)
         assert result.codebook.size == 5
         assert np.all(np.diff(result.utilities_db) > 0)
@@ -204,7 +208,7 @@ class TestGreedy:
 
     def test_unreachable_threshold_exhausts_pool(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec(5))
         bound_mean = float(np.dot(dirs.weights, bb.upper_bound_gains_linear(bb.resolve_directions(grid, dirs))))
         stop = (bb.MeanGainCriterion(), bb.db_from_linear(bound_mean) + 3.0)
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 9, dirs, stop)
@@ -213,7 +217,7 @@ class TestGreedy:
 
     def test_size_caps_an_unreachable_threshold(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 8, "eigen", bb.PhaseSpec(5))
         stop = (bb.PercentileMixCriterion(((50.0, 1.0),)), 50.0)
         result = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 3, dirs, stop)
         assert result.codebook.size == 3
@@ -221,7 +225,7 @@ class TestGreedy:
 
     def test_threshold_stop_triggers(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 32, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 32, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(
             cands, grid, bb.MeanGainCriterion(), 32, dirs, (bb.MeanGainCriterion(), -10.0)
         )
@@ -230,7 +234,7 @@ class TestGreedy:
 
     def test_duplicate_candidates_tie_to_lower_index(self, iso_grid):
         grid, dirs = iso_grid
-        one = bb.generate_candidates(grid, 1, "eigen", bb.PhaseSpec.discrete(5))
+        one = bb.generate_candidates(grid, 1, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(one + one, grid, bb.MeanGainCriterion(), 1, dirs)
         assert result.codebook.size == 1  # picked index 0, not 1
 
@@ -240,7 +244,7 @@ class TestGreedy:
         # The in-place pool composite against max(best, G[pool]) rebuilt each
         # round, on a pool of many tied candidates.
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 150, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 150, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(cands, grid, criterion, 10, dirs)
         G = codebook_module._candidate_gain_matrix(cands, grid, dirs)
         pool, best, picks = list(range(len(cands))), np.zeros(len(dirs)), []
@@ -253,15 +257,15 @@ class TestGreedy:
     @pytest.mark.parametrize("array_id, elements", [("ula", 8), ("other", 4)])
     def test_candidate_that_fits_no_array_rejected(self, iso_grid, array_id, elements):
         grid, dirs = iso_grid
-        cands = bb.generate_candidates(grid, 3, "eigen", bb.PhaseSpec.discrete(3))
+        cands = bb.generate_candidates(grid, 3, "eigen", bb.PhaseSpec(3))
         misfit = bb.CodebookEntry(array_id, bb.BeamWeights(np.ones(elements) / np.sqrt(elements),
-                                                           bb.PhaseSpec.discrete(3)))
+                                                           bb.PhaseSpec(3)))
         with pytest.raises(ValueError, match=f"candidate 3: a beam with {elements} weights on array '{array_id}'"):
             bb.greedy_codebook(cands + (misfit,), grid, bb.MeanGainCriterion(), 2, dirs)
 
     def test_percentile_criterion_runs(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 16, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 16, "eigen", bb.PhaseSpec(5))
         crit = bb.PercentileMixCriterion(((50.0, 1.0),))
         result = bb.greedy_codebook(cands, grid, crit, 3, dirs)
         assert result.codebook.size == 3
@@ -271,14 +275,14 @@ class TestGreedy:
 class TestKMeans:
     def test_single_beam_converges_immediately(self, iso_grid):
         grid, dirs = iso_grid
-        result = bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), seed=0)
+        result = bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec(5), seed=0)
         assert result.iterations <= 2
         assert np.all(result.assignments == 0)
 
     def test_uniform_init_monotone_and_fast(self, directional_grid):
         grid, dirs = directional_grid
         result = bb.kmeans_codebook(
-            grid, num_beams=5, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), n_rand=200, seed=3
+            grid, num_beams=5, direction_set=dirs, phase_spec=bb.PhaseSpec(5), n_rand=200, seed=3
         )
         assert result.iterations < 20
         assert np.all(np.diff(result.mean_gain_trace_db) >= -1e-12)
@@ -286,7 +290,7 @@ class TestKMeans:
     def test_assignment_partitions_directions(self, directional_grid):
         grid, dirs = directional_grid
         result = bb.kmeans_codebook(
-            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), n_rand=100, seed=1
+            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec(5), n_rand=100, seed=1
         )
         assert result.assignments.shape == (len(dirs),)
         assert set(np.unique(result.assignments)).issubset(set(range(3)))
@@ -294,11 +298,11 @@ class TestKMeans:
     def test_explicit_initial_codebook_never_degrades(self, iso_grid):
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        init = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5), array_ids=[grid.array_id])
+        init = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5), array_ids=[grid.array_id])
         resolved = bb.resolve_directions(grid, dirs)
         init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, init))))
         result = bb.kmeans_codebook(
-            grid, num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), init=init, n_rand=500, seed=5
+            grid, num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec(5), init=init, n_rand=500, seed=5
         )
         final = bb.entry_gains_linear(resolved, result.codebook)
         final_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(final)))
@@ -306,10 +310,10 @@ class TestKMeans:
 
     def test_greedy_init(self, directional_grid):
         grid, dirs = directional_grid
-        cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 24, "eigen", bb.PhaseSpec(5))
         init = bb.greedy_codebook(cands, grid, bb.MeanGainCriterion(), 3, dirs).codebook
         result = bb.kmeans_codebook(
-            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(5), init=init, n_rand=100, seed=2
+            grid, num_beams=3, direction_set=dirs, phase_spec=bb.PhaseSpec(5), init=init, n_rand=100, seed=2
         )
         assert result.codebook.size == 3
 
@@ -317,7 +321,7 @@ class TestKMeans:
         # Beam 0 serves only the zero-weight direction at 120 degrees, so its
         # cluster matrix is zero; any beam ties that cluster's objective.
         grid, _ = iso_grid
-        spec = bb.PhaseSpec.discrete(5)
+        spec = bb.PhaseSpec(5)
         init = bb.benchmark_codebook(bb.SyntheticUlaSpec(4, 0.5), 2, spec, array_ids=[grid.array_id])
         dirs = bb.DirectionSet(np.array([60.0, 70.0, 120.0]), np.zeros(3), np.array([0.5, 0.5, 0.0]))
         result = bb.kmeans_codebook(grid, num_beams=2, direction_set=dirs, phase_spec=spec, init=init,
@@ -335,7 +339,7 @@ class TestKMeans:
                                               theta_axis, phi_axis, f"ula{L}")
             for L, axis in ((4, (0, 1, 0)), (6, (1, 0, 0)))
         }
-        bits3 = bb.PhaseSpec.discrete(3)
+        bits3 = bb.PhaseSpec(3)
         init = bb.Codebook(tuple(
             entry
             for L in (4, 6)
@@ -369,13 +373,13 @@ class TestKMeans:
         grid, _ = iso_grid
         tiny = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="num_beams exceeds the number of directions"):
-            bb.kmeans_codebook(grid, num_beams=2, direction_set=tiny, phase_spec=bb.PhaseSpec.discrete(5))
+            bb.kmeans_codebook(grid, num_beams=2, direction_set=tiny, phase_spec=bb.PhaseSpec(5))
 
     @pytest.mark.parametrize("bad, message", [({"num_beams": 0}, "num_beams must be >= 1"),
                                               ({"max_iterations": 0}, "max_iterations must be >= 1")])
     def test_nonpositive_counts_rejected(self, iso_grid, bad, message):
         grid, dirs = iso_grid
-        run = {"num_beams": 1, "direction_set": dirs, "phase_spec": bb.PhaseSpec.discrete(5), **bad}
+        run = {"num_beams": 1, "direction_set": dirs, "phase_spec": bb.PhaseSpec(5), **bad}
         with pytest.raises(ValueError, match=message):
             bb.kmeans_codebook(grid, **run)
 
@@ -384,36 +388,36 @@ class TestKMeans:
         # One lookup per array for the run's directions, and one more for uniform_init's.
         grids, init = two_meshes
         bb.kmeans_codebook(grids, num_beams=4, direction_set=bb.fibonacci_directions(60),
-                           phase_spec=bb.PhaseSpec.discrete(3), init=init if given_init else None, n_rand=20, seed=1)
+                           phase_spec=bb.PhaseSpec(3), init=init if given_init else None, n_rand=20, seed=1)
         assert lookups == {"snap_to_grid": 2 * lookups_per_array, "fields_at": 2 * lookups_per_array}
 
     @pytest.mark.parametrize("array_id, elements", [("ula", 8), ("other", 4)])
     def test_start_that_fits_no_array_rejected(self, iso_grid, array_id, elements):
         grid, dirs = iso_grid
-        init = bb.Codebook([bb.CodebookEntry("ula", bb.BeamWeights(np.full(4, 0.5), bb.PhaseSpec.discrete(2))),
+        init = bb.Codebook([bb.CodebookEntry("ula", bb.BeamWeights(np.full(4, 0.5), bb.PhaseSpec(2))),
                             bb.CodebookEntry(array_id, bb.BeamWeights(np.ones(elements) / np.sqrt(elements),
-                                                                      bb.PhaseSpec.discrete(2)))])
+                                                                      bb.PhaseSpec(2)))])
         with pytest.raises(ValueError, match=f"initial beam 1: a beam with {elements} weights on array '{array_id}'"):
-            bb.kmeans_codebook(grid, num_beams=2, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(2), init=init)
+            bb.kmeans_codebook(grid, num_beams=2, direction_set=dirs, phase_spec=bb.PhaseSpec(2), init=init)
 
     def test_start_off_the_phase_lattice_rejected_before_any_design(self, iso_grid, monkeypatch):
         # A continuous start whose phases miss the 2-bit lattice: K-Means would
         # replace this lone beam, so only an up-front check catches it.
         grid, dirs = iso_grid
         init = bb.Codebook([bb.CodebookEntry(grid.array_id, bb.BeamWeights.from_phases(
-            np.array([0.0, 0.3, 0.6, 0.9]), bb.PhaseSpec.continuous()))])
+            np.array([0.0, 0.3, 0.6, 0.9]), bb.PhaseSpec()))])
         design_beam, designs = codebook_module.design_beam, []
         monkeypatch.setattr(codebook_module, "design_beam",
                             lambda *args, **kwargs: designs.append(args) or design_beam(*args, **kwargs))
         with pytest.raises(ValueError, match="lattice"):
-            bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec.discrete(2), init=init)
+            bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec(2), init=init)
         assert designs == []
 
 
 class TestUniformInit:
     def test_single_array_single_beam(self, iso_grid):
         grid, _ = iso_grid
-        cb = bb.uniform_init(1, grid, bb.PhaseSpec.discrete(5))
+        cb = bb.uniform_init(1, grid, bb.PhaseSpec(5))
         assert cb.size == 1
         assert cb.entries[0].array_id == grid.array_id
 
@@ -425,7 +429,7 @@ class TestUniformInit:
         phi_axis = np.arange(0.0, 359.9, 15.0)
         weak = bb.oriented_ula_efield(spec, (0, 0, 1), theta_axis, phi_axis, "weak")
         strong = bb.EFieldGrid("strong", theta_axis, phi_axis, 2.0 * weak.e_theta, weak.e_phi)
-        cb = bb.uniform_init(5, {"weak": weak, "strong": strong}, bb.PhaseSpec.discrete(5))
+        cb = bb.uniform_init(5, {"weak": weak, "strong": strong}, bb.PhaseSpec(5))
         assert all(e.array_id == "strong" for e in cb.entries)
 
     @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
@@ -433,7 +437,7 @@ class TestUniformInit:
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5))
         grids = {name: bb.EFieldGrid(name, grid.theta_axis, grid.phi_axis, grid.e_theta, grid.e_phi)
                  for name in order}
-        cb = bb.uniform_init(6, grids, bb.PhaseSpec.discrete(5))
+        cb = bb.uniform_init(6, grids, bb.PhaseSpec(5))
         assert all(e.array_id == order[0] for e in cb.entries)
 
     def test_multi_array_attribution_by_eigen_bound(self):
@@ -444,7 +448,7 @@ class TestUniformInit:
             "y": bb.oriented_ula_efield(spec, (0, 1, 0), theta_axis, phi_axis, "y"),
             "x": bb.oriented_ula_efield(spec, (1, 0, 0), theta_axis, phi_axis, "x"),
         }
-        cb = bb.uniform_init(12, grids, bb.PhaseSpec.discrete(5))
+        cb = bb.uniform_init(12, grids, bb.PhaseSpec(5))
         fib = bb.fibonacci_directions(12)
         for entry, theta, phi in zip(cb.entries, fib.theta, fib.phi):
             lams = {}
@@ -466,7 +470,7 @@ class TestCodebookJson:
     def test_round_trip_exact(self, iso_grid, tmp_path):
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec.discrete(5))
+        cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         path = tmp_path / "cb.json"
         bb.save_codebook(cb, path)
         back = bb.load_codebook(path)
@@ -476,7 +480,7 @@ class TestCodebookJson:
     def test_round_trip_exact_continuous(self, iso_grid, tmp_path):
         grid, _ = iso_grid
         rng = np.random.default_rng(3)
-        beams = [bb.BeamWeights(np.exp(1j * rng.uniform(-math.pi, math.pi, 4)) / 2.0, bb.PhaseSpec.continuous())
+        beams = [bb.BeamWeights(np.exp(1j * rng.uniform(-math.pi, math.pi, 4)) / 2.0, bb.PhaseSpec())
                  for _ in range(3)]
         cb = bb.Codebook(tuple(bb.CodebookEntry(grid.array_id, w) for w in beams))
         path = tmp_path / "cb.json"
@@ -485,7 +489,7 @@ class TestCodebookJson:
 
     def test_continuous_phase_bits_null(self, iso_grid, tmp_path):
         grid, _ = iso_grid
-        w = bb.BeamWeights(np.ones(4, dtype=complex) / 2.0, bb.PhaseSpec.continuous())
+        w = bb.BeamWeights(np.ones(4, dtype=complex) / 2.0, bb.PhaseSpec())
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, w),))
         path = tmp_path / "cb.json"
         bb.save_codebook(cb, path)
@@ -494,7 +498,7 @@ class TestCodebookJson:
     def test_summary_lists_aims_and_peaks(self, iso_grid):
         grid, dirs = iso_grid
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec.discrete(5), array_ids=[grid.array_id])
+        cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec(5), array_ids=[grid.array_id])
         resolved = bb.resolve_directions(grid, dirs)
         text = bb.codebook_summary(cb, resolved, bb.entry_gains_linear(resolved, cb))
         assert text.count("beam ") == 2

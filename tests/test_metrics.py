@@ -10,7 +10,7 @@ from beambook.metrics import db_from_linear, field_gains, linear_from_db
 
 
 def unimodular(phases):
-    return bb.BeamWeights(np.exp(1j * np.asarray(phases)) / math.sqrt(len(phases)), bb.PhaseSpec.continuous())
+    return bb.BeamWeights(np.exp(1j * np.asarray(phases)) / math.sqrt(len(phases)), bb.PhaseSpec())
 
 
 def gain_at(grid, weights, theta, phi):
@@ -26,7 +26,7 @@ def iso_grid():
 class TestBeamGain:
     def test_single_isotropic_element_unit_gain(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(1, 0.5))
-        w = bb.BeamWeights(np.array([1.0 + 0j]), bb.PhaseSpec.continuous())
+        w = bb.BeamWeights(np.array([1.0 + 0j]), bb.PhaseSpec())
         assert_allclose(field_gains(w, *grid.fields_at(dirs)), 1.0, rtol=1e-12)
 
     def test_cophased_coherent_combining(self, iso_grid):
@@ -124,7 +124,7 @@ class TestGapMap:
         grid, dirs = iso_grid
         et, ep = grid.fields_at(dirs)
         M = field_coherence(et[:, 60:61], ep[:, 60:61])
-        beam = bb.design_beam(M, bb.PhaseSpec.continuous(), "eigen")
+        beam = bb.design_beam(M, bb.PhaseSpec(), "eigen")
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, beam),))
         gap = bb.gap_map(bb.composite_pattern(grid, cb, dirs), bb.upper_bound_pattern(grid, dirs))
         assert gap.gains_db[60] < 1e-9
@@ -154,7 +154,7 @@ class TestGapDistribution:
         # bound is strong, leaving isolated holes that extra beams remove
         # (fractions below are frozen from this exact computation)
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5, element_pattern_q=2))
-        cands = bb.generate_candidates(grid, 64, "eigen", bb.PhaseSpec.discrete(5))
+        cands = bb.generate_candidates(grid, 64, "eigen", bb.PhaseSpec(5))
         bound = bb.upper_bound_pattern(grid, dirs)
         strong = bound.gains_db > bound.gains_db.max() - 10.0
         w = dirs.weights

@@ -33,7 +33,7 @@ def test_composite_never_exceeds_the_bound(elements, beams, scale, seed):
     for _ in range(beams):
         array_id = f"a{rng.integers(len(elements))}"
         phases = rng.uniform(0.0, 2.0 * np.pi, grids[array_id].num_elements)
-        entries.append(bb.CodebookEntry(array_id, bb.BeamWeights.from_phases(phases, bb.PhaseSpec.continuous())))
+        entries.append(bb.CodebookEntry(array_id, bb.BeamWeights.from_phases(phases, bb.PhaseSpec())))
     dirs = bb.mesh_directions(grids["a0"])
     resolved = bb.resolve_directions(grids, dirs)
     composite = bb.composite_gains_linear(bb.entry_gains_linear(resolved, bb.Codebook(tuple(entries))))

@@ -60,7 +60,7 @@ class TestBruteForce:
                         brute_force_b3(M, 2).gain, rtol=1e-12)
 
     def test_dominates_feasible_designs(self):
-        spec = bb.PhaseSpec.discrete(2)
+        spec = bb.PhaseSpec(2)
         for seed in range(25):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 40))
             opt = brute_force_b3(M, 2).gain

@@ -16,7 +16,7 @@ from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
 def values(tmp_path):
     """One instance of every public record and value type."""
-    spec = bb.PhaseSpec.discrete(2)
+    spec = bb.PhaseSpec(2)
     beam = bb.BeamWeights(np.full(4, 0.5 + 0.0j), spec)
     ula = bb.SyntheticUlaSpec(4, 0.5, sampling_factor=5)
     grid, dirs = bb.generate_ula_efield(ula)
@@ -49,20 +49,20 @@ def test_every_value_type_rejects_assignment(tmp_path):
 
 
 def test_records_are_named_tuples_that_unpack():
-    beam = bb.BeamWeights(np.full(2, np.sqrt(0.5) + 0.0j), bb.PhaseSpec.continuous())
+    beam = bb.BeamWeights(np.full(2, np.sqrt(0.5) + 0.0j), bb.PhaseSpec())
     array_id, weights = bb.CodebookEntry("ula", beam)
     assert (array_id, weights) == ("ula", beam)
     assert bb.CodebookEntry("ula", beam)._replace(array_id="b").array_id == "b"
 
 
 def test_value_types_compare_and_hash_by_value():
-    assert bb.PhaseSpec.discrete(3) == bb.PhaseSpec("discrete", 3) != bb.PhaseSpec.discrete(4)
-    assert len({bb.PhaseSpec.discrete(3), bb.PhaseSpec("discrete", 3), bb.PhaseSpec.continuous()}) == 2
+    assert bb.PhaseSpec(3) == bb.PhaseSpec(3) != bb.PhaseSpec(4)
+    assert len({bb.PhaseSpec(3), bb.PhaseSpec(3), bb.PhaseSpec()}) == 2
     assert bb.MeanGainCriterion(bb.CoverageRegion((0.0, 90.0))) == bb.MeanGainCriterion(bb.CoverageRegion((0.0, 90.0)))
     assert bb.PercentileMixCriterion([(50, 1)]) == bb.PercentileMixCriterion(((50.0, 1.0),))
     assert bb.SyntheticUlaSpec(4, 0.5) != bb.SyntheticUlaSpec(4, 0.65)
-    assert bb.PhaseSpec.continuous() != ("continuous", None)
-    assert repr(bb.PhaseSpec.discrete(3)) == "PhaseSpec(mode='discrete', bits=3)"
+    assert bb.PhaseSpec() != (None,)
+    assert repr(bb.PhaseSpec(3)) == "PhaseSpec(bits=3)"
 
 
 def test_cli_import_leaves_the_oracle_unloaded():
