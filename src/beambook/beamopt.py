@@ -49,9 +49,10 @@ class PhaseSpec(Frozen):
     """Phase-shifter resolution: ``bits``-bit phase shifters, or continuous ones when ``bits`` is None."""
 
     def __init__(self, bits: int | None = None):
-        if bits is not None and not (1 <= bits <= 16):
-            raise ValueError("discrete phase bits must be in 1..16")
-        self.__dict__.update(bits=bits)
+        integer = isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
+        if bits is not None and not (integer and 1 <= bits <= 16):
+            raise ValueError(f"discrete phase bits must be an integer in 1..16, got {bits!r}")
+        self.__dict__.update(bits=None if bits is None else int(bits))
 
     @property
     def is_discrete(self) -> bool:
@@ -234,28 +235,27 @@ class _Members(tuple):
 
 
 class SdrConvergenceError(RuntimeError):
-    """Relaxation solver hit its sweep cap; carries the best iterate: one solution, or a tuple of one per member.
+    """Relaxation solver hit its sweep cap; ``solution`` carries every member's best iterate, in stack order.
 
     ``members`` holds the stack positions of the relaxations that did not settle.
     """
 
-    def __init__(self, message: str, solution: SdrSolution | tuple[SdrSolution, ...], members: tuple[int, ...]):
+    def __init__(self, message: str, solution: tuple[SdrSolution, ...], members: tuple[int, ...]):
         super().__init__(message)
         self.solution = solution
         self.members = members
 
 
 def _hermitian_stack(M) -> np.ndarray:
-    """Validate one square Hermitian matrix or a stack (B, L, L) of them; return the Hermitian part as a stack."""
+    """Validate a stack (B, L, L) of square Hermitian matrices; return their Hermitian parts."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
-        raise ValueError("M must be square or a stack of square matrices")
-    stack = M.reshape((-1,) + M.shape[-2:])
-    H = stack.conj().transpose(0, 2, 1)
-    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
-    if np.any(np.abs(stack - H).max(axis=(1, 2)) > 1e-12 * scale):
+    if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[2] < 1:
+        raise ValueError(f"M must be a stack (B, L, L) of square matrices, got shape {M.shape}")
+    H = M.conj().transpose(0, 2, 1)
+    scale = np.maximum(np.abs(M).max(axis=(1, 2)), 1.0)
+    if np.any(np.abs(M - H).max(axis=(1, 2)) > 1e-12 * scale):
         raise ValueError("M must be Hermitian")
-    return 0.5 * (stack + H)
+    return 0.5 * (M + H)
 
 
 def _max_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +397,7 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     return W, obj, sweeps, improvement, stage_tol
 
 
-def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSolution | tuple[SdrSolution, ...]:
+def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     """Maximize tr(M W) over PSD W with every diagonal entry fixed to 1/L.
 
     Solved with a row-by-row block coordinate ascent: with all other rows
@@ -407,12 +407,11 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
     after which plain ascent polishes the solution.  Designed for the
     small dense matrices of beam design (L <= 16 or so).
 
-    ``M`` is one matrix, which gives an :class:`SdrSolution`, or a stack
-    of shape (B, L, L), which gives a tuple of B solutions.  A stack runs one
-    ascent over all its members at once; each member keeps its own barrier
-    stage, sweep count and stop test, so its solution is bit for bit the
-    one it gets alone.  Every solution carries a dual certificate
-    (``bound``).
+    ``M`` is a stack of shape (B, L, L); the result is a tuple of B
+    :class:`SdrSolution` records.  One ascent runs over all members at once;
+    each member keeps its own barrier stage, sweep count and stop test, so
+    its solution is bit for bit the one it gets in a stack of one.  Every
+    solution carries a dual certificate (``bound``).
 
     Rank-one inputs short-circuit to the exact analytic optimum (the
     co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
@@ -425,7 +424,6 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
         raise ValueError("tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    single = np.ndim(M) == 2
     M = _hermitian_stack(M)
     B, L, _ = M.shape
     trace = np.real(np.trace(M, axis1=1, axis2=2))
@@ -463,44 +461,34 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> SdrSo
             failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
 
     bound = _dual_bounds(M, W, objective)
-    solutions = tuple(
+    solutions = _Members(
         SdrSolution(W[b], float(objective[b]), int(sweeps[b]), abs(float(improvement[b])), int(rank[b]), float(bound[b]))
         for b in range(B)
     )
-    result = solutions[0] if single else _Members(solutions)
     if failed.any():
         b = int(np.argmax(failed))
-        member = "" if single else f" {b} of {B}"
         raise SdrConvergenceError(
-            f"relaxation{member} did not settle within {max_sweeps} sweeps (last improvement {improvement[b]:.3e})",
-            result,
+            f"relaxation {b} of {B} did not settle within {max_sweeps} sweeps (last improvement {improvement[b]:.3e})",
+            solutions,
             tuple(np.flatnonzero(failed).tolist()),
         )
-    return result
+    return solutions
 
 
-def _member_seeds(seed: int | Sequence[int], members: int) -> tuple[int, ...]:
-    seeds = (seed,) if np.ndim(seed) == 0 else tuple(seed)
-    if len(seeds) != members:
+def _member_seeds(seed: Sequence[int], members: int) -> tuple[int, ...]:
+    if np.ndim(seed) != 1 or len(seed) != members:
         raise ValueError("a stack of matrices takes one seed per member")
-    return seeds
-
-
-def _covariances(solution) -> np.ndarray:
-    """The W of one solution, or of every solution of a sequence, as a (B, L, L) stack."""
-    if isinstance(solution, SdrSolution):  # a tuple itself, so tested before the sequences
-        return solution.W[None]
-    return np.stack([s.W for s in solution])
+    return tuple(seed)
 
 
 def gaussian_randomization(
-    solution: SdrSolution | Sequence[SdrSolution],
+    solution: Sequence[SdrSolution],
     M: np.ndarray,
     n_rand: int,
     phase_spec: PhaseSpec,
-    seed: int | Sequence[int],
-) -> BeamWeights | tuple[BeamWeights, ...]:
-    """Round a relaxation solution to a feasible beam by randomized trials.
+    seed: Sequence[int],
+) -> tuple[BeamWeights, ...]:
+    """Round each relaxation solution of a stack to a feasible beam by randomized trials.
 
     Draws ``n_rand`` vectors from the zero-mean complex Gaussian with
     covariance W, projects each onto the feasible set (unit magnitudes,
@@ -511,18 +499,17 @@ def gaussian_randomization(
     draw; the result is bit for bit the first best of all draws.
     Deterministic for a given seed (NumPy PCG64 stream).
 
-    ``M`` may also be a stack of shape (B, L, L), with a sequence of B
-    solutions (a stacked :func:`solve_sdr` result), and one seed per member; the result is
-    then a tuple of B beams.  The stack shares one
+    ``M`` is a stack of shape (B, L, L), ``solution`` a sequence of B
+    solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
+    member; the result is a tuple of B beams.  The stack shares one
     ``eigh`` and one factor product; each member keeps its own stream and
     its own (L, n_rand) draws, so its beam is bit for bit the one it gets
-    alone.
+    in a stack of one.
     """
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
-    single = np.ndim(M) == 2
     M = _hermitian_stack(M)
-    W = _covariances(solution)
+    W = np.stack([s.W for s in solution])
     if W.shape != M.shape:
         raise ValueError("solutions and matrices must have the same stack shape")
     seeds = _member_seeds(seed, len(M))
@@ -566,8 +553,7 @@ def gaussian_randomization(
             feas = np.exp(1j * phases) / math.sqrt(L)
         gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M[b], feas))
         beams[b] = feas[:, int(np.argmax(gains))]
-    designed = BeamWeights._rows(beams, phase_spec)
-    return designed[0] if single else designed
+    return BeamWeights._rows(beams, phase_spec)
 
 
 class CoordinateDescentResult(NamedTuple):
@@ -584,9 +570,9 @@ def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def coordinate_descent(
     M: np.ndarray,
-    init: BeamWeights | Sequence[BeamWeights],
+    init: Sequence[BeamWeights],
     phase_spec: PhaseSpec,
-) -> CoordinateDescentResult | tuple[CoordinateDescentResult, ...]:
+) -> tuple[CoordinateDescentResult, ...]:
     """Cyclic phase updates; each step sets one phase to its conditional optimum.
 
     Element i is re-phased to align with the field contribution of the
@@ -595,15 +581,13 @@ def coordinate_descent(
     objective by less than 1e-12 * trace(M).  A vanishing off-diagonal
     contribution leaves that element untouched for the step.
 
-    ``M`` may also be a stack of shape (B, L, L) with one init per member;
-    the result is then a tuple of B results.  Each step
-    re-phases element i of every member still running; each member keeps
-    its own stop test and sweep cap, so its result is bit for bit the one
-    it gets alone.
+    ``M`` is a stack of shape (B, L, L) with one init per member; the
+    result is a tuple of B results.  Each step re-phases element i of every
+    member still running; each member keeps its own stop test and sweep
+    cap, so its result is bit for bit the one it gets in a stack of one.
     """
-    single = np.ndim(M) == 2
     M = _hermitian_stack(M)
-    inits = (init,) if single else tuple(init)
+    inits = tuple(init)
     B, L, _ = M.shape
     if len(inits) != B:
         raise ValueError("a stack of matrices takes one init per member")
@@ -645,10 +629,9 @@ def coordinate_descent(
     W[active] = Wa
     objectives = np.array(rows)
     beams = BeamWeights._rows(W, phase_spec)
-    results = tuple(
+    return _Members(
         CoordinateDescentResult(beam, objectives[: sweeps[b] + 1, b].copy()) for b, beam in enumerate(beams)
     )
-    return results[0] if single else _Members(results)
 
 
 def _canonical_global_phase(W: np.ndarray) -> np.ndarray:
@@ -663,10 +646,11 @@ def design_beam(
     M: np.ndarray,
     phase_spec: PhaseSpec,
     strategy: str = "sdr_grp_cd",
-    seed: int | Sequence[int] = 0,
+    *,
+    seed: Sequence[int],
     n_rand: int = 1000,
-) -> BeamWeights | tuple[BeamWeights, ...]:
-    """Design one beam for a coherence matrix under the given phase constraint.
+) -> tuple[BeamWeights, ...]:
+    """Design one beam for each coherence matrix of a stack under the given phase constraint.
 
     Strategies:
 
@@ -676,14 +660,13 @@ def design_beam(
       randomization.
     * ``sdr_grp_cd``: additionally polish with coordinate descent.
 
-    The result is deterministic in (M, phase_spec, strategy, seed) and is
-    normalized to a zero phase on element 0.
-
-    ``M`` may also be a stack of shape (B, L, L) with one seed per member.
-    Every stage then runs once over the whole stack: one :func:`solve_sdr`,
-    one :func:`gaussian_randomization` (each member on its own seed) and
-    one :func:`coordinate_descent` call.  The result is a tuple of B beams,
-    each equal to the beam of a single call with that member and seed.
+    ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
+    member.  Every stage runs once over the whole stack: one
+    :func:`solve_sdr`, one :func:`gaussian_randomization` (each member on
+    its own seed) and one :func:`coordinate_descent` call.  The result is a
+    tuple of B beams, each deterministic in (member, phase_spec, strategy,
+    seed), equal to the beam of a stack of one, and normalized to a zero
+    phase on element 0.
 
     A relaxation that hits :func:`solve_sdr`'s sweep cap does not abort the
     design: randomization starts from the best iterate the
@@ -692,7 +675,6 @@ def design_beam(
     """
     if strategy not in ("eigen", "sdr_grp", "sdr_grp_cd"):
         raise ValueError(f"unknown strategy '{strategy}'")
-    single = np.ndim(M) == 2
     stack = _hermitian_stack(M)
     seeds = _member_seeds(seed, len(stack))
     if strategy == "eigen":
@@ -705,15 +687,13 @@ def design_beam(
             relaxed = exc.solution
             for b in exc.members:
                 best = relaxed[b]
-                member = "" if single else f" {b} of {len(stack)}"
                 warnings.warn(
-                    f"relaxation{member} did not settle within {best.iterations} sweeps; designing from its best "
-                    f"iterate (certified gap {best.bound - best.objective:.3e})",
+                    f"relaxation {b} of {len(stack)} did not settle within {best.iterations} sweeps; "
+                    f"designing from its best iterate (certified gap {best.bound - best.objective:.3e})",
                     stacklevel=2,
                 )
         beams = gaussian_randomization(relaxed, stack, n_rand, phase_spec, seeds)
         if strategy == "sdr_grp_cd":
             beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
     W = np.stack([beam.weights for beam in beams])
-    designed = BeamWeights._rows(_canonical_global_phase(W), phase_spec)
-    return designed[0] if single else designed
+    return BeamWeights._rows(_canonical_global_phase(W), phase_spec)

@@ -333,7 +333,7 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
     for i, a in enumerate(best):
         array_id, (_, et, ep) = per_array[a]
         M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
-        entries.append(CodebookEntry(array_id, design_beam(M, phase_spec, "eigen")))
+        entries.append(CodebookEntry(array_id, design_beam(M[None], phase_spec, "eigen", seed=[0])[0]))
     return Codebook(entries)
 
 

@@ -62,6 +62,7 @@ class DirectionSet(Frozen):
         if not np.all(np.abs(phi) < np.inf):
             raise ValueError("non-finite phi")
         phi = np.mod(phi, 360.0)
+        phi[phi == 360.0] = 0.0  # np.mod rounds a tiny negative phi up to 360.0
         if not np.all(weights >= 0.0):
             raise ValueError("negative or NaN quadrature weight")
         if not abs(weights.sum() - 1.0) <= 1e-12:
@@ -186,8 +187,8 @@ class EFieldGrid(Frozen):
     def num_elements(self) -> int:
         return self.e_theta.shape[0]
 
-    def resolve(self, theta, phi, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (it, ip) of the mesh node nearest to each direction.
+    def resolve(self, dirs: DirectionSet, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (it, ip) of the mesh node nearest to each direction of ``dirs``.
 
         Theta and phi are rounded independently; phi distance wraps at
         360.  Equidistant nodes resolve to the lower index.  Where every
@@ -195,20 +196,18 @@ class EFieldGrid(Frozen):
         With ``tol`` the lookup is exact: the first direction farther than
         ``tol`` from its node raises KeyError.
         """
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        it, d_theta = _nearest_node(self.theta_axis, theta, circular=False)
-        ip, d_phi = _nearest_node(self.phi_axis, np.mod(phi, 360.0), circular=True)
+        it, d_theta = _nearest_node(self.theta_axis, dirs.theta, circular=False)
+        ip, d_phi = _nearest_node(self.phi_axis, dirs.phi, circular=True)
         off = (d_theta > tol) | (d_phi > tol) if tol is not None else False
         if np.any(off):
             k = int(np.argmax(off))
-            raise KeyError(f"direction (theta={float(theta.flat[k])}, phi={float(phi.flat[k])}) "
+            raise KeyError(f"direction (theta={float(dirs.theta[k])}, phi={float(dirs.phi[k])}) "
                            f"is not on the mesh of '{self.array_id}'")
         return it, ip
 
     def fields_at(self, dirs: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
         """Field matrices (num_elements, len(dirs)) at on-mesh directions."""
-        it, ip = self.resolve(dirs.theta, dirs.phi, tol=1e-9)
+        it, ip = self.resolve(dirs, tol=1e-9)
         return self.e_theta[:, it, ip], self.e_phi[:, it, ip]
 
 
@@ -285,7 +284,7 @@ def snap_to_grid(dirs: DirectionSet, grid: EFieldGrid) -> DirectionSet:
 
     Duplicates are retained so that quadrature weights keep their meaning.
     """
-    it, ip = grid.resolve(dirs.theta, dirs.phi)
+    it, ip = grid.resolve(dirs)
     return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights)
 
 

@@ -65,10 +65,10 @@ def test_criterion_3_oracle_equivalence():
     sdr_ratios = []
     for seed in range(200):
         M = random_instance(RandomInstanceSpec(4, 2, seed))
-        beam = bb.design_beam(M, spec, "sdr_grp_cd", seed=seed, n_rand=1000)
+        (beam,) = bb.design_beam(M[None], spec, "sdr_grp_cd", seed=[seed], n_rand=1000)
         achieved = beam.gain(M)
         optimum = brute_force_b3(M, bits).gain
-        relaxation = bb.solve_sdr(M).objective
+        relaxation = bb.solve_sdr(M[None])[0].objective
         if achieved >= optimum - 1e-9 * max(optimum, 1.0):
             hits += 1
         worst_ratio = min(worst_ratio, achieved / optimum)
@@ -96,7 +96,7 @@ def test_criterion_4_bound_chain():
                 trace = float(np.real(np.trace(M)))
                 slack = 1e-8 * max(trace, 1.0)
                 (lam,), (v,) = _max_eigenpairs(M[None])
-                sdr = bb.solve_sdr(M)
+                (sdr,) = bb.solve_sdr(M[None])
                 b3 = brute_force_b3(M, 2).gain
                 assert b3 <= sdr.objective + slack
                 assert sdr.objective <= lam + slack
@@ -104,7 +104,7 @@ def test_criterion_4_bound_chain():
                     np.exp(1j * np.where(np.abs(v) > 0, np.angle(v), 0.0)) / math.sqrt(L),
                     bb.PhaseSpec(),
                 )
-                cd = bb.coordinate_descent(M, init, bb.PhaseSpec())
+                (cd,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
                 assert np.all(np.diff(cd.objectives) >= -1e-12 * max(trace, 1.0))
                 assert b3 <= cd.objectives[-1] + slack <= lam + 2 * slack
                 if rank == 1:

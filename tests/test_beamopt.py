@@ -128,25 +128,47 @@ class TestBeamWeights:
             bb.PhaseSpec(0)
         with pytest.raises(ValueError):
             bb.PhaseSpec(17)
+        for bits in (2.5, 3.0, True, False, np.True_, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match="integer"):
+                bb.PhaseSpec(bits)
+        spec = bb.PhaseSpec(np.int64(3))
+        assert type(spec.bits) is int and spec == bb.PhaseSpec(3) and repr(spec) == "PhaseSpec(bits=3)"
+
+
+@pytest.mark.parametrize("stage", ["solve_sdr", "gaussian_randomization", "coordinate_descent", "design_beam"])
+def test_every_stage_rejects_a_single_matrix(stage):
+    M = random_instance(RandomInstanceSpec(3, 2, 1))
+    spec = bb.PhaseSpec(2)
+    (solution,) = bb.solve_sdr(M[None])
+    init = bb.BeamWeights(np.full(3, 1 / math.sqrt(3), dtype=complex), spec)
+    calls = {
+        "solve_sdr": bb.solve_sdr,
+        "gaussian_randomization": lambda m: bb.gaussian_randomization([solution], m, 10, spec, seed=[0]),
+        "coordinate_descent": lambda m: bb.coordinate_descent(m, [init], spec),
+        "design_beam": lambda m: bb.design_beam(m, spec, seed=[0], n_rand=10),
+    }
+    assert len(calls[stage](M[None])) == 1
+    with pytest.raises(ValueError, match=r"stack \(B, L, L\)"):
+        calls[stage](M)
 
 
 class TestSolveSdr:
     def test_cophasable_rank_one_attains_eigen_bound(self):
         m = np.exp(1j * np.array([0.1, 1.2, -2.0, 0.7]))  # equal magnitudes
         M = np.outer(m, m.conj())
-        sol = bb.solve_sdr(M)
+        (sol,) = bb.solve_sdr(M[None])
         assert_allclose(sol.objective, np.linalg.eigvalsh(M)[-1], rtol=1e-12)
         assert sol.rank == 1
 
     def test_scaled_identity_objective_is_constant(self):
         c = 3.7
-        sol = bb.solve_sdr(c * np.eye(5, dtype=complex))
+        (sol,) = bb.solve_sdr(c * np.eye(5, dtype=complex)[None])
         assert_allclose(sol.objective, c, rtol=1e-12)
 
     def test_diagonal_constraint_and_psd(self):
         for seed in range(10):
             M = random_instance(RandomInstanceSpec(4, 2, seed))
-            sol = bb.solve_sdr(M)
+            (sol,) = bb.solve_sdr(M[None])
             assert_allclose(np.real(np.diag(sol.W)), 0.25, atol=1e-8)
             assert np.max(np.abs(np.imag(np.diag(sol.W)))) < 1e-10
             vals = np.linalg.eigvalsh(sol.W)
@@ -155,7 +177,7 @@ class TestSolveSdr:
     def test_objective_between_discrete_optimum_and_eigen_bound(self):
         for seed in range(10):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 50))
-            sol = bb.solve_sdr(M)
+            (sol,) = bb.solve_sdr(M[None])
             b3 = brute_force_b3(M, 5).gain
             lam = np.linalg.eigvalsh(M)[-1]
             slack = 1e-8 * np.trace(M).real
@@ -165,7 +187,7 @@ class TestSolveSdr:
         cp = pytest.importorskip("cvxpy")
         for seed, L in ((0, 3), (1, 4), (2, 6), (3, 8)):
             M = random_instance(RandomInstanceSpec(L, 2, seed + 500))
-            sol = bb.solve_sdr(M)
+            (sol,) = bb.solve_sdr(M[None])
             W = cp.Variable((L, L), hermitian=True)
             constraints = [W >> 0] + [cp.real(W[i, i]) == 1.0 / L for i in range(L)]
             problem = cp.Problem(cp.Maximize(cp.real(cp.trace(M @ W))), constraints)
@@ -176,7 +198,7 @@ class TestSolveSdr:
         cp = pytest.importorskip("cvxpy")
         L = 16
         M = random_instance(RandomInstanceSpec(L, 2, 60))
-        sol = bb.solve_sdr(M)
+        (sol,) = bb.solve_sdr(M[None])
         W = cp.Variable((L, L), hermitian=True)
         constraints = [W >> 0] + [cp.real(W[i, i]) == 1.0 / L for i in range(L)]
         problem = cp.Problem(cp.Maximize(cp.real(cp.trace(M @ W))), constraints)
@@ -194,19 +216,19 @@ class TestSolveSdr:
         # the certified bound caps the relaxation optimum, so a small
         # certified gap proves the objective is within the same tolerance.
         M = random_instance(spec)
-        sol = bb.solve_sdr(M)
+        (sol,) = bb.solve_sdr(M[None])
         trace = np.trace(M).real
         lam = np.linalg.eigvalsh(M)[-1]
         assert sol.objective <= sol.bound <= lam + 1e-8 * trace
         assert sol.bound - sol.objective <= 1e-5 * trace
 
     def test_shortcut_certificates(self):
-        zero = bb.solve_sdr(np.zeros((3, 3)))
+        (zero,) = bb.solve_sdr(np.zeros((1, 3, 3)))
         assert zero.bound == zero.objective == 0.0
         m = np.exp(1j * np.array([0.1, 1.2, -2.0, 0.7]))
-        rank_one = bb.solve_sdr(np.outer(m, m.conj()))
+        (rank_one,) = bb.solve_sdr(np.outer(m, m.conj())[None])
         assert rank_one.objective <= rank_one.bound <= rank_one.objective + 1e-12 * 4.0
-        single = bb.solve_sdr(np.array([[2.5]]))
+        (single,) = bb.solve_sdr(np.array([[[2.5]]]))
         assert single.objective == single.bound == 2.5
 
     def test_stack_returns_batch_with_slowest_member_sweeps(self):
@@ -224,27 +246,27 @@ class TestSolveSdr:
         from beambook.beamopt import SdrConvergenceError
 
         M = random_instance(RandomInstanceSpec(6, 3, 5))
-        with pytest.raises(SdrConvergenceError) as excinfo:
-            bb.solve_sdr(M, max_sweeps=1)
-        best = excinfo.value.solution
+        with pytest.raises(SdrConvergenceError, match="relaxation 0 of 1 did not settle") as excinfo:
+            bb.solve_sdr(M[None], max_sweeps=1)
+        (best,) = excinfo.value.solution
         assert_allclose(np.real(np.diag(best.W)), 1.0 / 6.0, atol=1e-10)
         assert best.residual > 0.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            bb.solve_sdr(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+            bb.solve_sdr(np.array([[[0.0, 1.0], [0.0, 0.0]]]))  # not Hermitian
         with pytest.raises(ValueError):
             bb.solve_sdr(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))  # one member not Hermitian
         with pytest.raises(ValueError):
             bb.solve_sdr(np.stack([np.eye(2), -np.eye(2)]))  # one member not PSD
         with pytest.raises(ValueError):
-            bb.solve_sdr(np.ones((2, 3)))  # not square
+            bb.solve_sdr(np.ones((1, 2, 3)))  # not square
         with pytest.raises(ValueError):
-            bb.solve_sdr(np.ones(3))  # neither a matrix nor a stack
+            bb.solve_sdr(np.ones(3))  # not a stack
         with pytest.raises(ValueError):
-            bb.solve_sdr(-np.eye(2))  # not PSD
+            bb.solve_sdr(-np.eye(2)[None])  # not PSD
         with pytest.raises(ValueError):
-            bb.solve_sdr(np.eye(2), tol=0.0)
+            bb.solve_sdr(np.eye(2)[None], tol=0.0)
 
     @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1e-9}, {"max_sweeps": 0}, {"max_sweeps": -1}])
     def test_rejects_bad_solver_settings(self, kwargs):
@@ -253,7 +275,7 @@ class TestSolveSdr:
         # SdrConvergenceError after no sweep at all.
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="tol|max_sweeps"):
-            bb.solve_sdr(M, **kwargs)
+            bb.solve_sdr(M[None], **kwargs)
         with pytest.raises(ValueError, match="tol|max_sweeps"):
             bb.solve_sdr(np.stack([M, np.eye(2)]), **kwargs)
 
@@ -263,34 +285,34 @@ class TestGaussianRandomization:
         rng = np.random.default_rng(4)
         m = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
         M = np.outer(m, m.conj())
-        sol = bb.solve_sdr(M)
-        beam = bb.gaussian_randomization(sol, M, 100, bb.PhaseSpec(), seed=0)
+        (beam,) = bb.gaussian_randomization(bb.solve_sdr(M[None]), M[None], 100, bb.PhaseSpec(), seed=[0])
         assert_allclose(beam.gain(M), cophased_gain_bound(M), rtol=1e-12)
 
     def test_lattice_aligned_discrete_is_exact(self):
         m = np.array([1.0, 1.0j, -1.0, -1.0j])
         M = np.outer(m, m.conj())
-        sol = bb.solve_sdr(M)
-        beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec(2), seed=1)
+        (beam,) = bb.gaussian_randomization(bb.solve_sdr(M[None]), M[None], 1000, bb.PhaseSpec(2), seed=[1])
         assert_allclose(beam.gain(M), 4.0, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
-        M = random_instance(RandomInstanceSpec(4, 2, 11))
+        M = random_instance(RandomInstanceSpec(4, 2, 11))[None]
         sol = bb.solve_sdr(M)
-        a = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=42)
-        b = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=42)
+        (a,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
+        (b,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
         assert np.array_equal(a.weights, b.weights)
 
-    def test_one_solution_reads_as_one_and_a_tuple_as_a_stack(self):
+    def test_a_bare_solution_is_rejected_and_any_sequence_reads_as_a_stack(self):
         # An SdrSolution is a tuple itself; it must never be read as a sequence of solutions.
         M = np.stack([random_instance(RandomInstanceSpec(4, 2, s)) for s in (11, 12, 13)])
         spec = bb.PhaseSpec(3)
         solutions = bb.solve_sdr(M)
-        one = bb.gaussian_randomization(solutions[0], M[0], 200, spec, seed=42)
+        with pytest.raises(AttributeError):
+            bb.gaussian_randomization(solutions[0], M[:1], 200, spec, seed=[42])
+        (one,) = bb.gaussian_randomization(solutions[:1], M[:1], 200, spec, seed=[42])
         assert isinstance(one, bb.BeamWeights)
-        assert bb.gaussian_randomization(solutions[0], M[:1], 200, spec, seed=[42]) == (one,)
         stacked = bb.gaussian_randomization(solutions, M, 200, spec, seed=[42, 43, 44])
         assert bb.gaussian_randomization(tuple(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
+        assert bb.gaussian_randomization(list(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
         assert stacked[0] == one
         # Lattice indices of the beams, as the stacked call picked them before its solutions became a tuple.
         expected = [[6, 1, 7, 4], [6, 1, 0, 2], [6, 2, 5, 7]]
@@ -304,8 +326,8 @@ class TestGaussianRandomization:
         ratios = []
         for seed in range(40):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 900))
-            sol = bb.solve_sdr(M)
-            beam = bb.gaussian_randomization(sol, M, 1000, bb.PhaseSpec(bits), seed=seed)
+            (sol,) = bb.solve_sdr(M[None])
+            (beam,) = bb.gaussian_randomization([sol], M[None], 1000, bb.PhaseSpec(bits), seed=[seed])
             ratios.append(beam.gain(M) / sol.objective)
         assert np.mean(ratios) >= ratio_bound
 
@@ -317,7 +339,7 @@ class TestCoordinateDescent:
         M = np.outer(m, m.conj())
         _, v = top_eigenpair(M)
         init = bb.BeamWeights(np.exp(1j * np.angle(v)) / math.sqrt(5), bb.PhaseSpec())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
+        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
         assert_allclose(result.objectives[-1], cophased_gain_bound(M), rtol=1e-12)
 
     def test_optimal_input_is_fixed_point(self):
@@ -325,7 +347,7 @@ class TestCoordinateDescent:
         M = np.outer(m, m.conj())
         w = m / 2.0
         init = bb.BeamWeights(w, bb.PhaseSpec())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
+        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
         assert_allclose(result.weights.weights, w, atol=1e-12)
         assert result.objectives.size == 2  # one sweep confirms convergence
 
@@ -334,7 +356,7 @@ class TestCoordinateDescent:
             M = random_instance(RandomInstanceSpec(4, 2, seed + 100))
             _, v = top_eigenpair(M)
             init = bb.BeamWeights(np.exp(1j * np.angle(v)) / 2.0, bb.PhaseSpec())
-            result = bb.coordinate_descent(M, init, bb.PhaseSpec())
+            (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
             assert np.all(np.diff(result.objectives) >= -1e-12 * np.trace(M).real)
             assert result.objectives[-1] >= result.objectives[0]
             assert result.objectives[-1] <= np.linalg.eigvalsh(M)[-1] + 1e-8
@@ -343,12 +365,12 @@ class TestCoordinateDescent:
         M = random_instance(RandomInstanceSpec(3, 2, 0))
         init = bb.BeamWeights(np.exp(1j * np.array([0.0, 0.3, 0.9])) / math.sqrt(3), bb.PhaseSpec())
         with pytest.raises(ValueError):
-            bb.coordinate_descent(M, init, bb.PhaseSpec(2))
+            bb.coordinate_descent(M[None], [init], bb.PhaseSpec(2))
 
     def test_zero_coupling_leaves_element_unchanged(self):
         M = np.diag([1.0, 2.0]).astype(complex)  # off-diagonal contributions vanish
         init = bb.BeamWeights(np.exp(1j * np.array([0.4, 1.1])) / math.sqrt(2), bb.PhaseSpec())
-        result = bb.coordinate_descent(M, init, bb.PhaseSpec())
+        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
         assert np.array_equal(result.weights.weights, init.weights)
 
 
@@ -359,11 +381,9 @@ class TestDesignBeam:
         spec = bb.PhaseSpec(5)
         gains = {}
         for strategy in ("eigen", "sdr_grp", "sdr_grp_cd"):
-            beam = bb.design_beam(M, spec, strategy, seed=3)
+            (beam,) = bb.design_beam(M[None], spec, strategy, seed=[3])
             gains[strategy] = beam.gain(M) / np.trace(M).real * 4  # normalize to element count
-            assert_allclose(
-                bb.design_beam(M, spec, strategy, seed=3).weights, beam.weights
-            )  # deterministic
+            assert bb.design_beam(M[None], spec, strategy, seed=[3]) == (beam,)  # deterministic
         for g in gains.values():
             assert_allclose(g, 4.0, rtol=1e-10)
 
@@ -372,8 +392,8 @@ class TestDesignBeam:
         for seed in range(60):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 300))
             slack = 1e-8 * np.trace(M).real
-            ge = bb.design_beam(M, spec, "eigen").gain(M)
-            gc = bb.design_beam(M, spec, "sdr_grp_cd", seed=seed, n_rand=300).gain(M)
+            ge = bb.design_beam(M[None], spec, "eigen", seed=[0])[0].gain(M)
+            gc = bb.design_beam(M[None], spec, "sdr_grp_cd", seed=[seed], n_rand=300)[0].gain(M)
             assert ge <= gc + slack
 
     def test_feasible_gain_chain(self):
@@ -382,9 +402,9 @@ class TestDesignBeam:
             M = random_instance(RandomInstanceSpec(4, 2, seed + 700))
             slack = 1e-8 * np.trace(M).real
             lam = np.linalg.eigvalsh(M)[-1]
-            sdr = bb.solve_sdr(M)
+            (sdr,) = bb.solve_sdr(M[None])
             b3 = brute_force_b3(M, 2).gain
-            beam = bb.design_beam(M, bb.PhaseSpec(2), "sdr_grp_cd", seed=seed)
+            (beam,) = bb.design_beam(M[None], bb.PhaseSpec(2), "sdr_grp_cd", seed=[seed])
             assert beam.gain(M) <= b3 + slack
             assert b3 <= sdr.objective + slack <= lam + 2 * slack
 
@@ -398,28 +418,28 @@ class TestDesignBeam:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            bb.design_beam(np.eye(2), bb.PhaseSpec(), "annealing")
+            bb.design_beam(np.eye(2)[None], bb.PhaseSpec(), "annealing", seed=[0])
 
     @pytest.mark.parametrize("strategy", ["sdr_grp", "sdr_grp_cd"])
     def test_relaxation_at_the_sweep_cap_degrades_instead_of_aborting(self, strategy):
         # This instance's relaxation is still improving by 1.4e-08 per sweep at the 5000-sweep cap.
         capped = random_instance(RandomInstanceSpec(3, 3, 238))
         with pytest.raises(bb.SdrConvergenceError) as excinfo:
-            bb.solve_sdr(capped)
-        best = excinfo.value.solution
+            bb.solve_sdr(capped[None])
+        (best,) = excinfo.value.solution
         assert best.iterations == 5000 and 0.0 < best.bound - best.objective < 1e-4
         assert excinfo.value.members == (0,)
         spec = bb.PhaseSpec(3)
         gap = f"certified gap {best.bound - best.objective:.3e}"
         with pytest.warns(UserWarning) as fallbacks:
-            beam = bb.design_beam(capped, spec, strategy, seed=5)
+            (beam,) = bb.design_beam(capped[None], spec, strategy, seed=[5])
         assert [str(w.message) for w in fallbacks] == [
-            f"relaxation did not settle within 5000 sweeps; designing from its best iterate ({gap})"
+            f"relaxation 0 of 1 did not settle within 5000 sweeps; designing from its best iterate ({gap})"
         ]
         assert beam.gain(capped) <= best.bound
         if strategy == "sdr_grp_cd":
             assert beam.gain(capped) == pytest.approx(brute_force_b3(capped, 3).gain, rel=1e-12)
-        # Inside a stack the capped member gets the same beam, and every other member its single-call beam.
+        # Inside a stack the capped member gets the same beam, and every other member its beam of a stack of one.
         others = [random_instance(RandomInstanceSpec(3, rank, seed)) for rank, seed in ((1, 1), (3, 2), (2, 3))]
         with pytest.warns(UserWarning) as fallbacks:
             stacked = bb.design_beam(np.stack([others[0], capped, *others[1:]]), spec, strategy, seed=[1, 5, 2, 3])
@@ -428,9 +448,9 @@ class TestDesignBeam:
         ]
         assert stacked[1] == beam
         for member, seed, got in zip(others, (1, 2, 3), (stacked[0], *stacked[2:])):
-            assert got == bb.design_beam(member, spec, strategy, seed=seed)
+            assert (got,) == bb.design_beam(member[None], spec, strategy, seed=[seed])
 
     def test_canonical_global_phase(self):
         M = random_instance(RandomInstanceSpec(4, 2, 77))
-        beam = bb.design_beam(M, bb.PhaseSpec(3), "sdr_grp_cd", seed=5)
+        (beam,) = bb.design_beam(M[None], bb.PhaseSpec(3), "sdr_grp_cd", seed=[5])
         assert abs(np.angle(beam.weights[0])) < 1e-12

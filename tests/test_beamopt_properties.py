@@ -1,4 +1,7 @@
-"""Property tests of the stacked pipeline stages, phase quantization and the dual certificate."""
+"""Property tests of the stacked pipeline stages, phase quantization and the dual certificate.
+
+A member's call alone is a call on a stack of one: every stage takes only (B, L, L) stacks.
+"""
 
 import math
 
@@ -39,11 +42,12 @@ def assert_same_solution(a: bb.SdrSolution, b: bb.SdrSolution) -> None:
 
 
 def solve_alone(M: np.ndarray, **kwargs) -> bb.SdrSolution:
-    """One member's solution, also when its solve hits the sweep cap."""
+    """One member's solution from a stack of one, also when its solve hits the sweep cap."""
     try:
-        return bb.solve_sdr(M, **kwargs)
+        (solution,) = bb.solve_sdr(M[None], **kwargs)
     except bb.SdrConvergenceError as exc:
-        return exc.solution
+        (solution,) = exc.solution
+    return solution
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,7 +59,8 @@ def test_stacked_solve_equals_member_solves_bit_for_bit(case):
     solutions = bb.solve_sdr(M)
     assert isinstance(solutions, tuple) and len(solutions) == len(M)
     for m, solution in zip(M, solutions):
-        assert_same_solution(solution, bb.solve_sdr(m))
+        (alone,) = bb.solve_sdr(m[None])
+        assert_same_solution(solution, alone)
     assert solutions.iterations == max(s.iterations for s in solutions)
 
 
@@ -73,7 +78,8 @@ def test_stacked_design_equals_member_designs_bit_for_bit(case, strategy, bits, 
     beams = bb.design_beam(M, spec, strategy, seed=seeds, n_rand=40)
     assert len(beams) == len(M)
     for m, s, beam in zip(M, seeds, beams):
-        assert np.array_equal(beam.weights, bb.design_beam(m, spec, strategy, seed=s, n_rand=40).weights)
+        (alone,) = bb.design_beam(m[None], spec, strategy, seed=[s], n_rand=40)
+        assert np.array_equal(beam.weights, alone.weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,10 +97,7 @@ def test_bound_chain_brute_force_sdr_certificate_eigenvalue(L, rank, bits, seed)
     M = random_instance(RandomInstanceSpec(L, min(rank, L), seed))
     trace = np.trace(M).real
     best = brute_force_b3(M, bits).gain
-    try:
-        sol = bb.solve_sdr(M)
-    except bb.SdrConvergenceError as exc:  # the chain holds on the iterate it carries too
-        sol = exc.solution
+    sol = solve_alone(M)  # at the sweep cap the chain holds on the iterate it carries too
     lam = np.linalg.eigvalsh(M)[-1]
     slack = 1e-8 * trace
     assert best <= sol.bound + 1e-12 * trace  # certified: holds up to rounding alone
@@ -116,7 +119,8 @@ def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
         assert_same_solution(solution, solve_alone(m, max_sweeps=1))
         assert np.allclose(np.real(np.diag(solution.W)), 1.0 / L, atol=1e-10)
         # The certificate of an early iterate already caps the converged optimum.
-        assert solution.bound >= bb.solve_sdr(m).objective - 1e-12 * np.trace(m).real
+        (converged,) = bb.solve_sdr(m[None])
+        assert solution.bound >= converged.objective - 1e-12 * np.trace(m).real
 
 
 def phase_spec(bits: int | None) -> bb.PhaseSpec:
@@ -138,7 +142,7 @@ def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, b
     assert isinstance(beams, tuple) and len(beams) == len(M)
     from_list = bb.gaussian_randomization(list(solutions), M, 30, spec, seeds)
     for m, solution, s, beam, other in zip(M, solutions, seeds, beams, from_list):
-        alone = bb.gaussian_randomization(solution, m, 30, spec, s)
+        (alone,) = bb.gaussian_randomization([solution], m[None], 30, spec, [s])
         assert np.array_equal(beam.weights, alone.weights) and np.array_equal(other.weights, alone.weights)
 
     polished = bb.coordinate_descent(M, beams, spec)
@@ -148,7 +152,7 @@ def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, b
     rows = max(result.objectives.size for result in polished)
     assert polished.objectives.shape == (rows, len(M))
     for b, (m, beam, result) in enumerate(zip(M, beams, polished)):
-        alone = bb.coordinate_descent(m, beam, spec)
+        (alone,) = bb.coordinate_descent(m[None], [beam], spec)
         assert np.array_equal(result.weights.weights, alone.weights.weights)
         assert np.array_equal(result.objectives, alone.objectives)
         n = alone.objectives.size
@@ -214,7 +218,7 @@ def test_phase_is_mod_of_angle_bit_for_bit():
 
 def randomize_every_draw(solution: bb.SdrSolution, M: np.ndarray, n_rand: int, spec: bb.PhaseSpec, seed: int):
     """Reference: score every one of the n_rand draws, repeats included, and keep the first best draw."""
-    M = beamopt_module._hermitian_stack(M)[0]
+    M = beamopt_module._hermitian_stack(M[None])[0]
     L = M.shape[0]
     vals, vecs = np.linalg.eigh(solution.W[None])
     vals = np.clip(vals, 0.0, None)
@@ -258,8 +262,8 @@ def randomize_every_draw(solution: bb.SdrSolution, M: np.ndarray, n_rand: int, s
 def test_randomization_equals_scoring_every_draw_bit_for_bit(L, kind, instance, bits, n_rand, seed):
     M = member(L, kind, instance)
     spec = phase_spec(bits)
-    solution = bb.solve_sdr(M)
-    beam = bb.gaussian_randomization(solution, M, n_rand, spec, seed)
+    (solution,) = bb.solve_sdr(M[None])
+    (beam,) = bb.gaussian_randomization([solution], M[None], n_rand, spec, [seed])
     assert beam.weights.tobytes() == randomize_every_draw(solution, M, n_rand, spec, seed).tobytes()
 
 

@@ -164,8 +164,8 @@ class TestCandidates:
         # broadside: progressive phases are all zero, exactly on any lattice
         ds = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
         M = field_coherence(*grid.fields_at(ds))
-        eig = bb.design_beam(M, bb.PhaseSpec(5), "eigen")
-        it = bb.design_beam(M, bb.PhaseSpec(5), "sdr_grp_cd", seed=9)
+        (eig,) = bb.design_beam(M[None], bb.PhaseSpec(5), "eigen", seed=[0])
+        (it,) = bb.design_beam(M[None], bb.PhaseSpec(5), "sdr_grp_cd", seed=[9])
         assert_allclose(eig.weights, it.weights, atol=1e-12)
 
     def test_quasi_uniform_spacing(self):
@@ -355,7 +355,7 @@ class TestKMeans:
             return design_beam(M, *args, **kwargs)
 
         def one_by_one(M, *args, seed, **kwargs):
-            return tuple(design_beam(m, *args, seed=s, **kwargs) for m, s in zip(M, seed))
+            return tuple(design_beam(m[None], *args, seed=[s], **kwargs)[0] for m, s in zip(M, seed))
 
         monkeypatch.setattr(codebook_module, "design_beam", spy)
         stacked = bb.kmeans_codebook(grids, **run)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+from beambook.cli import main
 from beambook.efield import GAIN_FACTOR, GridFormatError, field_coherence
+from beambook.metrics import write_pattern_csv
 
 
 def small_grid(L=2, nt=3, np_=3, seed=0):
@@ -60,7 +64,7 @@ class TestGridCsv:
 class TestSyntheticUla:
     def test_broadside_phases_and_magnitudes(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
-        it, ip = grid.resolve(90.0, 0.0, tol=1e-9)
+        (it,), (ip,) = grid.resolve(bb.DirectionSet([90.0], [0.0], [1.0]), tol=1e-9)
         e = grid.e_theta[:, it, ip]
         # per-element realized gain is the element pattern (1 for isotropic)
         assert_allclose(GAIN_FACTOR * np.abs(e) ** 2, [1.0, 1.0], atol=1e-12)
@@ -68,7 +72,7 @@ class TestSyntheticUla:
 
     def test_endfire_half_wavelength_is_antiphase(self):
         grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
-        it, ip = grid.resolve(0.0, 0.0, tol=1e-9)
+        (it,), (ip,) = grid.resolve(bb.DirectionSet([0.0], [0.0], [1.0]), tol=1e-9)
         e = grid.e_theta[:, it, ip]
         ratio = e[1] / e[0]
         assert_allclose(ratio, -1.0, atol=1e-12)
@@ -176,10 +180,11 @@ class TestCoherence:
 
     def test_singleton_sum_equals_single_matrix(self):
         grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(3, 0.5))
-        it, ip = grid.resolve(dirs.theta[7], dirs.phi[7], tol=1e-9)
+        one = bb.DirectionSet([dirs.theta[7]], [dirs.phi[7]], [1.0])
+        (it,), (ip,) = grid.resolve(one, tol=1e-9)
         et, ep = grid.e_theta[:, it, ip], grid.e_phi[:, it, ip]
         expected = np.outer(et, et.conj()) + np.outer(ep, ep.conj())
-        M = field_coherence(*grid.fields_at(bb.DirectionSet([dirs.theta[7]], [dirs.phi[7]], [1.0])))
+        M = field_coherence(*grid.fields_at(one))
         assert_allclose(M, expected, rtol=1e-14, atol=1e-15 * np.abs(expected).max())
 
     def test_sum_matches_bruteforce_accumulation(self):
@@ -207,13 +212,14 @@ class TestCoherence:
         rng = np.random.default_rng(2)
         for _ in range(50):
             theta, phi = float(grid.theta_axis[rng.integers(0, 8)]), float(grid.phi_axis[rng.integers(0, 7)])
-            M = field_coherence(*grid.fields_at(bb.DirectionSet([theta], [phi], [1.0])))
+            one = bb.DirectionSet([theta], [phi], [1.0])
+            M = field_coherence(*grid.fields_at(one))
             assert np.max(np.abs(M - M.conj().T)) <= 1e-12 * max(np.max(np.abs(M)), 1.0)
             vals = np.linalg.eigvalsh(M)
             trace = float(np.real(np.trace(M)))
             assert vals[0] >= -1e-10 * trace
             assert np.sum(vals > 1e-9 * vals[-1]) <= 2
-            it, ip = grid.resolve(theta, phi, tol=1e-9)
+            (it,), (ip,) = grid.resolve(one, tol=1e-9)
             expected_trace = np.sum(np.abs(grid.e_theta[:, it, ip]) ** 2) + np.sum(
                 np.abs(grid.e_phi[:, it, ip]) ** 2
             )
@@ -234,6 +240,18 @@ class TestDirectionSetsAndRegions:
         assert bb.DirectionSet(np.array([10.0]), np.array([0.0]), np.array([1.0])) != a  # another length
         assert a != (a.theta, a.phi, a.weights)
         assert len({a, b, make(weights=(0.5, 0.5))}) == 2
+
+    def test_tiny_negative_phi_wraps_into_range(self, tmp_path):
+        # np.mod rounds a negative phi within half an ulp of 360 up to 360.0, outside [0, 360).
+        ds = bb.DirectionSet([90.0, 90.0, 90.0], [-1e-300, -1e-14, -1.0], np.full(3, 1.0 / 3.0))
+        assert ds.phi.tolist() == [0.0, 0.0, 359.0]
+        assert ds == bb.DirectionSet([90.0, 90.0, 90.0], [0.0, 0.0, 359.0], np.full(3, 1.0 / 3.0))
+        grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(2, 0.5))
+        beam = bb.BeamWeights(np.full(2, math.sqrt(0.5)), bb.PhaseSpec())
+        near_zero = bb.DirectionSet([90.0, 90.0], [-1e-300, -1e-14], [0.5, 0.5])
+        pattern = bb.composite_pattern(grid, bb.Codebook([bb.CodebookEntry(grid.array_id, beam)]), near_zero)
+        write_pattern_csv(pattern, tmp_path / "pattern.csv")
+        assert main(["selfcheck", str(tmp_path / "pattern.csv")]) == 0
 
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):

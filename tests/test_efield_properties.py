@@ -20,6 +20,11 @@ def brute_nearest(axis: np.ndarray, x: np.ndarray, circular: bool) -> np.ndarray
     return np.argmin(d, axis=1)
 
 
+def directions(theta, phi) -> bb.DirectionSet:
+    """Equally weighted directions."""
+    return bb.DirectionSet(theta, phi, np.full(len(theta), 1.0 / len(theta)))
+
+
 def make_grid(theta_axis, phi_axis, num_elements=1) -> bb.EFieldGrid:
     shape = (num_elements, len(theta_axis), len(phi_axis))
     return bb.EFieldGrid("g", np.asarray(theta_axis, float), np.asarray(phi_axis, float),
@@ -61,9 +66,10 @@ def test_resolve_equals_brute_force_argmin(theta_axis, phi_axis, theta, phi):
     thetas = np.concatenate([theta[:n], theta_axis, midpoints(theta_axis, False)])
     phis = np.concatenate([phi[:n], phi_axis, midpoints(phi_axis, True)])
     for t, p in ((thetas, np.resize(phis, thetas.size)), (np.resize(thetas, phis.size), phis)):
-        it, ip = grid.resolve(t, p)
-        assert np.array_equal(it, brute_nearest(grid.theta_axis, t, circular=False))
-        assert np.array_equal(ip, brute_nearest(grid.phi_axis, np.mod(p, 360.0), circular=True))
+        dirs = directions(t, p)
+        it, ip = grid.resolve(dirs)
+        assert np.array_equal(it, brute_nearest(grid.theta_axis, dirs.theta, circular=False))
+        assert np.array_equal(ip, brute_nearest(grid.phi_axis, dirs.phi, circular=True))
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,10 +80,10 @@ def test_resolve_equals_brute_force_argmin(theta_axis, phi_axis, theta, phi):
 )
 def test_resolve_on_the_ula_sweep(elements, a, theta):
     grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(elements, 0.5, sampling_factor=a))
-    it, ip = grid.resolve(dirs.theta, dirs.phi, tol=1e-9)
+    it, ip = grid.resolve(dirs, tol=1e-9)
     assert np.array_equal(it, np.arange(len(dirs))) and not ip.any()
     t = np.asarray(theta)
-    assert np.array_equal(grid.resolve(t, np.zeros_like(t))[0], brute_nearest(grid.theta_axis, t, False))
+    assert np.array_equal(grid.resolve(directions(t, np.zeros_like(t)))[0], brute_nearest(grid.theta_axis, t, False))
     et, _ = grid.fields_at(dirs)
     assert np.array_equal(et, grid.e_theta[:, :, 0])
 
@@ -130,10 +136,10 @@ def test_exact_node_lookup_equals_brute_force(theta_axis, phi_axis, queries):
     e = np.arange(np.prod(shape)).reshape(shape) * (1 + 1j)
     grid = bb.EFieldGrid("g", theta_axis, phi_axis, e, -e)
 
-    it, ip = grid.resolve(theta, phi)
-    assert np.array_equal(it, brute_nearest(theta_axis, theta, circular=False))
-    assert np.array_equal(ip, brute_nearest(phi_axis, np.mod(phi, 360.0), circular=True))
-    dirs = bb.DirectionSet(theta, phi, np.full(theta.size, 1.0 / theta.size))
+    dirs = directions(theta, phi)
+    it, ip = grid.resolve(dirs)
+    assert np.array_equal(it, brute_nearest(theta_axis, dirs.theta, circular=False))
+    assert np.array_equal(ip, brute_nearest(phi_axis, dirs.phi, circular=True))
     far = (brute_distance(theta_axis, dirs.theta, False) > 1e-9) | (brute_distance(phi_axis, dirs.phi, True) > 1e-9)
     if far.any():
         k = int(np.argmax(far))

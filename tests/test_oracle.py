@@ -66,7 +66,7 @@ class TestBruteForce:
             opt = brute_force_b3(M, 2).gain
             slack = 1e-9 * max(opt, 1.0)
             for strategy in ("eigen", "sdr_grp", "sdr_grp_cd"):
-                beam = bb.design_beam(M, spec, strategy, seed=seed, n_rand=100)
+                (beam,) = bb.design_beam(M[None], spec, strategy, seed=[seed], n_rand=100)
                 assert beam.gain(M) <= opt + slack
 
     def test_matches_quantized_scan_on_rank_one(self):
