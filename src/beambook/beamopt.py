@@ -35,7 +35,6 @@ __all__ = [
     "SdrSolution",
     "SdrConvergenceError",
     "CoordinateDescentResult",
-    "quantize_phase",
     "solve_sdr",
     "gaussian_randomization",
     "coordinate_descent",
@@ -59,22 +58,6 @@ class PhaseSpec(Frozen):
         return self.bits is not None
 
 
-def quantize_phase(phase, bits: int):
-    """Snap phases to the nearest point of the {k * 2pi/2^b} lattice.
-
-    Distance is circular, ties resolve to the lower lattice value, and
-    the result lies in [0, 2pi).  Idempotent on lattice points.
-    """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    step = _TWO_PI / (1 << bits)
-    k = np.ceil(np.asarray(phase, dtype=float) / step - 0.5)  # round half down
-    out = np.mod(k, 1 << bits) * step
-    if np.isscalar(phase):
-        return float(out)
-    return out
-
-
 def _phase(z) -> np.ndarray:
     """Angle of z in [0, 2pi): bit for bit np.mod(np.angle(z), 2pi), -0.0 and +-pi included, at a fraction of its cost."""
     a = np.angle(z)
@@ -82,7 +65,7 @@ def _phase(z) -> np.ndarray:
 
 
 def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
-    """Index k of the lattice point k * 2pi/2^b that :func:`quantize_phase` picks, for phases in [0, 2pi]."""
+    """Index k of the lattice point k * 2pi/2^b nearest to each phase in [0, 2pi], ties to the lower k."""
     step = _TWO_PI / (1 << bits)
     return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
 
@@ -117,8 +100,8 @@ def _first_distinct_columns(index: np.ndarray, bits: int) -> np.ndarray:
 def _lattice_phasors(bits: int, L: int) -> np.ndarray:
     """Read-only table of the 2^b feasible entries exp(1j * k * 2pi/2^b) / sqrt(L).
 
-    Entry k is bit for bit the entry built from the quantized phase k * step,
-    so indexing it by :func:`_lattice_index` replaces quantize, exp and scale.
+    Indexed by :func:`_lattice_index`, it snaps phases to the lattice:
+    every rounding of a phase to the lattice goes through this table.
     """
     step = _TWO_PI / (1 << bits)
     table = np.exp(1j * (np.arange(1 << bits) * step)) / math.sqrt(L)
@@ -136,8 +119,8 @@ def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
         raise ValueError("per-element magnitude must be 1/sqrt(L)")
     if phase_spec.is_discrete:
         ph = _phase(w)
-        snapped = quantize_phase(ph, phase_spec.bits)
-        if np.abs(np.exp(1j * ph) - np.exp(1j * snapped)).max() > 1e-9:
+        snapped = _lattice_phasors(phase_spec.bits, 1)[_lattice_index(ph, phase_spec.bits)]
+        if np.abs(np.exp(1j * ph) - snapped).max() > 1e-9:
             raise ValueError("phases are off the discrete lattice")
 
 
@@ -189,11 +172,12 @@ class BeamWeights(Frozen):
 
     @classmethod
     def from_phases(cls, phases: np.ndarray, phase_spec: PhaseSpec) -> "BeamWeights":
+        """exp(1j * phases) / sqrt(L); in discrete mode each phase snaps to its nearest lattice point, ties to the lower."""
         phases = np.asarray(phases, dtype=float)
-        if phase_spec.is_discrete:
-            phases = quantize_phase(np.mod(phases, _TWO_PI), phase_spec.bits)
-        w = np.exp(1j * phases) / math.sqrt(phases.size)
-        return cls(w, phase_spec)
+        if not (phase_spec.is_discrete and np.isfinite(phases).all()):  # a non-finite phase fails as a NaN weight
+            return cls(np.exp(1j * phases) / math.sqrt(phases.size), phase_spec)
+        index = _lattice_index(np.mod(phases, _TWO_PI), phase_spec.bits)
+        return cls(_lattice_phasors(phase_spec.bits, phases.size)[index], phase_spec)
 
 
 class SdrSolution(NamedTuple):
@@ -311,6 +295,8 @@ def _dual_bounds(M: np.ndarray, W: np.ndarray, objective: np.ndarray) -> np.ndar
 # Barrier weights relative to trace(M), so the schedule is scale free; the
 # final zero stage is pure ascent.
 _BARRIER_SCHEDULE = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 0.0])
+# solve_sdr's stage tolerance, relative to max(trace(M), 1) / 10: see _ascend.
+_SDR_TOL = 1e-9
 
 
 def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
@@ -397,7 +383,7 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     return W, obj, sweeps, improvement, stage_tol
 
 
-def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
+def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     """Maximize tr(M W) over PSD W with every diagonal entry fixed to 1/L.
 
     Solved with a row-by-row block coordinate ascent: with all other rows
@@ -416,12 +402,9 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> tuple
     Rank-one inputs short-circuit to the exact analytic optimum (the
     co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
     every member's best iterate, if the sweep budget is exhausted before
-    some member's objective settles, and ``ValueError`` unless ``tol`` is
-    positive (NaN is not) and ``max_sweeps`` is at least 1.
+    some member's objective settles, and ``ValueError`` unless
+    ``max_sweeps`` is at least 1.
     """
-    # Written as "not >" so that a NaN tol fails too.
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     M = _hermitian_stack(M)
@@ -455,7 +438,7 @@ def solve_sdr(M: np.ndarray, tol: float = 1e-9, max_sweeps: int = 5000) -> tuple
         ascend = live & ~rank_one
         if ascend.any():
             W[ascend], objective[ascend], sweeps[ascend], improvement[ascend], stage_tol = _ascend(
-                M[ascend], trace[ascend], tol, max_sweeps
+                M[ascend], trace[ascend], _SDR_TOL, max_sweeps
             )
             rank[ascend] = _numerical_ranks(W[ascend])
             failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
@@ -509,6 +492,8 @@ def gaussian_randomization(
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
     M = _hermitian_stack(M)
+    if isinstance(solution, SdrSolution):
+        raise ValueError("solution must be a sequence of SdrSolution records, one per member, not one record")
     W = np.stack([s.W for s in solution])
     if W.shape != M.shape:
         raise ValueError("solutions and matrices must have the same stack shape")
@@ -587,6 +572,8 @@ def coordinate_descent(
     cap, so its result is bit for bit the one it gets in a stack of one.
     """
     M = _hermitian_stack(M)
+    if isinstance(init, BeamWeights):
+        raise ValueError("init must be a sequence of BeamWeights, one per member, not one beam")
     inits = tuple(init)
     B, L, _ = M.shape
     if len(inits) != B:
@@ -656,9 +643,8 @@ def design_beam(
 
     * ``eigen``: magnitude-normalize (and quantize) the dominant
       eigenvector; cheapest, no randomness.
-    * ``sdr_grp``: semidefinite relaxation followed by Gaussian
-      randomization.
-    * ``sdr_grp_cd``: additionally polish with coordinate descent.
+    * ``sdr_grp_cd``: semidefinite relaxation, Gaussian randomization,
+      then a coordinate-descent polish.
 
     ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
     member.  Every stage runs once over the whole stack: one
@@ -673,7 +659,7 @@ def design_beam(
     :class:`SdrConvergenceError` carries, and a ``UserWarning`` names the
     member and the certified gap (bound minus objective) of that iterate.
     """
-    if strategy not in ("eigen", "sdr_grp", "sdr_grp_cd"):
+    if strategy not in ("eigen", "sdr_grp_cd"):
         raise ValueError(f"unknown strategy '{strategy}'")
     stack = _hermitian_stack(M)
     seeds = _member_seeds(seed, len(stack))
@@ -693,7 +679,6 @@ def design_beam(
                     stacklevel=2,
                 )
         beams = gaussian_randomization(relaxed, stack, n_rand, phase_spec, seeds)
-        if strategy == "sdr_grp_cd":
-            beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
+        beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
     W = np.stack([beam.weights for beam in beams])
     return BeamWeights._rows(_canonical_global_phase(W), phase_spec)

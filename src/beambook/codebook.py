@@ -208,15 +208,19 @@ def generate_candidates(
         raise ValueError("count_per_sphere must be >= 1")
     if method not in ("eigen", "iterative"):
         raise ValueError("method must be 'eigen' or 'iterative'")
-    strategy = "eigen" if method == "eigen" else "sdr_grp_cd"
-    out: list[CodebookEntry] = []
     resolved = resolve_directions(grids, fibonacci_directions(count_per_sphere))
+    beams = _direction_beams(resolved, phase_spec, "eigen" if method == "eigen" else "sdr_grp_cd", seed, n_rand)
+    return tuple(CodebookEntry(array_id, beam) for array_id, row in beams.items() for beam in row)
+
+
+def _direction_beams(resolved, phase_spec: PhaseSpec, strategy: str, seed: int = 0, n_rand: int = 1000) -> dict:
+    """Per array of ``resolved``: one beam per direction, from one stacked :func:`design_beam` call on its own seeds."""
+    out = {}
     for a_index, (array_id, (_, et, ep)) in enumerate(resolved.items()):
         stack = field_coherence(et.T[:, :, None], ep.T[:, :, None])  # one (L, L) matrix per direction
         seeds = [_child_seed(seed, a_index, i) for i in range(len(stack))]
-        beams = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
-        out += (CodebookEntry(array_id, beam) for beam in beams)
-    return tuple(out)
+        out[array_id] = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +326,16 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
     """Beams aimed at uniformly spread directions, each on its best array.
 
     For every Fibonacci direction the array with the largest per-direction
-    eigenvalue bound wins the beam, which is then the quantized dominant
-    eigenvector there.
+    eigenvalue bound wins the beam, which is then that array's ``eigen``
+    candidate there (see :func:`generate_candidates`).
     """
     if num_beams < 1:
         raise ValueError("num_beams must be >= 1")
-    per_array = list(resolve_directions(grids, fibonacci_directions(num_beams)).items())
-    best = np.argmax([top_eigenvalues(et, ep) for _, (_, et, ep) in per_array], axis=0)  # ties -> first array
-    entries = []
-    for i, a in enumerate(best):
-        array_id, (_, et, ep) = per_array[a]
-        M = field_coherence(et[:, i : i + 1], ep[:, i : i + 1])
-        entries.append(CodebookEntry(array_id, design_beam(M[None], phase_spec, "eigen", seed=[0])[0]))
-    return Codebook(entries)
+    resolved = resolve_directions(grids, fibonacci_directions(num_beams))
+    beams = _direction_beams(resolved, phase_spec, "eigen")
+    ids = list(beams)
+    best = np.argmax([top_eigenvalues(et, ep) for _, et, ep in resolved.values()], axis=0)  # ties -> first array
+    return Codebook(CodebookEntry(ids[a], beams[ids[a]][i]) for i, a in enumerate(best))
 
 
 def kmeans_codebook(
@@ -479,13 +480,9 @@ def codebook_802_15_3c(
         raise ValueError("the 802.15.3c codebook needs a phase bit count")
     spec = PhaseSpec(bits)
     n_states = 1 << bits
-    ell = np.arange(1, num_elements + 1)
-    phases_all = []
-    for k in range(1, size + 1):
-        m = math.fmod(k - 1 + size / 2.0, size)
-        phases = (_TWO_PI / n_states) * np.floor((ell - 1) * m / (size / n_states))
-        phases_all.append(np.mod(phases, _TWO_PI))
-    return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, spec)) for a in array_ids for p in phases_all)
+    m = np.fmod(np.arange(size) + size / 2.0, size)[:, None]  # one row per beam k, from k - 1
+    phases = (_TWO_PI / n_states) * np.floor(np.arange(num_elements) * m / (size / n_states))
+    return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, spec)) for a in array_ids for p in phases)
 
 
 def restrict_region(dirs: DirectionSet, region: CoverageRegion) -> DirectionSet:

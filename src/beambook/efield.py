@@ -288,6 +288,18 @@ def snap_to_grid(dirs: DirectionSet, grid: EFieldGrid) -> DirectionSet:
     return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights)
 
 
+def _ula_element_fields(spec: SyntheticUlaSpec, cos_psi: np.ndarray, sin_psi: np.ndarray) -> np.ndarray:
+    """Theta-polarized field (L, *cos_psi.shape) of every element at angles psi off the array axis.
+
+    Element l (0-based) responds with sqrt(sin^q psi) * exp(j*2*pi*(d/lambda)*
+    cos(psi)*l), scaled by sqrt(eta0 / 2 pi).
+    """
+    p = sin_psi**spec.element_pattern_q if spec.element_pattern_q else np.ones_like(cos_psi)
+    ell = np.arange(spec.num_elements).reshape((-1,) + (1,) * cos_psi.ndim)
+    phase = 2.0 * math.pi * spec.spacing_over_lambda * cos_psi[None] * ell
+    return (math.sqrt(1.0 / GAIN_FACTOR) * np.sqrt(p))[None] * np.exp(1j * phase)
+
+
 def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[EFieldGrid, DirectionSet]:
     """Synthesize the E-field grid of an ideal uniform linear array.
 
@@ -303,21 +315,12 @@ def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[
     weights 1/(2a+1)).
     """
     a = spec.effective_sampling_factor
-    L = spec.num_elements
     x = (a - np.arange(2 * a + 1)) / a  # descending 1 .. -1 => ascending theta
-    theta = np.degrees(np.arccos(np.clip(x, -1.0, 1.0)))
-    p = np.sin(np.arccos(np.clip(x, -1.0, 1.0))) ** spec.element_pattern_q if spec.element_pattern_q else np.ones_like(x)
-    ell = np.arange(L)
-    phase = 2.0 * math.pi * spec.spacing_over_lambda * x[None, :] * ell[:, None]
-    scale = math.sqrt(1.0 / GAIN_FACTOR)
-    e_theta = (scale * np.sqrt(p))[None, :] * np.exp(1j * phase)
-    grid = EFieldGrid(
-        array_id=array_id,
-        theta_axis=theta,
-        phi_axis=np.array([0.0]),
-        e_theta=e_theta[:, :, None],
-        e_phi=np.zeros((L, theta.size, 1), dtype=complex),
-    )
+    psi = np.arccos(np.clip(x, -1.0, 1.0))
+    theta = np.degrees(psi)
+    e_theta = _ula_element_fields(spec, x, np.sin(psi))[:, :, None]
+    grid = EFieldGrid(array_id=array_id, theta_axis=theta, phi_axis=np.array([0.0]), e_theta=e_theta,
+                      e_phi=np.zeros_like(e_theta))
     dirs = DirectionSet(theta, np.zeros_like(theta), np.full(theta.size, 1.0 / theta.size))
     return grid, dirs
 
@@ -344,12 +347,7 @@ def oriented_ula_efield(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
     )
     cos_psi = np.clip(n_hat @ ax, -1.0, 1.0)
-    sin_psi = np.sqrt(np.clip(1.0 - cos_psi**2, 0.0, None))
-    p = sin_psi**spec.element_pattern_q if spec.element_pattern_q else np.ones_like(cos_psi)
-    ell = np.arange(spec.num_elements)
-    phase = 2.0 * math.pi * spec.spacing_over_lambda * cos_psi[None, :, :] * ell[:, None, None]
-    scale = math.sqrt(1.0 / GAIN_FACTOR)
-    e_theta = (scale * np.sqrt(p))[None, :, :] * np.exp(1j * phase)
+    e_theta = _ula_element_fields(spec, cos_psi, np.sqrt(np.clip(1.0 - cos_psi**2, 0.0, None)))
     return EFieldGrid(
         array_id=array_id,
         theta_axis=theta_axis,

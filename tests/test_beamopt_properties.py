@@ -67,7 +67,7 @@ def test_stacked_solve_equals_member_solves_bit_for_bit(case):
 @settings(max_examples=30, deadline=None)
 @given(
     case=stacks(max_elements=5, max_members=4),
-    strategy=st.sampled_from(("eigen", "sdr_grp", "sdr_grp_cd")),
+    strategy=st.sampled_from(("eigen", "sdr_grp_cd")),
     bits=st.sampled_from((None, 1, 2, 3)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -166,30 +166,34 @@ def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, b
     bits=st.integers(1, 16),
 )
 @example(phase=math.pi / 4, bits=3)  # a lattice point
-@example(phase=math.pi / 8, bits=2)  # a midpoint: ties go to the lower lattice value
+@example(phase=math.pi / 8, bits=3)  # a midpoint: ties go to the lower lattice value
 @example(phase=-1e-300, bits=5)
 def test_quantize_phase_is_idempotent_and_nearest_on_the_circle(phase, bits):
+    # Phase quantization is BeamWeights.from_phases in discrete mode; one element shows one phase.
     step = 2.0 * math.pi / (1 << bits)
-    q = bb.quantize_phase(phase, bits)
-    assert 0.0 <= q < 2.0 * math.pi
-    k = round(q / step)
-    assert q == k * step  # exactly a lattice point
-    assert bb.quantize_phase(q, bits) == q
-    gap = abs(phase - q) % (2.0 * math.pi)
+    spec = bb.PhaseSpec(bits)
+    (w,) = bb.BeamWeights.from_phases([phase], spec).weights
+    k = round(float(np.angle(w)) / step) % (1 << bits)
+    assert w == np.exp(1j * (np.arange(1 << bits) * step))[k]  # exactly a lattice point
+    assert bb.BeamWeights.from_phases([k * step], spec).weights[0] == w
+    gap = abs(phase - k * step) % (2.0 * math.pi)
     assert min(gap, 2.0 * math.pi - gap) <= step / 2.0 + 1e-12 * max(1.0, abs(phase))
+    position = float(np.mod(phase, 2.0 * math.pi)) / step
+    if position % 1.0 == 0.5:  # a midpoint: ties go to the lower lattice value
+        assert k == math.floor(position) % (1 << bits)
 
 
 @settings(max_examples=100, deadline=None)
 @given(bits=st.integers(1, 16), L=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
 def test_lattice_phasors_equal_quantize_then_exp(bits, L, seed):
-    # The table lookup must give the very floats of exp(1j * quantize_phase(.)) / sqrt(L),
-    # on random phases, on lattice midpoints and next to 2pi.
+    # The table lookup must give the very floats of exp(1j * k * step) / sqrt(L) for the
+    # nearest lattice index k (ties to the lower), on random phases, on lattice midpoints and next to 2pi.
     step = 2.0 * math.pi / (1 << bits)
     rng = np.random.default_rng(seed)
     k = rng.integers(0, 1 << bits, 64)
     phases = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 64), (k + 0.5) * step,
                              [0.0, 2.0 * math.pi, np.nextafter(2.0 * math.pi, 0.0)]])
-    reference = np.exp(1j * bb.quantize_phase(phases, bits)) / math.sqrt(L)
+    reference = np.exp(1j * (np.mod(np.ceil(phases / step - 0.5), 1 << bits) * step)) / math.sqrt(L)
     table = beamopt_module._lattice_phasors(bits, L)
     assert np.array_equal(table[beamopt_module._lattice_index(phases, bits)], reference)
 

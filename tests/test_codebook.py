@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import beambook as bb
 import beambook.codebook as codebook_module
 import beambook.metrics as metrics_module
-from beambook.efield import field_coherence
+from beambook.efield import field_coherence, top_eigenvalues
 from beambook.metrics import field_gains
 
 
@@ -71,7 +71,8 @@ class TestBenchmarkCodebook:
     def test_first_beam_phases_match_formula(self):
         spec = bb.SyntheticUlaSpec(4, 0.5)
         cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
-        expected = bb.quantize_phase(np.mod(2 * math.pi * 0.5 * np.arange(4) * -0.75, 2 * math.pi), 5)
+        step = 2 * math.pi / 32
+        expected = np.mod(np.ceil(np.mod(2 * math.pi * 0.5 * np.arange(4) * -0.75, 2 * math.pi) / step - 0.5), 32) * step
         assert_allclose(np.mod(np.angle(cb.entries[0].weights.weights), 2 * math.pi), expected, atol=1e-12)
 
     def test_replication_across_arrays(self):
@@ -458,6 +459,21 @@ class TestUniformInit:
             best = max(lams, key=lambda n: lams[n])
             if abs(lams["x"] - lams["y"]) > 1e-9:  # skip exact ties, order-dependent
                 assert entry.array_id == best
+
+
+    @pytest.mark.parametrize("bits", [5, None])
+    @pytest.mark.parametrize("terminal", ["ula", "standin3"])
+    def test_picks_the_eigen_candidate_of_the_array_with_the_largest_bound(self, request, terminal, bits):
+        grids = request.getfixturevalue("iso_grid")[0] if terminal == "ula" else request.getfixturevalue(terminal).grids
+        spec, K = bb.PhaseSpec(bits), 12
+        pool = bb.generate_candidates(grids, K, "eigen", spec)  # K beams per array, array by array
+        resolved = bb.resolve_directions(grids, bb.fibonacci_directions(K))
+        best = np.argmax([top_eigenvalues(et, ep) for _, et, ep in resolved.values()], axis=0)
+        expected = [pool[a * K + i] for i, a in enumerate(best)]
+        got = bb.uniform_init(K, grids, spec).entries
+        assert [e.array_id for e in got] == [e.array_id for e in expected]
+        assert all(g.weights.weights.tobytes() == e.weights.weights.tobytes() for g, e in zip(got, expected))
+        assert terminal == "ula" or len(set(best.tolist())) > 1  # the picks span arrays
 
 
 class TestCodebookJson:

@@ -95,6 +95,18 @@ class TestSyntheticUla:
         assert_allclose(gains, np.broadcast_to(sin_theta**2, gains.shape), atol=1e-12)
         assert np.all(grid.e_phi == 0)
 
+    @pytest.mark.parametrize("L, spacing", [(4, 0.65), (16, 0.5)])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_oriented_along_z_matches_the_generator(self, L, spacing, q):
+        # One element model, two ways to the angle off the axis: the generator takes
+        # sin(arccos x), the oriented array sqrt(1 - cos^2).  Near the poles those differ
+        # by rounding, which sin^q with q = 1 turns into 1.1e-8 of the peak field.
+        spec = bb.SyntheticUlaSpec(L, spacing, element_pattern_q=q)
+        grid, _ = bb.generate_ula_efield(spec)
+        oriented = bb.oriented_ula_efield(spec, (0, 0, 1), grid.theta_axis, grid.phi_axis, "ula")
+        assert np.abs(oriented.e_theta - grid.e_theta).max() <= 1e-7 * np.abs(grid.e_theta).max()
+        assert oriented.e_phi.shape == grid.e_phi.shape and not oriented.e_phi.any()
+
 
 class TestFibonacci:
     def test_single_point_is_equatorial(self):
