@@ -217,8 +217,8 @@ def _check_settings(algorithm: dict, evaluation: dict, grids: dict[str, EFieldGr
         raise ConfigError(f"unknown kmeans init '{init}'")
     if init == "greedy" and count * len(grids) < size:
         raise ConfigError(f"greedy init needs {size} candidates, got {count} on each of {len(grids)} arrays")
-    if init == "benchmark" and size % len(grids) != 0:
-        raise ConfigError("benchmark init needs a codebook size divisible by the number of arrays")
+    if (init or name) in ("benchmark", "3c") and size % len(grids) != 0:  # one codebook of size / arrays per array
+        raise ConfigError(f"{'benchmark init' if init else name} needs a codebook size divisible by the number of arrays")
     # The benchmark geometry of CSV arrays, which carry no spec.
     elements = _integer(algorithm, "elements", 1, next(iter(grids.values())).num_elements)
     spacing = _real(algorithm.get("spacing_lambda"), "spacing_lambda")
@@ -306,14 +306,15 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     """Run the configured synthesis; returns the codebook and a log record."""
     name, size, seed, phase_spec = config.algorithm, config.size, config.seed, config.phase_spec
     array_ids = list(config.grids)
+    per_array = size // len(array_ids)  # the closed-form codebooks' size on each array
     log: dict = {"algorithm": name, "size": size, "seed": seed,
                  "phase_bits": phase_spec.bits, "status": "ok"}
 
     if name == "benchmark":
-        return benchmark_codebook(config.ula, size, phase_spec, array_ids=array_ids), log
+        return benchmark_codebook(config.ula, per_array, phase_spec, array_ids=array_ids), log
     if name == "3c":
         L = next(iter(config.grids.values())).num_elements
-        return codebook_802_15_3c(L, size, phase_spec.bits, array_ids=array_ids), log
+        return codebook_802_15_3c(L, per_array, phase_spec.bits, array_ids=array_ids), log
 
     if name == "greedy":
         candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
@@ -331,7 +332,7 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
                                          seed=_child_seed(seed, 0xC0DE), n_rand=config.n_rand)
         init = greedy_codebook(candidates, config.grids, MeanGainCriterion(), size, config.design_dirs).codebook
     elif config.init == "benchmark":
-        init = benchmark_codebook(config.ula, size // len(array_ids), phase_spec, array_ids=array_ids)
+        init = benchmark_codebook(config.ula, per_array, phase_spec, array_ids=array_ids)
     result = kmeans_codebook(config.grids, num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec,
                              init=init, n_rand=config.n_rand, max_iterations=config.max_iterations, seed=seed)
     log["trace_db"] = [float(u) for u in result.mean_gain_trace_db]

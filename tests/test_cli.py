@@ -159,6 +159,20 @@ class TestDesign:
         for artifact in ("codebook.json", "design_log.json"):
             assert (tmp_path / "omitted" / artifact).read_bytes() == (tmp_path / "null" / artifact).read_bytes()
 
+    @pytest.mark.parametrize("name", ["kmeans", "benchmark", "3c"])
+    def test_size_is_the_total_beam_count_on_a_multi_array_terminal(self, tmp_path, capsys, name):
+        # The closed-form codebooks split "size" across the arrays as the benchmark K-Means init does.
+        arrays = [{"id": a, "synthetic": {**_ULA, "sampling_factor": 10}} for a in "abc"]
+        algorithm = {"name": name, "size": 12, "phase_bits": 3, "n_randomizations": 20}
+        config = write_config(tmp_path / "cfg.json", arrays=arrays, algorithm=algorithm)
+        assert main(["design", "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+        codebook = bb.load_codebook(tmp_path / "out" / "codebook.json")
+        assert [e.array_id for e in codebook.entries] == [a for a in "abc" for _ in range(4)]
+        config = write_config(tmp_path / "cfg.json", arrays=arrays, algorithm={**algorithm, "size": 13})
+        capsys.readouterr()
+        assert main(["design", "--config", str(config), "--output-dir", str(tmp_path / "odd")]) == 2
+        assert "needs a codebook size divisible by the number of arrays" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"arrays": [], "algorithm": {"name": "kmeans", "size": 4}}))
