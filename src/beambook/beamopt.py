@@ -174,7 +174,7 @@ class BeamWeights(Frozen):
     def from_phases(cls, phases: np.ndarray, phase_spec: PhaseSpec) -> "BeamWeights":
         """exp(1j * phases) / sqrt(L); in discrete mode each phase snaps to its nearest lattice point, ties to the lower."""
         phases = np.asarray(phases, dtype=float)
-        if not (phase_spec.is_discrete and np.isfinite(phases).all()):  # a non-finite phase fails as a NaN weight
+        if not (phase_spec.is_discrete and np.isfinite(phases).all()):  # a non-finite phase gives a weight BeamWeights rejects
             return cls(np.exp(1j * phases) / math.sqrt(phases.size), phase_spec)
         index = _lattice_index(np.mod(phases, _TWO_PI), phase_spec.bits)
         return cls(_lattice_phasors(phase_spec.bits, phases.size)[index], phase_spec)
@@ -402,8 +402,7 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     Rank-one inputs short-circuit to the exact analytic optimum (the
     co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
     every member's best iterate, if the sweep budget is exhausted before
-    some member's objective settles, and ``ValueError`` unless
-    ``max_sweeps`` is at least 1.
+    some member's objective settles, and ``ValueError`` unless ``max_sweeps`` is at least 1.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")

@@ -306,7 +306,7 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     """Run the configured synthesis; returns the codebook and a log record."""
     name, size, seed, phase_spec = config.algorithm, config.size, config.seed, config.phase_spec
     array_ids = list(config.grids)
-    per_array = size // len(array_ids)  # the closed-form codebooks' size on each array
+    per_array = size // len(array_ids)  # beams per array of the benchmark and 3c codebooks and the benchmark init
     log: dict = {"algorithm": name, "size": size, "seed": seed,
                  "phase_bits": phase_spec.bits, "status": "ok"}
 

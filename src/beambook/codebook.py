@@ -214,7 +214,7 @@ def generate_candidates(
 
 
 def _direction_beams(resolved, phase_spec: PhaseSpec, strategy: str, seed: int = 0, n_rand: int = 1000) -> dict:
-    """Per array of ``resolved``: one beam per direction, from one stacked :func:`design_beam` call on its own seeds."""
+    """Array id -> one beam per direction of ``resolved``, from one stacked :func:`design_beam` call on its own seeds."""
     out = {}
     for a_index, (array_id, (_, et, ep)) in enumerate(resolved.items()):
         stack = field_coherence(et.T[:, :, None], ep.T[:, :, None])  # one (L, L) matrix per direction
@@ -480,7 +480,7 @@ def codebook_802_15_3c(
         raise ValueError("the 802.15.3c codebook needs a phase bit count")
     spec = PhaseSpec(bits)
     n_states = 1 << bits
-    m = np.fmod(np.arange(size) + size / 2.0, size)[:, None]  # one row per beam k, from k - 1
+    m = np.fmod(np.arange(size) + size / 2.0, size)[:, None]  # row k - 1 holds mod(k - 1 + K'/2, K') of beam k
     phases = (_TWO_PI / n_states) * np.floor(np.arange(num_elements) * m / (size / n_states))
     return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, spec)) for a in array_ids for p in phases)
 
