@@ -72,7 +72,8 @@ class TestBenchmarkCodebook:
         spec = bb.SyntheticUlaSpec(4, 0.5)
         cb = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         step = 2 * math.pi / 32
-        expected = np.mod(np.ceil(np.mod(2 * math.pi * 0.5 * np.arange(4) * -0.75, 2 * math.pi) / step - 0.5), 32) * step
+        phases = np.mod(2 * math.pi * 0.5 * np.arange(4) * -0.75, 2 * math.pi)
+        expected = np.mod(np.ceil(phases / step - 0.5), 32) * step  # the nearest 5-bit lattice phase, ties to the lower
         assert_allclose(np.mod(np.angle(cb.entries[0].weights.weights), 2 * math.pi), expected, atol=1e-12)
 
     def test_replication_across_arrays(self):
@@ -459,7 +460,6 @@ class TestUniformInit:
             best = max(lams, key=lambda n: lams[n])
             if abs(lams["x"] - lams["y"]) > 1e-9:  # skip exact ties, order-dependent
                 assert entry.array_id == best
-
 
     @pytest.mark.parametrize("bits", [5, None])
     @pytest.mark.parametrize("terminal", ["ula", "standin3"])
