@@ -271,9 +271,12 @@ class TestSolveSdr:
         with pytest.raises(ValueError):
             bb.solve_sdr(-np.eye(2)[None])  # not PSD
 
-    @pytest.mark.parametrize("kwargs", [{"max_sweeps": 0}, {"max_sweeps": -1}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_sweeps": 0.5}, {"max_sweeps": np.int64(0)}, {"max_sweeps": 0}, {"max_sweeps": -1}]
+    )
     def test_rejects_bad_solver_settings(self, kwargs):
-        # Unchecked, a cap below 1 raises SdrConvergenceError after no sweep at all.
+        # Unchecked, a cap below 1 raises SdrConvergenceError after no sweep at all;
+        # a fractional cap or a NumPy integer is held to the same rule.
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="max_sweeps"):
             bb.solve_sdr(M[None], **kwargs)
