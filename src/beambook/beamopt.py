@@ -15,7 +15,8 @@ design:
 The production pipeline is relax -> randomize -> polish: solve the SDR,
 round candidates drawn from the solution covariance to feasible beams
 (:func:`gaussian_randomization`), then run cyclic coordinate descent on
-the phases (:func:`coordinate_descent`).
+the phases (:func:`coordinate_descent`).  In discrete mode a rank-one
+``M`` skips the draws: its best lattice beam is one of L candidates.
 """
 
 from __future__ import annotations
@@ -174,7 +175,9 @@ class BeamWeights(Frozen):
     def from_phases(cls, phases: np.ndarray, phase_spec: PhaseSpec) -> "BeamWeights":
         """exp(1j * phases) / sqrt(L); in discrete mode each phase snaps to its nearest lattice point, ties to the lower."""
         phases = np.asarray(phases, dtype=float)
-        if not (phase_spec.is_discrete and np.isfinite(phases).all()):  # a non-finite phase gives a weight BeamWeights rejects
+        if not np.isfinite(phases).all():
+            raise ValueError("phases must be finite")
+        if not phase_spec.is_discrete:
             return cls(np.exp(1j * phases) / math.sqrt(phases.size), phase_spec)
         index = _lattice_index(np.mod(phases, _TWO_PI), phase_spec.bits)
         return cls(_lattice_phasors(phase_spec.bits, phases.size)[index], phase_spec)
@@ -548,8 +551,8 @@ class CoordinateDescentResult(NamedTuple):
 
 
 def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w_b^H M_b w_b of every member: the same products as w.conj() @ M @ w on one member."""
-    return np.real((w.conj()[:, None, :] @ M @ w[:, :, None])[:, 0, 0])
+    """w^H M w over the leading axes of w (..., L) and M (..., L, L): the products of w.conj() @ M @ w on one beam."""
+    return np.real((w.conj()[..., None, :] @ M @ w[..., :, None])[..., 0, 0])
 
 
 def coordinate_descent(
@@ -584,7 +587,7 @@ def coordinate_descent(
         # Re-validates the lattice precondition for the given resolution.
         _check_beams(W, phase_spec)
         phasors = _lattice_phasors(phase_spec.bits, L)
-    thresholds = np.array([1e-12 * max(float(np.real(np.trace(m))), 1e-300) for m in M])
+    thresholds = 1e-12 * np.maximum(np.real(np.trace(M, axis1=1, axis2=2)), 1e-300)
     max_sweeps = 10 * L * (1 << phase_spec.bits) if phase_spec.is_discrete else 1000
 
     obj = _quadratic_forms(M, W)
@@ -620,12 +623,39 @@ def coordinate_descent(
     )
 
 
-def _canonical_global_phase(W: np.ndarray) -> np.ndarray:
+def _canonical_global_phase(W: np.ndarray, phase_spec: PhaseSpec) -> np.ndarray:
     # A beam is physically invariant to a global phase; pin element 0 of
     # every row of W (B, L) to phase zero so identical designs compare equal.
-    # In discrete mode the rotation is by a lattice phase, so lattice
-    # membership is preserved.
-    return W * np.exp(-1j * np.angle(W[:, :1]))
+    # In discrete mode the rotation subtracts lattice indices and reads the
+    # phasor table, so all 2^b rotations of a lattice beam give one byte pattern.
+    if not phase_spec.is_discrete:
+        return W * np.exp(-1j * np.angle(W[:, :1]))
+    index = _lattice_index(_phase(W), phase_spec.bits)
+    return _lattice_phasors(phase_spec.bits, W.shape[1])[(index - index[:, :1]) & ((1 << phase_spec.bits) - 1)]
+
+
+def _rank_one_lattice_beams(M: np.ndarray, bits: int) -> np.ndarray:
+    """Best b-bit beam of every rank-one member of a stack (B, L, L), in canonical form, with no draws.
+
+    For M = v v^H the gain depends on a rotation psi of the beam
+    quantize(arg v - psi) only through the breakpoints
+    mod(arg v_l - step/2, step) that psi crosses, so the midpoints between
+    neighbouring breakpoints give L candidates, one of them optimal
+    (Kyrillidis & Karystinos, IEEE Trans. Commun. 2014).  The candidates
+    are scored in lexicographic order of their canonical index vectors, and
+    the first maximum wins.  Returns the (B, L) weights.
+    """
+    B, L, _ = M.shape
+    step = _TWO_PI / (1 << bits)
+    theta = _phase(_max_eigenpairs(M)[1])
+    breaks = np.sort(np.mod(theta - 0.5 * step, step), axis=1)
+    mids = 0.5 * (breaks + np.concatenate((breaks[:, 1:], breaks[:, :1] + step), axis=1))
+    # (B, candidate, L); the index mask wraps the negative phases.
+    index = _lattice_index(theta[:, None, :] - mids[:, :, None], bits)
+    index = (index - index[:, :, :1]) & ((1 << bits) - 1)
+    order = np.lexsort(index.transpose(2, 0, 1)[::-1], axis=-1)
+    feas = _lattice_phasors(bits, L)[np.take_along_axis(index, order[:, :, None], axis=1)]
+    return feas[np.arange(B), np.argmax(_quadratic_forms(M[:, None], feas), axis=1)]
 
 
 def design_beam(
@@ -648,10 +678,15 @@ def design_beam(
     ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
     member.  Every stage runs once over the whole stack: one
     :func:`solve_sdr`, one :func:`gaussian_randomization` (each member on
-    its own seed) and one :func:`coordinate_descent` call.  The result is a
-    tuple of B beams, each deterministic in (member, phase_spec, strategy,
-    seed), equal to the beam of a stack of one, and normalized to a zero
-    phase on element 0.
+    its own seed) and one :func:`coordinate_descent` call.  In discrete
+    mode a member that took the relaxation's rank-one shortcut skips the
+    randomization: its exact lattice beam (see
+    :func:`_rank_one_lattice_beams`) goes to the polish, whatever its
+    seed and ``n_rand``.  The result is a tuple of B beams, each
+    deterministic in (member, phase_spec, strategy, seed), equal to the
+    beam of a stack of one, and normalized to a zero phase on element 0
+    (in discrete mode by lattice index, so every global rotation of a
+    lattice beam gives the same bytes).
 
     A relaxation that hits :func:`solve_sdr`'s sweep cap does not abort the
     design: randomization starts from the best iterate the
@@ -677,7 +712,16 @@ def design_beam(
                     f"designing from its best iterate (certified gap {best.bound - best.objective:.3e})",
                     stacklevel=2,
                 )
-        beams = gaussian_randomization(relaxed, stack, n_rand, phase_spec, seeds)
-        beams = [result.weights for result in coordinate_descent(stack, beams, phase_spec)]
+        exact = np.array([phase_spec.is_discrete and s.rank == 1 and s.iterations == 0 for s in relaxed])
+        drawn = np.flatnonzero(~exact)
+        W = np.empty(stack.shape[:2], dtype=complex)
+        if exact.any():
+            W[exact] = _rank_one_lattice_beams(stack[exact], phase_spec.bits)
+        if drawn.size:
+            rounded = gaussian_randomization(
+                [relaxed[b] for b in drawn], stack[drawn], n_rand, phase_spec, [seeds[b] for b in drawn]
+            )
+            W[drawn] = [beam.weights for beam in rounded]
+        beams = [result.weights for result in coordinate_descent(stack, BeamWeights._rows(W, phase_spec), phase_spec)]
     W = np.stack([beam.weights for beam in beams])
-    return BeamWeights._rows(_canonical_global_phase(W), phase_spec)
+    return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)

@@ -218,7 +218,8 @@ def _direction_beams(resolved, phase_spec: PhaseSpec, strategy: str, seed: int =
     out = {}
     for a_index, (array_id, (_, et, ep)) in enumerate(resolved.items()):
         stack = field_coherence(et.T[:, :, None], ep.T[:, :, None])  # one (L, L) matrix per direction
-        seeds = [_child_seed(seed, a_index, i) for i in range(len(stack))]
+        # eigen draws nothing and reads no seed, so it gets no derived ones.
+        seeds = [0] * len(stack) if strategy == "eigen" else [_child_seed(seed, a_index, i) for i in range(len(stack))]
         out[array_id] = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
     return out
 

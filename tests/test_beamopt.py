@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+import beambook.beamopt as beamopt_module
 from beambook.beamopt import _max_eigenpairs
 from beambook.efield import field_coherence
 from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
@@ -84,9 +85,10 @@ class TestBeamWeights:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             bb.BeamWeights(np.array([np.nan, 1.0 + 0.0j]), bb.PhaseSpec())
-        for bits in (None, 3):  # a NaN phase never snaps to a lattice point
-            with pytest.raises(ValueError, match="finite"):
-                bb.BeamWeights.from_phases(np.array([0.0, np.nan]), bb.PhaseSpec(bits))
+        for bits in (None, 3):  # a NaN or infinite phase never snaps to a lattice point
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    bb.BeamWeights.from_phases(np.array([0.0, bad]), bb.PhaseSpec(bits))
 
     def test_rejects_off_lattice_phase(self):
         w = np.exp(1j * np.array([0.0, 0.3])) / math.sqrt(2)
@@ -466,3 +468,50 @@ class TestDesignBeam:
         M = random_instance(RandomInstanceSpec(4, 2, 77))
         (beam,) = bb.design_beam(M[None], bb.PhaseSpec(3), "sdr_grp_cd", seed=[5])
         assert abs(np.angle(beam.weights[0])) < 1e-12
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 5])
+    def test_every_rotation_of_a_lattice_beam_gives_one_byte_pattern(self, bits):
+        spec = bb.PhaseSpec(bits)
+        step = 2 * math.pi / 2**bits
+        index = np.random.default_rng(bits).integers(0, 2**bits, 6)
+        canonical = bb.BeamWeights.from_phases((index - index[0]) % 2**bits * step, spec)
+        for strategy in ("eigen", "sdr_grp_cd"):
+            designed = []
+            for r in range(2**bits):
+                w = bb.BeamWeights.from_phases((index + r) * step, spec).weights
+                designed += bb.design_beam(np.outer(w, w.conj())[None], spec, strategy, seed=[r])
+            assert {beam.weights.tobytes() for beam in designed} == {canonical.weights.tobytes()}
+            assert all(beam == canonical for beam in designed) and len(set(designed)) == 1
+
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    def test_rank_one_discrete_members_are_exact_for_any_seed(self, bits, monkeypatch):
+        spec = bb.PhaseSpec(bits)
+        stack = np.stack([random_instance(RandomInstanceSpec(5, 1, seed)) for seed in range(8)])
+        beams = bb.design_beam(stack, spec, seed=list(range(8)))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a rank-one member drew a randomization")
+
+        monkeypatch.setattr(beamopt_module, "gaussian_randomization", no_draws)
+        assert bb.design_beam(stack, spec, seed=[10**6 + i for i in range(8)], n_rand=1) == beams
+        for m, beam in zip(stack, beams):
+            (alone,) = bb.design_beam(m[None], spec, seed=[99])
+            assert np.array_equal(alone.weights, beam.weights)
+
+    @pytest.mark.parametrize(
+        "v, bits, first, tied",
+        [
+            # arg v_1 = -pi/4 sits halfway between two 2-bit lattice points; the first midpoint gives (0, 3).
+            ([2, 1 - 1j], 2, (0, 0), (0, 3)),
+            # v^H w is 2 + 2j for (0, 0, 0) and 2 - 2j for (0, 1, 1); the first midpoint gives (0, 1, 1).
+            ([2, -1j, -1j], 1, (0, 0, 0), (0, 1, 1)),
+        ],
+    )
+    def test_a_tie_goes_to_the_lexicographically_first_canonical_beam(self, v, bits, first, tied):
+        M = np.outer(v, np.conj(v))
+        spec = bb.PhaseSpec(bits)
+        step = 2 * math.pi / 2**bits
+        winner, loser = (bb.BeamWeights.from_phases(np.array(k) * step, spec) for k in (first, tied))
+        assert winner.gain(M) == loser.gain(M) == brute_force_b3(M, bits).gain
+        (exact,) = beamopt_module._rank_one_lattice_beams(M[None], bits)
+        assert np.array_equal(exact, winner.weights)

@@ -105,6 +105,22 @@ def test_bound_chain_brute_force_sdr_certificate_eigenvalue(L, rank, bits, seed)
     assert sol.objective <= sol.bound <= lam + slack
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    L=st.integers(min_value=2, max_value=4),
+    bits=st.integers(min_value=1, max_value=4),
+    seed=st.integers(0, 10_000),
+    magnitude=st.sampled_from(("gaussian", "unit")),
+)
+def test_rank_one_exact_beam_equals_brute_force(L, bits, seed, magnitude):
+    M = random_instance(RandomInstanceSpec(L, 1, seed, magnitude))
+    best = brute_force_b3(M, bits).gain  # over all 2^(b(L-1)) canonical lattice beams
+    (exact,) = beamopt_module._rank_one_lattice_beams(M[None], bits)
+    (designed,) = bb.design_beam(M[None], bb.PhaseSpec(bits), seed=[seed])
+    assert np.real(exact.conj() @ M @ exact) == pytest.approx(best, rel=1e-12)
+    assert designed.gain(M) == pytest.approx(best, rel=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=stacks(min_elements=2, max_members=4), full_seed=st.integers(0, 10_000))
 def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
