@@ -34,12 +34,12 @@ __all__ = [
     "PhaseSpec",
     "BeamWeights",
     "SdrSolution",
-    "SdrConvergenceError",
     "CoordinateDescentResult",
     "solve_sdr",
     "gaussian_randomization",
     "coordinate_descent",
     "design_beam",
+    "eigen_beams",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -221,18 +221,6 @@ class _Members(tuple):
         return np.column_stack([np.pad(r.objectives, (0, rows - len(r.objectives)), "edge") for r in self])
 
 
-class SdrConvergenceError(RuntimeError):
-    """Relaxation solver hit its sweep cap; ``solution`` carries every member's best iterate, in stack order.
-
-    ``members`` holds the stack positions of the relaxations that did not settle.
-    """
-
-    def __init__(self, message: str, solution: tuple[SdrSolution, ...], members: tuple[int, ...]):
-        super().__init__(message)
-        self.solution = solution
-        self.members = members
-
-
 def _hermitian_stack(M) -> np.ndarray:
     """Validate a stack (B, L, L) of square Hermitian matrices; return their Hermitian parts."""
     M = np.asarray(M, dtype=complex)
@@ -403,9 +391,9 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     solution carries a dual certificate (``bound``).
 
     Rank-one inputs short-circuit to the exact analytic optimum (the
-    co-phased rank-one W).  Raises :class:`SdrConvergenceError`, carrying
-    every member's best iterate, if the sweep budget is exhausted before
-    some member's objective settles, and ``ValueError`` unless ``max_sweeps`` is at least 1.
+    co-phased rank-one W).  A member still unsettled at the sweep cap keeps
+    its best iterate, and a ``UserWarning`` names it and its certified gap
+    (bound minus objective).  Raises ``ValueError`` unless ``max_sweeps`` is at least 1.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -446,18 +434,16 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
             failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
 
     bound = _dual_bounds(M, W, objective)
-    solutions = _Members(
+    for b in np.flatnonzero(failed):
+        warnings.warn(
+            f"relaxation {b} of {B} did not settle within {max_sweeps} sweeps; "
+            f"keeping its best iterate (certified gap {bound[b] - objective[b]:.3e})",
+            stacklevel=2,
+        )
+    return _Members(
         SdrSolution(W[b], float(objective[b]), int(sweeps[b]), abs(float(improvement[b])), int(rank[b]), float(bound[b]))
         for b in range(B)
     )
-    if failed.any():
-        b = int(np.argmax(failed))
-        raise SdrConvergenceError(
-            f"relaxation {b} of {B} did not settle within {max_sweeps} sweeps (last improvement {improvement[b]:.3e})",
-            solutions,
-            tuple(np.flatnonzero(failed).tolist()),
-        )
-    return solutions
 
 
 def _member_seeds(seed: Sequence[int], members: int) -> tuple[int, ...]:
@@ -564,9 +550,10 @@ def coordinate_descent(
 
     Element i is re-phased to align with the field contribution of the
     others, quantized in discrete mode; the objective is therefore
-    nondecreasing step by step.  Stops when a full sweep improves the
-    objective by less than 1e-12 * trace(M).  A vanishing off-diagonal
-    contribution leaves that element untouched for the step.
+    nondecreasing, and a sweep that rounding leaves below its start is
+    undone.  Stops when a full sweep improves the objective by less than
+    1e-12 * trace(M).  A vanishing off-diagonal contribution leaves that
+    element untouched for the step.
 
     ``M`` is a stack of shape (B, L, L) with one init per member; the
     result is a tuple of B results.  Each step re-phases element i of every
@@ -598,6 +585,7 @@ def coordinate_descent(
     for _ in range(max_sweeps):
         if not active.size:
             break
+        before = Wa.copy()
         for i in range(L):
             c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
             moved = c != 0.0
@@ -607,6 +595,9 @@ def coordinate_descent(
             else:
                 Wa[moved, i] = np.exp(1j * phase) / math.sqrt(L)
         new_obj = _quadratic_forms(Ma, Wa)
+        # A sweep that rounding left below its input is undone, and that member stops.
+        lowered = new_obj < obj[active]
+        Wa[lowered], new_obj[lowered] = before[lowered], obj[active[lowered]]
         done = new_obj - obj[active] < thresholds[active]
         obj[active] = new_obj
         sweeps[active] += 1
@@ -661,19 +652,11 @@ def _rank_one_lattice_beams(M: np.ndarray, bits: int) -> np.ndarray:
 def design_beam(
     M: np.ndarray,
     phase_spec: PhaseSpec,
-    strategy: str = "sdr_grp_cd",
     *,
     seed: Sequence[int],
     n_rand: int = 1000,
 ) -> tuple[BeamWeights, ...]:
-    """Design one beam for each coherence matrix of a stack under the given phase constraint.
-
-    Strategies:
-
-    * ``eigen``: magnitude-normalize (and quantize) the dominant
-      eigenvector; cheapest, no randomness.
-    * ``sdr_grp_cd``: semidefinite relaxation, Gaussian randomization,
-      then a coordinate-descent polish.
+    """Design one beam for each coherence matrix of a stack: relax, randomize, then polish.
 
     ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
     member.  Every stage runs once over the whole stack: one
@@ -682,46 +665,42 @@ def design_beam(
     mode a member that took the relaxation's rank-one shortcut skips the
     randomization: its exact lattice beam (see
     :func:`_rank_one_lattice_beams`) goes to the polish, whatever its
-    seed and ``n_rand``.  The result is a tuple of B beams, each
-    deterministic in (member, phase_spec, strategy, seed), equal to the
-    beam of a stack of one, and normalized to a zero phase on element 0
-    (in discrete mode by lattice index, so every global rotation of a
-    lattice beam gives the same bytes).
-
-    A relaxation that hits :func:`solve_sdr`'s sweep cap does not abort the
-    design: randomization starts from the best iterate the
-    :class:`SdrConvergenceError` carries, and a ``UserWarning`` names the
-    member and the certified gap (bound minus objective) of that iterate.
+    seed and ``n_rand``.  A relaxation that hits the sweep cap goes on from
+    its best iterate, with :func:`solve_sdr`'s warning.  The result is a
+    tuple of B beams, each deterministic in (member, phase_spec, seed),
+    equal to the beam of a stack of one, and normalized to a zero phase on
+    element 0 (in discrete mode by lattice index, so every global rotation
+    of a lattice beam gives the same bytes).
     """
-    if strategy not in ("eigen", "sdr_grp_cd"):
-        raise ValueError(f"unknown strategy '{strategy}'")
     stack = _hermitian_stack(M)
     seeds = _member_seeds(seed, len(stack))
-    if strategy == "eigen":
-        _, V = _max_eigenpairs(stack)
-        beams = [BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), phase_spec) for v in V]
+    relaxed = solve_sdr(stack)
+    exact = np.array([phase_spec.is_discrete and s.rank == 1 and s.iterations == 0 for s in relaxed])
+    drawn = np.flatnonzero(~exact)
+    W = np.empty(stack.shape[:2], dtype=complex)
+    if exact.any():
+        W[exact] = _rank_one_lattice_beams(stack[exact], phase_spec.bits)
+    if drawn.size:
+        rounded = gaussian_randomization(
+            [relaxed[b] for b in drawn], stack[drawn], n_rand, phase_spec, [seeds[b] for b in drawn]
+        )
+        W[drawn] = [beam.weights for beam in rounded]
+    polished = coordinate_descent(stack, BeamWeights._rows(W, phase_spec), phase_spec)
+    W = np.stack([result.weights.weights for result in polished])
+    return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)
+
+
+def eigen_beams(M: np.ndarray, phase_spec: PhaseSpec) -> tuple[BeamWeights, ...]:
+    """The co-phased dominant eigenvector of each member of a stack (B, L, L), snapped to the lattice in discrete mode.
+
+    The cheapest beam for a matrix, with no randomness: one ``eigh`` and
+    one array expression for the whole stack.  A zero entry gets phase 0,
+    and every beam is normalized as :func:`design_beam`'s are.
+    """
+    V = _max_eigenpairs(_hermitian_stack(M))[1]
+    if phase_spec.is_discrete:
+        phases = np.where(np.abs(V) > 0.0, _phase(V), 0.0)  # a signed zero's angle can be pi
+        W = _lattice_phasors(phase_spec.bits, V.shape[-1])[_lattice_index(phases, phase_spec.bits)]
     else:
-        try:
-            relaxed = solve_sdr(stack)
-        except SdrConvergenceError as exc:  # a member at the sweep cap goes on from its best iterate
-            relaxed = exc.solution
-            for b in exc.members:
-                best = relaxed[b]
-                warnings.warn(
-                    f"relaxation {b} of {len(stack)} did not settle within {best.iterations} sweeps; "
-                    f"designing from its best iterate (certified gap {best.bound - best.objective:.3e})",
-                    stacklevel=2,
-                )
-        exact = np.array([phase_spec.is_discrete and s.rank == 1 and s.iterations == 0 for s in relaxed])
-        drawn = np.flatnonzero(~exact)
-        W = np.empty(stack.shape[:2], dtype=complex)
-        if exact.any():
-            W[exact] = _rank_one_lattice_beams(stack[exact], phase_spec.bits)
-        if drawn.size:
-            rounded = gaussian_randomization(
-                [relaxed[b] for b in drawn], stack[drawn], n_rand, phase_spec, [seeds[b] for b in drawn]
-            )
-            W[drawn] = [beam.weights for beam in rounded]
-        beams = [result.weights for result in coordinate_descent(stack, BeamWeights._rows(W, phase_spec), phase_spec)]
-    W = np.stack([beam.weights for beam in beams])
+        W = _cophase(V)
     return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)

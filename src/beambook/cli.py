@@ -147,7 +147,7 @@ def load_run_config(path: Path, overrides: dict | None = None) -> RunConfig:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._frozen import Frozen
-from .beamopt import BeamWeights, PhaseSpec, design_beam
+from .beamopt import BeamWeights, PhaseSpec, design_beam, eigen_beams
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
 from .metrics import db_from_linear, entry_gains_linear, field_gains, resolve_directions, weighted_percentiles
@@ -199,28 +199,30 @@ def generate_candidates(
 
     For every array, ``count_per_sphere`` Fibonacci directions are snapped
     to that array's mesh and one beam is designed per direction: the
-    quantized dominant eigenvector (``method='eigen'``) or the full
-    relax-randomize-polish pipeline (``method='iterative'``).  Each array's
-    beams come from one stacked :func:`design_beam` call, every beam on its
-    own seed.
+    quantized dominant eigenvector (``method='eigen'``, :func:`eigen_beams`)
+    or the full relax-randomize-polish pipeline (``method='iterative'``,
+    :func:`design_beam`, every beam on its own seed).  Each array's beams
+    come from one stacked call.
     """
     if count_per_sphere < 1:
         raise ValueError("count_per_sphere must be >= 1")
     if method not in ("eigen", "iterative"):
         raise ValueError("method must be 'eigen' or 'iterative'")
     resolved = resolve_directions(grids, fibonacci_directions(count_per_sphere))
-    beams = _direction_beams(resolved, phase_spec, "eigen" if method == "eigen" else "sdr_grp_cd", seed, n_rand)
+    beams = _direction_beams(resolved, phase_spec, method, seed, n_rand)
     return tuple(CodebookEntry(array_id, beam) for array_id, row in beams.items() for beam in row)
 
 
-def _direction_beams(resolved, phase_spec: PhaseSpec, strategy: str, seed: int = 0, n_rand: int = 1000) -> dict:
-    """Array id -> one beam per direction of ``resolved``, from one stacked :func:`design_beam` call on its own seeds."""
+def _direction_beams(resolved, phase_spec: PhaseSpec, method: str, seed: int = 0, n_rand: int = 1000) -> dict:
+    """Array id -> one beam per direction of ``resolved``, from one stacked call of the ``method``'s designer."""
     out = {}
     for a_index, (array_id, (_, et, ep)) in enumerate(resolved.items()):
         stack = field_coherence(et.T[:, :, None], ep.T[:, :, None])  # one (L, L) matrix per direction
-        # eigen draws nothing and reads no seed, so it gets no derived ones.
-        seeds = [0] * len(stack) if strategy == "eigen" else [_child_seed(seed, a_index, i) for i in range(len(stack))]
-        out[array_id] = design_beam(stack, phase_spec, strategy, seed=seeds, n_rand=n_rand)
+        if method == "eigen":
+            out[array_id] = eigen_beams(stack, phase_spec)
+        else:
+            seeds = [_child_seed(seed, a_index, i) for i in range(len(stack))]
+            out[array_id] = design_beam(stack, phase_spec, seed=seeds, n_rand=n_rand)
     return out
 
 

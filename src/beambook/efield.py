@@ -20,7 +20,7 @@ import json
 import math
 import os
 import zlib
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -445,20 +445,26 @@ def write_json(data, path) -> None:
 
 
 def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """Slow path for rows ``np.loadtxt`` rejects: parse cell by cell up to the first malformed row.
+    """The rows of ``body``, parsed by one ``np.loadtxt`` call, and None.
 
-    Returns the rows before that one and its (row index, message).
+    If that call rejects a row, the same call runs row by row to find the
+    first one it rejects, so both passes read one number grammar; then the
+    result is the rows before that one and its (row index, message).
     """
-    parsed = []
-    for i, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != 7:
-            return np.array(parsed, dtype=_GRID_ROW), (i, f"malformed row; expected 7 fields, got {len(parts)}")
-        try:
-            parsed.append((int(parts[0]), *(float(v) for v in parts[1:])))
-        except ValueError as exc:
-            return np.array(parsed, dtype=_GRID_ROW), (i, f"malformed row; {exc}")
-    return np.array(parsed, dtype=_GRID_ROW), None
+    load = partial(np.loadtxt, delimiter=",", comments=None, dtype=_GRID_ROW, ndmin=1)
+    try:
+        return load(body), None
+    except ValueError:
+        for i, line in enumerate(body):
+            fields = line.count(",") + 1
+            try:
+                if fields != 7:
+                    raise ValueError(f"expected 7 fields, got {fields}")
+                load([line])
+            except ValueError as exc:
+                message = str(exc).replace(" at row 0, column", " in column")  # the caller names the file line
+                return load(body[:i]) if i else np.empty(0, _GRID_ROW), (i, f"malformed row; {message}")
+        raise
 
 
 # Parsed grids are kept in this directory beside their CSV, one ``<csv name>.grid`` record
@@ -467,7 +473,7 @@ def _parse_rows(body: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
 # ``<L> <T> <P>`` and those bytes.  A hit skips the reader, so the tag is bumped whenever the
 # reader changes (a test pins each tag to the reader's source).
 GRID_CACHE_DIR = ".beambook-cache"
-_GRID_CACHE_FORMAT = "beambook-grid-2"
+_GRID_CACHE_FORMAT = "beambook-grid-3"
 _GRID_ARRAYS = (("theta_axis", "<f8"), ("phi_axis", "<f8"), ("e_theta", "<c16"), ("e_phi", "<c16"))
 
 
@@ -541,10 +547,7 @@ def _parse_grid(path: Path, text: str, array_id: str) -> EFieldGrid:
     body = [line for line in lines[1:] if line.strip()]
     if not body:
         raise GridFormatError(f"{path}: empty grid")
-    try:
-        rows, malformed = np.loadtxt(body, delimiter=",", comments=None, dtype=_GRID_ROW, ndmin=1), None
-    except ValueError:
-        rows, malformed = _parse_rows(body)
+    rows, malformed = _parse_rows(body)
     elem, theta, phi = rows["elem"], rows["theta_deg"], rows["phi_deg"]
 
     # Row defects as (row, rank of the check within a row, message); the least is reported.

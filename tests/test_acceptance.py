@@ -65,7 +65,7 @@ def test_criterion_3_oracle_equivalence():
     sdr_ratios = []
     for seed in range(200):
         M = random_instance(RandomInstanceSpec(4, 2, seed))
-        (beam,) = bb.design_beam(M[None], spec, "sdr_grp_cd", seed=[seed], n_rand=1000)
+        (beam,) = bb.design_beam(M[None], spec, seed=[seed], n_rand=1000)
         achieved = beam.gain(M)
         optimum = brute_force_b3(M, bits).gain
         relaxation = bb.solve_sdr(M[None])[0].objective

@@ -4,6 +4,7 @@ A member's call alone is a call on a stack of one: every stage takes only (B, L,
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,11 +43,10 @@ def assert_same_solution(a: bb.SdrSolution, b: bb.SdrSolution) -> None:
 
 
 def solve_alone(M: np.ndarray, **kwargs) -> bb.SdrSolution:
-    """One member's solution from a stack of one, also when its solve hits the sweep cap."""
-    try:
+    """One member's solution from a stack of one; at the sweep cap, its best iterate, without the warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         (solution,) = bb.solve_sdr(M[None], **kwargs)
-    except bb.SdrConvergenceError as exc:
-        (solution,) = exc.solution
     return solution
 
 
@@ -64,22 +64,51 @@ def test_stacked_solve_equals_member_solves_bit_for_bit(case):
     assert solutions.iterations == max(s.iterations for s in solutions)
 
 
+DESIGNERS = {
+    "eigen_beams": lambda M, spec, seeds: bb.eigen_beams(M, spec),
+    "design_beam": lambda M, spec, seeds: bb.design_beam(M, spec, seed=seeds, n_rand=40),
+}
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     case=stacks(max_elements=5, max_members=4),
-    strategy=st.sampled_from(("eigen", "sdr_grp_cd")),
+    designer=st.sampled_from(sorted(DESIGNERS)),
     bits=st.sampled_from((None, 1, 2, 3)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_design_equals_member_designs_bit_for_bit(case, strategy, bits, seed):
+def test_stacked_design_equals_member_designs_bit_for_bit(case, designer, bits, seed):
     _, M = case
     spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
     seeds = [seed + i for i in range(len(M))]
-    beams = bb.design_beam(M, spec, strategy, seed=seeds, n_rand=40)
+    beams = DESIGNERS[designer](M, spec, seeds)
     assert len(beams) == len(M)
     for m, s, beam in zip(M, seeds, beams):
-        (alone,) = bb.design_beam(m[None], spec, strategy, seed=[s], n_rand=40)
+        (alone,) = DESIGNERS[designer](m[None], spec, [s])
         assert np.array_equal(beam.weights, alone.weights)
+
+
+def eigen_beams_row_by_row(M: np.ndarray, spec: bb.PhaseSpec) -> np.ndarray:
+    """Reference: each dominant eigenvector's phases (0 at a zero entry) through BeamWeights.from_phases, then the canonical phase."""
+    _, V = beamopt_module._max_eigenpairs(beamopt_module._hermitian_stack(M))
+    rows = [bb.BeamWeights.from_phases(np.where(np.abs(v) > 0.0, np.angle(v), 0.0), spec).weights for v in V]
+    return beamopt_module._canonical_global_phase(np.stack(rows), spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stacks(max_elements=8), zero=st.lists(st.booleans(), min_size=8, max_size=8),
+       bits=st.sampled_from((None, 1, 2, 3, 5)))
+# Element 0 has no field; its eigenvector entry is -0.0, whose angle is pi.
+@example(case=(4, random_instance(RandomInstanceSpec(4, 2, 108))[None]), zero=[True] + [False] * 7, bits=1)
+def test_eigen_beams_equal_row_by_row_reference_bit_for_bit(case, zero, bits):
+    L, M = case
+    M = M.copy()
+    elements = np.array(zero[:L])  # elements without field: zero rows and columns
+    M[:, elements, :] = 0.0
+    M[:, :, elements] = 0.0
+    spec = phase_spec(bits)
+    beams = bb.eigen_beams(M, spec)
+    assert np.stack([beam.weights for beam in beams]).tobytes() == eigen_beams_row_by_row(M, spec).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,10 +155,17 @@ def test_rank_one_exact_beam_equals_brute_force(L, bits, seed, magnitude):
 def test_sweep_cap_on_a_stack_carries_every_member(case, full_seed):
     L, M = case
     M = np.concatenate([M, member(L, "full", full_seed)[None]])  # at least one member needs sweeps
-    with pytest.raises(bb.SdrConvergenceError) as excinfo:
-        bb.solve_sdr(M, max_sweeps=1)
-    solutions = excinfo.value.solution
+    with pytest.warns(UserWarning) as unsettled:
+        solutions = bb.solve_sdr(M, max_sweeps=1)
     assert isinstance(solutions, tuple) and len(solutions) == len(M)
+    # One warning per unsettled member, in stack order, each naming its member and certified gap.
+    warned = [int(str(w.message).split()[1]) for w in unsettled]
+    assert warned == sorted(set(warned)) and len(M) - 1 in warned
+    for b, w in zip(warned, unsettled):
+        s = solutions[b]
+        assert s.iterations == 1 and str(w.message) == (
+            f"relaxation {b} of {len(M)} did not settle within 1 sweeps; "
+            f"keeping its best iterate (certified gap {s.bound - s.objective:.3e})")
     assert all(isinstance(solution, bb.SdrSolution) for solution in solutions)
     for m, solution in zip(M, solutions):
         assert_same_solution(solution, solve_alone(m, max_sweeps=1))
@@ -224,9 +260,8 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
     inits = tuple(bb.BeamWeights.from_phases(p, spec) for p in rng.uniform(0.0, 2.0 * math.pi, (len(M), L)))
     results = bb.coordinate_descent(M, inits, spec)
     for m, result in zip(M, results):
-        slack = 1e-12 * max(np.trace(m).real, 1e-300)
-        assert np.all(np.diff(result.objectives) >= -slack)
-    assert np.all(np.diff(results.objectives, axis=0) >= -1e-12 * np.maximum(np.trace(M, axis1=1, axis2=2).real, 1e-300))
+        assert np.all(np.diff(result.objectives) >= 0.0)
+    assert np.all(np.diff(results.objectives, axis=0) >= 0.0)
 
 
 def test_phase_is_mod_of_angle_bit_for_bit():

@@ -267,6 +267,13 @@ CONFIG_PROBES = {
     # An integer literal that no float holds.
     "synthetic spacing beyond the float range": {
         "arrays": [{"id": "ula", "synthetic": {**_ULA, "spacing_lambda": 10**400}}]},
+    "duplicate array id": {"arrays": [{"id": "ula", "synthetic": _ULA}, {"id": "ula", "synthetic": _ULA}]},
+    "generator directions without a synthetic array": {
+        "arrays": [{"id": "ula", "csv": "ula.csv"}], "algorithm": {"name": "greedy", "size": 3, "phase_bits": 5},
+        "evaluation": {"directions": {"kind": "generator"}}},
+    "unknown criterion kind": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5,
+                                             "criterion": {"kind": "median"}}},
+    "unknown stop kind": {"algorithm": {"name": "greedy", "size": 3, "phase_bits": 5, "stop": {"kind": "never"}}},
 }
 
 
@@ -277,6 +284,27 @@ def test_bad_config_value_exits_2(tmp_path, probe, command):
     bb.save_efield(grid, tmp_path / "ula.csv")  # so the CSV probe fails on its config, not on a missing file
     config = write_config(tmp_path / "cfg.json", **CONFIG_PROBES[probe])
     assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+
+
+# Config files that are not a JSON object, or cannot be read as one: (file bytes or None for no file, message).
+UNREADABLE_CONFIGS = {
+    "JSON list": (b"[]", "config must be a JSON object"),
+    "JSON string": (b'"ula"', "config must be a JSON object"),
+    "malformed JSON": (b'{"arrays": [', "cannot read config"),
+    "not UTF-8": (b'{"output_dir": "\xff"}', "cannot read config"),
+    "missing file": (None, "cannot read config"),
+}
+
+
+@pytest.mark.parametrize("command", ["design", "eval"])
+@pytest.mark.parametrize("case", UNREADABLE_CONFIGS)
+def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, case, command):
+    data, message = UNREADABLE_CONFIGS[case]
+    config = tmp_path / "cfg.json"
+    if data is not None:
+        config.write_bytes(data)
+    assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["design", "eval", "compare", "gen-efield"])
@@ -570,6 +598,53 @@ class TestSelfcheck:
 
     def test_missing_path_exits_2(self, tmp_path):
         assert main(["selfcheck", str(tmp_path / "nope.csv")]) == 2
+
+    def test_a_directory_without_files_exits_2(self, tmp_path, capsys):
+        (tmp_path / "empty" / "sub").mkdir(parents=True)
+        assert main(["selfcheck", str(tmp_path / "empty")]) == 2
+        assert "nothing to check" in capsys.readouterr().err
+
+    def test_accepts_a_comparison_table(self, tmp_path, capsys):
+        config = str(write_config(tmp_path / "cfg.json"))
+        main(["compare", "--configs", config, config, "--output-dir", str(tmp_path / "cmp")])
+        capsys.readouterr()
+        assert main(["selfcheck", str(tmp_path / "cmp" / "compare.csv")]) == 0
+        assert "(comparison table)" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def evaluated(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", output_dir=str(tmp_path / "out"))
+        main(["design", "--config", str(config)])
+        main(["eval", "--config", str(config), "--codebook", str(tmp_path / "out/codebook.json")])
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.split(",", 1)[1], "line 2: expected 4 fields"),
+        (lambda row: ",".join(["90.0", "360.0", *row.split(",")[2:]]), "line 2: out-of-range direction or weight"),
+    ])
+    def test_rejects_a_bad_pattern_row(self, evaluated, capsys, edit, message):
+        path = evaluated / "pattern.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = edit(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["selfcheck", str(path)]) == 1
+        assert f"FAIL {path}: {message}" in capsys.readouterr().out
+
+    def test_rejects_a_decreasing_cdf(self, evaluated, capsys):
+        path = evaluated / "stats.json"
+        stats = json.loads(path.read_text())
+        stats["cdf"][1][1], stats["cdf"][2][1] = stats["cdf"][2][1], stats["cdf"][1][1] / 2
+        path.write_text(json.dumps(stats))
+        capsys.readouterr()
+        assert main(["selfcheck", str(path)]) == 1
+        assert "cdf cumulative weights must be nondecreasing" in capsys.readouterr().out
+
+    def test_rejects_an_unknown_csv_header(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1,2\n")
+        assert main(["selfcheck", str(path)]) == 1
+        assert f"FAIL {path}: unknown CSV header: 'a,b'" in capsys.readouterr().out
 
 
 class TestRegionWorkflow:

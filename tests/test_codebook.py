@@ -166,8 +166,8 @@ class TestCandidates:
         # broadside: progressive phases are all zero, exactly on any lattice
         ds = bb.DirectionSet(np.array([90.0]), np.array([0.0]), np.array([1.0]))
         M = field_coherence(*grid.fields_at(ds))
-        (eig,) = bb.design_beam(M[None], bb.PhaseSpec(5), "eigen", seed=[0])
-        (it,) = bb.design_beam(M[None], bb.PhaseSpec(5), "sdr_grp_cd", seed=[9])
+        (eig,) = bb.eigen_beams(M[None], bb.PhaseSpec(5))
+        (it,) = bb.design_beam(M[None], bb.PhaseSpec(5), seed=[9])
         assert_allclose(eig.weights, it.weights, atol=1e-12)
 
     def test_quasi_uniform_spacing(self):

@@ -60,6 +60,21 @@ class TestGridCsv:
         with pytest.raises(GridFormatError, match=r":2: malformed row"):
             bb.load_efield(path)
 
+    # Python's int and float read these as 10 and 1; np.loadtxt, the reader's one number grammar, does not.
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_cells_outside_the_number_grammar_name_their_line(self, tmp_path, cell, column):
+        grid = small_grid()
+        path = tmp_path / "g.csv"
+        bb.save_efield(grid, path)
+        lines = path.read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[column] = cell
+        lines[4] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(GridFormatError, match=f":5: malformed row; could not convert string '{cell}' .* column {column + 1}"):
+            bb.load_efield(path)
+
 
 class TestSyntheticUla:
     def test_broadside_phases_and_magnitudes(self):

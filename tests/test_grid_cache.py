@@ -137,7 +137,7 @@ DAMAGE = {
     "bytes flipped": lambda data: data[:-200] + bytes(b ^ 0xFF for b in data[-200:-100]) + data[-100:],
     # Turns e_phi[1, 1, 1] from 7 - 8j into 7 + 8j, a grid the constructor accepts: only the CRC-32 sees it.
     "sign bit flipped": lambda data: data[:-1] + bytes([data[-1] ^ 0x80]),
-    "wrong format tag": lambda data: data.replace(b"beambook-grid-2 ", b"beambook-grid-1 ", 1),
+    "wrong format tag": lambda data: data.replace(b"beambook-grid-3 ", b"beambook-grid-2 ", 1),
     "a plain .npy": lambda data: b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (0,), }"
                                  + b" " * 50 + b"\n",
 }
@@ -165,7 +165,7 @@ def test_record_layout(tmp_path, monkeypatch):
     record = cache_of(path).read_bytes()
     start = record.index(b"\n") + 1
     tag, digest, crc, *dims = header_of(path)
-    assert tag == efield._GRID_CACHE_FORMAT == "beambook-grid-2"
+    assert tag == efield._GRID_CACHE_FORMAT == "beambook-grid-3"
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert dims == ["2", "2", "2"] and start % 8 == 0
     body = record[start:]
@@ -337,6 +337,7 @@ def test_bad_content_under_a_good_cache_still_fails(tmp_path):
 READER_DIGESTS = {
     "beambook-grid-1": "50b1c570e5e7f0b039e136be9144bf27f94b83d24c70d4d6bf28b475c56e72a5",
     "beambook-grid-2": "da5b399a9cddd511b96e2e00a7193ca05bd2814062afc9c5ca72ddd91d277c7e",
+    "beambook-grid-3": "7740ba54bc99737d7e19bd17f0c8d1cb368f88c69160402c4bafab7b75d2fdff",
 }
 
 

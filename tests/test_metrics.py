@@ -124,7 +124,7 @@ class TestGapMap:
         grid, dirs = iso_grid
         et, ep = grid.fields_at(dirs)
         M = field_coherence(et[:, 60:61], ep[:, 60:61])
-        (beam,) = bb.design_beam(M[None], bb.PhaseSpec(), "eigen", seed=[0])
+        (beam,) = bb.eigen_beams(M[None], bb.PhaseSpec())
         cb = bb.Codebook((bb.CodebookEntry(grid.array_id, beam),))
         gap = bb.gap_map(bb.composite_pattern(grid, cb, dirs), bb.upper_bound_pattern(grid, dirs))
         assert gap.gains_db[60] < 1e-9

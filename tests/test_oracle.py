@@ -65,8 +65,7 @@ class TestBruteForce:
             M = random_instance(RandomInstanceSpec(4, 2, seed + 40))
             opt = brute_force_b3(M, 2).gain
             slack = 1e-9 * max(opt, 1.0)
-            for strategy in ("eigen", "sdr_grp_cd"):
-                (beam,) = bb.design_beam(M[None], spec, strategy, seed=[seed], n_rand=100)
+            for beam in (*bb.eigen_beams(M[None], spec), *bb.design_beam(M[None], spec, seed=[seed], n_rand=100)):
                 assert beam.gain(M) <= opt + slack
 
     def test_matches_quantized_scan_on_rank_one(self):
