@@ -456,7 +456,7 @@ class TestDesignBeam:
         ]
         assert beam.gain(capped) <= best.bound
         assert beam.gain(capped) == pytest.approx(brute_force_b3(capped, 3).gain, rel=1e-12)
-        # The beam's lattice indices, the same as when the sweep cap raised and design_beam caught it.
+        # The beam's lattice indices, pinned: keeping the best iterate must not change the design.
         assert beam == bb.BeamWeights.from_phases(np.array([0, 6, 4]) * math.pi / 4, spec)
         # Inside a stack the capped member gets the same beam, and every other member its beam of a stack of one.
         others = [random_instance(RandomInstanceSpec(3, rank, seed)) for rank, seed in ((1, 1), (3, 2), (2, 3))]
