@@ -1,16 +1,31 @@
-"""Base class of the validated value types."""
+"""Base class of the validated value types, and their integer check."""
+
+from functools import cached_property
+
+import numpy as np
 
 
 class Frozen:
-    """A value set once, by ``__init__``, which checks its arguments and stores them with ``self.__dict__.update``.
+    """A value set once, by ``__init__``, which checks its arguments, copies any arrays and stores them with ``_set``.
 
-    Assigning or deleting an attribute afterwards raises AttributeError.  Two
-    instances of one class are equal when their attributes are, and they hash
-    by the attribute values; a class holding arrays defines its own
-    ``__eq__`` and ``__hash__``.
+    ``_set`` makes each array field read-only, and assigning or deleting an
+    attribute raises AttributeError.  Two values of one class are equal when
+    their fields are, arrays entry by entry (``np.array_equal``), and hash by
+    the fields, an array by its entries.  A ``functools.cached_property``
+    value is not a field: equality, hash and repr skip it.
     """
 
     __slots__ = ()
+
+    def _set(self, **fields):
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(fields)
+
+    def _state(self) -> dict:
+        cls = type(self)
+        return {k: v for k, v in vars(self).items() if not isinstance(getattr(cls, k, None), cached_property)}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field '{name}'")
@@ -19,10 +34,20 @@ class Frozen:
         raise AttributeError(f"cannot delete field '{name}'")
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(self._state().values(), other._state().values())  # one class: one field order
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        # Python numbers that compare equal hash equal (0.0 and -0.0 too), as array_equal needs.
+        fields = self._state().values()
+        return hash(tuple(tuple(v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in fields))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._state().items())})"
+
+
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._frozen import Frozen
+from ._frozen import Frozen, is_integer
 
 __all__ = [
     "PhaseSpec",
@@ -49,10 +49,9 @@ class PhaseSpec(Frozen):
     """Phase-shifter resolution: ``bits``-bit phase shifters, or continuous ones when ``bits`` is None."""
 
     def __init__(self, bits: int | None = None):
-        integer = isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
-        if bits is not None and not (integer and 1 <= bits <= 16):
+        if bits is not None and not (is_integer(bits) and 1 <= bits <= 16):
             raise ValueError(f"discrete phase bits must be an integer in 1..16, got {bits!r}")
-        self.__dict__.update(bits=None if bits is None else int(bits))
+        self._set(bits=None if bits is None else int(bits))
 
     @property
     def is_discrete(self) -> bool:
@@ -138,7 +137,7 @@ class BeamWeights(Frozen):
         w = np.asarray(weights, dtype=complex)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        self.__dict__.update(vars(self._rows(w[None], phase_spec)[0]))
+        self._set(**vars(self._rows(w[None], phase_spec)[0]))
 
     @classmethod
     def _rows(cls, W: np.ndarray, phase_spec: PhaseSpec) -> tuple["BeamWeights", ...]:
@@ -152,16 +151,6 @@ class BeamWeights(Frozen):
             beam.__dict__.update(weights=w, phase_spec=phase_spec)
             beams.append(beam)
         return tuple(beams)
-
-    def __eq__(self, other):
-        """Equal when the phase specs match and the weights are exactly equal, entry by entry."""
-        if not isinstance(other, BeamWeights):
-            return NotImplemented
-        return self.phase_spec == other.phase_spec and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self):
-        # Python numbers that compare equal hash equal (0.0 and -0.0 too), as array_equal needs.
-        return hash((self.phase_spec, tuple(self.weights.tolist())))
 
     @property
     def num_elements(self) -> int:

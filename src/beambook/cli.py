@@ -387,7 +387,7 @@ def _cmd_gen_efield(args) -> int:
         "elements": spec.num_elements,
         "spacing_lambda": spec.spacing_over_lambda,
         "pattern_q": spec.element_pattern_q,
-        "sampling_factor": spec.effective_sampling_factor,
+        "sampling_factor": spec.sampling_factor,
         "array_id": args.array_id,
     }
     write_json(sidecar, out / f"{args.name}.spec.json")

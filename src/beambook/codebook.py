@@ -44,7 +44,9 @@ class Codebook(Frozen):
         entries = tuple(entries)
         if not entries:
             raise ValueError("a codebook needs at least one beam")
-        self.__dict__.update(entries=entries)
+        if len({e.weights.phase_spec for e in entries}) != 1:
+            raise ValueError("codebook mixes phase constraints")
+        self._set(entries=entries)
 
     @property
     def size(self) -> int:
@@ -52,15 +54,11 @@ class Codebook(Frozen):
 
     @property
     def phase_bits(self) -> int | None:
-        specs = {e.weights.phase_spec for e in self.entries}
-        if len(specs) != 1:
-            raise ValueError("codebook mixes phase constraints")
-        spec = next(iter(specs))
-        return spec.bits
+        return self.entries[0].weights.phase_spec.bits
 
 
-def codebook_to_dict(codebook: Codebook) -> dict:
-    return {
+def save_codebook(codebook: Codebook, path) -> None:
+    write_json({
         "phase_bits": codebook.phase_bits,
         "entries": [
             {
@@ -69,11 +67,12 @@ def codebook_to_dict(codebook: Codebook) -> dict:
             }
             for e in codebook.entries
         ],
-    }
+    }, path)
 
 
-def codebook_from_dict(data) -> Codebook:
-    """Inverse of :func:`codebook_to_dict`; any schema violation is a ValueError naming it."""
+def load_codebook(path) -> Codebook:
+    """Read a codebook JSON file; OSError if unreadable, ValueError if malformed, naming the schema violation."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     raw = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(raw, list) or not raw or "phase_bits" not in data:
         raise ValueError("a codebook is a JSON object with 'phase_bits' and a nonempty 'entries' list")
@@ -89,15 +88,6 @@ def codebook_from_dict(data) -> Codebook:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"entry {i}: {exc!r}") from None
     return Codebook(entries)
-
-
-def save_codebook(codebook: Codebook, path) -> None:
-    write_json(codebook_to_dict(codebook), path)
-
-
-def load_codebook(path) -> Codebook:
-    """Read a codebook JSON file; OSError if unreadable, ValueError if malformed."""
-    return codebook_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def codebook_summary(codebook: Codebook, resolved, gains: np.ndarray) -> str:
@@ -121,7 +111,7 @@ class MeanGainCriterion(Frozen):
     """Mean composite gain (linear average, reported in dB) over a region."""
 
     def __init__(self, region: CoverageRegion | None = None):
-        self.__dict__.update(region=region)
+        self._set(region=region)
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """Linear weighted mean over the region of each (..., N) gain row."""
@@ -150,7 +140,7 @@ class PercentileMixCriterion(Frozen):
         # Written as "not <" so that a NaN weight fails too.
         if any(not (0.0 <= b < math.inf) for _, b in pts) or all(b == 0.0 for _, b in pts):
             raise ValueError("percentile weights must be finite, nonnegative and not all zero")
-        self.__dict__.update(points=pts)
+        self._set(points=pts)
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """The percentile mix in dB of each (..., N) gain row."""

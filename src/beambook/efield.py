@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._frozen import Frozen
+from ._frozen import Frozen, is_integer
 
 # Impedance of free space, ohms.
 FREE_SPACE_IMPEDANCE_OHMS = 376.730313668
@@ -67,23 +67,7 @@ class DirectionSet(Frozen):
             raise ValueError("negative or NaN quadrature weight")
         if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        for arr in (theta, phi, weights):
-            arr.setflags(write=False)
-        self.__dict__.update(theta=theta, phi=phi, weights=weights)
-
-    def __eq__(self, other):
-        """Equal when theta, phi and weights are exactly equal, entry by entry."""
-        if not isinstance(other, DirectionSet):
-            return NotImplemented
-        return (
-            np.array_equal(self.theta, other.theta)
-            and np.array_equal(self.phi, other.phi)
-            and np.array_equal(self.weights, other.weights)
-        )
-
-    def __hash__(self):
-        # Python floats that compare equal hash equal (0.0 and -0.0 too), as array_equal needs.
-        return hash((tuple(self.theta.tolist()), tuple(self.phi.tolist()), tuple(self.weights.tolist())))
+        self._set(theta=theta, phi=phi, weights=weights)
 
     def __len__(self) -> int:
         return self.theta.size
@@ -101,9 +85,11 @@ class CoverageRegion(Frozen):
         lo, hi = theta_range
         if not (0.0 <= lo <= hi <= 180.0):
             raise ValueError("theta_range must satisfy 0 <= lo <= hi <= 180")
+        if len(phi_range) != 2:
+            raise ValueError(f"phi_range must be a (lo, hi) pair, got {phi_range!r}")
         if not all(-math.inf < bound < math.inf for bound in phi_range):
             raise ValueError("phi_range bounds must be finite")
-        self.__dict__.update(theta_range=theta_range, phi_range=phi_range)
+        self._set(theta_range=(float(lo), float(hi)), phi_range=tuple(map(float, phi_range)))
 
     def contains(self, theta, phi) -> np.ndarray:
         """Vectorized membership test; phi wraparound handled."""
@@ -129,26 +115,23 @@ class SyntheticUlaSpec(Frozen):
     ``element_pattern_q`` is the exponent of the sin^q(theta) per-element
     power pattern (0 = isotropic).  ``sampling_factor`` sets the density
     of the cosine-uniform theta sweep: 2a+1 points with cos(theta) on a
-    uniform lattice over [-1, 1]; default a = 30 * num_elements.
+    uniform lattice over [-1, 1]; None stores the default a = 30 * num_elements.
     """
 
     def __init__(self, num_elements: int, spacing_over_lambda: float, element_pattern_q: float = 0.0,
                  sampling_factor: int | None = None):
-        if num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+        if not (is_integer(num_elements) and num_elements >= 1):
+            raise ValueError(f"num_elements must be an integer >= 1, got {num_elements!r}")
         # Written as "not <" and "not >=" so that NaN fails too.
         if not (0.0 < spacing_over_lambda < math.inf):
             raise ValueError("spacing_over_lambda must be positive and finite")
         if not (element_pattern_q >= 0.0):
             raise ValueError("element_pattern_q must be >= 0")
-        if sampling_factor is not None and sampling_factor < 1:
-            raise ValueError("sampling_factor must be >= 1")
-        self.__dict__.update(num_elements=num_elements, spacing_over_lambda=spacing_over_lambda,
-                             element_pattern_q=element_pattern_q, sampling_factor=sampling_factor)
-
-    @property
-    def effective_sampling_factor(self) -> int:
-        return self.sampling_factor if self.sampling_factor is not None else 30 * self.num_elements
+        sampling_factor = 30 * num_elements if sampling_factor is None else sampling_factor
+        if not (is_integer(sampling_factor) and sampling_factor >= 1):
+            raise ValueError(f"sampling_factor must be an integer >= 1, got {sampling_factor!r}")
+        self._set(num_elements=int(num_elements), spacing_over_lambda=spacing_over_lambda,
+                  element_pattern_q=element_pattern_q, sampling_factor=int(sampling_factor))
 
 
 class EFieldGrid(Frozen):
@@ -160,10 +143,10 @@ class EFieldGrid(Frozen):
     """
 
     def __init__(self, array_id: str, theta_axis, phi_axis, e_theta, e_phi):
-        theta_axis = np.asarray(theta_axis, dtype=float)
-        phi_axis = np.asarray(phi_axis, dtype=float)
-        e_theta = np.asarray(e_theta, dtype=complex)
-        e_phi = np.asarray(e_phi, dtype=complex)
+        theta_axis = np.array(theta_axis, dtype=float)
+        phi_axis = np.array(phi_axis, dtype=float)
+        e_theta = np.array(e_theta, dtype=complex)
+        e_phi = np.array(e_phi, dtype=complex)
         if theta_axis.ndim != 1 or phi_axis.ndim != 1:
             raise ValueError("axes must be 1-D")
         if np.any(np.diff(theta_axis) <= 0) or np.any(np.diff(phi_axis) <= 0):
@@ -179,9 +162,7 @@ class EFieldGrid(Frozen):
             raise ValueError("grid must contain at least one element")
         if not (np.all(np.isfinite(e_theta)) and np.all(np.isfinite(e_phi))):
             raise ValueError("non-finite field sample")
-        for arr in (theta_axis, phi_axis, e_theta, e_phi):
-            arr.setflags(write=False)
-        self.__dict__.update(array_id=array_id, theta_axis=theta_axis, phi_axis=phi_axis, e_theta=e_theta, e_phi=e_phi)
+        self._set(array_id=array_id, theta_axis=theta_axis, phi_axis=phi_axis, e_theta=e_theta, e_phi=e_phi)
 
     @property
     def num_elements(self) -> int:
@@ -314,7 +295,7 @@ def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[
     Returns the grid together with its natural direction set (uniform
     weights 1/(2a+1)).
     """
-    a = spec.effective_sampling_factor
+    a = spec.sampling_factor
     x = (a - np.arange(2 * a + 1)) / a  # descending 1 .. -1 => ascending theta
     psi = np.arccos(np.clip(x, -1.0, 1.0))
     theta = np.degrees(psi)

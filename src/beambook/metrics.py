@@ -44,17 +44,12 @@ class GainPattern(Frozen):
     """Gain in dB per direction of a weighted direction set."""
 
     def __init__(self, directions: DirectionSet, gains_db):
-        g = np.asarray(gains_db, dtype=float)
+        g = np.array(gains_db, dtype=float)
         if g.shape != (len(directions),):
             raise ValueError("gains must align with the direction set")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gain")
-        g.setflags(write=False)
-        self.__dict__.update(directions=directions, gains_db=g)
-
-    @property
-    def gains_linear(self) -> np.ndarray:
-        return linear_from_db(self.gains_db)
+        self._set(directions=directions, gains_db=g)
 
     @cached_property
     def csv_cells(self) -> tuple[np.ndarray, ...]:
@@ -211,7 +206,7 @@ def coverage_stats(pattern: GainPattern, percentiles: Sequence[float] = (50.0,))
     if any(not (0.0 < x < 100.0) for x in percentiles):
         raise ValueError("percentiles must lie in (0, 100)")
     w = pattern.directions.weights
-    g = pattern.gains_linear
+    g = linear_from_db(pattern.gains_db)
     order, cum = _weighted_cdf(g, w)
     values = g[order[_percentile_ranks(cum, percentiles)]]
     mean_db = db_from_linear(float(np.dot(w, g)))

@@ -23,7 +23,7 @@ class RandomInstanceSpec(Frozen):
             raise ValueError("rank must be in 1..num_elements")
         if magnitude not in ("gaussian", "unit"):
             raise ValueError("magnitude must be 'gaussian' or 'unit'")
-        self.__dict__.update(num_elements=num_elements, rank=rank, seed=seed, magnitude=magnitude)
+        self._set(num_elements=num_elements, rank=rank, seed=seed, magnitude=magnitude)
 
 
 def random_instance(spec: RandomInstanceSpec) -> np.ndarray:

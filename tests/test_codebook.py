@@ -87,7 +87,7 @@ class TestBenchmarkCodebook:
         spec = bb.SyntheticUlaSpec(4, 0.65)
         a = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         b = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
-        assert bb.codebook_to_dict(a) == bb.codebook_to_dict(b)
+        assert a == b
 
 
 class Test802153c:
@@ -482,6 +482,11 @@ class TestCodebookJson:
             bb.Codebook(())
         with pytest.raises(ValueError, match="at least one beam"):
             bb.Codebook(iter([]))
+
+    def test_codebook_mixing_phase_specs_rejected(self):
+        beams = [bb.BeamWeights(np.full(4, 0.5 + 0.0j), bb.PhaseSpec(bits)) for bits in (2, 3)]
+        with pytest.raises(ValueError, match="codebook mixes phase constraints"):
+            bb.Codebook(bb.CodebookEntry("ula", w) for w in beams)
 
     def test_round_trip_exact(self, iso_grid, tmp_path):
         grid, dirs = iso_grid

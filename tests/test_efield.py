@@ -94,7 +94,7 @@ class TestSyntheticUla:
 
     def test_default_sampling_factor_and_lattice(self):
         spec = bb.SyntheticUlaSpec(4, 0.5)
-        assert spec.effective_sampling_factor == 120
+        assert spec.sampling_factor == 120
         grid, dirs = bb.generate_ula_efield(spec)
         assert len(dirs) == 241
         assert grid.theta_axis[0] == 0.0 and grid.theta_axis[-1] == 180.0
@@ -324,6 +324,17 @@ class TestDirectionSetsAndRegions:
     def test_region_rejects_non_finite_phi(self, phi_range):
         with pytest.raises(ValueError, match="phi_range bounds must be finite"):
             bb.CoverageRegion(phi_range=phi_range)
+
+    @pytest.mark.parametrize("phi_range", [(0.0,), (0.0, 90.0, 180.0)])
+    def test_region_rejects_a_phi_range_not_a_pair(self, phi_range):
+        with pytest.raises(ValueError, match="phi_range must be a"):
+            bb.CoverageRegion(phi_range=phi_range)
+
+    @pytest.mark.parametrize("elements, factor",
+                             [(4.5, None), (True, None), (0, None), (4, 2.5), (4, True), (4, 0)])
+    def test_ula_spec_rejects_non_integer_counts(self, elements, factor):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            bb.SyntheticUlaSpec(elements, 0.5, sampling_factor=factor)
 
     @pytest.mark.parametrize("spacing, q", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan)])
     def test_ula_spec_rejects_non_finite_geometry(self, spacing, q):

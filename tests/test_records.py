@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import beambook as bb
+from beambook._frozen import Frozen
 from beambook.cli import load_run_config
 from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
@@ -49,6 +50,31 @@ def test_every_value_type_rejects_assignment(tmp_path):
             value.extra = 1
 
 
+def test_every_value_type_equals_its_twin_and_hashes_alike(tmp_path):
+    pairs = [(a, b) for a, b in zip(values(tmp_path), values(tmp_path)) if isinstance(a, Frozen)]
+    assert len(pairs) == 11
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_cached_csv_cells_are_not_fields(tmp_path):
+    for value, twin in zip(values(tmp_path), values(tmp_path)):
+        if hasattr(type(value), "csv_cells"):
+            before = repr(value), hash(value)
+            value.csv_cells
+            assert (repr(value), hash(value)) == before and value == twin
+
+
+def test_grids_and_patterns_leave_the_callers_arrays_writable():
+    axes, gains = [np.array([0.0, 90.0]), np.array([0.0])], np.zeros(2)
+    fields = [np.ones((1, 2, 1), complex), np.zeros((1, 2, 1), complex)]
+    grid = bb.EFieldGrid("a", *axes, *fields)
+    pattern = bb.GainPattern(bb.DirectionSet([0.0, 90.0], [0.0, 0.0], [0.5, 0.5]), gains)
+    stored = [grid.theta_axis, grid.phi_axis, grid.e_theta, grid.e_phi, pattern.gains_db]
+    for given, kept in zip([*axes, *fields, gains], stored):
+        assert given.flags.writeable and not kept.flags.writeable and not np.shares_memory(given, kept)
+
+
 def test_records_are_named_tuples_that_unpack():
     beam = bb.BeamWeights(np.full(2, np.sqrt(0.5) + 0.0j), bb.PhaseSpec())
     array_id, weights = bb.CodebookEntry("ula", beam)
@@ -62,6 +88,10 @@ def test_value_types_compare_and_hash_by_value():
     assert bb.MeanGainCriterion(bb.CoverageRegion((0.0, 90.0))) == bb.MeanGainCriterion(bb.CoverageRegion((0.0, 90.0)))
     assert bb.PercentileMixCriterion([(50, 1)]) == bb.PercentileMixCriterion(((50.0, 1.0),))
     assert bb.SyntheticUlaSpec(4, 0.5) != bb.SyntheticUlaSpec(4, 0.65)
+    assert bb.SyntheticUlaSpec(4, 0.5) == bb.SyntheticUlaSpec(4, 0.5, sampling_factor=120)
+    region = bb.CoverageRegion([0, 90], [10, 20])
+    assert repr(region) == "CoverageRegion(theta_range=(0.0, 90.0), phi_range=(10.0, 20.0))"
+    assert hash(bb.MeanGainCriterion(region)) == hash(bb.MeanGainCriterion(bb.CoverageRegion((0, 90.0), (10.0, 20))))
     assert bb.PhaseSpec() != (None,)
     assert repr(bb.PhaseSpec(3)) == "PhaseSpec(bits=3)"
 
