@@ -7,7 +7,8 @@ phases.  Three nested optima bracket what any design can achieve:
     discrete-phase optimum  <=  per-element-power optimum  <=  eigen bound
 
 This script builds a random rank-2 instance, solves the semidefinite
-relaxation, rounds it with Gaussian randomization, polishes with
+relaxation, rounds it to a feasible beam (the best lattice rotation of a
+rank-one solution, else Gaussian randomization), polishes with
 coordinate descent, and compares everything against the exhaustive
 discrete optimum (small enough to enumerate here).  design_beam runs the
 three stages in one call; eigen_beams, the cheapest beam (the lattice
@@ -31,12 +32,13 @@ print(f"eigen bound (sum power only) ............ {eigen_bound:.6f}")
 
 (relaxed,) = bb.solve_sdr(stack)
 print(f"relaxation optimum (per-element power) .. {relaxed.objective:.6f} "
-      f"(rank {relaxed.rank}, {relaxed.iterations} sweeps)")
+      f"(rank {relaxed.rank}, {relaxed.iterations} barrier sweeps)")
 print(f"dual certificate on that optimum ........ {relaxed.bound:.6f}")
 
 spec = bb.PhaseSpec(BITS)
 (rounded,) = bb.gaussian_randomization([relaxed], stack, n_rand=1000, phase_spec=spec, seed=[SEED])
-print(f"best of 1000 randomized roundings ....... {rounded.gain(M):.6f}")
+rounding = "best lattice rotation ..................." if relaxed.rank == 1 else "best of 1000 randomized roundings ......."
+print(f"{rounding} {rounded.gain(M):.6f}")
 
 (polished,) = bb.coordinate_descent(stack, [rounded], spec)
 print(f"after coordinate descent ................ {polished.objectives[-1]:.6f} "

@@ -13,10 +13,14 @@ design:
   exhaustive version at small sizes).
 
 The production pipeline is relax -> randomize -> polish: solve the SDR,
-round candidates drawn from the solution covariance to feasible beams
-(:func:`gaussian_randomization`), then run cyclic coordinate descent on
-the phases (:func:`coordinate_descent`).  In discrete mode a rank-one
-``M`` skips the draws: its best lattice beam is one of L candidates.
+round its solution to a feasible beam (:func:`gaussian_randomization`),
+then run cyclic coordinate descent on the phases
+(:func:`coordinate_descent`).  Most relaxations come out rank one: a
+rank-one ``M`` in closed form, any other ``M`` when a phase ascent's
+w w^H carries a dual certificate, which spares the barrier ascent.  A
+rank-one solution W = v v^H is rounded with no draws: co-phased in
+continuous mode, and in discrete mode the best of the L lattice rotations
+of v.  Only a higher-rank W draws from its covariance.
 """
 
 from __future__ import annotations
@@ -70,28 +74,11 @@ def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
     return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _column_weights(bits: int, L: int, draw_bits: int) -> np.ndarray:
-    """Read-only int64 weights 2^(b l + draw_bits): ``weights @ index`` packs each column above ``draw_bits`` free bits."""
-    weights = np.left_shift(1, bits * np.arange(L, dtype=np.int64) + draw_bits)
-    weights.setflags(write=False)
-    return weights
-
-
-def _first_distinct_columns(index: np.ndarray, bits: int) -> np.ndarray:
+def _first_distinct_columns(index: np.ndarray) -> np.ndarray:
     """Column numbers, in increasing order, of the first occurrence of each distinct column of lattice indices (L, n)."""
-    L, n = index.shape
-    draw_bits = (n - 1).bit_length()
-    if L * bits + draw_bits > 63:
-        keys = np.ascontiguousarray(index.T).view(np.dtype((np.void, L * index.itemsize)))[:, 0]
-        first = np.unique(keys, return_index=True)[1]
-    else:
-        # Column above, draw number below: after one sort the head of each
-        # run of equal columns is its first draw.
-        keys = _column_weights(bits, L, draw_bits) @ index | np.arange(n)
-        keys.sort()
-        column = keys >> draw_bits
-        first = np.concatenate((keys[:1], keys[1:][column[1:] != column[:-1]])) & ((1 << draw_bits) - 1)
+    L = index.shape[0]
+    keys = np.ascontiguousarray(index.T).view(np.dtype((np.void, L * index.itemsize)))[:, 0]
+    first = np.unique(keys, return_index=True)[1]
     first.sort()
     return first
 
@@ -374,15 +361,23 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     small dense matrices of beam design (L <= 16 or so).
 
     ``M`` is a stack of shape (B, L, L); the result is a tuple of B
-    :class:`SdrSolution` records.  One ascent runs over all members at once;
-    each member keeps its own barrier stage, sweep count and stop test, so
-    its solution is bit for bit the one it gets in a stack of one.  Every
+    :class:`SdrSolution` records.  Each ascent runs over all its members at
+    once; each member keeps its own stop test (and barrier stage and sweep
+    count), so its solution is bit for bit the one it gets in a stack of one.  Every
     solution carries a dual certificate (``bound``).
 
-    Rank-one inputs short-circuit to the exact analytic optimum (the
-    co-phased rank-one W).  A member still unsettled at the sweep cap keeps
-    its best iterate, and a ``UserWarning`` names it and its certified gap
-    (bound minus objective).  Raises ``ValueError`` unless ``max_sweeps`` is at least 1.
+    Two routes skip the ascent and report ``rank`` 1 and ``iterations`` 0.
+    A rank-one M short-circuits to the exact analytic optimum, the
+    co-phased rank-one W.  Any other M first runs the rank-1 mixing method
+    (Wang, Chang & Kolter, arXiv:1706.00476): continuous-phase
+    :func:`coordinate_descent` from the co-phased dominant eigenvector of
+    M.  When the dual bound of its W = w w^H exceeds the objective by at
+    most 1e-11 max(trace, 1), that W is certified as the optimum.  Only an
+    uncertified member ascends, and its ``iterations`` counts the barrier
+    sweeps.  A member still unsettled at the sweep cap keeps its best
+    iterate, and a ``UserWarning`` names it and its certified gap (bound
+    minus objective).  Raises ``ValueError`` unless ``max_sweeps`` is at
+    least 1.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -406,13 +401,20 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
         objective[live] = trace[live]
         rank[live] = 1
     else:
-        # Rank-one M: the co-phased rank-one W attains the relaxation optimum
-        # (Cauchy-Schwarz over the rows of any feasible factor).
-        rank_one = live & (vals[:, -2] <= 1e-12 * vals[:, -1])
-        if rank_one.any():
-            w = _cophase(_max_eigenpairs(M[rank_one])[1])
-            W[rank_one] = w[:, :, None] * w.conj()[:, None, :]
-        objective[rank_one] = _objectives(M[rank_one], W[rank_one])
+        # A rank-one M: the co-phased dominant eigenvector w gives the optimum
+        # W = w w^H (Cauchy-Schwarz over the rows of any feasible factor).  Any
+        # other M: the rank-1 mixing method (Wang, Chang & Kolter 2017), a
+        # continuous phase ascent from that w, whose w w^H is the optimum when
+        # the dual bound certifies it.
+        w = _cophase(_max_eigenpairs(M)[1])
+        mixed = live & (vals[:, -2] > 1e-12 * vals[:, -1])
+        if mixed.any():
+            polished = coordinate_descent(M[mixed], BeamWeights._rows(w[mixed], PhaseSpec()), PhaseSpec())
+            w[mixed] = [result.weights.weights for result in polished]
+        W[live] = w[live, :, None] * w[live, None, :].conj()
+        objective[live] = _objectives(M[live], W[live])
+        gap = _dual_bounds(M, W, objective) - objective
+        rank_one = live & (~mixed | (gap <= 1e-11 * np.maximum(trace, 1.0)))
         rank[rank_one] = 1
         ascend = live & ~rank_one
         if ascend.any():
@@ -448,23 +450,27 @@ def gaussian_randomization(
     phase_spec: PhaseSpec,
     seed: Sequence[int],
 ) -> tuple[BeamWeights, ...]:
-    """Round each relaxation solution of a stack to a feasible beam by randomized trials.
+    """Round each relaxation solution of a stack to a feasible beam.
 
-    Draws ``n_rand`` vectors from the zero-mean complex Gaussian with
-    covariance W, projects each onto the feasible set (unit magnitudes,
-    quantized phases in discrete mode), and keeps the best quadratic form.
-    In continuous mode a numerically rank-one W needs no randomization:
-    the co-phased dominant eigenvector is already optimal.  In discrete
-    mode each distinct beam among the draws is scored once, at its first
-    draw; the result is bit for bit the first best of all draws.
-    Deterministic for a given seed (NumPy PCG64 stream).
+    A numerically rank-one W (second eigenvalue at most 1e-9 of the first)
+    takes the exact route, whatever its seed and ``n_rand``: random draws
+    could only rotate its principal eigenvector v.  In continuous mode the
+    beam is the co-phased v; in discrete mode it is the best of the L
+    lattice rotations of v, scored against M (:func:`_rank_one_lattice_beams`).
+    Every other W draws ``n_rand`` vectors from the zero-mean complex
+    Gaussian with covariance W, projects each onto the feasible set (unit
+    magnitudes, quantized phases in discrete mode), and keeps the first
+    draw of largest quadratic form.  In discrete mode each distinct beam
+    among the draws is scored once, at its first draw; the result is bit
+    for bit the first best of all draws.  Deterministic for a given seed
+    (NumPy PCG64 stream).
 
     ``M`` is a stack of shape (B, L, L), ``solution`` a sequence of B
     solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
     member; the result is a tuple of B beams.  The stack shares one
-    ``eigh`` and one factor product; each member keeps its own stream and
-    its own (L, n_rand) draws, so its beam is bit for bit the one it gets
-    in a stack of one.
+    ``eigh``, one factor product and one exact-route call; each drawing
+    member keeps its own stream and its own (L, n_rand) draws, so every
+    beam is bit for bit the one it gets in a stack of one.
     """
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
@@ -479,16 +485,17 @@ def gaussian_randomization(
     vals, vecs = np.linalg.eigh(W)
     vals = np.clip(vals, 0.0, None)
     factors = vecs * np.sqrt(vals)[:, None, :]
+    beams = np.empty((B, L), dtype=complex)
+    exact = np.full(B, True) if L == 1 else vals[:, -2] <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
+    if exact.any():
+        v = vecs[exact, :, -1]
+        beams[exact] = _rank_one_lattice_beams(v, M[exact], phase_spec.bits) if phase_spec.is_discrete else _cophase(v)
+    drawn = np.flatnonzero(~exact)
     if phase_spec.is_discrete:
         phasors = _lattice_phasors(phase_spec.bits, L)
         distinct = np.empty((L, n_rand), dtype=complex)
-
-    beams = np.empty((B, L), dtype=complex)
     xi = np.empty((n_rand, L), dtype=complex)
-    for b in range(B):
-        if not phase_spec.is_discrete and (L == 1 or vals[b, -2] <= 1e-9 * max(vals[b, -1], 1e-300)):
-            beams[b] = _cophase(vecs[b, :, -1])
-            continue
+    for b in drawn:
         # Unit-variance circular complex normals: the real and imaginary
         # parts are two consecutive standard_normal blocks, scaled by sqrt(1/2).
         rng = np.random.default_rng(seeds[b])
@@ -501,14 +508,13 @@ def gaussian_randomization(
         # first draw of largest gain.  Keep that exact formula: lattice
         # rotations of one beam tie up to rounding, and another summation
         # order breaks those ties differently.  In discrete mode the draws
-        # repeat (a rank-one W gives at most L 2^b distinct beams), so the
-        # formula runs once per distinct beam, on its first draw, in draw
-        # order.  Those beams fill the first columns of a full (L, n_rand)
-        # buffer: NumPy orders the summation by the strides, and a compact
-        # copy changes the last bits.
+        # repeat, so the formula runs once per distinct beam, on its first
+        # draw, in draw order.  Those beams fill the first columns of a full
+        # (L, n_rand) buffer: NumPy orders the summation by the strides, and
+        # a compact copy changes the last bits.
         if phase_spec.is_discrete:
             index = _lattice_index(phases, phase_spec.bits)
-            first = _first_distinct_columns(index, phase_spec.bits)
+            first = _first_distinct_columns(index)
             feas = distinct[:, : first.size]
             feas[...] = phasors[index[:, first]]
         else:
@@ -614,20 +620,20 @@ def _canonical_global_phase(W: np.ndarray, phase_spec: PhaseSpec) -> np.ndarray:
     return _lattice_phasors(phase_spec.bits, W.shape[1])[(index - index[:, :1]) & ((1 << phase_spec.bits) - 1)]
 
 
-def _rank_one_lattice_beams(M: np.ndarray, bits: int) -> np.ndarray:
-    """Best b-bit beam of every rank-one member of a stack (B, L, L), in canonical form, with no draws.
+def _rank_one_lattice_beams(v: np.ndarray, M: np.ndarray, bits: int) -> np.ndarray:
+    """Best b-bit rotation of each vector of v (B, L) for its member of M (B, L, L), in canonical form, with no draws.
 
     For M = v v^H the gain depends on a rotation psi of the beam
     quantize(arg v - psi) only through the breakpoints
     mod(arg v_l - step/2, step) that psi crosses, so the midpoints between
     neighbouring breakpoints give L candidates, one of them optimal
     (Kyrillidis & Karystinos, IEEE Trans. Commun. 2014).  The candidates
-    are scored in lexicographic order of their canonical index vectors, and
-    the first maximum wins.  Returns the (B, L) weights.
+    are scored against M in lexicographic order of their canonical index
+    vectors, and the first maximum wins.  Returns the (B, L) weights.
     """
     B, L, _ = M.shape
     step = _TWO_PI / (1 << bits)
-    theta = _phase(_max_eigenpairs(M)[1])
+    theta = _phase(v)
     breaks = np.sort(np.mod(theta - 0.5 * step, step), axis=1)
     mids = 0.5 * (breaks + np.concatenate((breaks[:, 1:], breaks[:, :1] + step), axis=1))
     # (B, candidate, L); the index mask wraps the negative phases.
@@ -650,31 +656,21 @@ def design_beam(
     ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
     member.  Every stage runs once over the whole stack: one
     :func:`solve_sdr`, one :func:`gaussian_randomization` (each member on
-    its own seed) and one :func:`coordinate_descent` call.  In discrete
-    mode a member that took the relaxation's rank-one shortcut skips the
-    randomization: its exact lattice beam (see
-    :func:`_rank_one_lattice_beams`) goes to the polish, whatever its
-    seed and ``n_rand``.  A relaxation that hits the sweep cap goes on from
-    its best iterate, with :func:`solve_sdr`'s warning.  The result is a
-    tuple of B beams, each deterministic in (member, phase_spec, seed),
-    equal to the beam of a stack of one, and normalized to a zero phase on
-    element 0 (in discrete mode by lattice index, so every global rotation
-    of a lattice beam gives the same bytes).
+    its own seed) and one :func:`coordinate_descent` call.  A member whose
+    relaxed W is rank one (a rank-one M, a certified relaxation, or an
+    ascent that ends at rank one) takes the randomization's exact route,
+    whatever its seed and ``n_rand``; only a higher-rank W draws.  A
+    relaxation that hits the sweep cap goes on from its best iterate, with
+    :func:`solve_sdr`'s warning.  The result is a tuple of B beams, each
+    deterministic in (member, phase_spec, seed), equal to the beam of a
+    stack of one, and normalized to a zero phase on element 0 (in discrete
+    mode by lattice index, so every global rotation of a lattice beam gives
+    the same bytes).
     """
     stack = _hermitian_stack(M)
     seeds = _member_seeds(seed, len(stack))
-    relaxed = solve_sdr(stack)
-    exact = np.array([phase_spec.is_discrete and s.rank == 1 and s.iterations == 0 for s in relaxed])
-    drawn = np.flatnonzero(~exact)
-    W = np.empty(stack.shape[:2], dtype=complex)
-    if exact.any():
-        W[exact] = _rank_one_lattice_beams(stack[exact], phase_spec.bits)
-    if drawn.size:
-        rounded = gaussian_randomization(
-            [relaxed[b] for b in drawn], stack[drawn], n_rand, phase_spec, [seeds[b] for b in drawn]
-        )
-        W[drawn] = [beam.weights for beam in rounded]
-    polished = coordinate_descent(stack, BeamWeights._rows(W, phase_spec), phase_spec)
+    rounded = gaussian_randomization(solve_sdr(stack), stack, n_rand, phase_spec, seeds)
+    polished = coordinate_descent(stack, rounded, phase_spec)
     W = np.stack([result.weights.weights for result in polished])
     return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)
 

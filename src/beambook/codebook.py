@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._frozen import Frozen
+from ._frozen import Frozen, is_integer
 from .beamopt import BeamWeights, PhaseSpec, design_beam, eigen_beams
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
@@ -465,10 +465,10 @@ def codebook_802_15_3c(
     exact, so finer shifters reproduce the codebook built at
     b = log2(K') (the classic 2-bit construction for K' = 4).
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if num_elements < 1:
-        raise ValueError("num_elements must be >= 1")
+    if not (is_integer(size) and size >= 1):
+        raise ValueError(f"size must be an integer >= 1, got {size!r}")
+    if not (is_integer(num_elements) and num_elements >= 1):
+        raise ValueError(f"num_elements must be an integer >= 1, got {num_elements!r}")
     if bits is None:
         raise ValueError("the 802.15.3c codebook needs a phase bit count")
     spec = PhaseSpec(bits)

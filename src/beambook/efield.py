@@ -82,11 +82,12 @@ class CoverageRegion(Frozen):
     """A (theta, phi) box on the sphere; the phi range may wrap through 0."""
 
     def __init__(self, theta_range: tuple[float, float] = (0.0, 180.0), phi_range: tuple[float, float] = (0.0, 360.0)):
+        for name, pair in (("theta_range", theta_range), ("phi_range", phi_range)):
+            if len(pair) != 2:
+                raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}")
         lo, hi = theta_range
         if not (0.0 <= lo <= hi <= 180.0):
             raise ValueError("theta_range must satisfy 0 <= lo <= hi <= 180")
-        if len(phi_range) != 2:
-            raise ValueError(f"phi_range must be a (lo, hi) pair, got {phi_range!r}")
         if not all(-math.inf < bound < math.inf for bound in phi_range):
             raise ValueError("phi_range bounds must be finite")
         self._set(theta_range=(float(lo), float(hi)), phi_range=tuple(map(float, phi_range)))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -242,21 +243,23 @@ class TestSolveSdr:
         assert single.objective == single.bound == 2.5
 
     def test_stack_returns_batch_with_slowest_member_sweeps(self):
-        M = np.stack([random_instance(RandomInstanceSpec(5, r, 40 + r)) for r in (1, 2, 5)])
+        # A rank-one M, a relaxation the phase ascent certifies, and one it does not.
+        M = np.stack([random_instance(RandomInstanceSpec(5, r, seed)) for r, seed in ((1, 41), (2, 42), (3, 205))])
         solutions = bb.solve_sdr(M)
         assert isinstance(solutions, tuple) and len(solutions) == 3
         assert all(isinstance(s, bb.SdrSolution) for s in solutions)
-        assert solutions[0].iterations == 0  # rank-one shortcut
+        assert solutions[0].iterations == solutions[1].iterations == 0  # rank-one shortcut, certified
+        assert solutions[2].iterations == 1749  # the barrier ascent
         # The sweeps of the slowest member, read off the members: the benchmark's tracer reads them.
         assert solutions.iterations == max(s.iterations for s in solutions) > 0
         empty = bb.solve_sdr(np.zeros((0, 3, 3)))
         assert empty == () and empty.iterations == 0
 
     def test_sweep_cap_warns_and_keeps_best_iterate(self):
-        M = random_instance(RandomInstanceSpec(6, 3, 5))
+        M = random_instance(RandomInstanceSpec(5, 3, 205))  # uncertified: the barrier ascent takes 1749 sweeps
         with pytest.warns(UserWarning, match="relaxation 0 of 1 did not settle within 1 sweeps; keeping its best"):
             (best,) = bb.solve_sdr(M[None], max_sweeps=1)
-        assert_allclose(np.real(np.diag(best.W)), 1.0 / 6.0, atol=1e-10)
+        assert_allclose(np.real(np.diag(best.W)), 1.0 / 5.0, atol=1e-10)
         assert best.residual > 0.0 and best.iterations == 1
 
     def test_rejects_bad_inputs(self):
@@ -301,7 +304,7 @@ class TestGaussianRandomization:
         assert_allclose(beam.gain(M), 4.0, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
-        M = random_instance(RandomInstanceSpec(4, 2, 11))[None]
+        M = random_instance(RandomInstanceSpec(4, 2, 308))[None]  # a rank-2 relaxation: the beam is drawn
         sol = bb.solve_sdr(M)
         (a,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
         (b,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
@@ -309,7 +312,8 @@ class TestGaussianRandomization:
 
     def test_a_bare_solution_is_rejected_and_any_sequence_reads_as_a_stack(self):
         # An SdrSolution is a tuple itself; it must never be read as a sequence of solutions.
-        M = np.stack([random_instance(RandomInstanceSpec(4, 2, s)) for s in (11, 12, 13)])
+        # Three rank-2 relaxations, so every beam is drawn.
+        M = np.stack([random_instance(RandomInstanceSpec(4, 2, s)) for s in (70, 249, 308)])
         spec = bb.PhaseSpec(3)
         solutions = bb.solve_sdr(M)
         with pytest.raises(ValueError, match="sequence of SdrSolution records"):
@@ -320,8 +324,8 @@ class TestGaussianRandomization:
         assert bb.gaussian_randomization(tuple(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
         assert bb.gaussian_randomization(list(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
         assert stacked[0] == one
-        # Lattice indices of the beams, as the stacked call picked them before its solutions became a tuple.
-        expected = [[6, 1, 7, 4], [6, 1, 0, 2], [6, 2, 5, 7]]
+        # Lattice indices of the beams, as scoring every draw of each member alone picks them.
+        expected = [[7, 2, 6, 5], [4, 7, 4, 5], [0, 6, 5, 4]]
         assert stacked == tuple(bb.BeamWeights.from_phases(np.array(k) * math.pi / 4, spec) for k in expected)
 
     def test_mean_approximation_ratio(self):
@@ -438,32 +442,37 @@ class TestDesignBeam:
             with pytest.raises(ValueError):
                 bb.design_beam(M, bb.PhaseSpec(3), seed=seed, n_rand=50)
 
-    def test_relaxation_at_the_sweep_cap_degrades_instead_of_aborting(self):
-        # This instance's relaxation is still improving by 1.4e-08 per sweep at the 5000-sweep cap.
-        capped = random_instance(RandomInstanceSpec(3, 3, 238))
+    def test_relaxation_at_the_sweep_cap_degrades_instead_of_aborting(self, monkeypatch):
+        # The phase ascent does not certify this instance, and its barrier ascent settles after 1749
+        # sweeps.  Capped at 1300, it is still improving by more than ten times its stage tolerance.
+        capped = random_instance(RandomInstanceSpec(5, 3, 205))
+        cap = 1300
         with pytest.warns(UserWarning) as fallbacks:
-            (best,) = bb.solve_sdr(capped[None])
-        assert best.iterations == 5000 and 0.0 < best.bound - best.objective < 1e-4
+            (best,) = bb.solve_sdr(capped[None], max_sweeps=cap)
+        assert best.iterations == cap and 0.0 < best.bound - best.objective < 1e-4
         gap = f"certified gap {best.bound - best.objective:.3e}"
         assert [str(w.message) for w in fallbacks] == [
-            f"relaxation 0 of 1 did not settle within 5000 sweeps; keeping its best iterate ({gap})"
+            f"relaxation 0 of 1 did not settle within {cap} sweeps; keeping its best iterate ({gap})"
         ]
         spec = bb.PhaseSpec(3)
+        (settled,) = bb.design_beam(capped[None], spec, seed=[5])
+        # design_beam relaxes with the default cap; here every relaxation it solves is capped at 1300.
+        monkeypatch.setattr(beamopt_module, "solve_sdr", functools.partial(bb.solve_sdr, max_sweeps=cap))
         with pytest.warns(UserWarning) as fallbacks:
             (beam,) = bb.design_beam(capped[None], spec, seed=[5])
         assert [str(w.message) for w in fallbacks] == [
-            f"relaxation 0 of 1 did not settle within 5000 sweeps; keeping its best iterate ({gap})"
+            f"relaxation 0 of 1 did not settle within {cap} sweeps; keeping its best iterate ({gap})"
         ]
         assert beam.gain(capped) <= best.bound
         assert beam.gain(capped) == pytest.approx(brute_force_b3(capped, 3).gain, rel=1e-12)
         # The beam's lattice indices, pinned: keeping the best iterate must not change the design.
-        assert beam == bb.BeamWeights.from_phases(np.array([0, 6, 4]) * math.pi / 4, spec)
+        assert beam == settled == bb.BeamWeights.from_phases(np.array([0, 5, 2, 5, 6]) * math.pi / 4, spec)
         # Inside a stack the capped member gets the same beam, and every other member its beam of a stack of one.
-        others = [random_instance(RandomInstanceSpec(3, rank, seed)) for rank, seed in ((1, 1), (3, 2), (2, 3))]
+        others = [random_instance(RandomInstanceSpec(5, rank, seed)) for rank, seed in ((1, 1), (3, 2), (2, 3))]
         with pytest.warns(UserWarning) as fallbacks:
             stacked = bb.design_beam(np.stack([others[0], capped, *others[1:]]), spec, seed=[1, 5, 2, 3])
         assert [str(w.message) for w in fallbacks] == [
-            f"relaxation 1 of 4 did not settle within 5000 sweeps; keeping its best iterate ({gap})"
+            f"relaxation 1 of 4 did not settle within {cap} sweeps; keeping its best iterate ({gap})"
         ]
         assert stacked[1] == beam
         for member, seed, got in zip(others, (1, 2, 3), (stacked[0], *stacked[2:])):
@@ -490,15 +499,17 @@ class TestDesignBeam:
 
     @pytest.mark.parametrize("bits", [1, 3, 5])
     def test_rank_one_discrete_members_are_exact_for_any_seed(self, bits, monkeypatch):
+        # Eight rank-one M, then two full-rank M whose relaxations the phase ascent certifies as rank one.
         spec = bb.PhaseSpec(bits)
-        stack = np.stack([random_instance(RandomInstanceSpec(5, 1, seed)) for seed in range(8)])
-        beams = bb.design_beam(stack, spec, seed=list(range(8)))
+        instances = [RandomInstanceSpec(5, 1, seed) for seed in range(8)] + [RandomInstanceSpec(5, 5, s) for s in (0, 45)]
+        stack = np.stack([random_instance(instance) for instance in instances])
+        beams = bb.design_beam(stack, spec, seed=list(range(10)))
 
         def no_draws(*args, **kwargs):
             raise AssertionError("a rank-one member drew a randomization")
 
-        monkeypatch.setattr(beamopt_module, "gaussian_randomization", no_draws)
-        assert bb.design_beam(stack, spec, seed=[10**6 + i for i in range(8)], n_rand=1) == beams
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert bb.design_beam(stack, spec, seed=[10**6 + i for i in range(10)], n_rand=1) == beams
         for m, beam in zip(stack, beams):
             (alone,) = bb.design_beam(m[None], spec, seed=[99])
             assert np.array_equal(alone.weights, beam.weights)
@@ -518,5 +529,96 @@ class TestDesignBeam:
         step = 2 * math.pi / 2**bits
         winner, loser = (bb.BeamWeights.from_phases(np.array(k) * step, spec) for k in (first, tied))
         assert winner.gain(M) == loser.gain(M) == brute_force_b3(M, bits).gain
-        (exact,) = beamopt_module._rank_one_lattice_beams(M[None], bits)
-        assert np.array_equal(exact, winner.weights)
+        # Fed v itself or M's pinned eigenvector, which differ by a global phase and a scale.
+        for u in (np.array(v, dtype=complex), top_eigenpair(M)[1]):
+            (exact,) = beamopt_module._rank_one_lattice_beams(u[None], M[None], bits)
+            assert np.array_equal(exact, winner.weights)
+
+
+def forbid_draws(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a randomization was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+
+
+def record_draws(monkeypatch) -> list:
+    """Patch np.random.default_rng to record each seed it is given; returns that list."""
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+    return seeds
+
+
+class TestRoutes:
+    """Each route from a coherence matrix to a beam: a rank-one M, a certified relaxation, a rank-one W, draws."""
+
+    def test_a_rank_one_matrix_takes_the_closed_form(self, monkeypatch):
+        M = random_instance(RandomInstanceSpec(5, 1, 3))
+        w = beamopt_module._cophase(top_eigenpair(M)[1])
+        monkeypatch.setattr(beamopt_module, "coordinate_descent", None)  # no phase ascent in solve_sdr
+        (solution,) = bb.solve_sdr(M[None])
+        assert (solution.iterations, solution.rank, solution.residual) == (0, 1, 0.0)
+        assert np.array_equal(solution.W, np.outer(w, w.conj()))
+        monkeypatch.undo()
+        forbid_draws(monkeypatch)
+        (beam,) = bb.design_beam(M[None], bb.PhaseSpec(3), seed=[0])
+        assert beam.gain(M) == pytest.approx(brute_force_b3(M, 3).gain, rel=1e-12)
+
+    def test_a_certified_relaxation_skips_the_barrier_ascent(self, monkeypatch):
+        M = random_instance(RandomInstanceSpec(5, 5, 0))  # full rank
+        trace = np.trace(M).real
+        ascend = beamopt_module._ascend
+        monkeypatch.setattr(beamopt_module, "_ascend", None)
+        (solution,) = bb.solve_sdr(M[None])
+        assert (solution.iterations, solution.rank, solution.residual) == (0, 1, 0.0)
+        assert 0.0 <= solution.bound - solution.objective <= 1e-11 * trace
+        # W = w w^H for a beam w: unit-modulus entries scaled to 1/sqrt(L).
+        w = solution.W[:, 0] / solution.W[0, 0] / math.sqrt(5)
+        assert_allclose(solution.W, np.outer(w, w.conj()), atol=1e-15)
+        assert_allclose(np.abs(w), 1 / math.sqrt(5), rtol=1e-12)
+        # The barrier ascent reaches no higher objective than the certified one.
+        _, objective, sweeps, _, _ = ascend(M[None], np.array([trace]), beamopt_module._SDR_TOL, 5000)
+        assert sweeps[0] > 0 and objective[0] <= solution.bound + 1e-12 * trace
+        forbid_draws(monkeypatch)
+        (beam,) = bb.design_beam(M[None], bb.PhaseSpec(3), seed=[0])
+        assert beam.gain(M) <= solution.bound
+
+    def test_a_rank_one_solution_is_rounded_by_rotation_without_draws(self, monkeypatch):
+        # A hand-built W = v v^H, unrelated to the full-rank M it is scored against.
+        M = random_instance(RandomInstanceSpec(4, 4, 1))
+        v = np.exp(1j * np.array([0.3, 2.9, 4.4, 5.1])) / 2.0
+        solution = bb.SdrSolution(np.outer(v, v.conj()), 0.0, 0, 0.0, 1, 0.0)
+        forbid_draws(monkeypatch)
+        bits = 3
+        (beam,) = bb.gaussian_randomization([solution], M[None], 1000, bb.PhaseSpec(bits), seed=[0])
+        # Reference: every rotation of v on a fine grid of angles, snapped to the lattice.
+        psi = np.linspace(0.0, 2 * math.pi / 2**bits, 20001)
+        index = beamopt_module._lattice_index(np.mod(np.angle(v) - psi[:, None], 2 * math.pi), bits)
+        rotations = beamopt_module._lattice_phasors(bits, 4)[index]
+        best = np.max(np.real(np.einsum("nl,lk,nk->n", rotations.conj(), M, rotations)))
+        assert beam.gain(M) == pytest.approx(best, rel=1e-12)
+        (continuous,) = bb.gaussian_randomization([solution], M[None], 1000, bb.PhaseSpec(), seed=[0])
+        assert abs(np.vdot(continuous.weights, v)) == pytest.approx(1.0, rel=1e-12)  # v up to a global phase
+
+    @pytest.mark.parametrize("bits", [None, 3])
+    def test_a_rank_two_relaxation_draws(self, bits, monkeypatch):
+        M = random_instance(RandomInstanceSpec(5, 3, 205))
+        (solution,) = bb.solve_sdr(M[None])
+        assert (solution.iterations, solution.rank) == (1749, 2)
+        seeds = record_draws(monkeypatch)
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        bb.gaussian_randomization([solution], M[None], 200, spec, seed=[7])
+        bb.design_beam(M[None], spec, seed=[8])
+        assert seeds == [7, 8]
+
+    @pytest.mark.parametrize("bits", [None, 1, 3])
+    def test_a_mixed_stack_designs_every_member_as_alone(self, bits):
+        # Zero, rank-one M, certified, and drawn: every route in one stack.
+        stack = np.stack([np.zeros((5, 5))] + [random_instance(RandomInstanceSpec(5, r, s)) for r, s in
+                                               ((1, 3), (5, 0), (3, 205))])
+        assert [(s.iterations, s.rank) for s in bb.solve_sdr(stack)] == [(0, 5), (0, 1), (0, 1), (1749, 2)]
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        beams = bb.design_beam(stack, spec, seed=[1, 2, 3, 4])
+        for m, seed, beam in zip(stack, (1, 2, 3, 4), beams):
+            (alone,) = bb.design_beam(m[None], spec, seed=[seed])
+            assert beam.weights.tobytes() == alone.weights.tobytes()

@@ -296,6 +296,23 @@ UNREADABLE_CONFIGS = {
 }
 
 
+# Region ranges that are not (lo, hi) pairs: (block, axis, values).
+REGION_RANGES_NOT_PAIRS = {
+    "design theta of three values": ("algorithm", "theta", [0, 90, 100]),
+    "evaluation theta of one value": ("evaluation", "theta", [0]),
+    "evaluation phi of three values": ("evaluation", "phi", [0, 90, 180]),
+}
+
+
+@pytest.mark.parametrize("command", ["design", "eval"])
+@pytest.mark.parametrize("case", REGION_RANGES_NOT_PAIRS)
+def test_a_region_range_not_a_pair_exits_2_naming_the_range(tmp_path, capsys, case, command):
+    block, axis, values = REGION_RANGES_NOT_PAIRS[case]
+    config = write_config(tmp_path / "cfg.json", **{block: {"region": {axis: values}}})
+    assert main([command, "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"{axis}_range must be a (lo, hi) pair" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["design", "eval"])
 @pytest.mark.parametrize("case", UNREADABLE_CONFIGS)
 def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, case, command):

@@ -120,6 +120,13 @@ class Test802153c:
         with pytest.raises(ValueError):
             bb.codebook_802_15_3c(4, 4, None)
 
+    @pytest.mark.parametrize("num_elements, size", [(4.5, 2.5), (4.5, 2), (4, 2.5), (True, 2), (4, True), (0, 2), (4, 0)])
+    def test_counts_must_be_positive_integers(self, num_elements, size):
+        # Unchecked, (4.5, 2.5) builds 3 beams of 5 elements.
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            bb.codebook_802_15_3c(num_elements, size, 2)
+        assert bb.codebook_802_15_3c(np.int64(4), np.int64(2), 2) == bb.codebook_802_15_3c(4, 2, 2)
+
 
 class TestRestrictRegion:
     def test_full_sphere_identity(self):

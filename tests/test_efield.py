@@ -330,6 +330,11 @@ class TestDirectionSetsAndRegions:
         with pytest.raises(ValueError, match="phi_range must be a"):
             bb.CoverageRegion(phi_range=phi_range)
 
+    @pytest.mark.parametrize("theta_range", [(0.0,), (0.0, 90.0, 100.0)])
+    def test_region_rejects_a_theta_range_not_a_pair(self, theta_range):
+        with pytest.raises(ValueError, match=r"theta_range must be a \(lo, hi\) pair"):
+            bb.CoverageRegion(theta_range)
+
     @pytest.mark.parametrize("elements, factor",
                              [(4.5, None), (True, None), (0, None), (4, 2.5), (4, True), (4, 0)])
     def test_ula_spec_rejects_non_integer_counts(self, elements, factor):
