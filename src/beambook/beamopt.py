@@ -74,15 +74,6 @@ def _lattice_index(phase: np.ndarray, bits: int) -> np.ndarray:
     return np.ceil(phase / step - 0.5).astype(np.intp) & ((1 << bits) - 1)
 
 
-def _first_distinct_columns(index: np.ndarray) -> np.ndarray:
-    """Column numbers, in increasing order, of the first occurrence of each distinct column of lattice indices (L, n)."""
-    L = index.shape[0]
-    keys = np.ascontiguousarray(index.T).view(np.dtype((np.void, L * index.itemsize)))[:, 0]
-    first = np.unique(keys, return_index=True)[1]
-    first.sort()
-    return first
-
-
 @functools.lru_cache(maxsize=16)
 def _lattice_phasors(bits: int, L: int) -> np.ndarray:
     """Read-only table of the 2^b feasible entries exp(1j * k * 2pi/2^b) / sqrt(L).
@@ -240,11 +231,6 @@ def _objectives(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("bij,bji->b", M, W))
 
 
-def _numerical_ranks(psd: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
-    vals = np.linalg.eigvalsh(psd)
-    return np.sum(vals > rel_tol * np.maximum(vals[:, -1:], 0.0), axis=1)
-
-
 def _dual_bounds(M: np.ndarray, W: np.ndarray, objective: np.ndarray) -> np.ndarray:
     """Certified upper bounds on the relaxation optima of a stack.
 
@@ -367,17 +353,17 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     solution carries a dual certificate (``bound``).
 
     Two routes skip the ascent and report ``rank`` 1 and ``iterations`` 0.
-    A rank-one M short-circuits to the exact analytic optimum, the
-    co-phased rank-one W.  Any other M first runs the rank-1 mixing method
-    (Wang, Chang & Kolter, arXiv:1706.00476): continuous-phase
-    :func:`coordinate_descent` from the co-phased dominant eigenvector of
-    M.  When the dual bound of its W = w w^H exceeds the objective by at
-    most 1e-11 max(trace, 1), that W is certified as the optimum.  Only an
-    uncertified member ascends, and its ``iterations`` counts the barrier
-    sweeps.  A member still unsettled at the sweep cap keeps its best
-    iterate, and a ``UserWarning`` names it and its certified gap (bound
-    minus objective).  Raises ``ValueError`` unless ``max_sweeps`` is at
-    least 1.
+    A rank-one M, every 1x1 M included, short-circuits to the exact
+    analytic optimum, the co-phased rank-one W.  Any other M first runs the
+    rank-1 mixing method (Wang, Chang & Kolter, arXiv:1706.00476):
+    continuous-phase :func:`coordinate_descent` from the co-phased dominant
+    eigenvector of M.  When the dual bound of its W = w w^H exceeds the
+    objective by at most 1e-11 max(trace, 1), that W is certified as the
+    optimum.  Only an uncertified member ascends, and its ``iterations``
+    counts the barrier sweeps.  A member still unsettled at the sweep cap
+    keeps its best iterate, and a ``UserWarning`` names it and its certified
+    gap (bound minus objective).  Raises ``ValueError`` unless
+    ``max_sweeps`` is at least 1.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -397,34 +383,31 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     rank = np.full(B, L)
     failed = np.zeros(B, dtype=bool)
     live = trace > 0.0
-    if L == 1:
-        objective[live] = trace[live]
-        rank[live] = 1
-    else:
-        # A rank-one M: the co-phased dominant eigenvector w gives the optimum
-        # W = w w^H (Cauchy-Schwarz over the rows of any feasible factor).  Any
-        # other M: the rank-1 mixing method (Wang, Chang & Kolter 2017), a
-        # continuous phase ascent from that w, whose w w^H is the optimum when
-        # the dual bound certifies it.
-        w = _cophase(_max_eigenpairs(M)[1])
-        mixed = live & (vals[:, -2] > 1e-12 * vals[:, -1])
-        if mixed.any():
-            polished = coordinate_descent(M[mixed], BeamWeights._rows(w[mixed], PhaseSpec()), PhaseSpec())
-            w[mixed] = [result.weights.weights for result in polished]
-        W[live] = w[live, :, None] * w[live, None, :].conj()
-        objective[live] = _objectives(M[live], W[live])
-        gap = _dual_bounds(M, W, objective) - objective
-        rank_one = live & (~mixed | (gap <= 1e-11 * np.maximum(trace, 1.0)))
-        rank[rank_one] = 1
-        ascend = live & ~rank_one
-        if ascend.any():
-            W[ascend], objective[ascend], sweeps[ascend], improvement[ascend], stage_tol = _ascend(
-                M[ascend], trace[ascend], _SDR_TOL, max_sweeps
-            )
-            rank[ascend] = _numerical_ranks(W[ascend])
-            failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
-
+    # A rank-one M: the co-phased dominant eigenvector w gives the optimum
+    # W = w w^H (Cauchy-Schwarz over the rows of any feasible factor); a 1x1 M,
+    # with no second eigenvalue, is one.  Any other M: the rank-1 mixing method
+    # (Wang, Chang & Kolter 2017), a continuous phase ascent from that w, whose
+    # w w^H is the optimum when the dual bound certifies it.
+    w = _cophase(_max_eigenpairs(M)[1])
+    mixed = live & (vals[:, :-1].max(axis=1, initial=0.0) > 1e-12 * vals[:, -1])
+    if mixed.any():
+        polished = coordinate_descent(M[mixed], BeamWeights._rows(w[mixed], PhaseSpec()), PhaseSpec())
+        w[mixed] = [result.weights.weights for result in polished]
+    W[live] = w[live, :, None] * w[live, None, :].conj()
+    objective[live] = _objectives(M[live], W[live])
     bound = _dual_bounds(M, W, objective)
+    rank_one = live & (~mixed | (bound - objective <= 1e-11 * np.maximum(trace, 1.0)))
+    rank[rank_one] = 1
+    ascend = live & ~rank_one
+    if ascend.any():
+        W[ascend], objective[ascend], sweeps[ascend], improvement[ascend], stage_tol = _ascend(
+            M[ascend], trace[ascend], _SDR_TOL, max_sweeps
+        )
+        bound[ascend] = _dual_bounds(M[ascend], W[ascend], objective[ascend])
+        rank_vals = np.linalg.eigvalsh(W[ascend])
+        rank[ascend] = np.sum(rank_vals > 1e-9 * np.maximum(rank_vals[:, -1:], 0.0), axis=1)
+        failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
+
     for b in np.flatnonzero(failed):
         warnings.warn(
             f"relaxation {b} of {B} did not settle within {max_sweeps} sweeps; "
@@ -437,12 +420,6 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     )
 
 
-def _member_seeds(seed: Sequence[int], members: int) -> tuple[int, ...]:
-    if np.ndim(seed) != 1 or len(seed) != members:
-        raise ValueError("a stack of matrices takes one seed per member")
-    return tuple(seed)
-
-
 def gaussian_randomization(
     solution: Sequence[SdrSolution],
     M: np.ndarray,
@@ -452,18 +429,17 @@ def gaussian_randomization(
 ) -> tuple[BeamWeights, ...]:
     """Round each relaxation solution of a stack to a feasible beam.
 
-    A numerically rank-one W (second eigenvalue at most 1e-9 of the first)
-    takes the exact route, whatever its seed and ``n_rand``: random draws
-    could only rotate its principal eigenvector v.  In continuous mode the
-    beam is the co-phased v; in discrete mode it is the best of the L
-    lattice rotations of v, scored against M (:func:`_rank_one_lattice_beams`).
+    A numerically rank-one W (second eigenvalue at most 1e-9 of the first;
+    a 1x1 W has none) takes the exact route, whatever its seed and
+    ``n_rand``: random draws could only rotate its principal eigenvector v.
+    In continuous mode the beam is the co-phased v; in discrete mode it is
+    the best of the L lattice rotations of v, scored against M
+    (:func:`_rank_one_lattice_beams`).
     Every other W draws ``n_rand`` vectors from the zero-mean complex
     Gaussian with covariance W, projects each onto the feasible set (unit
     magnitudes, quantized phases in discrete mode), and keeps the first
-    draw of largest quadratic form.  In discrete mode each distinct beam
-    among the draws is scored once, at its first draw; the result is bit
-    for bit the first best of all draws.  Deterministic for a given seed
-    (NumPy PCG64 stream).
+    draw of largest quadratic form.  Deterministic for a given seed (NumPy
+    PCG64 stream).
 
     ``M`` is a stack of shape (B, L, L), ``solution`` a sequence of B
     solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
@@ -480,43 +456,32 @@ def gaussian_randomization(
     W = np.stack([s.W for s in solution])
     if W.shape != M.shape:
         raise ValueError("solutions and matrices must have the same stack shape")
-    seeds = _member_seeds(seed, len(M))
+    if np.ndim(seed) != 1 or len(seed) != len(M):
+        raise ValueError("a stack of matrices takes one seed per member")
     B, L, _ = M.shape
     vals, vecs = np.linalg.eigh(W)
     vals = np.clip(vals, 0.0, None)
     factors = vecs * np.sqrt(vals)[:, None, :]
     beams = np.empty((B, L), dtype=complex)
-    exact = np.full(B, True) if L == 1 else vals[:, -2] <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
+    exact = vals[:, :-1].max(axis=1, initial=0.0) <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
     if exact.any():
         v = vecs[exact, :, -1]
         beams[exact] = _rank_one_lattice_beams(v, M[exact], phase_spec.bits) if phase_spec.is_discrete else _cophase(v)
-    drawn = np.flatnonzero(~exact)
-    if phase_spec.is_discrete:
-        phasors = _lattice_phasors(phase_spec.bits, L)
-        distinct = np.empty((L, n_rand), dtype=complex)
     xi = np.empty((n_rand, L), dtype=complex)
-    for b in drawn:
+    for b in np.flatnonzero(~exact):
         # Unit-variance circular complex normals: the real and imaginary
         # parts are two consecutive standard_normal blocks, scaled by sqrt(1/2).
-        rng = np.random.default_rng(seeds[b])
+        rng = np.random.default_rng(seed[b])
         xi.real = rng.standard_normal((n_rand, L))
         xi.imag = rng.standard_normal((n_rand, L))
         xi *= math.sqrt(0.5)
         phases = _phase(factors[b] @ xi.T)  # (L, n_rand)
-        # The gain of a draw is einsum("ln,lk,kn->n", feas.conj(), M, feas)
-        # over the (L, n_rand) array of feasible draws, and the beam is the
-        # first draw of largest gain.  Keep that exact formula: lattice
+        # The beam is the first draw of largest gain.  Keep the one gain
+        # formula over the (L, n_rand) array of feasible draws: lattice
         # rotations of one beam tie up to rounding, and another summation
-        # order breaks those ties differently.  In discrete mode the draws
-        # repeat, so the formula runs once per distinct beam, on its first
-        # draw, in draw order.  Those beams fill the first columns of a full
-        # (L, n_rand) buffer: NumPy orders the summation by the strides, and
-        # a compact copy changes the last bits.
+        # order breaks those ties differently.
         if phase_spec.is_discrete:
-            index = _lattice_index(phases, phase_spec.bits)
-            first = _first_distinct_columns(index)
-            feas = distinct[:, : first.size]
-            feas[...] = phasors[index[:, first]]
+            feas = _lattice_phasors(phase_spec.bits, L)[_lattice_index(phases, phase_spec.bits)]
         else:
             feas = np.exp(1j * phases) / math.sqrt(L)
         gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M[b], feas))
@@ -667,10 +632,8 @@ def design_beam(
     mode by lattice index, so every global rotation of a lattice beam gives
     the same bytes).
     """
-    stack = _hermitian_stack(M)
-    seeds = _member_seeds(seed, len(stack))
-    rounded = gaussian_randomization(solve_sdr(stack), stack, n_rand, phase_spec, seeds)
-    polished = coordinate_descent(stack, rounded, phase_spec)
+    rounded = gaussian_randomization(solve_sdr(M), M, n_rand, phase_spec, seed)
+    polished = coordinate_descent(M, rounded, phase_spec)
     W = np.stack([result.weights.weights for result in polished])
     return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)
 

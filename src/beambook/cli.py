@@ -455,9 +455,14 @@ def _check_stats_json(data: dict) -> None:
     for key in ("mean_db", "percentiles", "cdf"):
         if key not in data:
             raise ValueError(f"missing key '{key}'")
+    numbers = (data["mean_db"], *data["percentiles"].values())
+    if not all(type(x) in (int, float) and math.isfinite(x) for x in numbers):
+        raise ValueError("mean_db and every percentile must be finite numbers")
     cdf = np.asarray(data["cdf"], dtype=float)
     if cdf.ndim != 2 or cdf.shape[1] != 2:
         raise ValueError("cdf must be a list of [gain_db, cum] pairs")
+    if not np.all(cdf[1:, 0] >= cdf[:-1, 0]):  # a NaN fails too
+        raise ValueError("cdf gains must be nondecreasing")
     if np.any(np.diff(cdf[:, 1]) < 0) or abs(cdf[-1, 1] - 1.0) > 1e-9:
         raise ValueError("cdf cumulative weights must be nondecreasing and end at 1")
 
@@ -469,9 +474,11 @@ def _check_pattern_csv(lines: list[str]) -> None:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"line {i}: expected 4 fields")
-        theta, phi, w, _gain = (float(v) for v in parts)
+        theta, phi, w, gain = (float(v) for v in parts)
         if not (0.0 <= theta <= 180.0 and 0.0 <= phi < 360.0 and w >= 0.0):
             raise ValueError(f"line {i}: out-of-range direction or weight")
+        if not (math.isfinite(w) and math.isfinite(gain)):
+            raise ValueError(f"line {i}: weight and gain must be finite")
 
 
 def _selfcheck_file(path: Path) -> tuple[bool, str]:

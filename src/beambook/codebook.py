@@ -441,8 +441,8 @@ def benchmark_codebook(
     multi-array terminals the same per-array codebook is replicated on
     every array.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    if not (is_integer(size) and size >= 1):
+        raise ValueError(f"size must be an integer >= 1, got {size!r}")
     L = ula.num_elements
     ks = np.arange(1, size + 1)
     x = -1.0 + (2.0 * ks - 1.0) / size

@@ -611,6 +611,33 @@ class TestRoutes:
         bb.design_beam(M[None], spec, seed=[8])
         assert seeds == [7, 8]
 
+    def test_a_single_element_relaxation_is_the_rank_one_closed_form(self, monkeypatch):
+        # A 1x1 M is rank one: W = [[1]], and a live member's objective and bound are its trace.
+        monkeypatch.setattr(beamopt_module, "_ascend", None)
+        live = bb.SdrSolution(np.ones((1, 1), dtype=complex), 2.5, 0, 0.0, 1, 2.5)
+        zero = bb.SdrSolution(np.ones((1, 1), dtype=complex), 0.0, 0, 0.0, 1, 0.0)
+        stack = np.array([[[2.5]], [[0.0]], [[2.5]]])
+        for M, expected in ((stack[:1], [live]), (stack[1:2], [zero]), (stack, [live, zero, live])):
+            solutions = bb.solve_sdr(M)
+            assert solutions.iterations == 0
+            for got, want in zip(solutions, expected, strict=True):
+                assert got.W.dtype == complex and np.array_equal(got.W, want.W)
+                assert (got.objective, got.iterations, got.residual, got.rank, got.bound) == want[1:]
+
+    @pytest.mark.parametrize("bits", [None, 1, 3])
+    def test_a_single_element_stack_gets_the_one_canonical_beam(self, bits, monkeypatch):
+        forbid_draws(monkeypatch)
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        stack = np.array([[[2.5]], [[0.0]], [[1e-3 + 0j]]])
+        one = np.ones(1, dtype=complex).tobytes()  # +0.0 imaginary part included
+        for beams in (
+            bb.gaussian_randomization(bb.solve_sdr(stack), stack, 1, spec, seed=[1, 2, 3]),
+            bb.design_beam(stack, spec, seed=[1, 2, 3]),
+            bb.design_beam(stack[1:2], spec, seed=[2]) * 3,
+            bb.eigen_beams(stack, spec),
+        ):
+            assert [(beam.weights.tobytes(), beam.phase_spec) for beam in beams] == [(one, spec)] * 3
+
     @pytest.mark.parametrize("bits", [None, 1, 3])
     def test_a_mixed_stack_designs_every_member_as_alone(self, bits):
         # Zero, rank-one M, certified, and drawn: every route in one stack.

@@ -638,6 +638,8 @@ class TestSelfcheck:
     @pytest.mark.parametrize("edit, message", [
         (lambda row: row.split(",", 1)[1], "line 2: expected 4 fields"),
         (lambda row: ",".join(["90.0", "360.0", *row.split(",")[2:]]), "line 2: out-of-range direction or weight"),
+        (lambda row: ",".join([*row.split(",")[:2], "inf", "0.0"]), "line 2: weight and gain must be finite"),
+        (lambda row: ",".join([*row.split(",")[:3], "nan"]), "line 2: weight and gain must be finite"),
     ])
     def test_rejects_a_bad_pattern_row(self, evaluated, capsys, edit, message):
         path = evaluated / "pattern.csv"
@@ -656,6 +658,18 @@ class TestSelfcheck:
         capsys.readouterr()
         assert main(["selfcheck", str(path)]) == 1
         assert "cdf cumulative weights must be nondecreasing" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mean_db", float("nan"), "mean_db and every percentile must be finite numbers"),
+        ("percentiles", {"50": "x"}, "mean_db and every percentile must be finite numbers"),
+        ("cdf", [[5.0, 0.5], [1.0, 1.0]], "cdf gains must be nondecreasing"),
+    ])
+    def test_rejects_broken_stats(self, evaluated, capsys, key, value, message):
+        path = evaluated / "stats.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        capsys.readouterr()
+        assert main(["selfcheck", str(path)]) == 1
+        assert f"FAIL {path}: {message}" in capsys.readouterr().out
 
     def test_rejects_an_unknown_csv_header(self, tmp_path, capsys):
         path = tmp_path / "table.csv"

@@ -89,6 +89,14 @@ class TestBenchmarkCodebook:
         b = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5))
         assert a == b
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, np.True_, 0, -1])
+    def test_size_must_be_a_positive_integer(self, size):
+        # Unchecked, size 2.5 builds 3 beams and size True builds 1.
+        ula, spec = bb.SyntheticUlaSpec(4, 0.5), bb.PhaseSpec(5)
+        with pytest.raises(ValueError, match=f"size must be an integer >= 1, got {size!r}"):
+            bb.benchmark_codebook(ula, size, spec)
+        assert bb.benchmark_codebook(ula, np.int64(2), spec) == bb.benchmark_codebook(ula, 2, spec)
+
 
 class Test802153c:
     def test_two_bit_first_beam(self):
