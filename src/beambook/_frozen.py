@@ -1,4 +1,4 @@
-"""Base class of the validated value types, and their integer check."""
+"""Base class of the validated value types, and their integer checks."""
 
 from functools import cached_property
 
@@ -51,3 +51,9 @@ class Frozen:
 def is_integer(value) -> bool:
     """True for a Python or NumPy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer >= 1."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

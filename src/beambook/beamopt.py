@@ -169,11 +169,10 @@ class SdrSolution(NamedTuple):
 class _Members(tuple):
     """The per-member results of a stacked call, in stack order: a tuple in every respect.
 
-    ``iterations`` (the sweeps of the slowest relaxation) and ``objectives``
-    (the coordinate-descent traces, each padded with its final value to the
-    slowest member's length, one column per member) are read off the
-    members; the benchmark's tracer (``bench/tracing.py``) reads them from
-    a stacked return value.
+    The benchmark's tracer (``bench/tracing.py``) reads ``iterations``, the
+    sweeps of the slowest relaxation, and ``objectives``, the coordinate-descent
+    traces padded with their final values to the slowest member's length (one
+    column per member), off a stacked return value.
     """
 
     __slots__ = ()
@@ -255,30 +254,17 @@ _SDR_TOL = 1e-9
 def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     """Barrier row-by-row ascent over a stack of relaxations.
 
-    Every sweep updates each row of every active member: with the other
-    rows fixed, the optimal off-diagonal row is t * B c, where B is W with
-    row and column i removed and c the off-diagonal part of column i of M;
-    t keeps the Schur complement at the barrier's optimum (or on its
-    boundary once the barrier is zero).  With entry i of c zeroed, one
-    product W c gives B c in every entry but i, whose leftover value the
-    reset of the diagonal to 1/L overwrites.  A member moves to
-    its next barrier stage when a sweep improves its objective by less than
-    its stage tolerance, and leaves the stack after the last stage or at
-    the sweep cap; a member's arithmetic never involves another member.
-
-    The row update makes as few NumPy calls as it can, but each call keeps
-    the operands, and their order, of the plain formulas u = B c,
-    s = Re(c^H u), and t = (-sigma gamma + sqrt((sigma gamma)^2 + 4 s gamma)) / (2 s)
-    in a barrier stage or t = sqrt(gamma / s) in the last stage, with t = 0
-    where s <= 0.  So every member's iterates are bit for bit those of the
-    plain formulas.  The one regrouping, (4 s) gamma computed as
-    s (4 gamma), scales by a power of two and is exact.
-
-    Returns W, objective, sweeps, last improvement and stage tolerance per member.
+    Each sweep sets row i of every active member to t * B c, where B is W
+    with row and column i zeroed and c is column i of M; t puts the Schur
+    complement at the barrier's optimum, on its boundary once the barrier
+    is zero, and is 0 where c^H B c <= 0.  A member takes its next barrier
+    stage when a sweep gains less than its stage tolerance, and stops after
+    the last stage or at the sweep cap; no member's arithmetic involves
+    another's.  Returns W, objective, sweeps, last improvement and stage
+    tolerance per member.
     """
     B, L, _ = M.shape
     gamma = 1.0 / L
-    four_gamma = 4.0 * gamma
     W = np.broadcast_to(np.eye(L, dtype=complex) / L, (B, L, L)).copy()
     obj = _objectives(M, W)
     sweeps = np.zeros(B, dtype=int)
@@ -287,41 +273,27 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
     stage_tol = max(tol, 1e-14) * np.maximum(trace, 1.0) * 0.1
     active = np.flatnonzero(sweeps < max_sweeps)
     Ma, Wa = M[active], W[active]
-    views = None
     while active.size:
-        if views is None:
-            # Per row i: column i of every active M, entry i zeroed, as a contiguous
-            # (Ba, L, 1) block and its conjugate as a (Ba, 1, L) row, then column i,
-            # row i and entry (i, i) of Wa as views.  Rebuilt when members leave.
-            columns = Ma.transpose(0, 2, 1).copy()
-            columns[:, range(L), range(L)] = 0.0
-            c_cols, c_rows = columns[:, :, :, None], columns.conj()[:, :, None, :]
-            views = [(c_cols[:, i], c_rows[:, i], Wa[:, :, i, None], Wa[:, i, :, None], Wa[:, i, i]) for i in range(L)]
         sigma = _BARRIER_SCHEDULE[stage[active]] * trace[active]
-        barrier = (sigma > 0.0)[:, None, None]
-        sigma_gamma = (sigma * gamma)[:, None, None]
-        sigma_gamma_sq, neg_sigma_gamma = sigma_gamma**2, -sigma_gamma
-        all_barrier = barrier.all()
-        mixed = not all_barrier and barrier.any()
-        for c_col, c_row, w_col, w_row, w_diag in views:
-            u = Wa @ c_col
-            s = (c_row @ u).real
-            all_positive = s.min() > 0.0
-            if not all_positive:
-                positive = s > 0.0
-                s = np.where(positive, s, 1.0)
-            if all_barrier or mixed:
-                t = (neg_sigma_gamma + np.sqrt(sigma_gamma_sq + s * four_gamma)) / (2.0 * s)
-                if mixed:
-                    t = np.where(barrier, t, np.sqrt(gamma / s))
-            else:
-                t = np.sqrt(gamma / s)
-            if not all_positive:
-                t = np.where(positive, t, 0.0)
-            y = t * u
-            w_col[...] = y
-            w_row[...] = y.conj()
-            w_diag.fill(gamma)
+        sigma_gamma = sigma * gamma
+        barrier = sigma > 0.0
+        for i in range(L):
+            Wa[:, i, :] = 0.0
+            Wa[:, :, i] = 0.0
+            c = Ma[:, :, i]
+            u = (Wa @ c[:, :, None])[:, :, 0]
+            s = np.real((c.conj()[:, None, :] @ u[:, :, None])[:, 0, 0])
+            positive = s > 0.0
+            s = np.where(positive, s, 1.0)
+            t = np.where(
+                barrier,
+                (-sigma_gamma + np.sqrt(sigma_gamma**2 + 4.0 * s * gamma)) / (2.0 * s),
+                np.sqrt(gamma / s),
+            )
+            y = np.where(positive, t, 0.0)[:, None] * u
+            Wa[:, :, i] = y
+            Wa[:, i, :] = y.conj()
+            Wa[:, i, i] = gamma
         new_obj = _objectives(Ma, Wa)
         improvement[active] = new_obj - obj[active]
         obj[active] = new_obj
@@ -332,19 +304,16 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
             W[active[done]] = Wa[done]
             keep = ~done
             active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
-            views = None
     return W, obj, sweeps, improvement, stage_tol
 
 
 def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     """Maximize tr(M W) over PSD W with every diagonal entry fixed to 1/L.
 
-    Solved with a row-by-row block coordinate ascent: with all other rows
-    fixed, the optimal off-diagonal row/column has a closed form through
-    the Schur complement.  A logarithmic barrier on the complement keeps
-    iterates strictly feasible and is driven to zero on a fixed schedule,
-    after which plain ascent polishes the solution.  Designed for the
-    small dense matrices of beam design (L <= 16 or so).
+    Where no route below applies, solved by a row-by-row block coordinate
+    ascent with a logarithmic barrier on the Schur complement, driven to
+    zero on a fixed schedule and then dropped for a plain ascent.  Designed
+    for the small dense matrices of beam design (L <= 16 or so).
 
     ``M`` is a stack of shape (B, L, L); the result is a tuple of B
     :class:`SdrSolution` records.  Each ascent runs over all its members at
@@ -383,16 +352,13 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     rank = np.full(B, L)
     failed = np.zeros(B, dtype=bool)
     live = trace > 0.0
-    # A rank-one M: the co-phased dominant eigenvector w gives the optimum
-    # W = w w^H (Cauchy-Schwarz over the rows of any feasible factor); a 1x1 M,
-    # with no second eigenvalue, is one.  Any other M: the rank-1 mixing method
-    # (Wang, Chang & Kolter 2017), a continuous phase ascent from that w, whose
-    # w w^H is the optimum when the dual bound certifies it.
+    # The co-phased dominant eigenvector w gives a rank-one M, every 1x1 M
+    # included, its optimum W = w w^H (Cauchy-Schwarz over the rows of any
+    # feasible factor); any other M keeps the phase ascent's w w^H if certified.
     w = _cophase(_max_eigenpairs(M)[1])
     mixed = live & (vals[:, :-1].max(axis=1, initial=0.0) > 1e-12 * vals[:, -1])
     if mixed.any():
-        polished = coordinate_descent(M[mixed], BeamWeights._rows(w[mixed], PhaseSpec()), PhaseSpec())
-        w[mixed] = [result.weights.weights for result in polished]
+        w[mixed] = _coordinate_descent(M[mixed], w[mixed], PhaseSpec())[0]
     W[live] = w[live, :, None] * w[live, None, :].conj()
     objective[live] = _objectives(M[live], W[live])
     bound = _dual_bounds(M, W, objective)
@@ -501,38 +467,13 @@ def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.real((w.conj()[..., None, :] @ M @ w[..., :, None])[..., 0, 0])
 
 
-def coordinate_descent(
-    M: np.ndarray,
-    init: Sequence[BeamWeights],
-    phase_spec: PhaseSpec,
-) -> tuple[CoordinateDescentResult, ...]:
-    """Cyclic phase updates; each step sets one phase to its conditional optimum.
+def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
+    """:func:`coordinate_descent`'s sweeps on a Hermitian stack M (B, L, L) from feasible beams W (B, L), in place.
 
-    Element i is re-phased to align with the field contribution of the
-    others, quantized in discrete mode; the objective is therefore
-    nondecreasing, and a sweep that rounding leaves below its start is
-    undone.  Stops when a full sweep improves the objective by less than
-    1e-12 * trace(M).  A vanishing off-diagonal contribution leaves that
-    element untouched for the step.
-
-    ``M`` is a stack of shape (B, L, L) with one init per member; the
-    result is a tuple of B results.  Each step re-phases element i of every
-    member still running; each member keeps its own stop test and sweep
-    cap, so its result is bit for bit the one it gets in a stack of one.
+    Returns W, the per-sweep objectives (a column per member, held once it stops) and each member's sweeps.
     """
-    M = _hermitian_stack(M)
-    if isinstance(init, BeamWeights):
-        raise ValueError("init must be a sequence of BeamWeights, one per member, not one beam")
-    inits = tuple(init)
     B, L, _ = M.shape
-    if len(inits) != B:
-        raise ValueError("a stack of matrices takes one init per member")
-    if any(beam.num_elements != L for beam in inits):
-        raise ValueError("init length does not match M")
-    W = np.stack([beam.weights for beam in inits])
     if phase_spec.is_discrete:
-        # Re-validates the lattice precondition for the given resolution.
-        _check_beams(W, phase_spec)
         phasors = _lattice_phasors(phase_spec.bits, L)
     thresholds = 1e-12 * np.maximum(np.real(np.trace(M, axis1=1, axis2=2)), 1e-300)
     max_sweeps = 10 * L * (1 << phase_spec.bits) if phase_spec.is_discrete else 1000
@@ -567,7 +508,41 @@ def coordinate_descent(
             keep = ~done
             active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
     W[active] = Wa
-    objectives = np.array(rows)
+    return W, np.array(rows), sweeps
+
+
+def coordinate_descent(
+    M: np.ndarray,
+    init: Sequence[BeamWeights],
+    phase_spec: PhaseSpec,
+) -> tuple[CoordinateDescentResult, ...]:
+    """Cyclic phase updates; each step sets one phase to its conditional optimum.
+
+    Element i is re-phased to align with the field contribution of the
+    others, quantized in discrete mode; the objective is therefore
+    nondecreasing, and a sweep that rounding leaves below its start is
+    undone.  Stops when a full sweep improves the objective by less than
+    1e-12 * trace(M).  A vanishing off-diagonal contribution leaves that
+    element untouched for the step.
+
+    ``M`` is a stack of shape (B, L, L) with one init per member; the
+    result is a tuple of B results.  Each step re-phases element i of every
+    member still running; each member keeps its own stop test and sweep
+    cap, so its result is bit for bit the one it gets in a stack of one.
+    """
+    M = _hermitian_stack(M)
+    if isinstance(init, BeamWeights):
+        raise ValueError("init must be a sequence of BeamWeights, one per member, not one beam")
+    inits = tuple(init)
+    if len(inits) != len(M):
+        raise ValueError("a stack of matrices takes one init per member")
+    if any(beam.num_elements != M.shape[-1] for beam in inits):
+        raise ValueError("init length does not match M")
+    W = np.stack([beam.weights for beam in inits])
+    if phase_spec.is_discrete:
+        # Re-validates the lattice precondition for the given resolution.
+        _check_beams(W, phase_spec)
+    W, objectives, sweeps = _coordinate_descent(M, W, phase_spec)
     beams = BeamWeights._rows(W, phase_spec)
     return _Members(
         CoordinateDescentResult(beam, objectives[: sweeps[b] + 1, b].copy()) for b, beam in enumerate(beams)

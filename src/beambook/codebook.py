@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._frozen import Frozen, is_integer
+from ._frozen import Frozen, check_count
 from .beamopt import BeamWeights, PhaseSpec, design_beam, eigen_beams
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
@@ -194,8 +194,7 @@ def generate_candidates(
     :func:`design_beam`, every beam on its own seed).  Each array's beams
     come from one stacked call.
     """
-    if count_per_sphere < 1:
-        raise ValueError("count_per_sphere must be >= 1")
+    check_count("count_per_sphere", count_per_sphere)
     if method not in ("eigen", "iterative"):
         raise ValueError("method must be 'eigen' or 'iterative'")
     resolved = resolve_directions(grids, fibonacci_directions(count_per_sphere))
@@ -271,8 +270,7 @@ def greedy_codebook(
     """
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    check_count("size", size)
     # Row r of C is the composite of the codebook plus candidate pool[r]:
     # max(best, G[pool[r]]), kept in place as best grows and picks leave.
     C = _candidate_gain_matrix(candidates, grids, eval_set)
@@ -322,8 +320,7 @@ def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
     eigenvalue bound wins the beam, which is then that array's ``eigen``
     candidate there (see :func:`generate_candidates`).
     """
-    if num_beams < 1:
-        raise ValueError("num_beams must be >= 1")
+    check_count("num_beams", num_beams)
     resolved = resolve_directions(grids, fibonacci_directions(num_beams))
     beams = _direction_beams(resolved, phase_spec, "eigen")
     ids = list(beams)
@@ -358,10 +355,8 @@ def kmeans_codebook(
     no design call and leaves its beam untouched: any beam ties its zero
     objective, so a new design would only replace the beam at random.
     """
-    if num_beams < 1:
-        raise ValueError("num_beams must be >= 1")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    check_count("num_beams", num_beams)
+    check_count("max_iterations", max_iterations)
     dirs = direction_set
     if num_beams > len(dirs):
         raise ValueError("num_beams exceeds the number of directions")
@@ -441,8 +436,7 @@ def benchmark_codebook(
     multi-array terminals the same per-array codebook is replicated on
     every array.
     """
-    if not (is_integer(size) and size >= 1):
-        raise ValueError(f"size must be an integer >= 1, got {size!r}")
+    check_count("size", size)
     L = ula.num_elements
     ks = np.arange(1, size + 1)
     x = -1.0 + (2.0 * ks - 1.0) / size
@@ -465,10 +459,8 @@ def codebook_802_15_3c(
     exact, so finer shifters reproduce the codebook built at
     b = log2(K') (the classic 2-bit construction for K' = 4).
     """
-    if not (is_integer(size) and size >= 1):
-        raise ValueError(f"size must be an integer >= 1, got {size!r}")
-    if not (is_integer(num_elements) and num_elements >= 1):
-        raise ValueError(f"num_elements must be an integer >= 1, got {num_elements!r}")
+    check_count("size", size)
+    check_count("num_elements", num_elements)
     if bits is None:
         raise ValueError("the 802.15.3c codebook needs a phase bit count")
     spec = PhaseSpec(bits)

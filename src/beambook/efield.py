@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._frozen import Frozen, is_integer
+from ._frozen import Frozen, check_count
 
 # Impedance of free space, ohms.
 FREE_SPACE_IMPEDANCE_OHMS = 376.730313668
@@ -121,16 +121,14 @@ class SyntheticUlaSpec(Frozen):
 
     def __init__(self, num_elements: int, spacing_over_lambda: float, element_pattern_q: float = 0.0,
                  sampling_factor: int | None = None):
-        if not (is_integer(num_elements) and num_elements >= 1):
-            raise ValueError(f"num_elements must be an integer >= 1, got {num_elements!r}")
+        check_count("num_elements", num_elements)
         # Written as "not <" and "not >=" so that NaN fails too.
         if not (0.0 < spacing_over_lambda < math.inf):
             raise ValueError("spacing_over_lambda must be positive and finite")
         if not (element_pattern_q >= 0.0):
             raise ValueError("element_pattern_q must be >= 0")
         sampling_factor = 30 * num_elements if sampling_factor is None else sampling_factor
-        if not (is_integer(sampling_factor) and sampling_factor >= 1):
-            raise ValueError(f"sampling_factor must be an integer >= 1, got {sampling_factor!r}")
+        check_count("sampling_factor", sampling_factor)
         self._set(num_elements=int(num_elements), spacing_over_lambda=spacing_over_lambda,
                   element_pattern_q=element_pattern_q, sampling_factor=int(sampling_factor))
 
@@ -236,8 +234,7 @@ def fibonacci_directions(count: int) -> DirectionSet:
     Point i of n sits at cos(theta) = 1 - (2i+1)/n with azimuth advancing
     by the golden angle.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_count("count", count)
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
     theta = np.degrees(np.arccos(np.clip(z, -1.0, 1.0)))

@@ -583,6 +583,21 @@ class TestRoutes:
         (beam,) = bb.design_beam(M[None], bb.PhaseSpec(3), seed=[0])
         assert beam.gain(M) <= solution.bound
 
+    def test_the_certificate_runs_the_phase_ascent_kernel_not_the_public_stage(self, monkeypatch):
+        M = random_instance(RandomInstanceSpec(5, 5, 0))  # full rank, certified
+        H = beamopt_module._hermitian_stack(M[None])
+        start = bb.BeamWeights._rows(beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1]), bb.PhaseSpec())
+        (polished,) = bb.coordinate_descent(H, start, bb.PhaseSpec())
+        w = polished.weights.weights
+
+        def public_stage(*args, **kwargs):
+            raise AssertionError("solve_sdr called the public coordinate_descent")
+
+        monkeypatch.setattr(beamopt_module, "coordinate_descent", public_stage)
+        (solution,) = bb.solve_sdr(M[None])
+        assert (solution.iterations, solution.rank) == (0, 1)
+        assert solution.W.tobytes() == np.outer(w, w.conj()).tobytes()  # the public stage's beam, bit for bit
+
     def test_a_rank_one_solution_is_rounded_by_rotation_without_draws(self, monkeypatch):
         # A hand-built W = v v^H, unrelated to the full-rank M it is scored against.
         M = random_instance(RandomInstanceSpec(4, 4, 1))

@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -392,8 +394,8 @@ class TestKMeans:
         with pytest.raises(ValueError, match="num_beams exceeds the number of directions"):
             bb.kmeans_codebook(grid, num_beams=2, direction_set=tiny, phase_spec=bb.PhaseSpec(5))
 
-    @pytest.mark.parametrize("bad, message", [({"num_beams": 0}, "num_beams must be >= 1"),
-                                              ({"max_iterations": 0}, "max_iterations must be >= 1")])
+    @pytest.mark.parametrize("bad, message", [({"num_beams": 0}, "num_beams must be an integer >= 1, got 0"),
+                                              ({"max_iterations": 0}, "max_iterations must be an integer >= 1, got 0")])
     def test_nonpositive_counts_rejected(self, iso_grid, bad, message):
         grid, dirs = iso_grid
         run = {"num_beams": 1, "direction_set": dirs, "phase_spec": bb.PhaseSpec(5), **bad}
@@ -489,6 +491,49 @@ class TestUniformInit:
         assert [e.array_id for e in got] == [e.array_id for e in expected]
         assert all(g.weights.weights.tobytes() == e.weights.weights.tobytes() for g, e in zip(got, expected))
         assert terminal == "ula" or len(set(best.tolist())) > 1  # the picks span arrays
+
+
+# Every library argument held to the count rule: site -> (argument name, call with that count on the
+# count_inputs fixture's grid, directions and candidate pool).
+COUNT_SITES = {
+    "greedy size": ("size", lambda c, n: bb.greedy_codebook(
+        c.pool, c.grid, bb.MeanGainCriterion(), n, c.dirs).codebook),
+    "kmeans num_beams": ("num_beams", lambda c, n: bb.kmeans_codebook(
+        c.grid, n, c.dirs, bb.PhaseSpec(5), max_iterations=1).codebook),
+    "kmeans max_iterations": ("max_iterations", lambda c, n: bb.kmeans_codebook(
+        c.grid, 2, c.dirs, bb.PhaseSpec(5), max_iterations=n).codebook),
+    "uniform_init num_beams": ("num_beams", lambda c, n: bb.uniform_init(n, c.grid, bb.PhaseSpec(5))),
+    "candidates count_per_sphere": ("count_per_sphere", lambda c, n: bb.generate_candidates(
+        c.grid, n, "eigen", bb.PhaseSpec(5))),
+    "fibonacci count": ("count", lambda c, n: bb.fibonacci_directions(n)),
+    "benchmark size": ("size", lambda c, n: bb.benchmark_codebook(bb.SyntheticUlaSpec(4, 0.5), n, bb.PhaseSpec(5))),
+    "802.15.3c size": ("size", lambda c, n: bb.codebook_802_15_3c(4, n, 2)),
+    "802.15.3c num_elements": ("num_elements", lambda c, n: bb.codebook_802_15_3c(n, 2, 2)),
+    "ula num_elements": ("num_elements", lambda c, n: bb.SyntheticUlaSpec(n, 0.5)),
+    "ula sampling_factor": ("sampling_factor", lambda c, n: bb.SyntheticUlaSpec(4, 0.5, sampling_factor=n)),
+}
+
+
+@pytest.fixture(scope="module")
+def count_inputs(iso_grid):
+    grid, dirs = iso_grid
+    return SimpleNamespace(grid=grid, dirs=dirs, pool=bb.generate_candidates(grid, 40, "eigen", bb.PhaseSpec(5)))
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), 0, -1])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_a_count_that_is_not_a_positive_integer_is_rejected_by_name(self, count_inputs, site, value):
+        # Unchecked, greedy builds the whole 40-beam pool for size 2.5 and one beam for size True,
+        # K-Means runs one iteration for max_iterations True, and 2.5 reaches NumPy's TypeError.
+        name, call = COUNT_SITES[site]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, got {value!r}")):
+            call(count_inputs, value)
+
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_a_numpy_integer_counts_as_its_python_value(self, count_inputs, site):
+        _, call = COUNT_SITES[site]
+        assert call(count_inputs, np.int64(2)) == call(count_inputs, 2)
 
 
 class TestCodebookJson:
