@@ -14,7 +14,8 @@ discrete optimum (small enough to enumerate here).  design_beam runs the
 three stages in one call; eigen_beams, the cheapest beam (the lattice
 snap of the dominant eigenvector), is shown for contrast.  Every stage
 takes a stack of matrices and returns one result per member; a single
-matrix is a stack of one.
+matrix is a stack of one.  Between the stages a stack of beams is a
+(B, L) array, one beam per row.
 """
 
 import numpy as np
@@ -36,14 +37,14 @@ print(f"relaxation optimum (per-element power) .. {relaxed.objective:.6f} "
 print(f"dual certificate on that optimum ........ {relaxed.bound:.6f}")
 
 spec = bb.PhaseSpec(BITS)
-(rounded,) = bb.gaussian_randomization([relaxed], stack, n_rand=1000, phase_spec=spec, seed=[SEED])
+rounded = bb.gaussian_randomization([relaxed], stack, n_rand=1000, phase_spec=spec, seed=[SEED])
 rounding = "best lattice rotation ..................." if relaxed.rank == 1 else "best of 1000 randomized roundings ......."
-print(f"{rounding} {rounded.gain(M):.6f}")
+print(f"{rounding} {np.real(rounded[0].conj() @ M @ rounded[0]):.6f}")
 
-(polished,) = bb.coordinate_descent(stack, [rounded], spec)
-print(f"after coordinate descent ................ {polished.objectives[-1]:.6f} "
-      f"({polished.objectives.size - 1} sweeps)")
-print(f"  sweep trace: {np.array2string(polished.objectives, precision=6)}")
+polished = bb.coordinate_descent(stack, rounded, spec)
+trace = polished.objectives[:, 0]
+print(f"after coordinate descent ................ {trace[-1]:.6f} ({polished.sweeps[0]} sweeps)")
+print(f"  sweep trace: {np.array2string(trace, precision=6)}")
 
 exact = brute_force_b3(M, BITS)
 print(f"exhaustive {BITS}-bit optimum ................ {exact.gain:.6f} "

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._frozen import Frozen, is_integer
+from ._frozen import Frozen, check_count, is_integer
 
 __all__ = [
     "PhaseSpec",
@@ -87,6 +87,13 @@ def _lattice_phasors(bits: int, L: int) -> np.ndarray:
     return table
 
 
+def _feasible(phases: np.ndarray, phase_spec: PhaseSpec, L: int) -> np.ndarray:
+    """The feasible entries exp(1j * phases) / sqrt(L); in discrete mode each phase, in [0, 2pi], snaps to its nearest lattice point, ties to the lower."""
+    if phase_spec.is_discrete:
+        return _lattice_phasors(phase_spec.bits, L)[_lattice_index(phases, phase_spec.bits)]
+    return np.exp(1j * phases) / math.sqrt(L)
+
+
 def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
     """Raise unless every row of ``w`` (B, L) is a feasible beam for ``phase_spec``."""
     magnitude = np.abs(w)
@@ -97,8 +104,7 @@ def _check_beams(w: np.ndarray, phase_spec: PhaseSpec) -> None:
         raise ValueError("per-element magnitude must be 1/sqrt(L)")
     if phase_spec.is_discrete:
         ph = _phase(w)
-        snapped = _lattice_phasors(phase_spec.bits, 1)[_lattice_index(ph, phase_spec.bits)]
-        if np.abs(np.exp(1j * ph) - snapped).max() > 1e-9:
+        if np.abs(np.exp(1j * ph) - _feasible(ph, phase_spec, 1)).max() > 1e-9:
             raise ValueError("phases are off the discrete lattice")
 
 
@@ -144,10 +150,9 @@ class BeamWeights(Frozen):
         phases = np.asarray(phases, dtype=float)
         if not np.isfinite(phases).all():
             raise ValueError("phases must be finite")
-        if not phase_spec.is_discrete:
-            return cls(np.exp(1j * phases) / math.sqrt(phases.size), phase_spec)
-        index = _lattice_index(np.mod(phases, _TWO_PI), phase_spec.bits)
-        return cls(_lattice_phasors(phase_spec.bits, phases.size)[index], phase_spec)
+        if phase_spec.is_discrete:
+            phases = np.mod(phases, _TWO_PI)
+        return cls(_feasible(phases, phase_spec, phases.size), phase_spec)
 
 
 class SdrSolution(NamedTuple):
@@ -167,12 +172,10 @@ class SdrSolution(NamedTuple):
 
 
 class _Members(tuple):
-    """The per-member results of a stacked call, in stack order: a tuple in every respect.
+    """The per-member solutions of a stacked :func:`solve_sdr` call, in stack order: a tuple in every respect.
 
     The benchmark's tracer (``bench/tracing.py``) reads ``iterations``, the
-    sweeps of the slowest relaxation, and ``objectives``, the coordinate-descent
-    traces padded with their final values to the slowest member's length (one
-    column per member), off a stacked return value.
+    sweeps of the slowest relaxation, off the return value.
     """
 
     __slots__ = ()
@@ -180,11 +183,6 @@ class _Members(tuple):
     @property
     def iterations(self) -> int:
         return max((solution.iterations for solution in self), default=0)
-
-    @property
-    def objectives(self) -> np.ndarray:
-        rows = max(len(result.objectives) for result in self)
-        return np.column_stack([np.pad(r.objectives, (0, rows - len(r.objectives)), "edge") for r in self])
 
 
 def _hermitian_stack(M) -> np.ndarray:
@@ -332,10 +330,9 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     counts the barrier sweeps.  A member still unsettled at the sweep cap
     keeps its best iterate, and a ``UserWarning`` names it and its certified
     gap (bound minus objective).  Raises ``ValueError`` unless
-    ``max_sweeps`` is at least 1.
+    ``max_sweeps`` is an integer >= 1.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    check_count("max_sweeps", max_sweeps)
     M = _hermitian_stack(M)
     B, L, _ = M.shape
     trace = np.real(np.trace(M, axis1=1, axis2=2))
@@ -392,7 +389,7 @@ def gaussian_randomization(
     n_rand: int,
     phase_spec: PhaseSpec,
     seed: Sequence[int],
-) -> tuple[BeamWeights, ...]:
+) -> np.ndarray:
     """Round each relaxation solution of a stack to a feasible beam.
 
     A numerically rank-one W (second eigenvalue at most 1e-9 of the first;
@@ -409,13 +406,12 @@ def gaussian_randomization(
 
     ``M`` is a stack of shape (B, L, L), ``solution`` a sequence of B
     solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
-    member; the result is a tuple of B beams.  The stack shares one
-    ``eigh``, one factor product and one exact-route call; each drawing
-    member keeps its own stream and its own (L, n_rand) draws, so every
-    beam is bit for bit the one it gets in a stack of one.
+    member; the result is a (B, L) array, one beam per row.  The stack
+    shares one ``eigh``, one factor product and one exact-route call; each
+    drawing member keeps its own stream and its own (L, n_rand) draws, so
+    every beam is bit for bit the one it gets in a stack of one.
     """
-    if n_rand < 1:
-        raise ValueError("n_rand must be >= 1")
+    check_count("n_rand", n_rand)
     M = _hermitian_stack(M)
     if isinstance(solution, SdrSolution):
         raise ValueError("solution must be a sequence of SdrSolution records, one per member, not one record")
@@ -446,20 +442,23 @@ def gaussian_randomization(
         # formula over the (L, n_rand) array of feasible draws: lattice
         # rotations of one beam tie up to rounding, and another summation
         # order breaks those ties differently.
-        if phase_spec.is_discrete:
-            feas = _lattice_phasors(phase_spec.bits, L)[_lattice_index(phases, phase_spec.bits)]
-        else:
-            feas = np.exp(1j * phases) / math.sqrt(L)
+        feas = _feasible(phases, phase_spec, L)
         gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M[b], feas))
         beams[b] = feas[:, int(np.argmax(gains))]
-    return BeamWeights._rows(beams, phase_spec)
+    return beams
 
 
 class CoordinateDescentResult(NamedTuple):
-    """Polished beam plus the per-sweep objective trace (first entry = input)."""
+    """Polished beams (B, L), the per-sweep objectives (S + 1, B) and each member's sweeps (B,).
 
-    weights: BeamWeights
+    Row 0 of ``objectives`` holds the inputs' and row s the objectives after
+    sweep s, a column per member; a member that stopped holds its final
+    value, so column b's first ``sweeps[b] + 1`` entries are its own trace.
+    """
+
+    weights: np.ndarray
     objectives: np.ndarray
+    sweeps: np.ndarray
 
 
 def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -473,8 +472,6 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
     Returns W, the per-sweep objectives (a column per member, held once it stops) and each member's sweeps.
     """
     B, L, _ = M.shape
-    if phase_spec.is_discrete:
-        phasors = _lattice_phasors(phase_spec.bits, L)
     thresholds = 1e-12 * np.maximum(np.real(np.trace(M, axis1=1, axis2=2)), 1e-300)
     max_sweeps = 10 * L * (1 << phase_spec.bits) if phase_spec.is_discrete else 1000
 
@@ -490,11 +487,7 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
         for i in range(L):
             c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
             moved = c != 0.0
-            phase = _phase(c[moved])
-            if phase_spec.is_discrete:
-                Wa[moved, i] = phasors[_lattice_index(phase, phase_spec.bits)]
-            else:
-                Wa[moved, i] = np.exp(1j * phase) / math.sqrt(L)
+            Wa[moved, i] = _feasible(_phase(c[moved]), phase_spec, L)
         new_obj = _quadratic_forms(Ma, Wa)
         # A sweep that rounding left below its input is undone, and that member stops.
         lowered = new_obj < obj[active]
@@ -511,11 +504,7 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
     return W, np.array(rows), sweeps
 
 
-def coordinate_descent(
-    M: np.ndarray,
-    init: Sequence[BeamWeights],
-    phase_spec: PhaseSpec,
-) -> tuple[CoordinateDescentResult, ...]:
+def coordinate_descent(M: np.ndarray, init: np.ndarray, phase_spec: PhaseSpec) -> CoordinateDescentResult:
     """Cyclic phase updates; each step sets one phase to its conditional optimum.
 
     Element i is re-phased to align with the field contribution of the
@@ -525,28 +514,17 @@ def coordinate_descent(
     1e-12 * trace(M).  A vanishing off-diagonal contribution leaves that
     element untouched for the step.
 
-    ``M`` is a stack of shape (B, L, L) with one init per member; the
-    result is a tuple of B results.  Each step re-phases element i of every
+    ``M`` is a stack of shape (B, L, L) and ``init`` a (B, L) array of
+    feasible beams, one per member.  Each step re-phases element i of every
     member still running; each member keeps its own stop test and sweep
     cap, so its result is bit for bit the one it gets in a stack of one.
     """
     M = _hermitian_stack(M)
-    if isinstance(init, BeamWeights):
-        raise ValueError("init must be a sequence of BeamWeights, one per member, not one beam")
-    inits = tuple(init)
-    if len(inits) != len(M):
-        raise ValueError("a stack of matrices takes one init per member")
-    if any(beam.num_elements != M.shape[-1] for beam in inits):
-        raise ValueError("init length does not match M")
-    W = np.stack([beam.weights for beam in inits])
-    if phase_spec.is_discrete:
-        # Re-validates the lattice precondition for the given resolution.
-        _check_beams(W, phase_spec)
-    W, objectives, sweeps = _coordinate_descent(M, W, phase_spec)
-    beams = BeamWeights._rows(W, phase_spec)
-    return _Members(
-        CoordinateDescentResult(beam, objectives[: sweeps[b] + 1, b].copy()) for b, beam in enumerate(beams)
-    )
+    W = np.array(init, dtype=complex)
+    if W.shape != M.shape[:2]:
+        raise ValueError(f"init must be a (B, L) array of one beam per member of M {M.shape}, got shape {W.shape}")
+    _check_beams(W, phase_spec)
+    return CoordinateDescentResult(*_coordinate_descent(M, W, phase_spec))
 
 
 def _canonical_global_phase(W: np.ndarray, phase_spec: PhaseSpec) -> np.ndarray:
@@ -608,9 +586,8 @@ def design_beam(
     the same bytes).
     """
     rounded = gaussian_randomization(solve_sdr(M), M, n_rand, phase_spec, seed)
-    polished = coordinate_descent(M, rounded, phase_spec)
-    W = np.stack([result.weights.weights for result in polished])
-    return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)
+    polished = coordinate_descent(M, rounded, phase_spec).weights
+    return BeamWeights._rows(_canonical_global_phase(polished, phase_spec), phase_spec)
 
 
 def eigen_beams(M: np.ndarray, phase_spec: PhaseSpec) -> tuple[BeamWeights, ...]:
@@ -622,8 +599,7 @@ def eigen_beams(M: np.ndarray, phase_spec: PhaseSpec) -> tuple[BeamWeights, ...]
     """
     V = _max_eigenpairs(_hermitian_stack(M))[1]
     if phase_spec.is_discrete:
-        phases = np.where(np.abs(V) > 0.0, _phase(V), 0.0)  # a signed zero's angle can be pi
-        W = _lattice_phasors(phase_spec.bits, V.shape[-1])[_lattice_index(phases, phase_spec.bits)]
+        W = _feasible(np.where(np.abs(V) > 0.0, _phase(V), 0.0), phase_spec, V.shape[-1])  # a signed zero's angle can be pi
     else:
         W = _cophase(V)
     return BeamWeights._rows(_canonical_global_phase(W, phase_spec), phase_spec)

@@ -237,17 +237,6 @@ def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set:
     return G
 
 
-def _drop_row(C: np.ndarray, row: int, rows: int) -> None:
-    """Shift rows row+1 .. rows-1 of C up by one, in place.
-
-    One overlapping slice assignment would copy its whole source first;
-    64 rows per copy keep that temporary small.
-    """
-    for start in range(row, rows - 1, 64):
-        stop = min(start + 64, rows - 1)
-        C[start:stop] = C[start + 1 : stop + 1]
-
-
 def greedy_codebook(
     candidates: Sequence[CodebookEntry],
     grids,
@@ -265,16 +254,15 @@ def greedy_codebook(
     stop threshold"`` when ``size`` capped a run whose threshold was never
     exceeded; ``"pool exhausted"`` when the pool emptied first, with the
     best-so-far codebook.  The composite gain is maintained incrementally,
-    so each round scores the remaining pool in one call.  Ties resolve to
-    the lowest candidate index and selected candidates leave the pool.
+    so each round scores every candidate in one call.  Ties resolve to the
+    lowest candidate index, and a selected candidate is never picked again.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
     check_count("size", size)
-    # Row r of C is the composite of the codebook plus candidate pool[r]:
-    # max(best, G[pool[r]]), kept in place as best grows and picks leave.
+    # Row r of C is the composite of the codebook plus candidate r:
+    # max(best, G[r]), kept in place as best grows.
     C = _candidate_gain_matrix(candidates, grids, eval_set)
-    pool = list(range(len(candidates)))
     best = np.zeros(len(eval_set))
     selected: list[int] = []
     utilities: list[float] = []
@@ -286,15 +274,15 @@ def greedy_codebook(
         if len(selected) == size:
             stop_reason = "size reached before the stop threshold" if stop else "stopping rule satisfied"
             break
-        if not pool:
+        if len(selected) == len(candidates):
             stop_reason = "pool exhausted"
             break
-        rows = C[: len(pool)]
-        np.maximum(rows, best, out=rows)
-        row = int(np.argmax(criterion.scores(rows, eval_set)))
-        selected.append(pool.pop(row))
-        best = rows[row].copy()
-        _drop_row(C, row, rows.shape[0])
+        np.maximum(C, best, out=C)
+        scores = criterion.scores(C, eval_set)
+        scores[selected] = -np.inf  # scores are finite: gains are >= 0 and dB values floored
+        row = int(np.argmax(scores))
+        selected.append(row)
+        best = C[row].copy()
         utilities.append(criterion.value(best, eval_set))
 
     return GreedyResult(Codebook(candidates[i] for i in selected), np.array(utilities), stop_reason)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._frozen import Frozen
+from ._frozen import Frozen, check_count
 from .beamopt import BeamWeights, PhaseSpec
 
 
@@ -53,8 +53,7 @@ def brute_force_b3(M: np.ndarray, bits: int, max_search_bits: int = 20) -> Brute
     """
     M = np.asarray(M, dtype=complex)
     L = M.shape[0]
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    check_count("bits", bits)
     if bits * L > max_search_bits:
         raise ValueError(
             f"search space 2^{bits * L} exceeds the 2^{max_search_bits} cap; "

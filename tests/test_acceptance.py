@@ -100,13 +100,10 @@ def test_criterion_4_bound_chain():
                 b3 = brute_force_b3(M, 2).gain
                 assert b3 <= sdr.objective + slack
                 assert sdr.objective <= lam + slack
-                init = bb.BeamWeights(
-                    np.exp(1j * np.where(np.abs(v) > 0, np.angle(v), 0.0)) / math.sqrt(L),
-                    bb.PhaseSpec(),
-                )
-                (cd,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
-                assert np.all(np.diff(cd.objectives) >= -1e-12 * max(trace, 1.0))
-                assert b3 <= cd.objectives[-1] + slack <= lam + 2 * slack
+                init = np.exp(1j * np.where(np.abs(v) > 0, np.angle(v), 0.0)) / math.sqrt(L)
+                cd = bb.coordinate_descent(M[None], init[None], bb.PhaseSpec()).objectives[:, 0]
+                assert np.all(np.diff(cd) >= -1e-12 * max(trace, 1.0))
+                assert b3 <= cd[-1] + slack <= lam + 2 * slack
                 if rank == 1:
                     magnitudes = math.sqrt(lam) * np.abs(v)
                     cophased = float(magnitudes.sum() ** 2 / L)

@@ -25,6 +25,11 @@ def cophased_gain_bound(M):
     return float(m.sum() ** 2 / m.size)
 
 
+def gain(w, M):
+    """w^H M w of one beam's weights w (L,), as BeamWeights.gain computes it."""
+    return float(np.real(w.conj() @ M @ w))
+
+
 def snapped_indices(phases, bits):
     """Lattice index k of every weight of from_phases(phases): its phase is k * 2pi/2^b."""
     w = bb.BeamWeights.from_phases(phases, bb.PhaseSpec(bits)).weights
@@ -150,11 +155,11 @@ def test_every_stage_rejects_a_single_matrix(stage):
     M = random_instance(RandomInstanceSpec(3, 2, 1))
     spec = bb.PhaseSpec(2)
     (solution,) = bb.solve_sdr(M[None])
-    init = bb.BeamWeights(np.full(3, 1 / math.sqrt(3), dtype=complex), spec)
+    init = np.full((1, 3), 1 / math.sqrt(3), dtype=complex)
     calls = {
         "solve_sdr": bb.solve_sdr,
         "gaussian_randomization": lambda m: bb.gaussian_randomization([solution], m, 10, spec, seed=[0]),
-        "coordinate_descent": lambda m: bb.coordinate_descent(m, [init], spec),
+        "coordinate_descent": lambda m: bb.coordinate_descent(m, init, spec).weights,
         "design_beam": lambda m: bb.design_beam(m, spec, seed=[0], n_rand=10),
         "eigen_beams": lambda m: bb.eigen_beams(m, spec),
     }
@@ -277,11 +282,12 @@ class TestSolveSdr:
             bb.solve_sdr(-np.eye(2)[None])  # not PSD
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_sweeps": 0.5}, {"max_sweeps": np.int64(0)}, {"max_sweeps": 0}, {"max_sweeps": -1}]
+        "kwargs", [{"max_sweeps": 0.5}, {"max_sweeps": np.int64(0)}, {"max_sweeps": 0}, {"max_sweeps": -1},
+                   {"max_sweeps": True}, {"max_sweeps": 2.5}]
     )
     def test_rejects_bad_solver_settings(self, kwargs):
         # Unchecked, a cap below 1 returns the start I/L with a warning, after no sweep at all;
-        # a fractional cap or a NumPy integer is held to the same rule.
+        # a fractional cap, a NumPy integer or a bool (which would run one sweep) is held to the same rule.
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="max_sweeps"):
             bb.solve_sdr(M[None], **kwargs)
@@ -295,20 +301,20 @@ class TestGaussianRandomization:
         m = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
         M = np.outer(m, m.conj())
         (beam,) = bb.gaussian_randomization(bb.solve_sdr(M[None]), M[None], 100, bb.PhaseSpec(), seed=[0])
-        assert_allclose(beam.gain(M), cophased_gain_bound(M), rtol=1e-12)
+        assert_allclose(gain(beam, M), cophased_gain_bound(M), rtol=1e-12)
 
     def test_lattice_aligned_discrete_is_exact(self):
         m = np.array([1.0, 1.0j, -1.0, -1.0j])
         M = np.outer(m, m.conj())
         (beam,) = bb.gaussian_randomization(bb.solve_sdr(M[None]), M[None], 1000, bb.PhaseSpec(2), seed=[1])
-        assert_allclose(beam.gain(M), 4.0, rtol=1e-12)
+        assert_allclose(gain(beam, M), 4.0, rtol=1e-12)
 
     def test_deterministic_given_seed(self):
         M = random_instance(RandomInstanceSpec(4, 2, 308))[None]  # a rank-2 relaxation: the beam is drawn
         sol = bb.solve_sdr(M)
         (a,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
         (b,) = bb.gaussian_randomization(sol, M, 200, bb.PhaseSpec(3), seed=[42])
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a, b)
 
     def test_a_bare_solution_is_rejected_and_any_sequence_reads_as_a_stack(self):
         # An SdrSolution is a tuple itself; it must never be read as a sequence of solutions.
@@ -318,15 +324,25 @@ class TestGaussianRandomization:
         solutions = bb.solve_sdr(M)
         with pytest.raises(ValueError, match="sequence of SdrSolution records"):
             bb.gaussian_randomization(solutions[0], M[:1], 200, spec, seed=[42])
-        (one,) = bb.gaussian_randomization(solutions[:1], M[:1], 200, spec, seed=[42])
-        assert isinstance(one, bb.BeamWeights)
+        one = bb.gaussian_randomization(solutions[:1], M[:1], 200, spec, seed=[42])
+        assert isinstance(one, np.ndarray) and one.shape == (1, 4)
         stacked = bb.gaussian_randomization(solutions, M, 200, spec, seed=[42, 43, 44])
-        assert bb.gaussian_randomization(tuple(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
-        assert bb.gaussian_randomization(list(solutions), M, 200, spec, seed=[42, 43, 44]) == stacked
-        assert stacked[0] == one
+        assert np.array_equal(bb.gaussian_randomization(tuple(solutions), M, 200, spec, seed=[42, 43, 44]), stacked)
+        assert np.array_equal(bb.gaussian_randomization(list(solutions), M, 200, spec, seed=[42, 43, 44]), stacked)
+        assert np.array_equal(stacked[:1], one)
         # Lattice indices of the beams, as scoring every draw of each member alone picks them.
         expected = [[7, 2, 6, 5], [4, 7, 4, 5], [0, 6, 5, 4]]
-        assert stacked == tuple(bb.BeamWeights.from_phases(np.array(k) * math.pi / 4, spec) for k in expected)
+        assert np.array_equal(stacked, [bb.BeamWeights.from_phases(np.array(k) * math.pi / 4, spec).weights
+                                        for k in expected])
+
+    @pytest.mark.parametrize("n_rand", [True, 2.5, 0])
+    def test_n_rand_is_a_count(self, n_rand):
+        # Checked before any route: a rank-one relaxation, which draws nothing, rejects it too.
+        M = np.ones((1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="n_rand must be an integer >= 1"):
+            bb.gaussian_randomization(bb.solve_sdr(M), M, n_rand, bb.PhaseSpec(), seed=[0])
+        with pytest.raises(ValueError, match="n_rand must be an integer >= 1"):
+            bb.design_beam(M, bb.PhaseSpec(2), seed=[0], n_rand=n_rand)
 
     def test_mean_approximation_ratio(self):
         # sample-mean of achieved/SDP-objective across instances clears the
@@ -338,7 +354,7 @@ class TestGaussianRandomization:
             M = random_instance(RandomInstanceSpec(4, 2, seed + 900))
             (sol,) = bb.solve_sdr(M[None])
             (beam,) = bb.gaussian_randomization([sol], M[None], 1000, bb.PhaseSpec(bits), seed=[seed])
-            ratios.append(beam.gain(M) / sol.objective)
+            ratios.append(gain(beam, M) / sol.objective)
         assert np.mean(ratios) >= ratio_bound
 
 
@@ -348,28 +364,27 @@ class TestCoordinateDescent:
         m = rng.uniform(0.5, 2.0, 5) * np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
         M = np.outer(m, m.conj())
         _, v = top_eigenpair(M)
-        init = bb.BeamWeights(np.exp(1j * np.angle(v)) / math.sqrt(5), bb.PhaseSpec())
-        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
-        assert_allclose(result.objectives[-1], cophased_gain_bound(M), rtol=1e-12)
+        init = np.exp(1j * np.angle(v)) / math.sqrt(5)
+        result = bb.coordinate_descent(M[None], init[None], bb.PhaseSpec())
+        assert_allclose(result.objectives[-1, 0], cophased_gain_bound(M), rtol=1e-12)
 
     def test_optimal_input_is_fixed_point(self):
         m = np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]))
         M = np.outer(m, m.conj())
         w = m / 2.0
-        init = bb.BeamWeights(w, bb.PhaseSpec())
-        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
-        assert_allclose(result.weights.weights, w, atol=1e-12)
-        assert result.objectives.size == 2  # one sweep confirms convergence
+        result = bb.coordinate_descent(M[None], w[None], bb.PhaseSpec())
+        assert_allclose(result.weights[0], w, atol=1e-12)
+        assert result.objectives.shape == (2, 1) and result.sweeps.tolist() == [1]  # one sweep confirms convergence
 
     def test_monotone_and_bounded(self):
         for seed in range(20):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 100))
             _, v = top_eigenpair(M)
-            init = bb.BeamWeights(np.exp(1j * np.angle(v)) / 2.0, bb.PhaseSpec())
-            (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
-            assert np.all(np.diff(result.objectives) >= 0.0)
-            assert result.objectives[-1] >= result.objectives[0]
-            assert result.objectives[-1] <= np.linalg.eigvalsh(M)[-1] + 1e-8
+            init = np.exp(1j * np.angle(v)) / 2.0
+            trace = bb.coordinate_descent(M[None], init[None], bb.PhaseSpec()).objectives[:, 0]
+            assert np.all(np.diff(trace) >= 0.0)
+            assert trace[-1] >= trace[0]
+            assert trace[-1] <= np.linalg.eigvalsh(M)[-1] + 1e-8
 
     def test_a_sweep_that_lowers_the_objective_is_undone(self):
         # At b=1 the one sweep on (0, 1) rounds to (0, 0), whose gain 0.9999999999999998 is below 1.0.
@@ -378,29 +393,43 @@ class TestCoordinateDescent:
         spec = bb.PhaseSpec(1)
         init = bb.BeamWeights.from_phases(np.array([0.0, math.pi]), spec)
         assert init.gain(M) == 1.0
-        (result,) = bb.coordinate_descent(M[None], [init], spec)
-        assert result.objectives.tolist() == [1.0, 1.0]
-        assert result.weights == init
+        result = bb.coordinate_descent(M[None], init.weights[None], spec)
+        assert result.objectives.tolist() == [[1.0], [1.0]]
+        assert np.array_equal(result.weights, init.weights[None])
 
     def test_discrete_requires_lattice_init(self):
         M = random_instance(RandomInstanceSpec(3, 2, 0))
-        init = bb.BeamWeights(np.exp(1j * np.array([0.0, 0.3, 0.9])) / math.sqrt(3), bb.PhaseSpec())
-        with pytest.raises(ValueError):
-            bb.coordinate_descent(M[None], [init], bb.PhaseSpec(2))
+        init = np.exp(1j * np.array([[0.0, 0.3, 0.9]])) / math.sqrt(3)
+        bb.coordinate_descent(M[None], init, bb.PhaseSpec())  # feasible for continuous phases
+        with pytest.raises(ValueError, match="lattice"):
+            bb.coordinate_descent(M[None], init, bb.PhaseSpec(2))
 
     def test_a_bare_init_is_rejected(self):
         M = random_instance(RandomInstanceSpec(3, 2, 0))[None]
-        init = bb.BeamWeights(np.ones(3) / math.sqrt(3), bb.PhaseSpec(2))
-        with pytest.raises(ValueError, match="sequence of BeamWeights"):
+        init = np.ones(3, dtype=complex) / math.sqrt(3)
+        with pytest.raises(ValueError, match=r"\(B, L\) array"):
             bb.coordinate_descent(M, init, bb.PhaseSpec(2))
-        (result,) = bb.coordinate_descent(M, [init], bb.PhaseSpec(2))
-        assert isinstance(result.weights, bb.BeamWeights)
+        result = bb.coordinate_descent(M, init[None], bb.PhaseSpec(2))
+        assert isinstance(result, bb.CoordinateDescentResult) and result.weights.shape == (1, 3)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 3), (1, 1, 3)])
+    def test_an_init_of_another_shape_is_rejected(self, shape):
+        M = random_instance(RandomInstanceSpec(3, 2, 0))[None]
+        with pytest.raises(ValueError, match=r"\(B, L\) array"):
+            bb.coordinate_descent(M, np.ones(shape, dtype=complex) / math.sqrt(shape[-1]), bb.PhaseSpec())
+
+    def test_a_continuous_init_off_the_element_magnitude_is_rejected(self):
+        # A unit-norm beam whose entries are not all 1/sqrt(L): no wrapper type checks an array first.
+        M = random_instance(RandomInstanceSpec(3, 2, 0))[None]
+        init = np.array([[0.8, 0.6, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="per-element magnitude"):
+            bb.coordinate_descent(M, init, bb.PhaseSpec())
 
     def test_zero_coupling_leaves_element_unchanged(self):
         M = np.diag([1.0, 2.0]).astype(complex)  # off-diagonal contributions vanish
-        init = bb.BeamWeights(np.exp(1j * np.array([0.4, 1.1])) / math.sqrt(2), bb.PhaseSpec())
-        (result,) = bb.coordinate_descent(M[None], [init], bb.PhaseSpec())
-        assert np.array_equal(result.weights.weights, init.weights)
+        init = np.exp(1j * np.array([0.4, 1.1])) / math.sqrt(2)
+        result = bb.coordinate_descent(M[None], init[None], bb.PhaseSpec())
+        assert np.array_equal(result.weights[0], init)
 
 
 class TestDesignBeam:
@@ -586,9 +615,8 @@ class TestRoutes:
     def test_the_certificate_runs_the_phase_ascent_kernel_not_the_public_stage(self, monkeypatch):
         M = random_instance(RandomInstanceSpec(5, 5, 0))  # full rank, certified
         H = beamopt_module._hermitian_stack(M[None])
-        start = bb.BeamWeights._rows(beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1]), bb.PhaseSpec())
-        (polished,) = bb.coordinate_descent(H, start, bb.PhaseSpec())
-        w = polished.weights.weights
+        start = beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1])
+        (w,) = bb.coordinate_descent(H, start, bb.PhaseSpec()).weights
 
         def public_stage(*args, **kwargs):
             raise AssertionError("solve_sdr called the public coordinate_descent")
@@ -611,9 +639,9 @@ class TestRoutes:
         index = beamopt_module._lattice_index(np.mod(np.angle(v) - psi[:, None], 2 * math.pi), bits)
         rotations = beamopt_module._lattice_phasors(bits, 4)[index]
         best = np.max(np.real(np.einsum("nl,lk,nk->n", rotations.conj(), M, rotations)))
-        assert beam.gain(M) == pytest.approx(best, rel=1e-12)
+        assert gain(beam, M) == pytest.approx(best, rel=1e-12)
         (continuous,) = bb.gaussian_randomization([solution], M[None], 1000, bb.PhaseSpec(), seed=[0])
-        assert abs(np.vdot(continuous.weights, v)) == pytest.approx(1.0, rel=1e-12)  # v up to a global phase
+        assert abs(np.vdot(continuous, v)) == pytest.approx(1.0, rel=1e-12)  # v up to a global phase
 
     @pytest.mark.parametrize("bits", [None, 3])
     def test_a_rank_two_relaxation_draws(self, bits, monkeypatch):
@@ -645,8 +673,9 @@ class TestRoutes:
         spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
         stack = np.array([[[2.5]], [[0.0]], [[1e-3 + 0j]]])
         one = np.ones(1, dtype=complex).tobytes()  # +0.0 imaginary part included
+        rounded = bb.gaussian_randomization(bb.solve_sdr(stack), stack, 1, spec, seed=[1, 2, 3])
+        assert [w.tobytes() for w in rounded] == [one] * 3
         for beams in (
-            bb.gaussian_randomization(bb.solve_sdr(stack), stack, 1, spec, seed=[1, 2, 3]),
             bb.design_beam(stack, spec, seed=[1, 2, 3]),
             bb.design_beam(stack[1:2], spec, seed=[2]) * 3,
             bb.eigen_beams(stack, spec),

@@ -3,6 +3,7 @@
 A member's call alone is a call on a stack of one: every stage takes only (B, L, L) stacks.
 """
 
+import functools
 import math
 import warnings
 
@@ -59,6 +60,16 @@ def solve_alone(M: np.ndarray, **kwargs) -> bb.SdrSolution:
         warnings.simplefilter("ignore", UserWarning)
         (solution,) = bb.solve_sdr(M[None], **kwargs)
     return solution
+
+
+@functools.cache
+def uncertified_relaxation(spec: RandomInstanceSpec) -> tuple[np.ndarray, bb.SdrSolution]:
+    """The instance and its converged relaxation, computed once per session: each takes a barrier ascent."""
+    M = random_instance(spec)
+    solution = solve_alone(M)
+    M.setflags(write=False)  # shared by every caller
+    solution.W.setflags(write=False)
+    return M, solution
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +180,8 @@ def test_rank_one_exact_beam_equals_brute_force(L, bits, seed, magnitude):
 @given(case=stacks(min_elements=4, max_members=4), uncertified=st.integers(0, 2))
 def test_sweep_cap_on_a_stack_carries_every_member(case, uncertified):
     L, M = case
-    M = np.concatenate([M, random_instance(UNCERTIFIED[L][uncertified])[None]])  # at least one member needs sweeps
+    instance, converged = uncertified_relaxation(UNCERTIFIED[L][uncertified])
+    M = np.concatenate([M, instance[None]])  # at least one member needs sweeps
     with pytest.warns(UserWarning) as unsettled:
         solutions = bb.solve_sdr(M, max_sweeps=1)
     assert isinstance(solutions, tuple) and len(solutions) == len(M)
@@ -182,12 +194,12 @@ def test_sweep_cap_on_a_stack_carries_every_member(case, uncertified):
             f"relaxation {b} of {len(M)} did not settle within 1 sweeps; "
             f"keeping its best iterate (certified gap {s.bound - s.objective:.3e})")
     assert all(isinstance(solution, bb.SdrSolution) for solution in solutions)
-    for m, solution in zip(M, solutions):
+    optima = [bb.solve_sdr(m[None])[0] for m in M[:-1]] + [converged]
+    for m, solution, optimum in zip(M, solutions, optima, strict=True):
         assert_same_solution(solution, solve_alone(m, max_sweeps=1))
         assert np.allclose(np.real(np.diag(solution.W)), 1.0 / L, atol=1e-10)
         # The certificate of an early iterate already caps the converged optimum.
-        (converged,) = bb.solve_sdr(m[None])
-        assert solution.bound >= converged.objective - 1e-12 * np.trace(m).real
+        assert solution.bound >= optimum.objective - 1e-12 * np.trace(m).real
 
 
 def phase_spec(bits: int | None) -> bb.PhaseSpec:
@@ -206,25 +218,26 @@ def test_stacked_randomization_and_polish_equal_member_calls_bit_for_bit(case, b
     seeds = [seed + i for i in range(len(M))]
     solutions = bb.solve_sdr(M)
     beams = bb.gaussian_randomization(solutions, M, 30, spec, seeds)
-    assert isinstance(beams, tuple) and len(beams) == len(M)
+    assert isinstance(beams, np.ndarray) and beams.shape == M.shape[:2]
+    beamopt_module._check_beams(beams, spec)  # every row is a feasible beam
     from_list = bb.gaussian_randomization(list(solutions), M, 30, spec, seeds)
     for m, solution, s, beam, other in zip(M, solutions, seeds, beams, from_list):
         (alone,) = bb.gaussian_randomization([solution], m[None], 30, spec, [s])
-        assert np.array_equal(beam.weights, alone.weights) and np.array_equal(other.weights, alone.weights)
+        assert np.array_equal(beam, alone) and np.array_equal(other, alone)
 
     polished = bb.coordinate_descent(M, beams, spec)
-    assert isinstance(polished, tuple) and len(polished) == len(M)
-    assert all(isinstance(result, bb.CoordinateDescentResult) for result in polished)
-    # The traces padded to the slowest member, one column per member: the benchmark's tracer reads them.
-    rows = max(result.objectives.size for result in polished)
-    assert polished.objectives.shape == (rows, len(M))
-    for b, (m, beam, result) in enumerate(zip(M, beams, polished)):
-        (alone,) = bb.coordinate_descent(m[None], [beam], spec)
-        assert np.array_equal(result.weights.weights, alone.weights.weights)
-        assert np.array_equal(result.objectives, alone.objectives)
-        n = alone.objectives.size
-        assert np.array_equal(polished.objectives[:n, b], alone.objectives)
-        assert np.all(polished.objectives[n:, b] == alone.objectives[-1])  # a stopped member repeats its last value
+    assert isinstance(polished, bb.CoordinateDescentResult)
+    assert polished.weights.shape == M.shape[:2] and polished.sweeps.shape == (len(M),)
+    # The traces held at their last values to the slowest member, one column per member: the
+    # benchmark's tracer reads the slowest member's sweeps off their length.
+    assert polished.objectives.shape == (polished.sweeps.max() + 1, len(M))
+    for b, (m, beam) in enumerate(zip(M, beams)):
+        alone = bb.coordinate_descent(m[None], beam[None], spec)
+        assert np.array_equal(polished.weights[b], alone.weights[0])
+        n = alone.sweeps[0] + 1
+        assert polished.sweeps[b] == alone.sweeps[0] and alone.objectives.shape == (n, 1)
+        assert np.array_equal(polished.objectives[:n, b], alone.objectives[:, 0])
+        assert np.all(polished.objectives[n:, b] == alone.objectives[-1, 0])  # a stopped member repeats its last value
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,10 +285,10 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
     L, M = case
     spec = phase_spec(bits)
     rng = np.random.default_rng(seed)
-    inits = tuple(bb.BeamWeights.from_phases(p, spec) for p in rng.uniform(0.0, 2.0 * math.pi, (len(M), L)))
+    inits = np.stack([bb.BeamWeights.from_phases(p, spec).weights for p in rng.uniform(0.0, 2.0 * math.pi, (len(M), L))])
     results = bb.coordinate_descent(M, inits, spec)
-    for m, result in zip(M, results):
-        assert np.all(np.diff(result.objectives) >= 0.0)
+    for b, sweeps in enumerate(results.sweeps):
+        assert np.all(np.diff(results.objectives[: sweeps + 1, b]) >= 0.0)
     assert np.all(np.diff(results.objectives, axis=0) >= 0.0)
 
 
@@ -305,11 +318,6 @@ def randomize_every_draw(solution: bb.SdrSolution, M: np.ndarray, n_rand: int, s
         feas = np.exp(1j * phases) / math.sqrt(L)
     gains = np.real(np.einsum("ln,lk,kn->n", feas.conj(), M, feas))
     return feas[:, int(np.argmax(gains))]
-
-
-def uncertified_relaxation(spec: RandomInstanceSpec) -> tuple[np.ndarray, bb.SdrSolution]:
-    M = random_instance(spec)
-    return M, solve_alone(M)
 
 
 def spread_relaxation(L: int, kind: str, instance: int, spread: float) -> tuple[np.ndarray, bb.SdrSolution]:
@@ -349,8 +357,9 @@ def test_randomization_equals_scoring_every_draw_bit_for_bit(relaxation, bits, n
     vals = np.linalg.eigvalsh(solution.W)
     assert vals[-2] > 1e-9 * vals[-1]  # not the rank-one route
     spec = phase_spec(bits)
-    (beam,) = bb.gaussian_randomization([solution], M[None], n_rand, spec, [seed])
-    assert beam.weights.tobytes() == randomize_every_draw(solution, M, n_rand, spec, seed).tobytes()
+    beams = bb.gaussian_randomization([solution], M[None], n_rand, spec, [seed])
+    beamopt_module._check_beams(beams, spec)  # a feasible beam
+    assert beams[0].tobytes() == randomize_every_draw(solution, M, n_rand, spec, seed).tobytes()
 
 
 def max_eigenpair_alone(M: np.ndarray) -> tuple[float, np.ndarray]:

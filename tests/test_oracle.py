@@ -48,6 +48,11 @@ class TestBruteForce:
         M = random_instance(RandomInstanceSpec(4, 2, 0))
         assert brute_force_b3(M, 2).n_evaluated == 64
 
+    @pytest.mark.parametrize("bits", [True, 2.5, 0])
+    def test_bits_is_a_count(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer >= 1"):
+            brute_force_b3(np.eye(2, dtype=complex), bits)
+
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             brute_force_b3(np.eye(5, dtype=complex), 5)

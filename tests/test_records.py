@@ -29,7 +29,7 @@ def values(tmp_path):
     config.write_text(json.dumps({"arrays": [{"synthetic": {"elements": 4, "spacing_lambda": 0.5}}],
                                   "algorithm": {"name": "greedy", "size": 1}}))
     return [
-        spec, beam, bb.solve_sdr(M[None])[0], bb.coordinate_descent(M[None], [beam], spec)[0],
+        spec, beam, bb.solve_sdr(M[None])[0], bb.coordinate_descent(M[None], beam.weights[None], spec),
         codebook, codebook.entries[0],
         bb.MeanGainCriterion(), bb.PercentileMixCriterion([(50.0, 1.0)]), candidates[0],
         bb.greedy_codebook(candidates, grid, bb.MeanGainCriterion(), 1, dirs),
