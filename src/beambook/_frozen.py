@@ -53,7 +53,7 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError, naming ``name``, unless ``value`` is an integer >= 1."""
-    if not (is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer >= ``least``: 1 for a count, 0 for a seed."""
+    if not (is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

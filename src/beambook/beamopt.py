@@ -197,15 +197,15 @@ def _hermitian_stack(M) -> np.ndarray:
     return 0.5 * (M + H)
 
 
-def _max_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _max_eigenpairs(M: np.ndarray, eig=None) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue and unit eigenvector of every member of a Hermitian stack (B, L, L), from one ``eigh``.
 
-    Returns the (B,) eigenvalues and the (B, L) eigenvectors.  Each
-    eigenvector's first entry of non-negligible magnitude is rotated to be
-    real positive, which fixes the otherwise arbitrary global phase; a zero
-    member gets eigenvalue 0 and the first unit vector.
+    Returns the (B,) eigenvalues and (B, L) eigenvectors, from ``eig`` (the
+    caller's ``eigh(M)``) if given.  Each eigenvector's first entry of
+    non-negligible magnitude is rotated to be real positive, which fixes the
+    arbitrary global phase; a zero member gets 0 and the first unit vector.
     """
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = np.linalg.eigh(M) if eig is None else eig
     lam = vals[:, -1].copy()
     v = vecs[:, :, -1]
     magnitude = np.abs(v)
@@ -337,7 +337,7 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     B, L, _ = M.shape
     trace = np.real(np.trace(M, axis1=1, axis2=2))
 
-    vals = np.linalg.eigvalsh(M)
+    vals, vecs = np.linalg.eigh(M)
     if np.any(vals[:, 0] < -1e-10 * np.maximum(trace, 1.0)):
         raise ValueError("M must be positive semidefinite")
 
@@ -352,7 +352,7 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     # The co-phased dominant eigenvector w gives a rank-one M, every 1x1 M
     # included, its optimum W = w w^H (Cauchy-Schwarz over the rows of any
     # feasible factor); any other M keeps the phase ascent's w w^H if certified.
-    w = _cophase(_max_eigenpairs(M)[1])
+    w = _cophase(_max_eigenpairs(M, (vals, vecs))[1])
     mixed = live & (vals[:, :-1].max(axis=1, initial=0.0) > 1e-12 * vals[:, -1])
     if mixed.any():
         w[mixed] = _coordinate_descent(M[mixed], w[mixed], PhaseSpec())[0]
@@ -383,12 +383,17 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     )
 
 
+def _child_seed(*key: int) -> int:
+    """The seed of a key tuple, from one SeedSequence hash: stable, and independent of call order."""
+    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
+
+
 def gaussian_randomization(
     solution: Sequence[SdrSolution],
     M: np.ndarray,
     n_rand: int,
     phase_spec: PhaseSpec,
-    seed: Sequence[int],
+    seed: Sequence[int | tuple[int, ...]],
 ) -> np.ndarray:
     """Round each relaxation solution of a stack to a feasible beam.
 
@@ -406,9 +411,10 @@ def gaussian_randomization(
 
     ``M`` is a stack of shape (B, L, L), ``solution`` a sequence of B
     solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
-    member; the result is a (B, L) array, one beam per row.  The stack
-    shares one ``eigh``, one factor product and one exact-route call; each
-    drawing member keeps its own stream and its own (L, n_rand) draws, so
+    member, an integer >= 0 or a key tuple of them that only a drawing member
+    hashes (``_child_seed``); the result is a (B, L) array, one beam per row.
+    The stack shares one ``eigh``, one factor product and one exact-route
+    call; each drawing member keeps its own stream and (L, n_rand) draws, so
     every beam is bit for bit the one it gets in a stack of one.
     """
     check_count("n_rand", n_rand)
@@ -418,8 +424,11 @@ def gaussian_randomization(
     W = np.stack([s.W for s in solution])
     if W.shape != M.shape:
         raise ValueError("solutions and matrices must have the same stack shape")
-    if np.ndim(seed) != 1 or len(seed) != len(M):
+    if not isinstance(seed, (Sequence, np.ndarray)) or len(seed) != len(M):
         raise ValueError("a stack of matrices takes one seed per member")
+    for key in seed:
+        for part in key if isinstance(key, tuple) and key else (key,):
+            check_count("seed", part, 0)
     B, L, _ = M.shape
     vals, vecs = np.linalg.eigh(W)
     vals = np.clip(vals, 0.0, None)
@@ -433,7 +442,7 @@ def gaussian_randomization(
     for b in np.flatnonzero(~exact):
         # Unit-variance circular complex normals: the real and imaginary
         # parts are two consecutive standard_normal blocks, scaled by sqrt(1/2).
-        rng = np.random.default_rng(seed[b])
+        rng = np.random.default_rng(_child_seed(*seed[b]) if isinstance(seed[b], tuple) else seed[b])
         xi.real = rng.standard_normal((n_rand, L))
         xi.imag = rng.standard_normal((n_rand, L))
         xi *= math.sqrt(0.5)
@@ -566,13 +575,14 @@ def design_beam(
     M: np.ndarray,
     phase_spec: PhaseSpec,
     *,
-    seed: Sequence[int],
+    seed: Sequence[int | tuple[int, ...]],
     n_rand: int = 1000,
 ) -> tuple[BeamWeights, ...]:
     """Design one beam for each coherence matrix of a stack: relax, randomize, then polish.
 
     ``M`` is a stack of shape (B, L, L) and ``seed`` holds one seed per
-    member.  Every stage runs once over the whole stack: one
+    member, an integer >= 0 or a key tuple of them hashed only if the
+    member draws.  Every stage runs once over the whole stack: one
     :func:`solve_sdr`, one :func:`gaussian_randomization` (each member on
     its own seed) and one :func:`coordinate_descent` call.  A member whose
     relaxed W is rank one (a rank-one M, a certified relaxation, or an

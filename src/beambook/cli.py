@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .beamopt import PhaseSpec
-from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _check_fit, _child_seed,
+from .beamopt import PhaseSpec, _child_seed
+from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _check_fit,
                        benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates, greedy_codebook,
                        kmeans_codebook, load_codebook, restrict_region, save_codebook)
 from .efield import (GRID_CACHE_DIR, GRID_CSV_HEADER, CoverageRegion, DirectionSet, EFieldGrid, SyntheticUlaSpec,
@@ -307,8 +307,7 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
     name, size, seed, phase_spec = config.algorithm, config.size, config.seed, config.phase_spec
     array_ids = list(config.grids)
     per_array = size // len(array_ids)  # beams per array of the benchmark and 3c codebooks and the benchmark init
-    log: dict = {"algorithm": name, "size": size, "seed": seed,
-                 "phase_bits": phase_spec.bits, "status": "ok"}
+    log: dict = {"algorithm": name, "size": size, "seed": seed, "phase_bits": phase_spec.bits, "status": "ok"}
 
     if name == "benchmark":
         return benchmark_codebook(config.ula, per_array, phase_spec, array_ids=array_ids), log
@@ -317,10 +316,8 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
         return codebook_802_15_3c(L, per_array, phase_spec.bits, array_ids=array_ids), log
 
     if name == "greedy":
-        candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
-                                         seed=seed, n_rand=config.n_rand)
-        result = greedy_codebook(candidates, config.grids, config.criterion, size, config.design_dirs,
-                                 config.stop)
+        candidates = generate_candidates(config.grids, *config.candidates, phase_spec, seed=seed, n_rand=config.n_rand)
+        result = greedy_codebook(candidates, config.grids, config.criterion, size, config.design_dirs, config.stop)
         log["trace_db"] = [float(u) for u in result.utilities_db]
         log["status"] = result.stop_reason if result.stop_reason != "stopping rule satisfied" else "ok"
         return result.codebook, log
@@ -331,6 +328,8 @@ def design_codebook(config: RunConfig) -> tuple[Codebook, dict]:
         candidates = generate_candidates(config.grids, *config.candidates, phase_spec,
                                          seed=_child_seed(seed, 0xC0DE), n_rand=config.n_rand)
         init = greedy_codebook(candidates, config.grids, MeanGainCriterion(), size, config.design_dirs).codebook
+        if init.size < size:  # greedy picks each distinct beam once
+            raise ConfigError(f"greedy init found {init.size} distinct candidate beams, fewer than size {size}")
     elif config.init == "benchmark":
         init = benchmark_codebook(config.ula, per_array, phase_spec, array_ids=array_ids)
     result = kmeans_codebook(config.grids, num_beams=size, direction_set=config.design_dirs, phase_spec=phase_spec,

@@ -164,12 +164,6 @@ SelectionCriterion = Union[MeanGainCriterion, PercentileMixCriterion]
 # ---------------------------------------------------------------------------
 
 
-def _child_seed(*key: int) -> int:
-    # Stable per-task seed derivation; keeps parallelizable subtasks
-    # decoupled from call order.
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
-
-
 def _check_fit(entries: Sequence[CodebookEntry], elements: dict[str, int], what: str) -> None:
     """Raise a ValueError naming the first beam on an array id missing from ``elements`` or with another element count."""
     for k, (array_id, beam) in enumerate(entries):
@@ -191,10 +185,11 @@ def generate_candidates(
     to that array's mesh and one beam is designed per direction: the
     quantized dominant eigenvector (``method='eigen'``, :func:`eigen_beams`)
     or the full relax-randomize-polish pipeline (``method='iterative'``,
-    :func:`design_beam`, every beam on its own seed).  Each array's beams
-    come from one stacked call.
+    :func:`design_beam`, beam i of array a on the seed key ``(seed, a, i)``;
+    ``seed`` is an integer >= 0).  Each array's beams come from one call.
     """
     check_count("count_per_sphere", count_per_sphere)
+    check_count("seed", seed, 0)
     if method not in ("eigen", "iterative"):
         raise ValueError("method must be 'eigen' or 'iterative'")
     resolved = resolve_directions(grids, fibonacci_directions(count_per_sphere))
@@ -210,8 +205,8 @@ def _direction_beams(resolved, phase_spec: PhaseSpec, method: str, seed: int = 0
         if method == "eigen":
             out[array_id] = eigen_beams(stack, phase_spec)
         else:
-            seeds = [_child_seed(seed, a_index, i) for i in range(len(stack))]
-            out[array_id] = design_beam(stack, phase_spec, seed=seeds, n_rand=n_rand)
+            keys = [(seed, a_index, i) for i in range(len(stack))]
+            out[array_id] = design_beam(stack, phase_spec, seed=keys, n_rand=n_rand)
     return out
 
 
@@ -226,15 +221,18 @@ class GreedyResult(NamedTuple):
     stop_reason: str
 
 
-def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet) -> np.ndarray:
-    """Linear gains of every candidate at every evaluation direction, one stacked call per array."""
+def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet):
+    """The index of each distinct candidate's first occurrence, in order, and its linear gains at every evaluation
+    direction, a row each, from one stacked call per array; a copy (one array, equal weight bytes) gets no row."""
     resolved = resolve_directions(grids, eval_set)
     _check_fit(candidates, {a: len(et) for a, (_, et, _) in resolved.items()}, "candidate")
-    G = np.empty((len(candidates), len(eval_set)))
+    first: dict = {}
+    rows = [i for i, c in enumerate(candidates) if first.setdefault((c.array_id, c.weights.weights.tobytes()), i) == i]
+    G = np.empty((len(rows), len(eval_set)))
     for array_id in dict.fromkeys(cand.array_id for cand in candidates):
-        idxs = [i for i, cand in enumerate(candidates) if cand.array_id == array_id]
-        G[idxs, :] = field_gains(np.stack([candidates[i].weights.weights for i in idxs]), *resolved[array_id][1:])
-    return G
+        idxs = [r for r, i in enumerate(rows) if candidates[i].array_id == array_id]
+        G[idxs, :] = field_gains(np.stack([candidates[rows[r]].weights.weights for r in idxs]), *resolved[array_id][1:])
+    return rows, G
 
 
 def greedy_codebook(
@@ -253,16 +251,18 @@ def greedy_codebook(
     ``size`` without a threshold, ended the run; ``"size reached before the
     stop threshold"`` when ``size`` capped a run whose threshold was never
     exceeded; ``"pool exhausted"`` when the pool emptied first, with the
-    best-so-far codebook.  The composite gain is maintained incrementally,
-    so each round scores every candidate in one call.  Ties resolve to the
-    lowest candidate index, and a selected candidate is never picked again.
+    best-so-far codebook, once every distinct beam is picked: copies of a
+    beam on one array (equal weight bytes) are scored once, as the first.
+    The composite gain is maintained incrementally, so each round scores
+    every distinct beam in one call.  Ties resolve to the lowest candidate
+    index, and a selected beam is never picked again.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set is empty")
     check_count("size", size)
-    # Row r of C is the composite of the codebook plus candidate r:
+    # Row r of C is the composite of the codebook plus candidate rows[r]:
     # max(best, G[r]), kept in place as best grows.
-    C = _candidate_gain_matrix(candidates, grids, eval_set)
+    rows, C = _candidate_gain_matrix(candidates, grids, eval_set)
     best = np.zeros(len(eval_set))
     selected: list[int] = []
     utilities: list[float] = []
@@ -274,7 +274,7 @@ def greedy_codebook(
         if len(selected) == size:
             stop_reason = "size reached before the stop threshold" if stop else "stopping rule satisfied"
             break
-        if len(selected) == len(candidates):
+        if len(selected) == len(rows):
             stop_reason = "pool exhausted"
             break
         np.maximum(C, best, out=C)
@@ -285,7 +285,7 @@ def greedy_codebook(
         best = C[row].copy()
         utilities.append(criterion.value(best, eval_set))
 
-    return GreedyResult(Codebook(candidates[i] for i in selected), np.array(utilities), stop_reason)
+    return GreedyResult(Codebook(candidates[rows[r]] for r in selected), np.array(utilities), stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +333,21 @@ def kmeans_codebook(
     Each direction joins the beam serving it best (ties to the lowest beam
     index); each beam is then re-designed for the weighted field sum of
     its cluster on its own array (one stacked :func:`design_beam` call per
-    element count, every beam on its own seed), and the new beam is kept
-    only if it does not lower the cluster objective.  With that guard the
-    weighted mean composite gain never decreases, so the loop terminates:
-    it stops when assignments repeat, the mean gain improves by less than
-    1e-9 dB, or ``max_iterations`` is hit.  Beams stay bound to the array
-    they were initialized on.  A cluster without field, that is an empty
-    one or one whose directions all have zero weight or zero field, gets
-    no design call and leaves its beam untouched: any beam ties its zero
-    objective, so a new design would only replace the beam at random.
+    element count, every beam on its own seed key ``(seed, iteration,
+    beam index)``), and the new beam is kept only if it does not lower the
+    cluster objective.  With that guard the weighted mean composite gain
+    never decreases, so the loop terminates: it stops when assignments
+    repeat, the mean gain improves by less than 1e-9 dB, or
+    ``max_iterations`` is hit.  ``seed`` must be an integer >= 0.  Beams
+    stay bound to the array they were initialized on.  A cluster without
+    field, that is an empty one or one whose directions all have zero
+    weight or zero field, gets no design call and leaves its beam
+    untouched: any beam ties its zero objective, so a new design would
+    only replace the beam at random.
     """
     check_count("num_beams", num_beams)
     check_count("max_iterations", max_iterations)
+    check_count("seed", seed, 0)
     dirs = direction_set
     if num_beams > len(dirs):
         raise ValueError("num_beams exceeds the number of directions")
@@ -385,8 +388,8 @@ def kmeans_codebook(
         designed = {}
         for ks in by_size.values():
             stack = np.stack([clusters[k] for k in ks])
-            seeds = [_child_seed(seed, iteration, k) for k in ks]
-            designed.update(zip(ks, design_beam(stack, phase_spec, seed=seeds, n_rand=n_rand)))
+            keys = [(seed, iteration, k) for k in ks]
+            designed.update(zip(ks, design_beam(stack, phase_spec, seed=keys, n_rand=n_rand)))
 
         for k, Mk in clusters.items():
             array_id, old_beam = entries[k]

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -693,3 +694,68 @@ class TestRoutes:
         for m, seed, beam in zip(stack, (1, 2, 3, 4), beams):
             (alone,) = bb.design_beam(m[None], spec, seed=[seed])
             assert beam.weights.tobytes() == alone.weights.tobytes()
+
+
+def record_seed_sequences(monkeypatch) -> list:
+    """Patch np.random.SeedSequence to record the entropy of each one built; returns that list."""
+    built, seed_sequence = [], np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda entropy: built.append(entropy) or seed_sequence(entropy))
+    return built
+
+
+# A zero-trace member keeps W = I/L and draws; a rank-one and a certified member take the exact routes.
+DRAWING = np.zeros((1, 5, 5))
+EXACT = np.stack([random_instance(RandomInstanceSpec(5, 1, 3)), random_instance(RandomInstanceSpec(5, 5, 0))])
+
+# (member seed, the part reported): a member seed is an integer >= 0 or a nonempty key tuple of them.
+BAD_MEMBER_SEEDS = [(-1, -1), (1.5, 1.5), (True, True), (np.float64(2.0), np.float64(2.0)), ("3", "3"),
+                    ([0, 1], [0, 1]), ((0, -3, 1), -3), ((0, 1.5), 1.5), ((False, 0), False), ((), ())]
+
+
+class TestSeeds:
+    """A member seed is an integer >= 0 or a key tuple of them, and only a drawing member hashes its key."""
+
+    @pytest.mark.parametrize("bits", [None, 3])
+    def test_key_seeds_give_the_beams_of_their_hashed_integers(self, bits, monkeypatch):
+        stack = np.concatenate([DRAWING, EXACT[:1], DRAWING, EXACT[1:]])
+        keys = [(7, 0, i) for i in range(4)]
+        hashed = [beamopt_module._child_seed(*key) for key in keys]
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        by_key = bb.design_beam(stack, spec, seed=keys, n_rand=50)
+        by_int = bb.design_beam(stack, spec, seed=hashed, n_rand=50)
+        assert [b.weights.tobytes() for b in by_key] == [b.weights.tobytes() for b in by_int]
+        assert by_key[0] != by_key[2]  # the two drawing members read their own seeds
+        seeds = record_draws(monkeypatch)
+        rounded = bb.gaussian_randomization(bb.solve_sdr(stack), stack, 50, spec, seed=keys)
+        assert seeds == [hashed[0], hashed[2]]  # the drawing members, and only they
+        assert rounded.tobytes() == bb.gaussian_randomization(bb.solve_sdr(stack), stack, 50, spec, hashed).tobytes()
+
+    def test_a_stack_on_exact_routes_hashes_no_seed(self, monkeypatch):
+        built = record_seed_sequences(monkeypatch)
+        bb.design_beam(EXACT, bb.PhaseSpec(3), seed=[(0, 0, 0), (0, 0, 1)])
+        assert built == []
+        bb.design_beam(np.concatenate([EXACT, DRAWING]), bb.PhaseSpec(3), seed=[(0, 0, 0), (0, 0, 1), (0, 0, 2)],
+                       n_rand=10)
+        assert built == [[0, 0, 2]]  # the drawing member's key, hashed once
+
+    @pytest.mark.parametrize("numpy_seed, seed", [(np.int64(5), 5), ((np.uint8(1), np.int64(5)), (1, 5))])
+    def test_a_numpy_integer_seeds_as_its_python_value(self, numpy_seed, seed):
+        def design(s):
+            return bb.design_beam(DRAWING, bb.PhaseSpec(2), seed=[s], n_rand=10)
+
+        assert design(numpy_seed) == design(seed)
+
+    @pytest.mark.parametrize("seed, reported", BAD_MEMBER_SEEDS)
+    @pytest.mark.parametrize("stack", [DRAWING, EXACT], ids=["drawing", "exact"])
+    @pytest.mark.parametrize("stage", ["design_beam", "gaussian_randomization"])
+    def test_a_bad_member_seed_is_rejected_whether_or_not_its_member_draws(self, stage, stack, seed, reported):
+        # Unchecked, -1 and 1.5 reached NumPy's own errors, True drew as seed 1, and a
+        # member on an exact route took any seed silently.
+        seeds = [seed] + [0] * (len(stack) - 1)
+        calls = {
+            "design_beam": lambda: bb.design_beam(stack, bb.PhaseSpec(3), seed=seeds, n_rand=10),
+            "gaussian_randomization": lambda: bb.gaussian_randomization(bb.solve_sdr(stack), stack, 10,
+                                                                        bb.PhaseSpec(3), seeds),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {reported!r}")):
+            calls[stage]()

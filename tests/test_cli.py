@@ -131,6 +131,17 @@ class TestDesign:
         assert main(["design", "--config", str(config)]) == 0
         assert bb.load_codebook(tmp_path / "out/codebook.json").size == 3
 
+    def test_a_greedy_init_short_of_distinct_beams_is_a_config_error(self, tmp_path, capsys):
+        # Eight 1-bit eigen candidates hold fewer than six distinct beams; greedy picks each once.
+        config = write_config(
+            tmp_path / "cfg.json",
+            algorithm={"name": "kmeans", "size": 6, "phase_bits": 1, "init": "greedy",
+                       "candidates": {"count": 8, "method": "eigen"}},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["design", "--config", str(config)]) == 2
+        assert re.search(r"greedy init found [1-5] distinct candidate beams, fewer than size 6", capsys.readouterr().err)
+
     @pytest.mark.parametrize("stop", [{"kind": "mean-threshold", "threshold_db": 50},
                                       {"kind": "percentile-threshold", "percentile": 50, "threshold_db": 50}])
     def test_size_caps_an_unreachable_threshold(self, tmp_path, stop):

@@ -265,13 +265,13 @@ class TestGreedy:
         grid, dirs = directional_grid
         cands = bb.generate_candidates(grid, 150, "eigen", bb.PhaseSpec(5))
         result = bb.greedy_codebook(cands, grid, criterion, 10, dirs)
-        G = codebook_module._candidate_gain_matrix(cands, grid, dirs)
-        pool, best, picks = list(range(len(cands))), np.zeros(len(dirs)), []
+        rows, G = codebook_module._candidate_gain_matrix(cands, grid, dirs)
+        pool, best, picks = list(range(len(rows))), np.zeros(len(dirs)), []
         for _ in range(10):
             picks.append(pool.pop(int(np.argmax(criterion.scores(np.maximum(best, G[pool]), dirs)))))
             np.maximum(best, G[picks[-1]], out=best)
         assert result.codebook.size == len(picks)
-        assert all(entry.weights is cands[i].weights for entry, i in zip(result.codebook.entries, picks))
+        assert all(entry.weights is cands[rows[r]].weights for entry, r in zip(result.codebook.entries, picks))
 
     @pytest.mark.parametrize("array_id, elements", [("ula", 8), ("other", 4)])
     def test_candidate_that_fits_no_array_rejected(self, iso_grid, array_id, elements):
@@ -289,6 +289,74 @@ class TestGreedy:
         result = bb.greedy_codebook(cands, grid, crit, 3, dirs)
         assert result.codebook.size == 3
         assert np.all(np.diff(result.utilities_db) >= 0)
+
+
+def distinct_beams(entries):
+    """The first entry of each (array, weight bytes) pair, in pool order."""
+    first = {}
+    for entry in entries:
+        first.setdefault((entry.array_id, entry.weights.weights.tobytes()), entry)
+    return tuple(first.values())
+
+
+def copy_of(entry):
+    return bb.CodebookEntry(entry.array_id, bb.BeamWeights(entry.weights.weights, entry.weights.phase_spec))
+
+
+class TestGreedyOverDistinctBeams:
+    """Copies of a beam on one array are scored once, as their first occurrence."""
+
+    @pytest.fixture(scope="class")
+    def pools(self, directional_grid):
+        grid, dirs = directional_grid
+        generated = bb.generate_candidates(grid, 60, "eigen", bb.PhaseSpec(3))
+        distinct = distinct_beams(generated)
+        assert len(distinct) < len(generated)  # neighbouring directions snap to one 3-bit beam
+        interleaved = []
+        for i, entry in enumerate(distinct):  # each beam, then copies of an earlier beam and of itself
+            interleaved += [entry, copy_of(distinct[i // 2]), copy_of(entry)]
+        return grid, dirs, distinct, (generated, tuple(interleaved))
+
+    @pytest.mark.parametrize("criterion", [bb.MeanGainCriterion(),
+                                           bb.PercentileMixCriterion(((5.0, 1.0), (50.0, 1.0)))])
+    @pytest.mark.parametrize("size", [6, 30])
+    def test_a_pool_with_copies_gives_the_result_of_its_distinct_beams(self, pools, criterion, size):
+        grid, dirs, distinct, with_copies = pools
+        want = bb.greedy_codebook(distinct, grid, criterion, size, dirs)
+        for pool in with_copies:
+            got = bb.greedy_codebook(pool, grid, criterion, size, dirs)
+            assert got.codebook == want.codebook
+            assert got.utilities_db.tobytes() == want.utilities_db.tobytes()
+            assert got.stop_reason == want.stop_reason
+
+    def test_a_size_above_the_distinct_count_exhausts_the_pool_without_copies(self, pools):
+        grid, dirs, distinct, (generated, _) = pools
+        result = bb.greedy_codebook(generated, grid, bb.MeanGainCriterion(), len(distinct) + 3, dirs)
+        assert result.stop_reason == "pool exhausted"
+        assert result.codebook.size == len(distinct)
+        assert set(distinct_beams(result.codebook.entries)) == set(distinct)
+
+    def test_a_beam_that_fits_no_array_is_named_by_its_index_among_the_copies(self, iso_grid):
+        grid, dirs = iso_grid
+        cands = bb.generate_candidates(grid, 3, "eigen", bb.PhaseSpec(3))
+        misfit = bb.CodebookEntry("ula", bb.BeamWeights(np.ones(8) / np.sqrt(8), bb.PhaseSpec(3)))
+        with pytest.raises(ValueError, match="candidate 6: a beam with 8 weights on array 'ula'"):
+            bb.greedy_codebook(cands + cands + (misfit,), grid, bb.MeanGainCriterion(), 2, dirs)
+
+    @pytest.mark.parametrize("bits", [None, 3])
+    def test_field_gains_of_a_sub_stack_of_two_rows_or_more_are_those_rows_bit_for_bit(self, directional_grid, bits):
+        grid, dirs = directional_grid
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        W = np.stack([e.weights.weights for e in bb.generate_candidates(grid, 60, "iterative", spec, n_rand=20)])
+        et, ep = grid.fields_at(dirs)
+        full = field_gains(W, et, ep)
+        picks = np.random.default_rng(0).permutation(len(W))
+        for rows in ([0, len(W) - 1], [5, 2], np.sort(picks[:17]), picks[:31], np.arange(1, len(W), 2)):
+            assert field_gains(W[rows], et, ep).tobytes() == full[rows].tobytes()
+        # A one-row stack takes NumPy's matrix-vector product, which may round the last bit
+        # differently: greedy keeps its bits only while an array scores two beams or more.
+        for row in (0, len(W) - 1):
+            assert_allclose(field_gains(W[row : row + 1], et, ep)[0], full[row], rtol=0, atol=1e-14 * full[row].max())
 
 
 class TestKMeans:
@@ -534,6 +602,28 @@ class TestCountRule:
     def test_a_numpy_integer_counts_as_its_python_value(self, count_inputs, site):
         _, call = COUNT_SITES[site]
         assert call(count_inputs, np.int64(2)) == call(count_inputs, 2)
+
+
+# Every library seed argument held to the seed rule: site -> call with that seed on the count_inputs fixture.
+SEED_SITES = {
+    "candidates eigen": lambda c, s: bb.generate_candidates(c.grid, 4, "eigen", bb.PhaseSpec(3), seed=s),
+    "candidates iterative": lambda c, s: bb.generate_candidates(c.grid, 4, "iterative", bb.PhaseSpec(3), seed=s,
+                                                                n_rand=10),
+    "kmeans": lambda c, s: bb.kmeans_codebook(c.grid, 2, c.dirs, bb.PhaseSpec(5), n_rand=10, seed=s).codebook,
+}
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("value", [-1, 1.5, True, np.float64(2.0), None, (0, 1)])
+    @pytest.mark.parametrize("site", SEED_SITES)
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_rejected(self, count_inputs, site, value):
+        # Unchecked, -1 and 1.5 reached NumPy's own errors only where a member drew, and True seeded as 1.
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {value!r}")):
+            SEED_SITES[site](count_inputs, value)
+
+    @pytest.mark.parametrize("site", SEED_SITES)
+    def test_a_numpy_integer_seeds_as_its_python_value(self, count_inputs, site):
+        assert SEED_SITES[site](count_inputs, np.int64(3)) == SEED_SITES[site](count_inputs, 3)
 
 
 class TestCodebookJson:
