@@ -37,4 +37,4 @@ covered = float(np.dot(dirs.weights, gap.gains_db < 2.0))
 print(f"\nfinal codebook: {result.codebook.size} beams ({result.stop_reason})")
 print(f"directions within 2 dB of the bound: {covered:.0%}")
 resolved = bb.resolve_directions(grid, dirs)   # the sweep looked up on the mesh once
-print("\n" + bb.codebook_summary(result.codebook, resolved, bb.entry_gains_linear(resolved, result.codebook)))
+print("\n" + bb.codebook_summary(result.codebook, resolved, bb.entry_gains_linear(resolved, result.codebook.entries)))

@@ -352,7 +352,7 @@ def evaluate_codebook(config: RunConfig, codebook: Codebook | None, out: Path) -
     write_pattern_csv(bound, out / "bound.csv")
     if codebook is None:
         return None
-    gains = entry_gains_linear(resolved, codebook)
+    gains = entry_gains_linear(resolved, codebook.entries)
     pattern = GainPattern(dirs, db_from_linear(composite_gains_linear(gains)))
     write_pattern_csv(pattern, out / "pattern.csv")
     write_pattern_csv(gap_map(pattern, bound), out / "gap.csv")

@@ -27,7 +27,7 @@ from ._frozen import Frozen, check_count
 from .beamopt import BeamWeights, PhaseSpec, design_beam, eigen_beams
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
-from .metrics import db_from_linear, entry_gains_linear, field_gains, resolve_directions, weighted_percentiles
+from .metrics import db_from_linear, entry_gains_linear, resolve_directions, weighted_percentiles
 
 _TWO_PI = 2.0 * math.pi
 
@@ -222,17 +222,13 @@ class GreedyResult(NamedTuple):
 
 
 def _candidate_gain_matrix(candidates: Sequence[CodebookEntry], grids, eval_set: DirectionSet):
-    """The index of each distinct candidate's first occurrence, in order, and its linear gains at every evaluation
-    direction, a row each, from one stacked call per array; a copy (one array, equal weight bytes) gets no row."""
+    """The index of each distinct candidate's first occurrence, in order, and its ``entry_gains_linear`` row of
+    linear gains at every evaluation direction; a copy (one array, equal weight bytes) gets no row."""
     resolved = resolve_directions(grids, eval_set)
     _check_fit(candidates, {a: len(et) for a, (_, et, _) in resolved.items()}, "candidate")
     first: dict = {}
     rows = [i for i, c in enumerate(candidates) if first.setdefault((c.array_id, c.weights.weights.tobytes()), i) == i]
-    G = np.empty((len(rows), len(eval_set)))
-    for array_id in dict.fromkeys(cand.array_id for cand in candidates):
-        idxs = [r for r, i in enumerate(rows) if candidates[i].array_id == array_id]
-        G[idxs, :] = field_gains(np.stack([candidates[rows[r]].weights.weights for r in idxs]), *resolved[array_id][1:])
-    return rows, G
+    return rows, entry_gains_linear(resolved, [candidates[i] for i in rows])
 
 
 def greedy_codebook(
@@ -359,9 +355,8 @@ def kmeans_codebook(
     _check_fit(codebook.entries, {a: len(et) for a, (_, et, _) in resolved.items()}, "initial beam")
     # Every beam on the run's lattice from the start (raises if one is off it).
     entries = [CodebookEntry(e.array_id, BeamWeights(e.weights.weights, phase_spec)) for e in codebook.entries]
-    gains = entry_gains_linear(resolved, Codebook(entries))  # (K, N)
-    mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
-    trace = [mean_db]
+    gains = entry_gains_linear(resolved, entries)  # (K, N)
+    trace = [db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))]
     assignments = np.full(len(dirs), -1)
     stop_reason = "max iterations"
     iterations = 0
@@ -392,19 +387,14 @@ def kmeans_codebook(
             designed.update(zip(ks, design_beam(stack, phase_spec, seed=keys, n_rand=n_rand)))
 
         for k, Mk in clusters.items():
-            array_id, old_beam = entries[k]
-            new_beam = designed[k]
-            if new_beam.gain(Mk) >= old_beam.gain(Mk):  # keep monotone under the approximate solver
-                entries[k] = CodebookEntry(array_id, new_beam)
-                gains[k] = field_gains(new_beam.weights, *resolved[array_id][1:])
+            if designed[k].gain(Mk) >= entries[k].weights.gain(Mk):  # keep monotone under the approximate solver
+                entries[k] = CodebookEntry(entries[k].array_id, designed[k])
+        gains = entry_gains_linear(resolved, entries)
 
-        new_mean_db = db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))
-        trace.append(new_mean_db)
-        if new_mean_db - mean_db < 1e-9:
-            mean_db = new_mean_db
+        trace.append(db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0)))))
+        if trace[-1] - trace[-2] < 1e-9:
             stop_reason = "mean gain converged"
             break
-        mean_db = new_mean_db
 
     return KMeansResult(Codebook(entries), np.array(trace), iterations, stop_reason, assignments)
 

@@ -93,13 +93,13 @@ class CoverageRegion(Frozen):
         self._set(theta_range=(float(lo), float(hi)), phi_range=tuple(map(float, phi_range)))
 
     def contains(self, theta, phi) -> np.ndarray:
-        """Vectorized membership test; phi wraparound handled."""
+        """Vectorized membership test; phi wraps through 0, and a phi span of 360 degrees or more is the full circle."""
         theta = np.asarray(theta, dtype=float)
         phi = np.mod(np.asarray(phi, dtype=float), 360.0)
         tlo, thi = self.theta_range
         in_theta = (theta >= tlo) & (theta <= thi)
         plo, phi_hi = self.phi_range
-        if plo == 0.0 and phi_hi >= 360.0:
+        if phi_hi - plo >= 360.0:
             return in_theta
         plo = float(np.mod(plo, 360.0))
         phi_hi = float(phi_hi if phi_hi == 360.0 else np.mod(phi_hi, 360.0))

@@ -86,11 +86,14 @@ def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
     """GAIN_FACTOR * (|w^H e_T|^2 + |w^H e_P|^2) against (L, N) field matrices.
 
     One beam (L,) gives N gains, a stack (n, L) an (n, N) matrix; every
-    realized gain of the package is computed here.  The second squared
+    realized gain of the package is computed here, and a beam's gains are
+    the same bytes alone and in any stack (one row is padded to two, so it
+    never takes NumPy's matrix-vector product).  The second squared
     magnitude is added a block at a time, so a large stack holds one
     complex product and no float temporary of its size.
     """
-    w = np.asarray(getattr(weights, "weights", weights), dtype=complex).conj()
+    beams = np.asarray(getattr(weights, "weights", weights), dtype=complex).conj()
+    w = np.stack([beams.reshape(-1)] * 2) if beams.ndim == 1 or len(beams) == 1 else beams
     gains = np.abs(w @ et)
     np.square(gains, out=gains)
     flat, field = gains.reshape(-1), (w @ ep).reshape(-1)
@@ -98,7 +101,7 @@ def field_gains(weights, et: np.ndarray, ep: np.ndarray) -> np.ndarray:
         block = np.abs(field[start : start + _POWER_BLOCK])
         flat[start : start + _POWER_BLOCK] += np.square(block, out=block)
     gains *= GAIN_FACTOR
-    return gains
+    return gains[0] if beams.ndim == 1 else gains[: len(beams)]
 
 
 def resolve_directions(grids, dirs: DirectionSet) -> dict[str, tuple[DirectionSet, np.ndarray, np.ndarray]]:
@@ -110,15 +113,13 @@ def resolve_directions(grids, dirs: DirectionSet) -> dict[str, tuple[DirectionSe
     return resolved
 
 
-def entry_gains_linear(resolved, codebook) -> np.ndarray:
-    """(K, N) gains of the K codebook entries, each on its own array's ``resolve_directions`` entry.
-
-    One ``field_gains`` call per entry: a single call on the stacked
-    weights of an array would round some gains differently.
-    """
-    gains = np.empty((codebook.size, len(next(iter(resolved.values()))[0])))
-    for k, entry in enumerate(codebook.entries):
-        gains[k] = field_gains(entry.weights.weights, *resolved[entry.array_id][1:])
+def entry_gains_linear(resolved, entries) -> np.ndarray:
+    """(K, N) gains of K ``CodebookEntry`` beams (a codebook's ``.entries`` or a candidate pool), each on its own
+    array's ``resolve_directions`` entry, from one ``field_gains`` call per array."""
+    gains = np.empty((len(entries), len(next(iter(resolved.values()))[0])))
+    for array_id in dict.fromkeys(entry.array_id for entry in entries):
+        rows = [k for k, entry in enumerate(entries) if entry.array_id == array_id]
+        gains[rows] = field_gains(np.stack([entries[k].weights.weights for k in rows]), *resolved[array_id][1:])
     return gains
 
 
@@ -131,7 +132,7 @@ def composite_gains_linear(gains: np.ndarray) -> np.ndarray:
 
 def composite_pattern(grids, codebook, dirs: DirectionSet) -> GainPattern:
     """Composite (max-over-beams) radiation pattern of a codebook, in dB."""
-    gains = entry_gains_linear(resolve_directions(grids, dirs), codebook)
+    gains = entry_gains_linear(resolve_directions(grids, dirs), codebook.entries)
     return GainPattern(dirs, db_from_linear(composite_gains_linear(gains)))
 
 

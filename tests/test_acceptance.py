@@ -150,8 +150,8 @@ def test_criterion_7_conservation():
     resolved = bb.resolve_directions(grid, dirs)
     for _ in range(50):
         w = bb.BeamWeights(np.exp(1j * rng.uniform(0, 2 * math.pi, 4)) / 2.0, bb.PhaseSpec())
-        cb = bb.Codebook((bb.CodebookEntry(grid.array_id, w),))
-        mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb))))
+        entries = (bb.CodebookEntry(grid.array_id, w),)
+        mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, entries))))
         worst = max(worst, abs(mean - 1.0))
         assert abs(mean - 1.0) <= 0.02
     print(f"criterion 7: x-uniform mean within {worst:.4f} of unity for 50 random unimodular beams")

@@ -462,7 +462,7 @@ class TestEval:
             m.setattr(metrics_module, "field_gains", counted("field_gains", metrics_module.field_gains))
             assert main(["eval", "--config", str(config), "--codebook", str(tmp_path / "cb.json"),
                          "--output-dir", str(tmp_path / "out")]) == 0
-        assert calls == {"snap_to_grid": 2, "fields_at": 2, "field_gains": 5}
+        assert calls == {"snap_to_grid": 2, "fields_at": 2, "field_gains": 2}
 
         # Each beam on its own array's mesh, computed apart from the eval path.
         dirs = bb.fibonacci_directions(300)
@@ -690,6 +690,21 @@ class TestSelfcheck:
 
 
 class TestRegionWorkflow:
+    def test_a_phi_span_of_360_degrees_designs_the_full_circle_wherever_it_starts(self, tmp_path):
+        written = []
+        for phi in ([0, 360], [-180, 180]):
+            out = tmp_path / f"out{phi[0]}"
+            config = write_config(
+                tmp_path / "cfg.json",
+                arrays=[{"id": "ula", "synthetic": {"elements": 4, "spacing_lambda": 0.5, "sampling_factor": 20}}],
+                algorithm={"name": "kmeans", "size": 3, "phase_bits": 5, "seed": 1, "init": "uniform",
+                           "n_randomizations": 50, "region": {"theta": [0, 120], "phi": phi}},
+                output_dir=str(out),
+            )
+            assert main(["design", "--config", str(config)]) == 0
+            written.append((out / "codebook.json").read_bytes())
+        assert written[0] == written[1]
+
     def test_region_restricted_design_concentrates_beams(self, tmp_path):
         # beams designed for the upper hemisphere leave a much larger gap
         # in the excluded lower hemisphere

@@ -11,6 +11,7 @@ import beambook.codebook as codebook_module
 import beambook.metrics as metrics_module
 from beambook.efield import field_coherence, top_eigenvalues
 from beambook.metrics import field_gains
+from beambook.oracle import brute_force_b3
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +212,8 @@ class TestGreedy:
         resolved = bb.resolve_directions(grid, dirs)
         means = []
         for c in cands:
-            cb = bb.Codebook((c,))
-            means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb)))))
-        selected = bb.entry_gains_linear(resolved, result.codebook)
+            means.append(float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, (c,))))))
+        selected = bb.entry_gains_linear(resolved, result.codebook.entries)
         selected_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(selected)))
         assert selected_mean == pytest.approx(max(means), rel=1e-12)
 
@@ -344,19 +344,47 @@ class TestGreedyOverDistinctBeams:
             bb.greedy_codebook(cands + cands + (misfit,), grid, bb.MeanGainCriterion(), 2, dirs)
 
     @pytest.mark.parametrize("bits", [None, 3])
-    def test_field_gains_of_a_sub_stack_of_two_rows_or_more_are_those_rows_bit_for_bit(self, directional_grid, bits):
+    def test_field_gains_of_any_sub_stack_or_single_beam_are_those_rows_bit_for_bit(self, directional_grid, bits):
         grid, dirs = directional_grid
         spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
         W = np.stack([e.weights.weights for e in bb.generate_candidates(grid, 60, "iterative", spec, n_rand=20)])
         et, ep = grid.fields_at(dirs)
         full = field_gains(W, et, ep)
         picks = np.random.default_rng(0).permutation(len(W))
-        for rows in ([0, len(W) - 1], [5, 2], np.sort(picks[:17]), picks[:31], np.arange(1, len(W), 2)):
+        for rows in ([0, len(W) - 1], [5, 2], np.sort(picks[:17]), picks[:31], np.arange(1, len(W), 2), [0], [7]):
             assert field_gains(W[rows], et, ep).tobytes() == full[rows].tobytes()
-        # A one-row stack takes NumPy's matrix-vector product, which may round the last bit
-        # differently: greedy keeps its bits only while an array scores two beams or more.
         for row in (0, len(W) - 1):
-            assert_allclose(field_gains(W[row : row + 1], et, ep)[0], full[row], rtol=0, atol=1e-14 * full[row].max())
+            assert field_gains(W[row], et, ep).tobytes() == full[row].tobytes()
+
+
+class TestDesignerOptimalAtPaperSize:
+    """Every beam the paper's L = 4, b = 5 designs ask of ``design_beam`` is the exhaustive 5-bit optimum."""
+
+    @pytest.fixture
+    def members(self, monkeypatch):
+        """(M, beam) for every ``design_beam`` member that codebook synthesis designs while the test runs."""
+        recorded = []
+
+        def recording(M, phase_spec, **kwargs):
+            beams = bb.design_beam(M, phase_spec, **kwargs)
+            recorded.extend(zip(M, beams))
+            return beams
+
+        monkeypatch.setattr(codebook_module, "design_beam", recording)
+        return recorded
+
+    def test_kmeans_and_iterative_candidates_on_the_paper_arrays(self, members):
+        bits5 = bb.PhaseSpec(5)
+        for spacing, q in ((0.65, 0), (0.5, 1), (0.5, 3)):
+            spec = bb.SyntheticUlaSpec(4, spacing, element_pattern_q=q, sampling_factor=20)
+            grid, dirs = bb.generate_ula_efield(spec)
+            bb.kmeans_codebook(grid, 4, dirs, bits5, init=bb.benchmark_codebook(spec, 4, bits5), n_rand=50, seed=1)
+        kmeans_members = len(members)
+        grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.65, sampling_factor=20))
+        bb.generate_candidates(grid, 24, "iterative", bits5, seed=1, n_rand=50)
+        assert kmeans_members >= 12 and len(members) == kmeans_members + 24
+        for M, beam in members:
+            assert beam.gain(M) == pytest.approx(brute_force_b3(M, 5).gain, rel=1e-12, abs=0.0)
 
 
 class TestKMeans:
@@ -387,11 +415,11 @@ class TestKMeans:
         spec = bb.SyntheticUlaSpec(4, 0.5)
         init = bb.benchmark_codebook(spec, 4, bb.PhaseSpec(5), array_ids=[grid.array_id])
         resolved = bb.resolve_directions(grid, dirs)
-        init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, init))))
+        init_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, init.entries))))
         result = bb.kmeans_codebook(
             grid, num_beams=4, direction_set=dirs, phase_spec=bb.PhaseSpec(5), init=init, n_rand=500, seed=5
         )
-        final = bb.entry_gains_linear(resolved, result.codebook)
+        final = bb.entry_gains_linear(resolved, result.codebook.entries)
         final_mean = float(np.dot(dirs.weights, bb.composite_gains_linear(final)))
         assert final_mean >= init_mean - 1e-12
 
@@ -671,6 +699,6 @@ class TestCodebookJson:
         spec = bb.SyntheticUlaSpec(4, 0.5)
         cb = bb.benchmark_codebook(spec, 2, bb.PhaseSpec(5), array_ids=[grid.array_id])
         resolved = bb.resolve_directions(grid, dirs)
-        text = bb.codebook_summary(cb, resolved, bb.entry_gains_linear(resolved, cb))
+        text = bb.codebook_summary(cb, resolved, bb.entry_gains_linear(resolved, cb.entries))
         assert text.count("beam ") == 2
         assert "peak=" in text and "aim=" in text

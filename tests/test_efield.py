@@ -320,6 +320,25 @@ class TestDirectionSetsAndRegions:
         assert not region.contains(45.0, 180.0)
         assert not region.contains(120.0, 30.0)
 
+    @pytest.mark.parametrize("phi_range", [(0.0, 360.0), (-180.0, 180.0), (-10.0, 350.0), (10.0, 370.0),
+                                           (-360.0, 0.0), (90.0, 450.5), (0.0, 720.0)])
+    def test_a_phi_span_of_360_degrees_or_more_is_the_full_circle(self, phi_range):
+        phi = np.array([0.0, 1e-9, 10.0, 90.0, 179.5, 180.0, 270.0, 350.0, 359.0, 359.999])
+        assert bb.CoverageRegion(phi_range=phi_range).contains(np.full(phi.size, 45.0), phi).all()
+
+    @pytest.mark.parametrize("phi_range, inside", [
+        ((350.0, 10.0), [0.0, 10.0, 350.0, 359.0]),
+        ((-10.0, 10.0), [0.0, 10.0, 350.0, 359.0]),
+        ((300.0, 60.0), [0.0, 10.0, 350.0, 359.0]),
+        ((0.0, 180.0), [0.0, 10.0, 90.0, 179.5, 180.0]),
+        ((10.0, 360.0), [10.0, 90.0, 179.5, 180.0, 270.0, 350.0, 359.0]),
+        ((-180.0, 179.0), [0.0, 10.0, 90.0, 180.0, 270.0, 350.0, 359.0]),
+    ])
+    def test_a_phi_span_below_360_degrees_keeps_its_arc(self, phi_range, inside):
+        phi = np.array([0.0, 10.0, 90.0, 179.5, 180.0, 270.0, 350.0, 359.0])
+        got = bb.CoverageRegion(phi_range=phi_range).contains(np.full(phi.size, 45.0), phi)
+        assert phi[got].tolist() == inside
+
     @pytest.mark.parametrize("phi_range", [(np.nan, 90.0), (0.0, np.nan), (-np.inf, 90.0), (0.0, np.inf)])
     def test_region_rejects_non_finite_phi(self, phi_range):
         with pytest.raises(ValueError, match="phi_range bounds must be finite"):

@@ -67,11 +67,11 @@ class TestCompositePattern:
         grid, dirs = iso_grid
         w1 = unimodular([0.0, 0.5, 1.0, 1.5])
         w2 = unimodular([0.0, -0.8, -1.6, -2.4])
-        cb1 = bb.Codebook((bb.CodebookEntry(grid.array_id, w1),))
-        cb2 = bb.Codebook((bb.CodebookEntry(grid.array_id, w1), bb.CodebookEntry(grid.array_id, w2)))
+        entries1 = (bb.CodebookEntry(grid.array_id, w1),)
+        entries2 = entries1 + (bb.CodebookEntry(grid.array_id, w2),)
         resolved = bb.resolve_directions(grid, dirs)
-        g1 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb1))
-        g2 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb2))
+        g1 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, entries1))
+        g2 = bb.composite_gains_linear(bb.entry_gains_linear(resolved, entries2))
         assert np.all(g2 >= g1 - 1e-15)
 
     def test_empty_codebook_rejected(self, iso_grid):
@@ -232,6 +232,6 @@ class TestConservation:
         resolved = bb.resolve_directions(grid, dirs)
         for _ in range(50):
             w = unimodular(rng.uniform(0, 2 * math.pi, 4))
-            cb = bb.Codebook((bb.CodebookEntry(grid.array_id, w),))
-            mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, cb))))
+            entries = (bb.CodebookEntry(grid.array_id, w),)
+            mean = float(np.dot(dirs.weights, bb.composite_gains_linear(bb.entry_gains_linear(resolved, entries))))
             assert abs(mean - 1.0) <= 0.02

@@ -36,7 +36,7 @@ def test_composite_never_exceeds_the_bound(elements, beams, scale, seed):
         entries.append(bb.CodebookEntry(array_id, bb.BeamWeights.from_phases(phases, bb.PhaseSpec())))
     dirs = bb.mesh_directions(grids["a0"])
     resolved = bb.resolve_directions(grids, dirs)
-    composite = bb.composite_gains_linear(bb.entry_gains_linear(resolved, bb.Codebook(tuple(entries))))
+    composite = bb.composite_gains_linear(bb.entry_gains_linear(resolved, entries))
     bound = bb.upper_bound_gains_linear(resolved)
     assert np.all(composite <= bound * (1.0 + 1e-12))
 
@@ -88,6 +88,33 @@ def test_chunked_percentile_scores_equal_one_shot_scores(monkeypatch):
     monkeypatch.setattr(metrics_module, "_PERCENTILE_CHUNK_ROWS", rows)
     assert np.array_equal(chunked, weighted_percentiles(gains, dirs.weights, [5.0, 50.0, 90.0]))
     assert np.array_equal(chunked_scores, criterion.scores(gains, dirs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    elements=st.integers(1, 16),
+    rows=st.integers(1, 100),
+    extra=st.integers(1, 64),
+    zero_ep=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(elements=4, rows=1, extra=1, zero_ep=False, seed=0)
+@example(elements=4, rows=60, extra=1, zero_ep=True, seed=1)
+def test_a_beams_gains_are_the_same_bytes_in_every_stack(elements, rows, extra, zero_ep, seed):
+    # N is chosen so that the whole stack spans more than one block of squared magnitudes.
+    N = metrics_module._POWER_BLOCK // rows + extra
+    assert rows * N > metrics_module._POWER_BLOCK
+    rng = np.random.default_rng(seed)
+    et, ep = (rng.standard_normal((elements, N)) + 1j * rng.standard_normal((elements, N)) for _ in "TP")
+    if zero_ep:
+        ep = np.zeros_like(ep)
+    W = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (rows, elements))) / np.sqrt(elements)
+    full = field_gains(W, et, ep)
+    for size in (1, int(rng.integers(1, rows + 1)), rows):
+        subset = rng.choice(rows, size, replace=False)
+        assert field_gains(W[subset], et, ep).tobytes() == full[subset].tobytes()
+    k = int(rng.integers(rows))
+    assert field_gains(W[k], et, ep).tobytes() == full[k].tobytes()
 
 
 def test_blocked_field_gains_equal_the_one_line_formula():
