@@ -34,18 +34,6 @@ import numpy as np
 
 from ._frozen import Frozen, check_count, is_integer
 
-__all__ = [
-    "PhaseSpec",
-    "BeamWeights",
-    "SdrSolution",
-    "CoordinateDescentResult",
-    "solve_sdr",
-    "gaussian_randomization",
-    "coordinate_descent",
-    "design_beam",
-    "eigen_beams",
-]
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -141,8 +129,8 @@ class BeamWeights(Frozen):
         return self.weights.size
 
     def gain(self, M: np.ndarray) -> float:
-        """Quadratic form w^H M w (real for Hermitian M)."""
-        return float(np.real(self.weights.conj() @ M @ self.weights))
+        """Quadratic form w^H M w (real for Hermitian M): the bits of this beam's row of :func:`_quadratic_forms`."""
+        return float(_quadratic_forms(M, self.weights))
 
     @classmethod
     def from_phases(cls, phases: np.ndarray, phase_spec: PhaseSpec) -> "BeamWeights":

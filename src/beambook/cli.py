@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
+from ._frozen import check_count
 from .beamopt import PhaseSpec, _child_seed
 from .codebook import (Codebook, MeanGainCriterion, PercentileMixCriterion, SelectionCriterion, _check_fit,
                        benchmark_codebook, codebook_802_15_3c, codebook_summary, generate_candidates, greedy_codebook,
@@ -43,7 +44,7 @@ OUTPUT_DIR_ENV = "BEAMBOOK_OUT"
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (maps to exit code 2)."""
+    """A usage or config error (maps to exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +95,8 @@ def _get(block: dict, key: str, default=None):
 def _integer(block: dict, key: str, minimum: int, default: int | None = None) -> int | None:
     """``block[key]``, or ``default`` when absent or null: a JSON integer >= ``minimum``, or None."""
     value = _get(block, key, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
-        raise ConfigError(f"'{key}' must be an integer >= {minimum}, got {value!r}")
+    if value is not None:
+        check_count(f"'{key}'", value, minimum)
     return value
 
 
@@ -376,8 +377,7 @@ def _cmd_gen_efield(args) -> int:
             sampling_factor=args.sampling_factor,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(exc)) from None
     out = _make_output_dir(Path(args.out) if args.out else _default_output_dir())
     grid, _ = generate_ula_efield(spec, array_id=args.array_id)
     csv_path = out / f"{args.name}.csv"
@@ -429,8 +429,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     if len(args.configs) < 2:
-        print("error: compare needs at least two configs", file=sys.stderr)
-        return 2
+        raise ConfigError("compare needs at least two configs")
     configs = [load_run_config(path, {"output_dir": args.output_dir}) for path in args.configs]
     percentiles = configs[0].percentiles
     for path, config in zip(args.configs[1:], configs[1:]):
@@ -524,11 +523,9 @@ def _cmd_selfcheck(args) -> int:
         elif p.exists():
             files.append(p)
         else:
-            print(f"error: no such path: {p}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"no such path: {p}")
     if not files:
-        print("error: nothing to check", file=sys.stderr)
-        return 2
+        raise ConfigError("nothing to check")
     failures = 0
     for f in files:
         ok, kind = _selfcheck_file(f)

@@ -115,13 +115,7 @@ class MeanGainCriterion(Frozen):
 
     def scores(self, gains_linear: np.ndarray, dirs: DirectionSet) -> np.ndarray:
         """Linear weighted mean over the region of each (..., N) gain row."""
-        w = dirs.weights
-        if self.region is not None:
-            mask = self.region.contains(dirs.theta, dirs.phi)
-            total = float(w[mask].sum())
-            if total <= 0.0:
-                raise ValueError("region contains no sample directions of positive weight")
-            w = np.where(mask, w, 0.0) / total
+        w = dirs.weights if self.region is None else _region_weights(dirs, self.region)[1]
         return gains_linear @ w
 
     def value(self, gains_linear: np.ndarray, dirs: DirectionSet) -> float:
@@ -292,9 +286,13 @@ def greedy_codebook(
 class KMeansResult(NamedTuple):
     codebook: Codebook
     mean_gain_trace_db: np.ndarray
-    iterations: int
     stop_reason: str
     assignments: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Iterations that re-designed the beams: one per trace entry after the first."""
+        return len(self.mean_gain_trace_db) - 1
 
 
 def uniform_init(num_beams: int, grids, phase_spec: PhaseSpec) -> Codebook:
@@ -356,10 +354,9 @@ def kmeans_codebook(
     # Every beam on the run's lattice from the start (raises if one is off it).
     entries = [CodebookEntry(e.array_id, BeamWeights(e.weights.weights, phase_spec)) for e in codebook.entries]
     gains = entry_gains_linear(resolved, entries)  # (K, N)
-    trace = [db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0))))]
+    trace = [MeanGainCriterion().value(gains.max(axis=0), dirs)]
     assignments = np.full(len(dirs), -1)
     stop_reason = "max iterations"
-    iterations = 0
 
     for iteration in range(max_iterations):
         new_assignments = np.argmax(gains, axis=0)  # ties -> lowest beam index
@@ -367,7 +364,6 @@ def kmeans_codebook(
             stop_reason = "assignments unchanged"
             break
         assignments = new_assignments
-        iterations += 1
 
         # Every cluster's matrix, then one stacked design per element count
         # over the clusters with field (an empty cluster's matrix is zero).
@@ -391,12 +387,12 @@ def kmeans_codebook(
                 entries[k] = CodebookEntry(entries[k].array_id, designed[k])
         gains = entry_gains_linear(resolved, entries)
 
-        trace.append(db_from_linear(float(np.dot(dirs.weights, gains.max(axis=0)))))
+        trace.append(MeanGainCriterion().value(gains.max(axis=0), dirs))
         if trace[-1] - trace[-2] < 1e-9:
             stop_reason = "mean gain converged"
             break
 
-    return KMeansResult(Codebook(entries), np.array(trace), iterations, stop_reason, assignments)
+    return KMeansResult(Codebook(entries), np.array(trace), stop_reason, assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +447,18 @@ def codebook_802_15_3c(
     return Codebook(CodebookEntry(a, BeamWeights.from_phases(p, spec)) for a in array_ids for p in phases)
 
 
+def _region_weights(dirs: DirectionSet, region: CoverageRegion) -> tuple[np.ndarray, np.ndarray]:
+    """The region's mask over ``dirs`` and the weights renormalized inside it, zero outside it."""
+    mask = region.contains(dirs.theta, dirs.phi)
+    total = float(dirs.weights[mask].sum())
+    if not total > 0.0:  # a NaN total fails too
+        raise ValueError("region contains no sample directions of positive weight")
+    return mask, np.where(mask, dirs.weights, 0.0) / total
+
+
 def restrict_region(dirs: DirectionSet, region: CoverageRegion) -> DirectionSet:
     """Drop directions outside the region and renormalize the weights."""
-    mask = region.contains(dirs.theta, dirs.phi)
-    w = dirs.weights[mask]
-    if not w.sum() > 0.0:
-        raise ValueError("region contains no sample directions of positive weight")
+    mask, weights = _region_weights(dirs, region)
     if np.all(mask):
         return dirs
-    return DirectionSet(dirs.theta[mask], dirs.phi[mask], w / w.sum())
+    return DirectionSet(dirs.theta[mask], dirs.phi[mask], weights[mask])

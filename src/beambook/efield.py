@@ -267,12 +267,13 @@ def snap_to_grid(dirs: DirectionSet, grid: EFieldGrid) -> DirectionSet:
     return DirectionSet(grid.theta_axis[it], grid.phi_axis[ip], dirs.weights)
 
 
-def _ula_element_fields(spec: SyntheticUlaSpec, cos_psi: np.ndarray, sin_psi: np.ndarray) -> np.ndarray:
+def _ula_element_fields(spec: SyntheticUlaSpec, cos_psi: np.ndarray) -> np.ndarray:
     """Theta-polarized field (L, *cos_psi.shape) of every element at angles psi off the array axis.
 
     Element l (0-based) responds with sqrt(sin^q psi) * exp(j*2*pi*(d/lambda)*
-    cos(psi)*l), scaled by sqrt(eta0 / 2 pi).
+    cos(psi)*l), scaled by sqrt(eta0 / 2 pi); sin psi = sqrt(1 - cos^2 psi) is 0 on the axis.
     """
+    sin_psi = np.sqrt(np.clip(1.0 - cos_psi**2, 0.0, None))
     p = sin_psi**spec.element_pattern_q if spec.element_pattern_q else np.ones_like(cos_psi)
     ell = np.arange(spec.num_elements).reshape((-1,) + (1,) * cos_psi.ndim)
     phase = 2.0 * math.pi * spec.spacing_over_lambda * cos_psi[None] * ell
@@ -295,9 +296,8 @@ def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[
     """
     a = spec.sampling_factor
     x = (a - np.arange(2 * a + 1)) / a  # descending 1 .. -1 => ascending theta
-    psi = np.arccos(np.clip(x, -1.0, 1.0))
-    theta = np.degrees(psi)
-    e_theta = _ula_element_fields(spec, x, np.sin(psi))[:, :, None]
+    theta = np.degrees(np.arccos(np.clip(x, -1.0, 1.0)))
+    e_theta = _ula_element_fields(spec, x)[:, :, None]
     grid = EFieldGrid(array_id=array_id, theta_axis=theta, phi_axis=np.array([0.0]), e_theta=e_theta,
                       e_phi=np.zeros_like(e_theta))
     dirs = DirectionSet(theta, np.zeros_like(theta), np.full(theta.size, 1.0 / theta.size))
@@ -326,7 +326,7 @@ def oriented_ula_efield(
         [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
     )
     cos_psi = np.clip(n_hat @ ax, -1.0, 1.0)
-    e_theta = _ula_element_fields(spec, cos_psi, np.sqrt(np.clip(1.0 - cos_psi**2, 0.0, None)))
+    e_theta = _ula_element_fields(spec, cos_psi)
     return EFieldGrid(
         array_id=array_id,
         theta_axis=theta_axis,
@@ -349,7 +349,7 @@ def save_efield(grid: EFieldGrid, path) -> None:
     elem, it, ip = np.indices(grid.e_theta.shape).reshape(3, -1)
     columns = [elem, grid.theta_axis[it], grid.phi_axis[ip]]
     columns += [part.ravel() for field in (grid.e_theta, grid.e_phi) for part in (field.real, field.imag)]
-    write_csv_columns(path, GRID_CSV_HEADER, columns)
+    write_csv_cells(path, GRID_CSV_HEADER, [repr_cells(column) for column in columns])
 
 
 def repr_cells(column) -> np.ndarray:
@@ -375,11 +375,6 @@ def write_csv_cells(path, header: str, cells) -> str:
     text = "\n".join([header, *map(",".join, zip(*(column.tolist() for column in cells)))]) + "\n"
     write_text(path, text)
     return text
-
-
-def write_csv_columns(path, header: str, columns) -> None:
-    """Write a header plus one row per index of the equal-length columns, each value as its ``repr`` (LF)."""
-    write_csv_cells(path, header, [repr_cells(column) for column in columns])
 
 
 def _json_number_items(values, indent: str) -> list[str] | None:

@@ -232,15 +232,10 @@ def _cdf_cells(stats: CoverageStats, pattern: GainPattern) -> np.ndarray:
     return cells
 
 
-def stats_to_dict(stats: CoverageStats, pattern: GainPattern) -> dict:
-    """The JSON tree of the stats of ``pattern``; a finite CDF goes to the writer as cells, with the same bytes."""
-    return {
+def write_stats_json(stats: CoverageStats, pattern: GainPattern, path) -> None:
+    """Write the stats of ``pattern`` (see :func:`coverage_stats`) as JSON; a finite CDF goes to the writer as cells."""
+    write_json({
         "mean_db": stats.mean_db,
         "percentiles": {f"{x:g}": v for x, v in sorted(stats.percentiles.items())},
         "cdf": _cdf_cells(stats, pattern) if np.isfinite(stats.cdf).all() else stats.cdf.tolist(),
-    }
-
-
-def write_stats_json(stats: CoverageStats, pattern: GainPattern, path) -> None:
-    """Write the stats of ``pattern`` (see :func:`coverage_stats`) as JSON."""
-    write_json(stats_to_dict(stats, pattern), path)
+    }, path)

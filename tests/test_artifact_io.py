@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beambook as bb
-from beambook.efield import GRID_CSV_HEADER, GridFormatError, write_csv_columns, write_json
+from beambook.efield import GRID_CSV_HEADER, GridFormatError, repr_cells, write_csv_cells, write_json
 from beambook.metrics import PATTERN_CSV_HEADER, GainPattern, write_pattern_csv, write_stats_json
 
 
@@ -104,7 +104,7 @@ POOL = [-0.0, 0.0, 1.0, -1.0, 0.1, 5e-324, 1e308, -200.0, math.nan, math.inf, 1 
     ints=st.booleans(),
     data=st.data(),
 )
-def test_write_csv_columns_equals_repr_join(rows, pools, ints, data):
+def test_repr_cells_written_by_write_csv_cells_equal_repr_join(rows, pools, ints, data):
     columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)), dtype=float)
                for pool in pools]
     if ints:  # an integer column, as the grid CSV's element index
@@ -112,7 +112,7 @@ def test_write_csv_columns_equals_repr_join(rows, pools, ints, data):
     header = ",".join(f"c{j}" for j in range(len(columns)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
-        write_csv_columns(path, header, columns)
+        write_csv_cells(path, header, [repr_cells(column) for column in columns])
         assert path.read_bytes() == csv_reference(header, columns).encode("utf-8")
 
 

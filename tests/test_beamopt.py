@@ -27,7 +27,7 @@ def cophased_gain_bound(M):
 
 
 def gain(w, M):
-    """w^H M w of one beam's weights w (L,), as BeamWeights.gain computes it."""
+    """w^H M w of one beam's weights w (L,)."""
     return float(np.real(w.conj() @ M @ w))
 
 

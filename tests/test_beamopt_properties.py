@@ -292,6 +292,22 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
     assert np.all(np.diff(results.objectives, axis=0) >= 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(1, 24), B=st.integers(1, 40), bits=st.sampled_from((None, 1, 3, 16)),
+       seed=st.integers(0, 2**32 - 1))
+@example(L=1, B=1, bits=None, seed=0)
+@example(L=24, B=40, bits=3, seed=1)
+def test_a_beams_gain_is_its_row_of_the_stacked_quadratic_forms_bit_for_bit(L, B, bits, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((B, L, L)) + 1j * rng.standard_normal((B, L, L))
+    M = X @ X.conj().transpose(0, 2, 1)
+    beams = [bb.BeamWeights.from_phases(p, phase_spec(bits)) for p in rng.uniform(0.0, 2.0 * math.pi, (B, L))]
+    forms = beamopt_module._quadratic_forms(M, np.stack([beam.weights for beam in beams]))
+    for b, beam in enumerate(beams):
+        assert beam.gain(M[b]) == forms[b]
+        assert beam.gain(M[b]) == beamopt_module._quadratic_forms(M[b : b + 1], beam.weights[None])[0]
+
+
 def test_phase_is_mod_of_angle_bit_for_bit():
     rng = np.random.default_rng(0)
     special = [complex(re, im) for re in (1.0, -1.0, 0.0, -0.0) for im in (0.0, -0.0, 1e-300, -1e-300)]

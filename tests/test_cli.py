@@ -351,6 +351,27 @@ def test_output_dir_naming_a_file_exits_2(tmp_path, command, monkeypatch):
     assert designs == []  # the output path fails before any design runs
 
 
+# Usage errors outside a config file: command, its arguments and the stderr message; "{tmp}" is the test's directory.
+USAGE_ERRORS = [
+    pytest.param("gen-efield", ["--elements", "0", "--spacing-lambda", "0.5", "--out", "{tmp}/out"],
+                 "num_elements must be an integer >= 1, got 0", id="gen-efield"),
+    pytest.param("compare", ["--configs", "{tmp}/cfg.json", "--output-dir", "{tmp}/out"],
+                 "compare needs at least two configs", id="compare"),
+    pytest.param("selfcheck", ["{tmp}/nope.csv"], "no such path: {tmp}/nope.csv", id="selfcheck-missing"),
+    pytest.param("selfcheck", ["{tmp}/empty"], "nothing to check", id="selfcheck-empty"),
+]
+
+
+@pytest.mark.parametrize("command, args, message", USAGE_ERRORS)
+def test_a_usage_error_exits_2_as_a_config_error_and_writes_nothing(tmp_path, capsys, command, args, message):
+    write_config(tmp_path / "cfg.json")
+    (tmp_path / "empty" / "sub").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *(arg.format(tmp=tmp_path) for arg in args)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(tmp=tmp_path)}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["design", "eval"])
 def test_config_output_dir_naming_a_file_exits_2(tmp_path, command):
     (tmp_path / "taken").write_text("")

@@ -158,6 +158,25 @@ class TestRestrictRegion:
         with pytest.raises(ValueError, match="region contains no sample directions"):
             bb.restrict_region(ds, bb.CoverageRegion(theta_range=(89.99, 90.0), phi_range=(1.0, 1.1)))
 
+    @pytest.mark.parametrize("theta_range", [(100.0, 180.0), (89.99, 90.0)], ids=["zero-weight", "empty"])
+    def test_the_mean_criterion_rejects_a_region_as_restrict_region_does(self, theta_range):
+        ds = bb.DirectionSet([30.0, 60.0, 120.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0])
+        region = bb.CoverageRegion(theta_range=theta_range)
+        with pytest.raises(ValueError) as restricted:
+            bb.restrict_region(ds, region)
+        with pytest.raises(ValueError) as scored:
+            bb.MeanGainCriterion(region).scores(np.ones(3), ds)
+        assert str(scored.value) == str(restricted.value) == "region contains no sample directions of positive weight"
+
+    def test_the_mean_criterion_weighs_the_directions_restrict_region_keeps(self):
+        ds = bb.fibonacci_directions(100)
+        region = bb.CoverageRegion(theta_range=(0.0, 90.0), phi_range=(300.0, 40.0))
+        mask, weights = codebook_module._region_weights(ds, region)
+        restricted = bb.restrict_region(ds, region)
+        assert weights[mask].tobytes() == restricted.weights.tobytes() and not weights[~mask].any()
+        gains = np.random.default_rng(0).uniform(size=(3, 100))
+        assert_allclose(bb.MeanGainCriterion(region).scores(gains, ds), gains[:, mask] @ restricted.weights, rtol=1e-14)
+
 
 class TestCandidates:
     def test_count_per_array(self, iso_grid):
@@ -401,6 +420,28 @@ class TestKMeans:
         )
         assert result.iterations < 20
         assert np.all(np.diff(result.mean_gain_trace_db) >= -1e-12)
+
+    @pytest.mark.parametrize("q, num_beams, max_iterations, stop_reason, iterations", [
+        (0, 1, 50, "assignments unchanged", 1),
+        (2, 4, 50, "mean gain converged", 6),
+        (2, 4, 1, "max iterations", 1),
+    ])
+    def test_iterations_are_the_trace_entries_after_the_first(self, monkeypatch, q, num_beams, max_iterations,
+                                                              stop_reason, iterations):
+        # Counted apart: the gains are computed once up front and once per re-design.
+        grid, dirs = bb.generate_ula_efield(bb.SyntheticUlaSpec(4, 0.5, element_pattern_q=q))
+        calls = []
+        gains = codebook_module.entry_gains_linear
+
+        def counted(*args):
+            calls.append(args)
+            return gains(*args)
+
+        monkeypatch.setattr(codebook_module, "entry_gains_linear", counted)
+        result = bb.kmeans_codebook(grid, num_beams=num_beams, direction_set=dirs, phase_spec=bb.PhaseSpec(5),
+                                    n_rand=100, max_iterations=max_iterations, seed=0)
+        assert result.stop_reason == stop_reason
+        assert result.iterations == len(result.mean_gain_trace_db) - 1 == len(calls) - 1 == iterations
 
     def test_assignment_partitions_directions(self, directional_grid):
         grid, dirs = directional_grid

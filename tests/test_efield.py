@@ -113,14 +113,25 @@ class TestSyntheticUla:
     @pytest.mark.parametrize("L, spacing", [(4, 0.65), (16, 0.5)])
     @pytest.mark.parametrize("q", [0, 1, 2, 3])
     def test_oriented_along_z_matches_the_generator(self, L, spacing, q):
-        # One element model, two ways to the angle off the axis: the generator takes
-        # sin(arccos x), the oriented array sqrt(1 - cos^2).  Near the poles those differ
-        # by rounding, which sin^q with q = 1 turns into 1.1e-8 of the peak field.
+        # One element model: the two differ only in cos psi, which the oriented array rebuilds
+        # from the theta axis, by at most 2.2e-14 of the peak field here.
         spec = bb.SyntheticUlaSpec(L, spacing, element_pattern_q=q)
         grid, _ = bb.generate_ula_efield(spec)
         oriented = bb.oriented_ula_efield(spec, (0, 0, 1), grid.theta_axis, grid.phi_axis, "ula")
-        assert np.abs(oriented.e_theta - grid.e_theta).max() <= 1e-7 * np.abs(grid.e_theta).max()
+        assert np.abs(oriented.e_theta - grid.e_theta).max() <= 1e-13 * np.abs(grid.e_theta).max()
         assert oriented.e_phi.shape == grid.e_phi.shape and not oriented.e_phi.any()
+
+    @pytest.mark.parametrize("L, spacing, q, a", [(4, 0.5, 1, 120), (4, 0.5, 3, 120), (16, 0.5, 2, 480),
+                                                  (4, 0.65, 0, 120), (3, 0.37, 1.5, 17)])
+    def test_the_sweep_is_mirror_symmetric_and_zero_at_both_poles(self, L, spacing, q, a):
+        # cos(theta) at sweep index 2a - i is minus that at index i, so the field there is
+        # exactly the conjugate (a zero's sign aside); with q > 0 the pattern vanishes on the axis.
+        grid, _ = bb.generate_ula_efield(bb.SyntheticUlaSpec(L, spacing, element_pattern_q=q, sampling_factor=a))
+        e = grid.e_theta[:, :, 0]
+        assert e.shape == (L, 2 * a + 1)
+        assert np.array_equal(e[:, ::-1], np.conj(e))
+        if q > 0:
+            assert not e[:, 0].any() and not e[:, -1].any()
 
 
 class TestFibonacci:
