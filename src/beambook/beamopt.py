@@ -310,11 +310,12 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     Two routes skip the ascent and report ``rank`` 1 and ``iterations`` 0.
     A rank-one M, every 1x1 M included, short-circuits to the exact
     analytic optimum, the co-phased rank-one W.  Any other M first runs the
-    rank-1 mixing method (Wang, Chang & Kolter, arXiv:1706.00476):
-    continuous-phase :func:`coordinate_descent` from the co-phased dominant
-    eigenvector of M.  When the dual bound of its W = w w^H exceeds the
-    objective by at most 1e-11 max(trace, 1), that W is certified as the
-    optimum.  Only an uncertified member ascends, and its ``iterations``
+    generalized power method w <- phase(M w) from the co-phased dominant
+    eigenvector of M, then, where that is not certified, the rank-1 mixing
+    method (Wang, Chang & Kolter, arXiv:1706.00476), continuous-phase
+    :func:`coordinate_descent`, from the same start.  A W = w w^H whose dual
+    bound exceeds its objective by at most 1e-11 max(trace, 1) is certified
+    as the optimum.  Only an uncertified member ascends, and its ``iterations``
     counts the barrier sweeps.  A member still unsettled at the sweep cap
     keeps its best iterate, and a ``UserWarning`` names it and its certified
     gap (bound minus objective).  Raises ``ValueError`` unless
@@ -339,25 +340,27 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     live = trace > 0.0
     # The co-phased dominant eigenvector w gives a rank-one M, every 1x1 M
     # included, its optimum W = w w^H (Cauchy-Schwarz over the rows of any
-    # feasible factor); any other M keeps the phase ascent's w w^H if certified.
-    w = _cophase(_max_eigenpairs(M, (vals, vecs))[1])
+    # feasible factor); any other M keeps the first certified w w^H of two ascents from w.
+    start = _cophase(_max_eigenpairs(M, (vals, vecs))[1])
     mixed = live & (vals[:, :-1].max(axis=1, initial=0.0) > 1e-12 * vals[:, -1])
-    if mixed.any():
-        w[mixed] = _coordinate_descent(M[mixed], w[mixed], PhaseSpec())[0]
-    W[live] = w[live, :, None] * w[live, None, :].conj()
-    objective[live] = _objectives(M[live], W[live])
-    bound = _dual_bounds(M, W, objective)
-    rank_one = live & (~mixed | (bound - objective <= 1e-11 * np.maximum(trace, 1.0)))
-    rank[rank_one] = 1
-    ascend = live & ~rank_one
-    if ascend.any():
-        W[ascend], objective[ascend], sweeps[ascend], improvement[ascend], stage_tol = _ascend(
-            M[ascend], trace[ascend], _SDR_TOL, max_sweeps
+    tol = 1e-11 * np.maximum(trace, 1.0)
+    bound, pending = np.zeros(B), live
+    for power in (True, False):
+        w = start[pending]
+        w[mixed[pending]] = _coordinate_descent(M[pending & mixed], w[mixed[pending]], PhaseSpec(), power=power)[0]
+        W[pending] = w[:, :, None] * w[:, None, :].conj()
+        objective[pending] = _objectives(M[pending], W[pending])
+        bound[pending] = _dual_bounds(M[pending], W[pending], objective[pending])
+        pending = mixed & (bound - objective > tol)
+    rank[live & ~pending] = 1
+    if pending.any():
+        W[pending], objective[pending], sweeps[pending], improvement[pending], stage_tol = _ascend(
+            M[pending], trace[pending], _SDR_TOL, max_sweeps
         )
-        bound[ascend] = _dual_bounds(M[ascend], W[ascend], objective[ascend])
-        rank_vals = np.linalg.eigvalsh(W[ascend])
-        rank[ascend] = np.sum(rank_vals > 1e-9 * np.maximum(rank_vals[:, -1:], 0.0), axis=1)
-        failed[ascend] = (sweeps[ascend] >= max_sweeps) & (improvement[ascend] >= 10.0 * stage_tol)
+        bound[pending] = _dual_bounds(M[pending], W[pending], objective[pending])
+        rank_vals = np.linalg.eigvalsh(W[pending])
+        rank[pending] = np.sum(rank_vals > 1e-9 * np.maximum(rank_vals[:, -1:], 0.0), axis=1)
+        failed[pending] = (sweeps[pending] >= max_sweeps) & (improvement[pending] >= 10.0 * stage_tol)
 
     for b in np.flatnonzero(failed):
         warnings.warn(
@@ -382,6 +385,7 @@ def gaussian_randomization(
     n_rand: int,
     phase_spec: PhaseSpec,
     seed: Sequence[int | tuple[int, ...]],
+    drew: list | None = None,
 ) -> np.ndarray:
     """Round each relaxation solution of a stack to a feasible beam.
 
@@ -403,7 +407,8 @@ def gaussian_randomization(
     hashes (``_child_seed``); the result is a (B, L) array, one beam per row.
     The stack shares one ``eigh``, one factor product and one exact-route
     call; each drawing member keeps its own stream and (L, n_rand) draws, so
-    every beam is bit for bit the one it gets in a stack of one.
+    every beam is bit for bit the one it gets in a stack of one.  A list
+    ``drew`` gets one bool per member, in stack order: True if it drew.
     """
     check_count("n_rand", n_rand)
     M = _hermitian_stack(M)
@@ -423,6 +428,8 @@ def gaussian_randomization(
     factors = vecs * np.sqrt(vals)[:, None, :]
     beams = np.empty((B, L), dtype=complex)
     exact = vals[:, :-1].max(axis=1, initial=0.0) <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
+    if drew is not None:
+        drew.extend((~exact).tolist())
     if exact.any():
         v = vecs[exact, :, -1]
         beams[exact] = _rank_one_lattice_beams(v, M[exact], phase_spec.bits) if phase_spec.is_discrete else _cophase(v)
@@ -463,10 +470,12 @@ def _quadratic_forms(M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.real((w.conj()[..., None, :] @ M @ w[..., :, None])[..., 0, 0])
 
 
-def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
+def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec, power: bool = False):
     """:func:`coordinate_descent`'s sweeps on a Hermitian stack M (B, L, L) from feasible beams W (B, L), in place.
 
-    Returns W, the per-sweep objectives (a column per member, held once it stops) and each member's sweeps.
+    With ``power`` a sweep is one generalized power step w <- phase(M w) instead, under the same stop
+    test and undo.  Returns W, the per-sweep objectives (a column per member, held once it stops) and
+    each member's sweeps.
     """
     B, L, _ = M.shape
     thresholds = 1e-12 * np.maximum(np.real(np.trace(M, axis1=1, axis2=2)), 1e-300)
@@ -481,10 +490,13 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec):
         if not active.size:
             break
         before = Wa.copy()
-        for i in range(L):
-            c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
-            moved = c != 0.0
-            Wa[moved, i] = _feasible(_phase(c[moved]), phase_spec, L)
+        if power:  # a monotone ascent for PSD M (Journee, Nesterov, Richtarik & Sepulchre, JMLR 2010)
+            Wa = _feasible(_phase((Ma @ Wa[:, :, None])[:, :, 0]), phase_spec, L)
+        else:
+            for i in range(L):
+                c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
+                moved = c != 0.0
+                Wa[moved, i] = _feasible(_phase(c[moved]), phase_spec, L)
         new_obj = _quadratic_forms(Ma, Wa)
         # A sweep that rounding left below its input is undone, and that member stops.
         lowered = new_obj < obj[active]
@@ -565,6 +577,7 @@ def design_beam(
     *,
     seed: Sequence[int | tuple[int, ...]],
     n_rand: int = 1000,
+    drew: list | None = None,
 ) -> tuple[BeamWeights, ...]:
     """Design one beam for each coherence matrix of a stack: relax, randomize, then polish.
 
@@ -581,9 +594,10 @@ def design_beam(
     deterministic in (member, phase_spec, seed), equal to the beam of a
     stack of one, and normalized to a zero phase on element 0 (in discrete
     mode by lattice index, so every global rotation of a lattice beam gives
-    the same bytes).
+    the same bytes).  ``drew`` goes to :func:`gaussian_randomization`: a
+    member that did not draw gets the same beam on any seed.
     """
-    rounded = gaussian_randomization(solve_sdr(M), M, n_rand, phase_spec, seed)
+    rounded = gaussian_randomization(solve_sdr(M), M, n_rand, phase_spec, seed, drew)
     polished = coordinate_descent(M, rounded, phase_spec).weights
     return BeamWeights._rows(_canonical_global_phase(polished, phase_spec), phase_spec)
 

@@ -333,11 +333,11 @@ def kmeans_codebook(
     never decreases, so the loop terminates: it stops when assignments
     repeat, the mean gain improves by less than 1e-9 dB, or
     ``max_iterations`` is hit.  ``seed`` must be an integer >= 0.  Beams
-    stay bound to the array they were initialized on.  A cluster without
-    field, that is an empty one or one whose directions all have zero
-    weight or zero field, gets no design call and leaves its beam
-    untouched: any beam ties its zero objective, so a new design would
-    only replace the beam at random.
+    stay bound to the array they were initialized on.  Two clusters get no
+    design call and keep their beam: one without field (empty, or all its
+    directions of zero weight or field), whose zero objective any beam
+    ties, and one with the members of its beam's last design if that drew
+    no randomization, which would design the same beam again.
     """
     check_count("num_beams", num_beams)
     check_count("max_iterations", max_iterations)
@@ -356,6 +356,7 @@ def kmeans_codebook(
     gains = entry_gains_linear(resolved, entries)  # (K, N)
     trace = [MeanGainCriterion().value(gains.max(axis=0), dirs)]
     assignments = np.full(len(dirs), -1)
+    last_members: dict[int, np.ndarray | None] = {}  # beam -> its cluster at its last design; None if that drew
     stop_reason = "max iterations"
 
     for iteration in range(max_iterations):
@@ -365,27 +366,32 @@ def kmeans_codebook(
             break
         assignments = new_assignments
 
-        # Every cluster's matrix, then one stacked design per element count
-        # over the clusters with field (an empty cluster's matrix is zero).
+        # The matrix of every cluster that changed, then one stacked design per
+        # element count over those with field (an empty cluster's matrix is zero).
         clusters: dict[int, np.ndarray] = {}
         by_size: dict[int, list[int]] = {}
         for k, entry in enumerate(entries):
             members = np.flatnonzero(assignments == k)
+            if last_members.get(k) is not None and np.array_equal(members, last_members[k]):
+                continue  # the matrix of its last design, which drew nothing: the same beam
             _, et, ep = resolved[entry.array_id]
             Mk = field_coherence(et[:, members], ep[:, members], dirs.weights[members])
             if np.real(np.trace(Mk)) > 0.0:
                 clusters[k] = Mk
+                last_members[k] = members
                 by_size.setdefault(et.shape[0], []).append(k)
         designed = {}
         for ks in by_size.values():
             stack = np.stack([clusters[k] for k in ks])
-            keys = [(seed, iteration, k) for k in ks]
-            designed.update(zip(ks, design_beam(stack, phase_spec, seed=keys, n_rand=n_rand)))
+            keys, drew = [(seed, iteration, k) for k in ks], []
+            designed.update(zip(ks, design_beam(stack, phase_spec, seed=keys, n_rand=n_rand, drew=drew)))
+            last_members.update((k, None) for k, drawn in zip(ks, drew) if drawn)
 
-        for k, Mk in clusters.items():
-            if designed[k].gain(Mk) >= entries[k].weights.gain(Mk):  # keep monotone under the approximate solver
-                entries[k] = CodebookEntry(entries[k].array_id, designed[k])
-        gains = entry_gains_linear(resolved, entries)
+        # Keep monotone under the approximate solver; only the kept beams' gain rows change.
+        kept = [k for k, Mk in clusters.items() if designed[k].gain(Mk) >= entries[k].weights.gain(Mk)]
+        for k in kept:
+            entries[k] = CodebookEntry(entries[k].array_id, designed[k])
+        gains[kept] = entry_gains_linear(resolved, [entries[k] for k in kept])
 
         trace.append(MeanGainCriterion().value(gains.max(axis=0), dirs))
         if trace[-1] - trace[-2] < 1e-9:

@@ -614,18 +614,22 @@ class TestRoutes:
         assert beam.gain(M) <= solution.bound
 
     def test_the_certificate_runs_the_phase_ascent_kernel_not_the_public_stage(self, monkeypatch):
-        M = random_instance(RandomInstanceSpec(5, 5, 0))  # full rank, certified
-        H = beamopt_module._hermitian_stack(M[None])
+        # Full rank: the power method certifies (5, 5, 0); only coordinate descent from the same start
+        # certifies (5, 5, 45).
+        M = np.stack([random_instance(RandomInstanceSpec(5, 5, seed)) for seed in (0, 45)])
+        H = beamopt_module._hermitian_stack(M)
         start = beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1])
-        (w,) = bb.coordinate_descent(H, start, bb.PhaseSpec()).weights
+        power = beamopt_module._coordinate_descent(H, start.copy(), bb.PhaseSpec(), power=True)[0]
+        cyclic = beamopt_module._coordinate_descent(H, start.copy(), bb.PhaseSpec())[0]
 
         def public_stage(*args, **kwargs):
             raise AssertionError("solve_sdr called the public coordinate_descent")
 
         monkeypatch.setattr(beamopt_module, "coordinate_descent", public_stage)
-        (solution,) = bb.solve_sdr(M[None])
-        assert (solution.iterations, solution.rank) == (0, 1)
-        assert solution.W.tobytes() == np.outer(w, w.conj()).tobytes()  # the public stage's beam, bit for bit
+        solutions = bb.solve_sdr(M)
+        assert [(s.iterations, s.rank) for s in solutions] == [(0, 1), (0, 1)]
+        for solution, w in zip(solutions, (power[0], cyclic[1])):
+            assert solution.W.tobytes() == np.outer(w, w.conj()).tobytes()  # the private kernel's beam, bit for bit
 
     def test_a_rank_one_solution_is_rounded_by_rotation_without_draws(self, monkeypatch):
         # A hand-built W = v v^H, unrelated to the full-rank M it is scored against.
@@ -694,6 +698,31 @@ class TestRoutes:
         for m, seed, beam in zip(stack, (1, 2, 3, 4), beams):
             (alone,) = bb.design_beam(m[None], spec, seed=[seed])
             assert beam.weights.tobytes() == alone.weights.tobytes()
+
+
+class TestCertificate:
+    """The power method certifies first; a member it leaves uncertified runs coordinate descent from the same start."""
+
+    @pytest.mark.parametrize("L", [4, 5, 8, 16])
+    def test_every_member_that_coordinate_descent_certifies_is_certified(self, L):
+        M = np.stack([random_instance(RandomInstanceSpec(L, rank, seed)) for rank in (2, L) for seed in range(200)])
+        H = beamopt_module._hermitian_stack(M)
+        start = beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1])
+        tol = 1e-11 * np.maximum(np.real(np.trace(H, axis1=1, axis2=2)), 1.0)
+        W, certified = {}, {}
+        for power in (True, False):
+            w = beamopt_module._coordinate_descent(H, start.copy(), bb.PhaseSpec(), power=power)[0]
+            W[power] = w[:, :, None] * w[:, None, :].conj()
+            objective = beamopt_module._objectives(H, W[power])
+            certified[power] = beamopt_module._dual_bounds(H, W[power], objective) - objective <= tol
+        solutions = bb.solve_sdr(M)
+        shortcut = np.array([s.iterations == 0 for s in solutions])
+        assert shortcut[certified[False]].all()
+        assert np.array_equal(shortcut, certified[True] | certified[False])
+        assert (certified[False] & ~certified[True]).any()  # some member needs coordinate descent
+        for b in np.flatnonzero(shortcut):
+            assert solutions[b].rank == 1
+            assert solutions[b].W.tobytes() == W[bool(certified[True][b])][b].tobytes()
 
 
 def record_seed_sequences(monkeypatch) -> list:

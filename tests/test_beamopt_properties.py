@@ -292,6 +292,23 @@ def test_coordinate_descent_objectives_never_decrease(case, bits, seed):
     assert np.all(np.diff(results.objectives, axis=0) >= 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=stacks(max_elements=16, max_members=4), seed=st.integers(0, 2**32 - 1), cophased=st.booleans())
+def test_power_method_objectives_never_decrease_and_members_equal_their_stacks_of_one(case, seed, cophased):
+    # From random phases or, as in solve_sdr, from the co-phased dominant eigenvector.
+    L, M = case
+    H = beamopt_module._hermitian_stack(M)
+    start = (beamopt_module._cophase(beamopt_module._max_eigenpairs(H)[1]) if cophased
+             else np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (len(M), L))) / math.sqrt(L))
+    W, objectives, sweeps = beamopt_module._coordinate_descent(H, start.copy(), bb.PhaseSpec(), power=True)
+    assert np.all(np.diff(objectives, axis=0) >= 0.0)
+    for b in range(len(M)):
+        alone = beamopt_module._coordinate_descent(H[b : b + 1], start[b : b + 1].copy(), bb.PhaseSpec(), power=True)
+        assert alone[0].tobytes() == W[b : b + 1].tobytes()
+        assert alone[1][:, 0].tobytes() == objectives[: sweeps[b] + 1, b].tobytes()
+        assert alone[2][0] == sweeps[b]
+
+
 @settings(max_examples=100, deadline=None)
 @given(L=st.integers(1, 24), B=st.integers(1, 40), bits=st.sampled_from((None, 1, 3, 16)),
        seed=st.integers(0, 2**32 - 1))

@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import beambook as bb
+import beambook.beamopt as beamopt_module
 import beambook.codebook as codebook_module
 import beambook.metrics as metrics_module
 from beambook.efield import field_coherence, top_eigenvalues
 from beambook.metrics import field_gains
-from beambook.oracle import brute_force_b3
+from beambook.oracle import RandomInstanceSpec, brute_force_b3, random_instance
 
 
 @pytest.fixture(scope="module")
@@ -568,6 +569,125 @@ class TestKMeans:
         with pytest.raises(ValueError, match="lattice"):
             bb.kmeans_codebook(grid, num_beams=1, direction_set=dirs, phase_spec=bb.PhaseSpec(2), init=init)
         assert designs == []
+
+
+class _ArgmaxSpy:
+    """Stands in for ``np`` in the codebook module and keeps a copy of every matrix whose column argmax it takes."""
+
+    def __init__(self, seen: list):
+        self.seen = seen
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, a, axis=None):
+        if axis == 0:
+            self.seen.append(np.array(a))
+        return np.argmax(a, axis=axis)
+
+
+class TestKMeansSkipsUnchangedClusters:
+    """A beam whose cluster kept the members of its last design, which drew nothing, is not re-designed."""
+
+    @pytest.fixture(scope="class")
+    def ula8(self):
+        spec = bb.SyntheticUlaSpec(8, 0.5, element_pattern_q=2, sampling_factor=60)
+        grid, dirs = bb.generate_ula_efield(spec)
+        bits3 = bb.PhaseSpec(3)
+        return grid, dirs, dict(num_beams=8, direction_set=dirs, phase_spec=bits3,
+                                init=bb.benchmark_codebook(spec, 8, bits3), n_rand=50, seed=2)
+
+    @staticmethod
+    def spied_run(monkeypatch, grid, run):
+        """The run, each design call's (keys, drew) and the (K, N) gains at the start of every iteration."""
+        design_beam, calls, seen = codebook_module.design_beam, [], []
+
+        def spy(M, phase_spec, *, seed, drew=None, **kwargs):
+            beams = design_beam(M, phase_spec, seed=seed, drew=drew, **kwargs)
+            calls.append((list(seed), list(drew)))
+            return beams
+
+        monkeypatch.setattr(codebook_module, "design_beam", spy)
+        monkeypatch.setattr(codebook_module, "np", _ArgmaxSpy(seen))
+        result = bb.kmeans_codebook(grid, **run)
+        monkeypatch.undo()
+        return result, calls, seen
+
+    @staticmethod
+    def clusters(grid, dirs, gains):
+        """Beam -> (member indices, has field) under the assignment that ``gains`` gives."""
+        et, ep = grid.fields_at(bb.snap_to_grid(dirs, grid))
+        assignments = np.argmax(gains, axis=0)
+        out = {}
+        for k in range(len(gains)):
+            members = np.flatnonzero(assignments == k)
+            out[k] = members, np.trace(field_coherence(et[:, members], ep[:, members], dirs.weights[members])).real > 0
+        return out
+
+    def test_unchanged_clusters_get_no_design_call_when_nothing_draws(self, ula8, monkeypatch):
+        grid, dirs, run = ula8
+        result, calls, seen = self.spied_run(monkeypatch, grid, run)
+        assert not any(drawn for _, drew in calls for drawn in drew)
+        designed = {}  # (iteration, beam) -> members, for every design
+        skipped = 0
+        for t in range(result.iterations):
+            keys = {key for seed, _ in calls for key in seed if key[1] == t}
+            for k, (members, field) in self.clusters(grid, dirs, seen[t]).items():
+                if (run["seed"], t, k) in keys:
+                    designed[t, k] = members
+                elif field:  # skipped: the members of its last design
+                    skipped += 1
+                    last = max(s for s, beam in designed if beam == k)
+                    assert np.array_equal(members, designed[last, k])
+        assert skipped > 0 and sum(len(seed) for seed, _ in calls) == len(designed)
+
+    def test_a_member_that_draws_is_redesigned_in_every_iteration(self, ula8, monkeypatch):
+        # Beam 0's relaxation is mixed with I/L, which keeps its diagonal: full rank, so it draws.
+        grid, dirs, run = ula8
+        solve_sdr, keys_now = beamopt_module.solve_sdr, []
+
+        def beam0_draws(M):
+            return tuple(s._replace(W=0.5 * s.W + 0.5 * np.eye(len(s.W)) / len(s.W)) if key[2] == 0 else s
+                         for s, key in zip(solve_sdr(M), keys_now[-1]))
+
+        design_beam = codebook_module.design_beam
+
+        def keys_first(M, spec, *, seed, **kwargs):
+            keys_now.append(seed)
+            return design_beam(M, spec, seed=seed, **kwargs)
+
+        monkeypatch.setattr(beamopt_module, "solve_sdr", beam0_draws)
+        monkeypatch.setattr(codebook_module, "design_beam", keys_first)
+        result, calls, seen = self.spied_run(monkeypatch, grid, run)
+        assert result.iterations > 2
+        for t in range(result.iterations):
+            (drawn,) = [d for seed, drew in calls for key, d in zip(seed, drew) if key == (run["seed"], t, 0)]
+            assert drawn
+        others = sum(field for t in range(result.iterations)
+                     for k, (_, field) in self.clusters(grid, dirs, seen[t]).items() if k)
+        assert sum(len(seed) for seed, _ in calls) < result.iterations + others  # other beams still skip
+
+    def test_gains_equal_a_full_recompute_after_every_iteration(self, ula8, monkeypatch):
+        grid, dirs, run = ula8
+        result, _, seen = self.spied_run(monkeypatch, grid, run)
+        resolved = bb.resolve_directions(grid, dirs)
+        for t in range(1, result.iterations + 1):
+            after = bb.kmeans_codebook(grid, **{**run, "max_iterations": t})
+            gains = bb.entry_gains_linear(resolved, after.codebook.entries)
+            if t < len(seen):
+                assert gains.tobytes() == seen[t].tobytes()
+            assert bb.MeanGainCriterion().value(gains.max(axis=0), dirs) == result.mean_gain_trace_db[t]
+
+    def test_design_beam_returns_the_same_bytes_with_and_without_drew(self):
+        # Zero (draws), rank-one M, certified, and a rank-two relaxation (draws).
+        stack = np.stack([np.zeros((5, 5))] + [random_instance(RandomInstanceSpec(5, r, s)) for r, s in
+                                               ((1, 3), (5, 0), (3, 205))])
+        for spec in (bb.PhaseSpec(), bb.PhaseSpec(3)):
+            drew = []
+            recorded = bb.design_beam(stack, spec, seed=[1, 2, 3, 4], n_rand=50, drew=drew)
+            assert drew == [True, False, False, True]
+            plain = bb.design_beam(stack, spec, seed=[1, 2, 3, 4], n_rand=50)
+            assert [b.weights.tobytes() for b in recorded] == [b.weights.tobytes() for b in plain]
 
 
 class TestUniformInit:
