@@ -288,8 +288,7 @@ def _ascend(M: np.ndarray, trace: np.ndarray, tol: float, max_sweeps: int):
         done = (stage[active] == _BARRIER_SCHEDULE.size) | (sweeps[active] >= max_sweeps)
         if done.any():
             W[active[done]] = Wa[done]
-            keep = ~done
-            active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+            active, Ma, Wa = active[~done], Ma[~done], Wa[~done]
     return W, obj, sweeps, improvement, stage_tol
 
 
@@ -346,6 +345,8 @@ def solve_sdr(M: np.ndarray, max_sweeps: int = 5000) -> tuple[SdrSolution, ...]:
     tol = 1e-11 * np.maximum(trace, 1.0)
     bound, pending = np.zeros(B), live
     for power in (True, False):
+        if not pending.any():
+            break
         w = start[pending]
         w[mixed[pending]] = _coordinate_descent(M[pending & mixed], w[mixed[pending]], PhaseSpec(), power=power)[0]
         W[pending] = w[:, :, None] * w[:, None, :].conj()
@@ -391,7 +392,9 @@ def gaussian_randomization(
 
     A numerically rank-one W (second eigenvalue at most 1e-9 of the first;
     a 1x1 W has none) takes the exact route, whatever its seed and
-    ``n_rand``: random draws could only rotate its principal eigenvector v.
+    ``n_rand``: random draws could only rotate its principal eigenvector v,
+    read with no ``eigh`` as v = W[:, 0] / sqrt(W_00) where W is within
+    1e-12 tr W of v v^H (then W passes that test, by Weyl's inequality).
     In continuous mode the beam is the co-phased v; in discrete mode it is
     the best of the L lattice rotations of v, scored against M
     (:func:`_rank_one_lattice_beams`).
@@ -405,10 +408,10 @@ def gaussian_randomization(
     solutions (a :func:`solve_sdr` result) and ``seed`` one seed per
     member, an integer >= 0 or a key tuple of them that only a drawing member
     hashes (``_child_seed``); the result is a (B, L) array, one beam per row.
-    The stack shares one ``eigh``, one factor product and one exact-route
-    call; each drawing member keeps its own stream and (L, n_rand) draws, so
-    every beam is bit for bit the one it gets in a stack of one.  A list
-    ``drew`` gets one bool per member, in stack order: True if it drew.
+    Members not read off their column share one ``eigh`` and factor product,
+    exact members one exact-route call; a drawing member keeps its own
+    stream and (L, n_rand) draws, so every beam is the bits of a stack of one.
+    A list ``drew`` gets one bool per member, in stack order: True if it drew.
     """
     check_count("n_rand", n_rand)
     M = _hermitian_stack(M)
@@ -423,15 +426,20 @@ def gaussian_randomization(
         for part in key if isinstance(key, tuple) and key else (key,):
             check_count("seed", part, 0)
     B, L, _ = M.shape
-    vals, vecs = np.linalg.eigh(W)
-    vals = np.clip(vals, 0.0, None)
-    factors = vecs * np.sqrt(vals)[:, None, :]
+    d = np.real(W[:, 0, 0])
+    v = W[:, :, 0] / np.sqrt(np.where(d > 0.0, d, 1.0))[:, None]
+    residual = np.linalg.norm(W - v[:, :, None] * v[:, None, :].conj(), axis=(1, 2))
+    exact = (d > 0.0) & (residual <= 1e-12 * np.real(np.trace(W, axis1=1, axis2=2)))
+    factors, rest = np.empty_like(W), np.flatnonzero(~exact)
+    if rest.size:
+        vals, vecs = np.linalg.eigh(W[rest])
+        factors[rest], v[rest] = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :], vecs[:, :, -1]
+        exact[rest] = vals[:, :-1].max(axis=1, initial=0.0) <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
     beams = np.empty((B, L), dtype=complex)
-    exact = vals[:, :-1].max(axis=1, initial=0.0) <= 1e-9 * np.maximum(vals[:, -1], 1e-300)
     if drew is not None:
         drew.extend((~exact).tolist())
     if exact.any():
-        v = vecs[exact, :, -1]
+        v = v[exact]
         beams[exact] = _rank_one_lattice_beams(v, M[exact], phase_spec.bits) if phase_spec.is_discrete else _cophase(v)
     xi = np.empty((n_rand, L), dtype=complex)
     for b in np.flatnonzero(~exact):
@@ -485,7 +493,17 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec, pow
     rows = [obj.copy()]
     sweeps = np.zeros(B, dtype=int)
     active = np.arange(B)
-    Ma, Wa = M, W.copy()
+    if phase_spec.is_discrete and not power:
+        # A member whose every field c_i snaps to w_i bit for bit, its phase over 2 e_i / |c_i| + 1e-12 from a decision
+        # boundary (e_i bounds two summation orders' difference), moves no element: it reports that sweep unrun.
+        c = (M @ W[:, :, None])[:, :, 0] - np.diagonal(M, axis1=1, axis2=2) * W
+        e = 8 * (L + 1) * 2.0**-53 * (np.abs(M) @ np.abs(W)[:, :, None])[:, :, 0]  # unit roundoff 2^-53
+        p, r, step = _phase(c), np.abs(c), _TWO_PI / (1 << phase_spec.bits)
+        clear = step * np.abs(p / step - np.floor(p / step) - 0.5) * r > 2.0 * e + 1e-12 * r
+        settled = clear.all(axis=1) & (_feasible(p, phase_spec, L).view(np.int64) == W.view(np.int64)).all(axis=1)
+        sweeps[settled], active = 1, np.flatnonzero(~settled)
+        rows += [obj.copy()] * bool(B and settled.all())
+    Ma, Wa = M[active], W[active]
     for _ in range(max_sweeps):
         if not active.size:
             break
@@ -507,8 +525,7 @@ def _coordinate_descent(M: np.ndarray, W: np.ndarray, phase_spec: PhaseSpec, pow
         rows.append(obj.copy())
         if done.any():
             W[active[done]] = Wa[done]
-            keep = ~done
-            active, Ma, Wa = active[keep], Ma[keep], Wa[keep]
+            active, Ma, Wa = active[~done], Ma[~done], Wa[~done]
     W[active] = Wa
     return W, np.array(rows), sweeps
 
@@ -521,7 +538,8 @@ def coordinate_descent(M: np.ndarray, init: np.ndarray, phase_spec: PhaseSpec) -
     nondecreasing, and a sweep that rounding leaves below its start is
     undone.  Stops when a full sweep improves the objective by less than
     1e-12 * trace(M).  A vanishing off-diagonal contribution leaves that
-    element untouched for the step.
+    element untouched for the step.  A discrete member whose every element
+    snaps to itself, beyond rounding, reports that sweep without running it.
 
     ``M`` is a stack of shape (B, L, L) and ``init`` a (B, L) array of
     feasible beams, one per member.  Each step re-phases element i of every

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._frozen import Frozen, check_count
-from .beamopt import BeamWeights, PhaseSpec, design_beam, eigen_beams
+from .beamopt import BeamWeights, PhaseSpec, _quadratic_forms, design_beam, eigen_beams
 from .efield import (CoverageRegion, DirectionSet, SyntheticUlaSpec, field_coherence, fibonacci_directions,
                      top_eigenvalues, write_json)
 from .metrics import db_from_linear, entry_gains_linear, resolve_directions, weighted_percentiles
@@ -380,15 +380,16 @@ def kmeans_codebook(
                 clusters[k] = Mk
                 last_members[k] = members
                 by_size.setdefault(et.shape[0], []).append(k)
-        designed = {}
+        designed, kept = {}, []
         for ks in by_size.values():
             stack = np.stack([clusters[k] for k in ks])
             keys, drew = [(seed, iteration, k) for k in ks], []
             designed.update(zip(ks, design_beam(stack, phase_spec, seed=keys, n_rand=n_rand, drew=drew)))
             last_members.update((k, None) for k, drawn in zip(ks, drew) if drawn)
-
-        # Keep monotone under the approximate solver; only the kept beams' gain rows change.
-        kept = [k for k, Mk in clusters.items() if designed[k].gain(Mk) >= entries[k].weights.gain(Mk)]
+            # Keep monotone under the approximate solver (BeamWeights.gain's bits); only kept beams' rows change.
+            new = _quadratic_forms(stack, np.stack([designed[k].weights for k in ks]))
+            old = _quadratic_forms(stack, np.stack([entries[k].weights.weights for k in ks]))
+            kept += [k for k, a, b in zip(ks, new, old) if a >= b]
         for k in kept:
             entries[k] = CodebookEntry(entries[k].array_id, designed[k])
         gains[kept] = entry_gains_linear(resolved, [entries[k] for k in kept])

@@ -284,8 +284,9 @@ def generate_ula_efield(spec: SyntheticUlaSpec, array_id: str = "ula") -> tuple[
     """Synthesize the E-field grid of an ideal uniform linear array.
 
     The sweep runs over 2a+1 directions with cos(theta) uniform on
-    [-1, 1] (all at phi = 0), which makes the uniform-weight average the
-    exact sphere measure for this axially symmetric model.  Element l
+    [-1, 1] (all at phi = 0), both poles at full weight (the sphere
+    measure's trapezoid rule halves them): the x-uniform mean gain of a unimodular
+    beam on the isotropic 4-element sweep (a = 120) is off by up to 0.054 dB.  Element l
     (0-based) responds with sqrt(p(theta)) * exp(j*2*pi*(d/lambda)*
     cos(theta)*l) in the theta polarization and zero in phi.  Stored
     fields carry the sqrt(eta0 / 2 pi) factor so the standard gain

@@ -377,6 +377,20 @@ class TestCoordinateDescent:
         assert_allclose(result.weights[0], w, atol=1e-12)
         assert result.objectives.shape == (2, 1) and result.sweeps.tolist() == [1]  # one sweep confirms convergence
 
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    def test_a_discrete_fixed_point_reports_its_sweep_without_running_it(self, bits, monkeypatch):
+        spec = bb.PhaseSpec(bits)
+        M = np.stack([random_instance(RandomInstanceSpec(16, r, 3)) for r in (1, 16)])
+        start = np.stack([bb.BeamWeights.from_phases(np.zeros(16), spec).weights] * 2)
+        fixed = bb.coordinate_descent(M, start, spec).weights
+        objectives = beamopt_module._quadratic_forms(M, fixed)
+        feasible, snapped = beamopt_module._feasible, []
+        monkeypatch.setattr(beamopt_module, "_feasible", lambda p, *args: snapped.append(np.shape(p)) or feasible(p, *args))
+        result = bb.coordinate_descent(M, fixed, spec)
+        assert snapped == [(2, 16)] * 2  # the input's lattice check and the stationary test, and no sweep
+        assert result.weights.tobytes() == fixed.tobytes() and result.sweeps.tolist() == [1, 1]
+        assert result.objectives.tobytes() == np.stack([objectives] * 2).tobytes()
+
     def test_monotone_and_bounded(self):
         for seed in range(20):
             M = random_instance(RandomInstanceSpec(4, 2, seed + 100))
@@ -647,6 +661,22 @@ class TestRoutes:
         assert gain(beam, M) == pytest.approx(best, rel=1e-12)
         (continuous,) = bb.gaussian_randomization([solution], M[None], 1000, bb.PhaseSpec(), seed=[0])
         assert abs(np.vdot(continuous, v)) == pytest.approx(1.0, rel=1e-12)  # v up to a global phase
+
+    @pytest.mark.parametrize("bits", [None, 3])
+    def test_certified_and_rank_one_relaxations_are_rounded_without_eigh(self, bits, monkeypatch):
+        # A rank-one M, two certified full-rank M, then a rank-two relaxation: only the last reaches eigh.
+        stack = np.stack([random_instance(RandomInstanceSpec(5, r, s)) for r, s in ((1, 3), (5, 0), (5, 45), (3, 205))])
+        solutions = bb.solve_sdr(stack)
+        assert [(s.iterations, s.rank) for s in solutions] == [(0, 1), (0, 1), (0, 1), (1749, 2)]
+        spec = bb.PhaseSpec() if bits is None else bb.PhaseSpec(bits)
+        eighs, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda W: eighs.append(len(W)) or eigh(W))
+        drew = []
+        beams = bb.gaussian_randomization(solutions[:3], stack[:3], 100, spec, seed=[1, 2, 3], drew=drew)
+        assert eighs == [] and drew == [False] * 3
+        beamopt_module._check_beams(beams, spec)
+        bb.gaussian_randomization(solutions, stack, 100, spec, seed=[1, 2, 3, 4], drew=drew)
+        assert eighs == [1] and drew == [False] * 6 + [True]  # one eigh, of the drawing member alone
 
     @pytest.mark.parametrize("bits", [None, 3])
     def test_a_rank_two_relaxation_draws(self, bits, monkeypatch):

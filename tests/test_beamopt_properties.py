@@ -6,6 +6,7 @@ A member's call alone is a call on a stack of one: every stage takes only (B, L,
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,6 +315,11 @@ def test_power_method_objectives_never_decrease_and_members_equal_their_stacks_o
        seed=st.integers(0, 2**32 - 1))
 @example(L=1, B=1, bits=None, seed=0)
 @example(L=24, B=40, bits=3, seed=1)
+# The stacks of kmeans_codebook's accept guard, which scores each element-count group in one call.
+@example(L=4, B=1, bits=3, seed=2)
+@example(L=4, B=2, bits=3, seed=3)
+@example(L=16, B=16, bits=None, seed=4)
+@example(L=16, B=16, bits=3, seed=5)
 def test_a_beams_gain_is_its_row_of_the_stacked_quadratic_forms_bit_for_bit(L, B, bits, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((B, L, L)) + 1j * rng.standard_normal((B, L, L))
@@ -393,6 +399,127 @@ def test_randomization_equals_scoring_every_draw_bit_for_bit(relaxation, bits, n
     beams = bb.gaussian_randomization([solution], M[None], n_rand, spec, [seed])
     beamopt_module._check_beams(beams, spec)  # a feasible beam
     assert beams[0].tobytes() == randomize_every_draw(solution, M, n_rand, spec, seed).tobytes()
+
+
+def zero_corner_relaxation(L: int, seed: int) -> tuple[np.ndarray, bb.SdrSolution]:
+    """A rank-one W = v v^H with v_0 = 0, so W_00 = 0, against a full-rank M."""
+    rng = np.random.default_rng(seed)
+    v = np.concatenate([[0.0], rng.standard_normal(L - 1) + 1j * rng.standard_normal(L - 1)])
+    v /= np.linalg.norm(v)
+    return member(L, "full", seed), bb.SdrSolution(np.outer(v, v.conj()), 0.0, 0, 0.0, 1, 0.0)
+
+
+@st.composite
+def near_rank_one_relaxations(draw):
+    """(M, solution) on either side of the rank-one test: W spread by 1e-16 to 1e-6, W_00 = 0, or uncertified."""
+    kind = draw(st.sampled_from(("spread", "zero corner", "uncertified")))
+    if kind == "uncertified":
+        return uncertified_relaxation(draw(st.sampled_from([s for specs in UNCERTIFIED.values() for s in specs])))
+    if kind == "zero corner":
+        return zero_corner_relaxation(draw(st.integers(2, 16)), draw(st.integers(0, 10_000)))
+    return spread_relaxation(draw(st.integers(2, 16)), draw(st.sampled_from(KINDS[1:])), draw(st.integers(0, 10_000)),
+                             10.0 ** draw(st.floats(-16.0, -6.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relaxation=near_rank_one_relaxations(), bits=st.sampled_from(RESOLUTIONS), seed=st.integers(0, 2**32 - 1))
+@example(relaxation=spread_relaxation(16, "full", 1, 1e-16), bits=3, seed=0)
+@example(relaxation=spread_relaxation(4, "rank-one", 2, 4e-9), bits=None, seed=1)  # next to the eigenvalue test
+@example(relaxation=zero_corner_relaxation(3, 5), bits=2, seed=2)
+def test_randomization_draws_exactly_where_the_eigenvalue_test_says(relaxation, bits, seed):
+    M, solution = relaxation
+    spec = phase_spec(bits)
+    drew = []
+    (beam,) = bb.gaussian_randomization([solution], M[None], 20, spec, [seed], drew)
+    vals, vecs = np.linalg.eigh(solution.W[None])
+    exact = vals[0, :-1].max() <= 1e-9 * max(vals[0, -1], 1e-300)
+    assert drew == [not exact]
+    if exact and spec.is_discrete:  # the best lattice rotation of the eigenvector, bit for bit
+        H = beamopt_module._hermitian_stack(M[None])
+        assert beam.tobytes() == beamopt_module._rank_one_lattice_beams(vecs[:, :, -1], H, bits)[0].tobytes()
+    elif exact:  # the co-phased eigenvector, up to a global phase and rounding
+        assert abs(np.vdot(beamopt_module._cophase(vecs[0, :, -1]), beam)) == pytest.approx(1.0, abs=1e-9)
+
+
+def sweeps_without_stationary_stop(M: np.ndarray, W: np.ndarray, spec: bb.PhaseSpec):
+    """Reference: coordinate descent's cyclic sweeps on a Hermitian stack, every member running its first sweep."""
+    B, L, _ = M.shape
+    thresholds = 1e-12 * np.maximum(np.real(np.trace(M, axis1=1, axis2=2)), 1e-300)
+    W = W.copy()
+    obj = beamopt_module._quadratic_forms(M, W)
+    rows, sweeps, active = [obj.copy()], np.zeros(B, dtype=int), np.arange(B)
+    Ma, Wa = M, W.copy()
+    for _ in range(10 * L * (1 << spec.bits) if spec.is_discrete else 1000):
+        if not active.size:
+            break
+        before = Wa.copy()
+        for i in range(L):
+            c = (Ma[:, i, None, :] @ Wa[:, :, None])[:, 0, 0] - Ma[:, i, i] * Wa[:, i]
+            moved = c != 0.0
+            Wa[moved, i] = beamopt_module._feasible(beamopt_module._phase(c[moved]), spec, L)
+        new_obj = beamopt_module._quadratic_forms(Ma, Wa)
+        lowered = new_obj < obj[active]
+        Wa[lowered], new_obj[lowered] = before[lowered], obj[active[lowered]]
+        done = new_obj - obj[active] < thresholds[active]
+        obj[active] = new_obj
+        sweeps[active] += 1
+        rows.append(obj.copy())
+        W[active[done]] = Wa[done]
+        active, Ma, Wa = active[~done], Ma[~done], Wa[~done]
+    W[active] = Wa
+    return W, np.array(rows), sweeps
+
+
+def near_tie(w: np.ndarray, bits: int, i: int, offset: float) -> np.ndarray:
+    """A Hermitian M (L, L), L >= 3, whose fields at the lattice beam w (L,) sit on w's own lattice points,
+    except element i's field, which sits ``offset`` rad from the midpoint above w_i."""
+    L = len(w)
+    M = np.outer(w, w.conj())
+    M[i, :] = M[:, i] = 0.0
+    m = (i + 1) % L
+    M[i, m] = 1e-3 * np.exp(1j * (np.angle(w[i]) + math.pi / (1 << bits) + offset - np.angle(w[m])))
+    M[m, i] = np.conj(M[i, m])
+    return M
+
+
+@st.composite
+def polish_cases(draw):
+    """(M, W, spec, ties), member by member: a random lattice beam, a coordinate descent fixed point, or a near-tie."""
+    L, M = draw(stacks(min_elements=3, max_elements=16, max_members=4))
+    bits = draw(st.sampled_from((1, 2, 3, 5, 8)))
+    spec = bb.PhaseSpec(bits)
+    H = beamopt_module._hermitian_stack(M)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = beamopt_module._feasible(rng.uniform(0.0, 2.0 * math.pi, (len(M), L)), spec, L)
+    ties = []
+    for b in range(len(M)):
+        start = draw(st.sampled_from(("random", "fixed point", "near tie")))
+        if start == "fixed point":
+            W[b] = sweeps_without_stationary_stop(H[b : b + 1], W[b : b + 1], spec)[0][0]
+        elif start == "near tie":
+            H[b] = near_tie(W[b], bits, draw(st.integers(0, L - 1)), draw(st.floats(-1e-15, 1e-15)))
+            ties.append(b)
+    return H, W, spec, ties
+
+
+def sweep_ran(M: np.ndarray, W: np.ndarray, spec: bb.PhaseSpec) -> bool:
+    """Whether coordinate_descent ran a sweep: only a sweep snaps the fields of one element at a time (a 1-D call)."""
+    feasible, ndims = beamopt_module._feasible, []
+    with mock.patch.object(beamopt_module, "_feasible", lambda p, *args: ndims.append(np.ndim(p)) or feasible(p, *args)):
+        bb.coordinate_descent(M, W, spec)
+    return 1 in ndims
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=polish_cases())
+def test_coordinate_descent_equals_its_sweeps_without_the_stationary_stop_bit_for_bit(case):
+    M, W, spec, ties = case
+    got = bb.coordinate_descent(M, W, spec)
+    want = sweeps_without_stationary_stop(beamopt_module._hermitian_stack(M), W, spec)
+    for name, a, b in zip(("weights", "objectives", "sweeps"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for b in ties:  # a field within rounding of a decision boundary: the member takes its sweep
+        assert sweep_ran(M[b : b + 1], W[b : b + 1], spec)
 
 
 def max_eigenpair_alone(M: np.ndarray) -> tuple[float, np.ndarray]:
